@@ -21,11 +21,12 @@ _SUBSYSTEM_NAMES = {"A": 0, "B": 1, "E": 2}
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return np.conj(a.T)
+    """Adjoint of a matrix, or of each matrix in a stack (last two axes)."""
+    return np.conj(np.swapaxes(a, -1, -2))
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation between ``a`` and its adjoint."""
+    """Largest entrywise deviation between ``a`` and its adjoint (over a stack)."""
     a = np.asarray(a)
     return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
 

@@ -209,9 +209,9 @@ def seesaw(
     """Alternate certification and measurement optimization from a starting
     measurement set, recording the certified min-entropy per round.
 
-    Every measurement update is accepted only if re-certification does not
-    worsen the guessing probability, so the recorded sequence is monotone
-    by construction. Rejected or stagnating updates refine the smoothing
+    Every measurement update is accepted only if its re-certification is
+    optimal and does not worsen the guessing probability, so the recorded
+    sequence is monotone. Rejected or stagnating updates refine the smoothing
     weight of the stepping inequality (continuation toward the exact
     problem) before the loop gives up. Stops when the improvement drops
     below `tol` (Tolerance; requires the known analytic `ceiling` to have
@@ -252,7 +252,7 @@ def seesaw(
             except (RuntimeError, ValueError) as exc:
                 partial = SeesawTrace(tuple(iterations), False, StopReason.MAX_ITERATIONS)
                 raise SeesawError(f"solver failed mid-loop: {exc}", partial) from exc
-            if cand_res.p_guess <= res.p_guess + 1e-10:
+            if cand_res.status is sdp.SolverStatus.OPTIMAL and cand_res.p_guess <= res.p_guess + 1e-10:
                 accepted = (candidate, cand_asm, cand_res)
             elif delta > min_smoothing:
                 delta /= 10.0

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -70,35 +72,59 @@ def test_planted_optimum(seed):
     assert sol.dual_value == pytest.approx(value, abs=1e-7)
 
 
-def test_planted_two_blocks():
-    rng = np.random.default_rng(9)
-    # two blocks with a coupling constraint; plant as in planted_problem
-    d0, d1 = 2, 3
-    q0 = rng.standard_normal((d0, 1)) + 1j * rng.standard_normal((d0, 1))
-    q1 = rng.standard_normal((d1, 2)) + 1j * rng.standard_normal((d1, 2))
-    x0, x1 = q0 @ dagger(q0), q1 @ dagger(q1)
-    z0 = np.eye(d0) - q0 @ dagger(q0) / np.trace(q0 @ dagger(q0)).real
-    # make z0 exactly complementary: projector onto orthogonal complement
-    u0, _, _ = np.linalg.svd(q0, full_matrices=True)
-    z0 = u0[:, 1:] @ dagger(u0[:, 1:])
-    u1, _, _ = np.linalg.svd(q1, full_matrices=True)
-    z1 = u1[:, 2:] @ dagger(u1[:, 2:])
-    m = 5
-    amats = [(random_herm(d0, rng), random_herm(d1, rng)) for _ in range(m)]
+def planted_blocks(dims, ranks, m, rng, none_block=None):
+    """Multi-block instance with a known optimum, planted as in planted_problem.
+
+    Block k gets a rank-ranks[k] X*_k and Z*_k, the projector onto the
+    complement of its range. The block `none_block` has a None objective, so
+    its coefficients in the last constraint are chosen to make
+    sum_i y*_i A_ik = Z*_k there.
+    """
+    qs = [rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r)) for d, r in zip(dims, ranks)]
+    x_stars = [q @ dagger(q) for q in qs]
+    z_stars = []
+    for d, r, q in zip(dims, ranks, qs):
+        u = np.linalg.svd(q, full_matrices=True)[0] if r else np.eye(d)
+        z_stars.append(u[:, r:] @ dagger(u[:, r:]))
+    amats = [[random_herm(d, rng) for d in dims] for _ in range(m)]
     y_star = rng.standard_normal(m)
-    c0 = sum(y_star[i] * amats[i][0] for i in range(m)) - z0
-    c1 = sum(y_star[i] * amats[i][1] for i in range(m)) - z1
+    if none_block is not None:
+        k = none_block
+        rest = sum(y_star[i] * amats[i][k] for i in range(m - 1))
+        amats[m - 1][k] = (z_stars[k] - rest) / y_star[m - 1]
+    cs = [sum(y_star[i] * amats[i][k] for i in range(m)) - z_stars[k] for k in range(len(dims))]
+    objective = [None if k == none_block else c for k, c in enumerate(cs)]
     cons = [
         LinearConstraint(
-            {0: amats[i][0], 1: amats[i][1]},
-            hermitian_inner(amats[i][0], x0) + hermitian_inner(amats[i][1], x1),
+            {k: a for k, a in enumerate(row)},
+            sum(hermitian_inner(a, x) for a, x in zip(row, x_stars)),
         )
-        for i in range(m)
+        for row in amats
     ]
-    value = hermitian_inner(c0, x0) + hermitian_inner(c1, x1)
-    sol = solve(SdpProblem((d0, d1), [c0, c1], cons))
+    value = sum(hermitian_inner(c, x) for c, x in zip(cs, x_stars))
+    return SdpProblem(tuple(dims), objective, cons), value
+
+
+@pytest.mark.parametrize(
+    "dims, ranks, m, seed, none_block",
+    [
+        ((2, 3), (1, 2), 5, 9, None),
+        # interleaved dimensions: equal-dimension blocks are solved as one
+        # stack, and the results must come back in the caller's order
+        ((2, 1, 3, 1, 2, 3), (1, 1, 2, 0, 2, 1), 8, 4, 2),
+    ],
+    ids=["two_blocks", "interleaved"],
+)
+def test_planted_blocks(dims, ranks, m, seed, none_block):
+    problem, value = planted_blocks(dims, ranks, m, np.random.default_rng(seed), none_block)
+    sol = solve(problem)
     assert sol.status is SolverStatus.OPTIMAL
     assert sol.primal_value == pytest.approx(value, abs=1e-7)
+    for d, r, x, z in zip(dims, ranks, sol.primal, sol.dual_slacks):
+        assert x.shape == (d, d) and z.shape == (d, d)
+        assert abs(hermitian_inner(x, z)) <= 1e-7
+        # distinct planted ranks tell equal-dimension blocks apart
+        assert int(np.sum(np.linalg.eigvalsh(x) > 1e-4)) == r
 
 
 def test_realify_examples():
@@ -118,6 +144,17 @@ def test_realify_preserves_spectrum_floor():
         a = random_herm(4, rng)
         assert min_eig(realify(a)) == pytest.approx(min_eig(a), abs=1e-10)
         assert np.trace(realify(a)).real == pytest.approx(2 * np.trace(a).real, abs=1e-10)
+
+
+def test_realify_and_derealify_act_per_matrix_on_stacks():
+    rng = np.random.default_rng(4)
+    stack = np.stack([random_herm(3, rng) for _ in range(4)])
+    assert np.array_equal(realify(stack), np.stack([realify(a) for a in stack]))
+    assert np.array_equal(derealify(realify(stack)), np.stack([derealify(realify(a)) for a in stack]))
+    bad = stack.copy()
+    bad[2, 0, 1] += 1.0
+    with pytest.raises(ValueError):
+        realify(bad)
 
 
 def test_derealify_round_trip():
@@ -206,6 +243,45 @@ def test_solution_residuals_small():
     assert sol.dual_residual <= 1e-8
     for x in sol.primal:
         assert min_eig(x) >= -1e-9
+
+
+def test_reported_residuals_are_those_of_the_returned_iterate(monkeypatch):
+    # the local problem of a Werner state, captured from certify_local
+    import steercert.sdp as sdp_module
+    from steercert.certify import certify_local
+    from steercert.scenario import assemblage_from, pauli_xz, werner_state
+
+    captured = []
+    monkeypatch.setattr(sdp_module, "solve", lambda p, **kw: captured.append(p) or solve(p, **kw))
+    certify_local(assemblage_from(werner_state(0.9), pauli_xz()), 0)
+    problem = captured[0]
+
+    sol = solve(problem, max_iters=1)
+    kept = [i for i in range(len(problem.constraints)) if i not in sol.dropped_rows]
+    pres = max(
+        abs(problem.constraints[i].rhs - sum(hermitian_inner(a, sol.primal[k])
+                                             for k, a in problem.constraints[i].coeffs.items()))
+        for i in kept
+    )
+    dres = 0.0
+    for k, (c, z) in enumerate(zip(problem.objective, sol.dual_slacks)):
+        r = -z if c is None else -c - z
+        for y, con in zip(sol.dual, problem.constraints):
+            if k in con.coeffs:
+                r = r + y * con.coeffs[k]
+        dres = max(dres, np.max(np.abs(r.real)), np.max(np.abs(r.imag)))
+    assert sol.primal_residual == pytest.approx(pres, rel=1e-9)
+    assert sol.dual_residual == pytest.approx(dres, rel=1e-9)
+    assert dres > 1.0  # the start point is far from dual feasible
+
+
+def test_iterations_are_logged_at_debug_level(caplog):
+    problem, _ = planted_problem(d=2, m=2, rank=1, rng=np.random.default_rng(3))
+    with caplog.at_level(logging.DEBUG, logger="steercert"):
+        sol = solve(problem)
+    lines = [r.getMessage() for r in caplog.records if r.name == "steercert"]
+    assert len(lines) == sol.iterations + 1
+    assert lines[0].startswith("iter   0  gap ") and " pres " in lines[0] and " dres " in lines[0]
 
 
 def test_debug_dump_round_trips(tmp_path):

@@ -162,3 +162,32 @@ def test_seesaw_failure_retains_partial_trace(monkeypatch):
     with pytest.raises(SeesawError) as err:
         seesaw(RHO_PI7, random_povms(2, 2, 2, seed=4), 0, max_iters=10)
     assert len(err.value.trace.iterations) >= 1
+
+
+def test_seesaw_records_only_optimal_certifications(monkeypatch):
+    import dataclasses
+    import sys
+
+    from steercert.certify import min_entropy
+    from steercert.sdp import SolverStatus
+
+    mod = sys.modules["steercert.seesaw"]
+    original = mod.certify_local
+    calls = {"n": 0}
+
+    def troubled(*args, **kwargs):
+        # every certification after the first ends in numerical trouble, with
+        # a guessing probability that would look like progress
+        res = original(*args, **kwargs)
+        calls["n"] += 1
+        if calls["n"] == 1:
+            return res
+        p_guess = res.p_guess - 0.05
+        return dataclasses.replace(
+            res, p_guess=p_guess, h_min=min_entropy(p_guess), status=SolverStatus.NUMERICAL_TROUBLE
+        )
+
+    monkeypatch.setattr(mod, "certify_local", troubled)
+    trace = seesaw(RHO_PI7, random_povms(2, 2, 2, seed=0), 0, max_iters=5)
+    assert calls["n"] > 2
+    assert len(trace.iterations) == 1
