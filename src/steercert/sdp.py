@@ -10,20 +10,24 @@ Complex Hermitian blocks are mapped to real symmetric ones through
 ``realify``: A -> [[Re A, -Im A], [Im A, Re A]], which preserves positive
 semidefiniteness and doubles inner products. ``solve`` absorbs the factor
 2 at its boundary: right-hand sides are doubled going in, objective values
-and the primal residual are halved coming out. The dual residual is linear
-in the data and is reported unscaled.
+and both primal residuals (of the iterate, and of inconsistent dropped
+rows) are halved coming out. The dual residual is reported unscaled.
 
-Blocks of equal dimension form a group: one ``(n_g, D, D)`` stack (D = 2d)
-with its constraint rows as one ``(n_g, m, D(D+1)/2)`` svec stack, worked
-on by batched numpy calls. Sums over blocks run in the caller's order, and
-triangular inverses and the Schur sum make one LAPACK/BLAS call per block,
-so that the rounding does not depend on how the blocks are grouped.
+Blocks of equal dimension form a group: one ``(2 n_g, D, D)`` stack [X; Z]
+(D = 2d) with its constraint rows as one ``(n_g, m, D(D+1)/2)`` svec stack,
+worked on by batched numpy calls: one Cholesky of [X; Z], and one
+``eigvalsh`` that gives the primal and dual steps to the boundary together.
+Sums over blocks run in the caller's order, and triangular inverses and the
+Schur sum make one LAPACK/BLAS call per block, so that the rounding does
+not depend on how the blocks are grouped.
 
 The algorithm is infeasible-start path following with Nesterov-Todd
 scaling and a Mehrotra-style predictor-corrector, solving the dense
-Schur complement by Cholesky. A presolve pass removes linearly dependent
-constraint rows (rank-revealing QR, pivot threshold 1e-10) and checks
-that the removed rows are consistent; dual multipliers for removed rows
+Schur complement with LAPACK potrf/potrs; when potrf fails, its diagonal
+is shifted by 1e-13 to 1e-7 of its mean, and the shift is logged. A
+presolve pass removes linearly dependent constraint rows (the R factor of
+a pivoted QR, pivot threshold 1e-10) and checks, with R11^-1 R12, that the
+removed rows are consistent; dual multipliers for removed rows
 are reported as zero, which keeps the returned ``dual`` vector a valid
 certificate in the original row order. Each iteration's gap and residuals
 are logged at DEBUG level on the ``steercert`` logger.
@@ -186,59 +190,54 @@ def _unsvec(vec: np.ndarray, dim: int, idx) -> np.ndarray:
     return out
 
 
-def _t(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
-
-
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + _t(a))
+    return 0.5 * (a + a.mT)
 
 
-def _tril_inv(lower: np.ndarray) -> np.ndarray:
-    """Inverse of each lower-triangular matrix in a stack, by LAPACK trtrs."""
-    eye = np.eye(lower.shape[-1])
-    return np.stack([sla.lapack.dtrtrs(q.T, eye, lower=0, trans=1)[0] for q in lower])
+def _tril_inv(lower: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Inverse of each lower-triangular matrix in a stack, by one LAPACK trtrs call each."""
+    out = np.empty_like(lower)
+    for i, q in enumerate(lower):
+        out[i] = sla.lapack.dtrtrs(q.T, eye, lower=0, trans=1)[0]
+    return out
 
 
-def _nt_scaling(x: np.ndarray, z: np.ndarray):
-    """Nesterov-Todd scaling of stacks of blocks, G^-1 X G^-T = G^T Z G = diag(lam):
-    G, G^-1, lam, T = G G^T and the inverse Cholesky factors of X and Z."""
-    lx, lz = np.linalg.cholesky(x), np.linalg.cholesky(z)
-    _, lam, wt = np.linalg.svd(_t(lz) @ lx)
-    lxinv = _tril_inv(lx)
+def _nt_scaling(xz: np.ndarray, eye: np.ndarray):
+    """Nesterov-Todd scaling of a group's blocks, given as one stack [X; Z]:
+    G^-1 X G^-T = G^T Z G = diag(lam). Returns G, G^-1, lam, T = G G^T and the
+    inverse Cholesky factors as one stack [L_X^-1; L_Z^-1]."""
+    n = len(xz) // 2
+    chol = np.linalg.cholesky(xz)
+    lx, lz = chol[:n], chol[n:]
+    _, lam, wt = np.linalg.svd(lz.mT @ lx)
+    linv = _tril_inv(chol, eye)
     lam = np.maximum(lam, 1e-300)
-    g = lx @ _t(wt) * (lam[..., None, :] ** -0.5)
-    return g, (lam[..., :, None] ** 0.5) * (wt @ lxinv), lam, g @ _t(g), lxinv, _tril_inv(lz)
+    g = lx @ wt.mT * (lam[..., None, :] ** -0.5)
+    return g, (lam[..., :, None] ** 0.5) * (wt @ linv[:n]), lam, g @ g.mT, linv
 
 
-def _max_step(inv_factors: list[np.ndarray], deltas: list[np.ndarray]) -> float:
-    """sup {alpha : M + alpha*Delta >= 0 in every block}, given L^-1 for each M = L L^T."""
-    lam_min = min(float(np.min(np.linalg.eigvalsh(_sym(linv @ delta @ _t(linv)))[..., 0]))
-                  for linv, delta in zip(inv_factors, deltas))
-    return np.inf if lam_min >= 0.0 else -1.0 / lam_min
+def _max_steps(inv_factors: list[np.ndarray], deltas: list[np.ndarray]) -> tuple[float, float]:
+    """sup {alpha : M + alpha*Delta >= 0 in every block}, for X and for Z at once,
+    given per group the stacks [L_X^-1; L_Z^-1] (M = L L^T) and [dX; dZ]."""
+    lam_p = lam_d = np.inf
+    for linv, delta in zip(inv_factors, deltas):
+        lam = np.linalg.eigvalsh(_sym(linv @ delta @ linv.mT))[:, 0]
+        n = len(lam) // 2
+        lam_p, lam_d = min(lam_p, float(np.min(lam[:n]))), min(lam_d, float(np.min(lam[n:])))
+    return tuple(np.inf if lam >= 0.0 else -1.0 / lam for lam in (lam_p, lam_d))
 
 
 def _independent_rows(mat: np.ndarray, b: np.ndarray, pivot_tol: float, consistency_tol: float):
     """Select a full-rank subset of rows; report dropped rows and consistency."""
-    m = mat.shape[0]
-    if m == 0:
-        return np.array([], dtype=int), np.array([], dtype=int), True, 0.0
-    _, r, piv = sla.qr(mat.T, mode="economic", pivoting=True)
+    r, piv = sla.qr(mat.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
-    scale = diag[0] if diag.size else 0.0
-    if scale == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(diag > pivot_tol * scale))
-    keep = np.sort(piv[:rank])
-    drop = np.sort(piv[rank:])
+    rank = int(np.sum(diag > pivot_tol * diag[0]))
+    keep, drop = np.sort(piv[:rank]), np.sort(piv[rank:])
     violation = 0.0
     if drop.size:
-        if rank == 0:
-            violation = float(np.max(np.abs(b[drop])))
-        else:
-            coef, *_ = np.linalg.lstsq(mat[keep].T, mat[drop].T, rcond=None)
-            violation = float(np.max(np.abs(b[drop] - coef.T @ b[keep])))
+        # mat.T P = Q R: the dropped rows are R11^-1 R12 times the kept ones, in pivot order
+        coef = sla.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+        violation = float(np.max(np.abs(b[piv[rank:]] - coef.T @ b[piv[:rank]])))
     return keep, drop, violation <= consistency_tol, violation
 
 
@@ -263,6 +262,8 @@ def solve(
     if m == 0:
         raise ValueError("a well-formed problem needs at least one constraint")
     dims = [2 * g.objective.shape[-1] for g in groups]
+    sizes = [len(g.blocks) for g in groups]
+    eyes = [np.eye(d) for d in dims]
     idx = [_svec_indices(d) for d in dims]
     cmats = [realify(g.objective) for g in groups]
     b = np.array([2.0 * con.rhs for con in problem.constraints], dtype=float)
@@ -273,8 +274,13 @@ def solve(
         flat = [x for stack in stacks for x in stack]
         return [flat[i] for i in order]
 
+    def block_sum(parts):
+        """Sum over the blocks of per-group stacks, one block after another in the
+        caller's order (np.add.reduce would add a lone column pairwise)."""
+        return np.add.accumulate(np.concatenate(parts)[order])[-1]
+
     # constraint rows in svec coordinates, one (n_g, m, s) stack per group
-    a3 = [np.zeros((len(g.blocks), m, len(ix[0]))) for g, ix in zip(groups, idx)]
+    a3 = [np.zeros((n, m, len(ix[0]))) for n, ix in zip(sizes, idx)]
     for a, g, ix in zip(a3, groups, idx):
         a[np.searchsorted(g.blocks, g.ks), g.rows] = _svec(realify(g.coeffs), ix)
     b_scale = max(1.0, float(np.max(np.abs(b))))
@@ -282,47 +288,52 @@ def solve(
         np.hstack(in_order(a3)), b, pivot_tol=1e-10, consistency_tol=feas_accept * b_scale
     )
 
-    def objective(xs):
-        return 0.5 * sum(in_order([np.sum(c * x, axis=(-2, -1)) for c, x in zip(cmats, xs)]))
+    def objective(xzs):
+        return 0.5 * block_sum([np.sum(c * xz[:n], axis=(-2, -1)) for c, xz, n in zip(cmats, xzs, sizes)])
 
-    def _package(xs, y_red, zs, status, iters, pres, dres):
+    def _package(xzs, y_red, status, iters, pres, dres):
         y = np.zeros(m)
         if y_red is not None:
             y[keep] = y_red
-        pval = objective(xs)
+        pval = objective(xzs)
         dval = 0.5 * float(b @ y)
         gap = abs(pval - dval) / (1.0 + abs(pval))
-        primal, slacks = in_order([derealify(x) for x in xs]), in_order([derealify(z) for z in zs])
+        primal = in_order([derealify(xz[:n]) for xz, n in zip(xzs, sizes)])
+        slacks = in_order([derealify(xz[n:]) for xz, n in zip(xzs, sizes)])
         return SdpSolution(primal, y, slacks, float(pval), dval, float(gap), status, iters, pres, dres,
                            tuple(int(i) for i in drop))
 
-    zero_xs = [np.zeros_like(c) for c in cmats]
+    zero_xzs = [np.zeros((2 * len(c),) + c.shape[1:]) for c in cmats]
     if not consistent:
-        return _package(zero_xs, None, zero_xs, SolverStatus.INFEASIBLE, 0, violation, np.inf)
+        # the rows and right-hand sides are realified, which doubles the violation
+        return _package(zero_xzs, None, SolverStatus.INFEASIBLE, 0, 0.5 * violation, np.inf)
 
     b_red = b[keep]
     mr = len(keep)
     a3 = [np.ascontiguousarray(a[:, keep]) for a in a3]  # BLAS rounding depends on the layout
+    a3_blocks = in_order(a3)
     # the rows as matrices laid out (n_g, D, mr * D), so that T A_i T for
     # every row i takes two batched products
     amats = [_unsvec(a, d, ix).transpose(0, 2, 1, 3).reshape(len(a), d, -1) for a, d, ix in zip(a3, dims, idx)]
 
-    def op_a(xs):
-        return sum(in_order([np.matmul(a, _svec(x, ix)[..., None])[..., 0] for a, x, ix in zip(a3, xs, idx)]))
+    def op_a(mats):
+        return block_sum([np.matmul(a, _svec(x, ix)[..., None])[..., 0] for a, x, ix in zip(a3, mats, idx)])
 
     def op_at(y):
         return [_unsvec(np.matmul(y, a), d, ix) for a, d, ix in zip(a3, dims, idx)]
 
     # infeasible start: scaled identities sized from the data
-    row_norms = np.linalg.norm(np.hstack(in_order(a3)), axis=1)
+    row_norms = np.linalg.norm(np.hstack(a3_blocks), axis=1)
     xi_p = max(1.0, float(np.max(np.abs(b_red) / (1.0 + row_norms))) if mr else 1.0)
     xi_d = max(1.0, max(float(np.linalg.norm(c)) for c in in_order(cmats)))
     sqrt_dim = np.sqrt(max(dims))
     xi_p *= sqrt_dim
     xi_d *= sqrt_dim
-    xs = [xi_p * np.tile(np.eye(d), (len(c), 1, 1)) for d, c in zip(dims, cmats)]
-    zs = [xi_d * np.tile(np.eye(d), (len(c), 1, 1)) for d, c in zip(dims, cmats)]
+    # each group's X and Z blocks as one stack [X; Z]
+    xzs = [np.concatenate([xi_p * np.tile(eye, (n, 1, 1)), xi_d * np.tile(eye, (n, 1, 1))])
+           for eye, n in zip(eyes, sizes)]
     y = np.zeros(mr)
+    eye_m = np.eye(mr)
     n_total = float(2 * sum(problem.block_dims))
 
     best = None
@@ -332,10 +343,10 @@ def solve(
 
     for it in range(max_iters):
         iters_done = it
-        pobj = objective(xs)
+        pobj = objective(xzs)
         dobj = 0.5 * float(b_red @ y)
-        rp = b_red - op_a(xs)
-        rd = [aty - c - z for aty, c, z in zip(op_at(y), cmats, zs)]
+        rp = b_red - op_a([xz[:n] for xz, n in zip(xzs, sizes)])
+        rd = [aty - c - xz[n:] for aty, c, xz, n in zip(op_at(y), cmats, xzs, sizes)]
 
         pres = 0.5 * float(np.max(np.abs(rp))) if mr else 0.0
         dres = max(float(np.max(np.abs(r))) for r in rd)
@@ -344,7 +355,7 @@ def solve(
         _log.debug("iter %3d  gap %9.2e  pres %9.2e  dres %9.2e", it, relgap, pres, dres)
         if merit < best_merit:
             best_merit = merit
-            best = ([x.copy() for x in xs], y.copy(), [z.copy() for z in zs], pres, dres)
+            best = ([xz.copy() for xz in xzs], y.copy(), pres, dres)
         if relgap <= gap_tol and pres <= feas_tol and dres <= feas_tol:
             status = SolverStatus.OPTIMAL
             break
@@ -362,12 +373,12 @@ def solve(
             break
 
         try:
-            gmats, ginvs, lams, tmats, lxinvs, lzinvs = zip(*[_nt_scaling(x, z) for x, z in zip(xs, zs)])
+            gmats, ginvs, lams, tmats, linvs = zip(*[_nt_scaling(xz, eye) for xz, eye in zip(xzs, eyes)])
         except np.linalg.LinAlgError:
             status = SolverStatus.NUMERICAL_TROUBLE
             break
 
-        mu = sum(in_order([np.matmul(lam[:, None, :], lam[:, :, None])[:, 0, 0] for lam in lams])) / n_total
+        mu = block_sum([np.matmul(lam[:, None, :], lam[:, :, None])[:, 0, 0] for lam in lams]) / n_total
 
         # Schur complement S_ij = sum_k <A_ik, T_k A_jk T_k>
         tat_sv = []
@@ -375,70 +386,70 @@ def solve(
             tat = ((t @ am).reshape(len(t), d * mr, d) @ t).reshape(len(t), d, mr, d)
             tat_sv.append(np.ascontiguousarray((tat[:, ii, :, jj] * scale[:, None, None]).transpose(1, 2, 0)))
         schur = np.zeros((mr, mr))
-        for p, a in zip(in_order(tat_sv), in_order(a3)):
+        for p, a in zip(in_order(tat_sv), a3_blocks):
             schur += p @ a.T
         schur = 0.5 * (schur + schur.T)
 
         diag_mean = max(float(np.mean(np.diag(schur))), 1e-300)
-        schur_chol = None
         for reg in (0.0, 1e-13, 1e-11, 1e-9, 1e-7):
-            try:
-                schur_chol = sla.cho_factor(schur + reg * diag_mean * np.eye(mr), lower=True)
+            schur_chol, info = sla.lapack.dpotrf(schur + reg * diag_mean * eye_m, lower=1, clean=0)
+            if info == 0:
                 break
-            except np.linalg.LinAlgError:
-                continue
-        if schur_chol is None:
+        else:
             status = SolverStatus.NUMERICAL_TROUBLE
             break
+        if reg:
+            _log.debug("iter %3d  Schur complement regularised by %.0e of its mean diagonal", it, reg)
+
+        # the same in the predictor and the corrector
+        a_trdt = op_a([t @ r @ t for t, r in zip(tmats, rd)])
 
         def newton_step(dmats):
-            """Solve for (dx, dy, dz) given the scaled complementarity target."""
-            gdg = [g @ dm @ _t(g) for g, dm in zip(gmats, dmats)]
-            trdt = [t @ r @ t for t, r in zip(tmats, rd)]
-            rhs = op_a(gdg) - op_a(trdt) - rp
-            dy = sla.cho_solve(schur_chol, rhs)
+            """Solve for dy and, per group, the stack [dX; dZ], given the scaled
+            complementarity target."""
+            gdg = [g @ dm @ g.mT for g, dm in zip(gmats, dmats)]
+            dy = sla.lapack.dpotrs(schur_chol, op_a(gdg) - a_trdt - rp, lower=1)[0]
             dz = [atdy + r for atdy, r in zip(op_at(dy), rd)]
-            dx = [_sym(v - t @ w @ t) for v, t, w in zip(gdg, tmats, dz)]
-            return dx, dy, [_sym(w) for w in dz]
+            return [_sym(np.concatenate([v - t @ w @ t, w])) for v, t, w in zip(gdg, tmats, dz)], dy
+
+        def stepped(ap, ad, dxzs):
+            """Each group's [X + ap dX; Z + ad dZ]."""
+            return [xz + np.repeat((ap, ad), n)[:, None, None] * dxz for xz, dxz, n in zip(xzs, dxzs, sizes)]
 
         # predictor: aim at the complementarity target 0
-        d_aff = [-lam[..., None] * np.eye(d) for lam, d in zip(lams, dims)]
-        dx_aff, dy_aff, dz_aff = newton_step(d_aff)
-        ap = min(1.0, _max_step(lxinvs, dx_aff))
-        ad = min(1.0, _max_step(lzinvs, dz_aff))
-        mu_aff = sum(in_order([np.sum((x + ap * dx) * (z + ad * dz), axis=(-2, -1))
-                               for x, dx, z, dz in zip(xs, dx_aff, zs, dz_aff)])) / n_total
+        dxz_aff, _ = newton_step([-lam[..., None] * eye for lam, eye in zip(lams, eyes)])
+        ap, ad = (min(1.0, s) for s in _max_steps(linvs, dxz_aff))
+        mu_aff = block_sum([np.sum(s[:n] * s[n:], axis=(-2, -1))
+                            for s, n in zip(stepped(ap, ad, dxz_aff), sizes)]) / n_total
         sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector with Mehrotra second-order term, in the scaled space
         dmats = []
-        for g, ginv, lam, dxa, dza, d in zip(gmats, ginvs, lams, dx_aff, dz_aff, dims):
-            dxt = ginv @ dxa @ _t(ginv)
-            dzt = _t(g) @ dza @ g
+        for g, ginv, lam, dxz, eye, n in zip(gmats, ginvs, lams, dxz_aff, eyes, sizes):
+            dxt = ginv @ dxz[:n] @ ginv.mT
+            dzt = g.mT @ dxz[n:] @ g
             cross = 0.5 * (dxt @ dzt + dzt @ dxt)
-            dmat = sigma * mu * np.eye(d) - (lam**2)[..., None] * np.eye(d) - cross
+            dmat = sigma * mu * eye - (lam**2)[..., None] * eye - cross
             dmats.append(2.0 * dmat / (lam[..., :, None] + lam[..., None, :]))
-        dx, dy, dz = newton_step(dmats)
+        dxzs, dy = newton_step(dmats)
 
-        ap = min(1.0, step_frac * _max_step(lxinvs, dx))
-        ad = min(1.0, step_frac * _max_step(lzinvs, dz))
+        ap, ad = (min(1.0, step_frac * s) for s in _max_steps(linvs, dxzs))
         if ap < 1e-10 and ad < 1e-10:
             status = SolverStatus.NUMERICAL_TROUBLE
             break
-        xs = [_sym(x + ap * d) for x, d in zip(xs, dx)]
-        zs = [_sym(z + ad * d) for z, d in zip(zs, dz)]
+        xzs = [_sym(s) for s in stepped(ap, ad, dxzs)]
         y = y + ad * dy
     else:
         iters_done = max_iters
 
     if status is SolverStatus.INFEASIBLE:
-        return _package(zero_xs, None, zero_xs, status, iters_done, np.inf, np.inf)
+        return _package(zero_xzs, None, status, iters_done, np.inf, np.inf)
 
-    xs_f, y_f, zs_f, pres_f, dres_f = best if best is not None else (xs, y, zs, np.inf, np.inf)
-    pobj = objective(xs_f)
+    xzs_f, y_f, pres_f, dres_f = best if best is not None else (xzs, y, np.inf, np.inf)
+    pobj = objective(xzs_f)
     dobj = 0.5 * float(b_red @ y_f)
     relgap = abs(pobj - dobj) / (1.0 + abs(pobj))
     if status is not SolverStatus.OPTIMAL:
         if relgap <= gap_accept and pres_f <= feas_accept and dres_f <= feas_accept:
             status = SolverStatus.OPTIMAL
-    return _package(xs_f, y_f, zs_f, status, iters_done, pres_f, dres_f)
+    return _package(xzs_f, y_f, status, iters_done, pres_f, dres_f)

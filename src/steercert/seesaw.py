@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,8 @@ from . import sdp
 from .certify import CertificationResult, SteeringFunctional, certify_local
 from .qlin import Povm, dagger, hermitian_basis, hermitian_inner, partial_trace, random_unitary
 from .scenario import Assemblage, Scenario, apply_loss, assemblage_from
+
+_log = logging.getLogger("steercert")
 
 # tighter-than-default solver targets: the monotonicity contract leaves only
 # 1e-9 slack per step, which default-precision solves could consume
@@ -189,6 +192,9 @@ def _stepping_functional(
     if res.functional.supports is None:
         return res.functional
     smoothed = certify_local(_smoothed(asm, delta), x_star, solver_opts=opts)
+    if smoothed.status is not sdp.SolverStatus.OPTIMAL:
+        _log.debug("stepping certification at delta %.1e ended %s (gap %.2e)",
+                   delta, smoothed.status, smoothed.gap)
     return smoothed.functional
 
 

@@ -2,12 +2,16 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from steercert.qlin import dagger, hermitian_basis, hermitian_inner, min_eig
 from steercert.sdp import (
     LinearConstraint,
     SdpProblem,
     SolverStatus,
+    _max_steps,
+    _sym,
+    _tril_inv,
     derealify,
     realify,
     solve,
@@ -215,6 +219,28 @@ def test_inconsistent_rows_infeasible():
     cons = [LinearConstraint({0: eye}, 1.0), LinearConstraint({0: eye}, 2.0)]
     sol = solve(SdpProblem((1,), [eye], cons))
     assert sol.status is SolverStatus.INFEASIBLE
+    assert sol.primal_residual == pytest.approx(1.0, abs=1e-12)  # in the caller's units
+
+
+@pytest.mark.parametrize("offset", [1e-6, 0.0], ids=["inconsistent", "consistent"])
+def test_presolve_dependent_rows(offset):
+    # three independent rows and two combinations of them, the first off by `offset`
+    eye, z = np.eye(2, dtype=complex), np.diag([1.0, -1.0]).astype(complex)
+    rows = [(eye, 1.0), (z, 0.2), (Y, 0.1), (eye + 2 * z - Y, 1.3 + offset), (3 * Y - z, 0.1)]
+    c = np.diag([1.0, 0.0]).astype(complex)
+    sol = solve(SdpProblem((2,), [c], [LinearConstraint({0: a}, rhs) for a, rhs in rows]))
+    assert len(sol.dropped_rows) == 2
+    if not offset:
+        assert sol.status is SolverStatus.OPTIMAL
+        assert sol.primal_value == pytest.approx(0.6, abs=1e-8)
+        return
+    assert sol.status is SolverStatus.INFEASIBLE
+    vecs = np.array([np.concatenate([a.real.ravel(), a.imag.ravel()]) for a, _ in rows])
+    rhs = np.array([r for _, r in rows])
+    drop = list(sol.dropped_rows)
+    kept = [i for i in range(len(rows)) if i not in drop]
+    coef = np.linalg.lstsq(vecs[kept].T, vecs[drop].T, rcond=None)[0]
+    assert sol.primal_residual == pytest.approx(np.max(np.abs(rhs[drop] - coef.T @ rhs[kept])), rel=1e-7)
 
 
 def test_negative_trace_infeasible():
@@ -282,6 +308,53 @@ def test_iterations_are_logged_at_debug_level(caplog):
     lines = [r.getMessage() for r in caplog.records if r.name == "steercert"]
     assert len(lines) == sol.iterations + 1
     assert lines[0].startswith("iter   0  gap ") and " pres " in lines[0] and " dres " in lines[0]
+
+
+def test_schur_regularisation_is_logged(caplog):
+    from steercert.certify import certify_local
+    from steercert.scenario import assemblage_from, pauli_xz, werner_state
+
+    with caplog.at_level(logging.DEBUG, logger="steercert"):
+        certify_local(assemblage_from(werner_state(0.99), pauli_xz()), 0)
+    lines = [r.getMessage() for r in caplog.records if "Schur" in r.getMessage()]
+    assert lines == ["iter  10  Schur complement regularised by 1e-13 of its mean diagonal"]
+
+
+def _psd_stack(n, d, rng):
+    q = rng.standard_normal((n, d, d))
+    return q @ q.mT + 0.1 * np.eye(d)
+
+
+def test_joint_step_lengths_match_separate_stacks():
+    rng = np.random.default_rng(12)
+    groups = []  # (X, dX, Z, dZ) per block dimension
+    for n, d in ((3, 4), (5, 2)):
+        x, z = _psd_stack(n, d, rng), _psd_stack(n, d, rng)
+        groups.append((x, _sym(rng.standard_normal((n, d, d))), z, _sym(rng.standard_normal((n, d, d)))))
+
+    def separate(m, dm):
+        # the smallest eigenvalue of L^-1 dM L^-T over one stack alone
+        linv = _tril_inv(np.linalg.cholesky(m), np.eye(m.shape[-1]))
+        return float(np.min(np.linalg.eigvalsh(_sym(linv @ dm @ linv.mT))[:, 0]))
+
+    linvs = [_tril_inv(np.linalg.cholesky(np.concatenate([x, z])), np.eye(x.shape[-1])) for x, _, z, _ in groups]
+    ap, ad = _max_steps(linvs, [np.concatenate([dx, dz]) for _, dx, _, dz in groups])
+    expected = (-1.0 / min(separate(x, dx) for x, dx, _, _ in groups),
+                -1.0 / min(separate(z, dz) for _, _, z, dz in groups))
+    assert np.array_equal((ap, ad), expected)
+    # each step ends on the boundary of the PSD cone
+    assert abs(min(np.min(np.linalg.eigvalsh(x + ap * dx)) for x, dx, _, _ in groups)) <= 1e-10
+    assert abs(min(np.min(np.linalg.eigvalsh(z + ad * dz)) for _, _, z, dz in groups)) <= 1e-10
+    psd = [np.concatenate([_psd_stack(len(x), x.shape[-1], rng) for _ in range(2)]) for x, *_ in groups]
+    assert _max_steps(linvs, psd) == (np.inf, np.inf)
+
+
+def test_tril_inv_acts_per_matrix_on_stacks():
+    eye = np.eye(4)
+    lower = np.linalg.cholesky(_psd_stack(6, 4, np.random.default_rng(13)))
+    inv = _tril_inv(lower, eye)
+    assert np.array_equal(inv, np.stack([sla.lapack.dtrtrs(q.T, eye, lower=0, trans=1)[0] for q in lower]))
+    assert np.max(np.abs(lower @ inv - eye)) <= 1e-12
 
 
 def test_debug_dump_round_trips(tmp_path):

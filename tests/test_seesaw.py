@@ -191,3 +191,29 @@ def test_seesaw_records_only_optimal_certifications(monkeypatch):
     trace = seesaw(RHO_PI7, random_povms(2, 2, 2, seed=0), 0, max_iters=5)
     assert calls["n"] > 2
     assert len(trace.iterations) == 1
+
+
+def test_non_optimal_stepping_certification_is_logged(monkeypatch, caplog):
+    import dataclasses
+    import logging
+    import sys
+
+    from steercert.sdp import SolverStatus
+
+    mod = sys.modules["steercert.seesaw"]
+    original = mod.certify_local
+    asm = assemblage_from(RHO_PI7, random_povms(2, 2, 2, seed=0))
+    res = original(asm, 0)
+    assert res.functional.supports is not None  # facially reduced, so a smoothed one steers
+    seen = []
+
+    def troubled(*args, **kwargs):
+        seen.append(dataclasses.replace(original(*args, **kwargs), status=SolverStatus.NUMERICAL_TROUBLE))
+        return seen[-1]
+
+    monkeypatch.setattr(mod, "certify_local", troubled)
+    with caplog.at_level(logging.DEBUG, logger="steercert"):
+        mod._stepping_functional(asm, res, 0, 3e-2, mod._SEESAW_SOLVER_OPTS)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stepping")]
+    gap = seen[0].gap
+    assert lines == [f"stepping certification at delta 3.0e-02 ended numerical_trouble (gap {gap:.2e})"]
