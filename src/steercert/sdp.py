@@ -17,9 +17,12 @@ Blocks of equal dimension form a group: one ``(2 n_g, D, D)`` stack [X; Z]
 (D = 2d) with its constraint rows as one ``(n_g, m, D(D+1)/2)`` svec stack,
 worked on by batched numpy calls: one Cholesky of [X; Z], and one
 ``eigvalsh`` that gives the primal and dual steps to the boundary together.
-Sums over blocks run in the caller's order, and triangular inverses and the
-Schur sum make one LAPACK/BLAS call per block, so that the rounding does
-not depend on how the blocks are grouped.
+The Schur complement takes each block on the rows it touches only, and one
+``np.bincount`` adds the blocks' products in the caller's block order, as the
+sum over all rows did, whose other terms were exact zeros. A(X) and A^T(y)
+use all rows, which keeps the BLAS kernels and inner dimensions of the dense
+products. Block sums run in the caller's order and triangular inverses one
+block at a time, so that the grouping does not change the rounding.
 
 The algorithm is infeasible-start path following with Nesterov-Todd
 scaling and a Mehrotra-style predictor-corrector, solving the dense
@@ -36,6 +39,7 @@ are logged at DEBUG level on the ``steercert`` logger.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import logging
 from dataclasses import dataclass, field
@@ -154,11 +158,14 @@ class SdpSolution:
 def realify(a: np.ndarray) -> np.ndarray:
     """Real symmetric image [[Re A, -Im A], [Im A, Re A]] of a Hermitian A, or of a stack.
     A is PSD iff the image is PSD; Tr[image] = 2 Tr[A]."""
-    a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a, tol=1e-9):
+    if not is_hermitian(a := np.asarray(a, dtype=complex), tol=1e-9):
         raise ValueError("realify requires a Hermitian matrix")
-    re, im = a.real, a.imag
-    return np.block([[re, -im], [im, re]])
+    return _realify(a)
+
+
+def _realify(a: np.ndarray) -> np.ndarray:
+    """``realify`` without its Hermiticity check, for stacks ``SdpProblem.validate`` has checked."""
+    return np.block([[a.real, -a.imag], [a.imag, a.real]])
 
 
 def derealify(m: np.ndarray) -> np.ndarray:
@@ -170,10 +177,11 @@ def derealify(m: np.ndarray) -> np.ndarray:
     return 0.5 * (h + dagger(h))
 
 
+@functools.cache
 def _svec_indices(dim: int):
-    """Lower-triangle entries (ii, jj), column by column, and their scales."""
+    """Lower-triangle entries (ii, jj), column by column, and their scales; read-only, cached."""
     jj, ii = np.triu_indices(dim)
-    return ii, jj, np.where(ii == jj, 1.0, np.sqrt(2.0))
+    return tuple(np.broadcast_to(a, a.shape) for a in (ii, jj, np.where(ii == jj, 1.0, np.sqrt(2.0))))
 
 
 def _svec(mats: np.ndarray, idx) -> np.ndarray:
@@ -227,11 +235,46 @@ def _max_steps(inv_factors: list[np.ndarray], deltas: list[np.ndarray]) -> tuple
     return tuple(np.inf if lam >= 0.0 else -1.0 / lam for lam in (lam_p, lam_d))
 
 
+def _sparse_rows(a3: list[np.ndarray], order: np.ndarray, dims: list[int], idx: list):
+    """Per group (svec stack (n_g, mr, s)), each block's coefficients on the rows it touches,
+    padded to the widest block with a dummy row mr: as an (n_g, r_g, s) stack, zero on the
+    padding, and laid out (n_g, D, r_g D); and the bincount plan of ``_schur``, given the
+    caller's order of the blocks of all groups."""
+    mr = a3[0].shape[1]
+    rows = []
+    for a in a3:
+        touched = np.any(a != 0.0, axis=-1)
+        width = int(touched.sum(axis=1).max())
+        rows.append(np.full((len(a), max(width, min(2, mr, 2 * width))), mr))  # width 1 would take ddot
+        k, i = np.nonzero(touched)
+        rows[-1][k, np.cumsum(touched, axis=1)[k, i] - 1] = i
+    a_sp = [np.pad(a, ((0, 0), (0, 1), (0, 0)))[np.arange(len(a))[:, None], r] for a, r in zip(a3, rows)]
+    amats = [_unsvec(a, d, ix).transpose(0, 2, 1, 3).reshape(len(a), d, -1) for a, d, ix in zip(a_sp, dims, idx)]
+    bins = [b.ravel() for r in rows for b in r[:, :, None] * (mr + 1) + r[:, None, :]]
+    return a_sp, amats, (np.concatenate([bins[k] for k in order]), order, mr)
+
+
+def _schur(tmats: list[np.ndarray], amats: list[np.ndarray], a_sp: list[np.ndarray], idx: list, plan):
+    """S_ij = sum_k <A_ik, T_k A_jk T_k> from each block's own rows, three batched products per
+    group; np.bincount adds the blocks one after another in the caller's order, as the dense sum
+    over all rows did, whose other terms were exact zeros."""
+    prods = []
+    for t, am, a, (ii, jj, scale) in zip(tmats, amats, a_sp, idx):
+        n, r, d = len(t), a.shape[1], t.shape[-1]
+        tat = ((t @ am).reshape(n, d * r, d) @ t).reshape(n, d, r, d)
+        prods.append(np.ascontiguousarray((tat[:, ii, :, jj] * scale[:, None, None]).transpose(1, 2, 0)) @ a.mT)
+    bins, order, mr = plan
+    flat = [p.ravel() for stack in prods for p in stack]
+    schur = np.bincount(bins, np.concatenate([flat[k] for k in order]), (mr + 1) ** 2).reshape(mr + 1, -1)
+    schur = schur[:mr, :mr]
+    return 0.5 * (schur + schur.T)
+
+
 def _independent_rows(mat: np.ndarray, b: np.ndarray, pivot_tol: float, consistency_tol: float):
     """Select a full-rank subset of rows; report dropped rows and consistency."""
     r, piv = sla.qr(mat.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > pivot_tol * diag[0]))
+    rank = int(np.sum(diag > pivot_tol * diag[:1]))  # no row, no rank
     keep, drop = np.sort(piv[:rank]), np.sort(piv[rank:])
     violation = 0.0
     if drop.size:
@@ -259,13 +302,11 @@ def solve(
     """
     groups = problem.validate()
     m = len(problem.constraints)
-    if m == 0:
-        raise ValueError("a well-formed problem needs at least one constraint")
     dims = [2 * g.objective.shape[-1] for g in groups]
     sizes = [len(g.blocks) for g in groups]
     eyes = [np.eye(d) for d in dims]
     idx = [_svec_indices(d) for d in dims]
-    cmats = [realify(g.objective) for g in groups]
+    cmats = [_realify(g.objective) for g in groups]
     b = np.array([2.0 * con.rhs for con in problem.constraints], dtype=float)
     order = np.argsort(np.concatenate([g.blocks for g in groups]))
 
@@ -282,8 +323,8 @@ def solve(
     # constraint rows in svec coordinates, one (n_g, m, s) stack per group
     a3 = [np.zeros((n, m, len(ix[0]))) for n, ix in zip(sizes, idx)]
     for a, g, ix in zip(a3, groups, idx):
-        a[np.searchsorted(g.blocks, g.ks), g.rows] = _svec(realify(g.coeffs), ix)
-    b_scale = max(1.0, float(np.max(np.abs(b))))
+        a[np.searchsorted(g.blocks, g.ks), g.rows] = _svec(_realify(g.coeffs), ix)
+    b_scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
     keep, drop, consistent, violation = _independent_rows(
         np.hstack(in_order(a3)), b, pivot_tol=1e-10, consistency_tol=feas_accept * b_scale
     )
@@ -310,12 +351,12 @@ def solve(
 
     b_red = b[keep]
     mr = len(keep)
+    if mr == 0:
+        raise ValueError("a well-formed problem needs at least one linearly independent constraint")
     a3 = [np.ascontiguousarray(a[:, keep]) for a in a3]  # BLAS rounding depends on the layout
-    a3_blocks = in_order(a3)
-    # the rows as matrices laid out (n_g, D, mr * D), so that T A_i T for
-    # every row i takes two batched products
-    amats = [_unsvec(a, d, ix).transpose(0, 2, 1, 3).reshape(len(a), d, -1) for a, d, ix in zip(a3, dims, idx)]
+    a_sp, amats, schur_plan = _sparse_rows(a3, order, dims, idx)
 
+    # on all rows: on a block's own, dgemv's kernel (A) or the inner dimension (A^T) would change
     def op_a(mats):
         return block_sum([np.matmul(a, _svec(x, ix)[..., None])[..., 0] for a, x, ix in zip(a3, mats, idx)])
 
@@ -323,12 +364,10 @@ def solve(
         return [_unsvec(np.matmul(y, a), d, ix) for a, d, ix in zip(a3, dims, idx)]
 
     # infeasible start: scaled identities sized from the data
-    row_norms = np.linalg.norm(np.hstack(a3_blocks), axis=1)
-    xi_p = max(1.0, float(np.max(np.abs(b_red) / (1.0 + row_norms))) if mr else 1.0)
-    xi_d = max(1.0, max(float(np.linalg.norm(c)) for c in in_order(cmats)))
+    row_norms = np.linalg.norm(np.hstack(in_order(a3)), axis=1)
     sqrt_dim = np.sqrt(max(dims))
-    xi_p *= sqrt_dim
-    xi_d *= sqrt_dim
+    xi_p = max(1.0, float(np.max(np.abs(b_red) / (1.0 + row_norms)))) * sqrt_dim
+    xi_d = max(1.0, max(float(np.linalg.norm(c)) for c in in_order(cmats))) * sqrt_dim
     # each group's X and Z blocks as one stack [X; Z]
     xzs = [np.concatenate([xi_p * np.tile(eye, (n, 1, 1)), xi_d * np.tile(eye, (n, 1, 1))])
            for eye, n in zip(eyes, sizes)]
@@ -348,7 +387,7 @@ def solve(
         rp = b_red - op_a([xz[:n] for xz, n in zip(xzs, sizes)])
         rd = [aty - c - xz[n:] for aty, c, xz, n in zip(op_at(y), cmats, xzs, sizes)]
 
-        pres = 0.5 * float(np.max(np.abs(rp))) if mr else 0.0
+        pres = 0.5 * float(np.max(np.abs(rp)))
         dres = max(float(np.max(np.abs(r))) for r in rd)
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj))
         merit = max(relgap, pres, dres)
@@ -380,16 +419,7 @@ def solve(
 
         mu = block_sum([np.matmul(lam[:, None, :], lam[:, :, None])[:, 0, 0] for lam in lams]) / n_total
 
-        # Schur complement S_ij = sum_k <A_ik, T_k A_jk T_k>
-        tat_sv = []
-        for am, t, d, (ii, jj, scale) in zip(amats, tmats, dims, idx):
-            tat = ((t @ am).reshape(len(t), d * mr, d) @ t).reshape(len(t), d, mr, d)
-            tat_sv.append(np.ascontiguousarray((tat[:, ii, :, jj] * scale[:, None, None]).transpose(1, 2, 0)))
-        schur = np.zeros((mr, mr))
-        for p, a in zip(in_order(tat_sv), a3_blocks):
-            schur += p @ a.T
-        schur = 0.5 * (schur + schur.T)
-
+        schur = _schur(tmats, amats, a_sp, idx, schur_plan)
         diag_mean = max(float(np.mean(np.diag(schur))), 1e-300)
         for reg in (0.0, 1e-13, 1e-11, 1e-9, 1e-7):
             schur_chol, info = sla.lapack.dpotrf(schur + reg * diag_mean * eye_m, lower=1, clean=0)

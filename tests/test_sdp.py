@@ -10,8 +10,12 @@ from steercert.sdp import (
     SdpProblem,
     SolverStatus,
     _max_steps,
+    _schur,
+    _sparse_rows,
+    _svec_indices,
     _sym,
     _tril_inv,
+    _unsvec,
     derealify,
     realify,
     solve,
@@ -243,6 +247,26 @@ def test_presolve_dependent_rows(offset):
     assert sol.primal_residual == pytest.approx(np.max(np.abs(rhs[drop] - coef.T @ rhs[kept])), rel=1e-7)
 
 
+def test_no_independent_row():
+    zero = np.zeros((2, 2))
+    for rows in ([], [LinearConstraint({0: zero}, 0.0)]):
+        with pytest.raises(ValueError, match="at least one linearly independent constraint"):
+            solve(SdpProblem((2,), [zero], rows))
+    sol = solve(SdpProblem((2,), [zero], [LinearConstraint({0: zero}, 1.0)]))
+    assert sol.status is SolverStatus.INFEASIBLE
+    assert sol.primal_residual == 1.0
+    assert sol.dropped_rows == (0,)
+
+
+@pytest.mark.parametrize("dims, objective", [((2, 2), [None]), ((2, 1), [np.zeros((1, 1))])],
+                         ids=["untouched block", "untouched group"])
+def test_blocks_no_row_touches(dims, objective):
+    eye = np.eye(2)
+    sol = solve(SdpProblem(dims, [-eye] + objective, [LinearConstraint({0: eye}, 1.0)]))
+    assert sol.status is SolverStatus.OPTIMAL
+    assert sol.primal_value == pytest.approx(-1.0, abs=1e-8)
+
+
 def test_negative_trace_infeasible():
     eye = np.eye(1, dtype=complex)
     sol = solve(SdpProblem((1,), [None], [LinearConstraint({0: eye}, -1.0)]))
@@ -355,6 +379,39 @@ def test_tril_inv_acts_per_matrix_on_stacks():
     inv = _tril_inv(lower, eye)
     assert np.array_equal(inv, np.stack([sla.lapack.dtrtrs(q.T, eye, lower=0, trans=1)[0] for q in lower]))
     assert np.max(np.abs(lower @ inv - eye)) <= 1e-12
+
+
+@pytest.mark.parametrize("lone_row", [[], [5]], ids=["untouched group", "group of width one"])
+def test_sparse_schur_matches_the_dense_build(lone_row):
+    # realified dims 4, 6, 4, 2, 6, 2, 4: groups {0, 2, 6}, {1, 4} and {3, 5}; the rows of blocks
+    # 0, 1 and 6 overlap, so that row 2 takes three terms in the caller's order, and block 2's
+    # are disjoint from theirs; no row touches block 3 or block 4, and block 5 touches either
+    # none (so no block of its group) or one
+    rng = np.random.default_rng(14)
+    dims, blocks, mr = [4, 6, 2], [np.array([0, 2, 6]), np.array([1, 4]), np.array([3, 5])], 6
+    touched = {0: [0, 1, 2], 1: [1, 2, 3], 2: [4, 5], 3: [], 4: [], 5: lone_row, 6: [0, 2, 3]}
+    idx = [_svec_indices(d) for d in dims]
+    assert _svec_indices(4) is idx[0] and not any(a.flags.writeable for a in idx[0])  # cached, read-only
+    a3 = [np.zeros((len(k), mr, len(ix[0]))) for k, ix in zip(blocks, idx)]
+    for a, ks in zip(a3, blocks):
+        for a_k, k in zip(a, ks):
+            a_k[touched[k]] = rng.standard_normal((len(touched[k]), a.shape[-1]))
+    tmats = [_psd_stack(len(k), d, rng) for k, d in zip(blocks, dims)]
+    a_sp, amats, plan = _sparse_rows(a3, np.argsort(np.concatenate(blocks)), dims, idx)
+    assert [a.shape[1] for a in a_sp] == [3, 3, 2 if lone_row else 0]
+
+    # the dense build: every block against every row, added block by block in the caller's order
+    prods = []
+    for a, t, d, (ii, jj, scale) in zip(a3, tmats, dims, idx):
+        am = _unsvec(a, d, (ii, jj, scale)).transpose(0, 2, 1, 3).reshape(len(a), d, -1)
+        tat = ((t @ am).reshape(len(t), d * mr, d) @ t).reshape(len(t), d, mr, d)
+        prods.append(np.ascontiguousarray((tat[:, ii, :, jj] * scale[:, None, None]).transpose(1, 2, 0)))
+    schur = np.zeros((mr, mr))
+    for k in range(7):
+        g = next(g for g, ks in enumerate(blocks) if k in ks)
+        j = list(blocks[g]).index(k)
+        schur += prods[g][j] @ a3[g][j].T
+    assert np.array_equal(_schur(tmats, amats, a_sp, idx, plan), 0.5 * (schur + schur.T))
 
 
 def test_debug_dump_round_trips(tmp_path):

@@ -1,32 +1,65 @@
-"""Print one SHA-256 per `sdp.solve` result over one pass of a benchmark workload.
+"""Print one SHA-256 per `sdp.solve` result over one pass of a benchmark workload,
+or compare the solves of this checkout with those of another.
 
     python3 tools/solve_fingerprints.py --workload qubit_sweeps > change.txt
-    python3 tools/solve_fingerprints.py --workload qubit_sweeps --root ../parent > parent.txt
-    diff parent.txt change.txt
+    python3 tools/solve_fingerprints.py --workload all --against ../parent
 
-Each hash covers the primal and dual iterates, the dual slacks, both values,
-the gap, the status, the iteration count, both residuals and the dropped
-rows, so equal lines mean bit-for-bit equal solves. `--root` names the
-checkout whose `perfbench/workloads.py` and `src/` are used (default: this
-one). Ops run once each, in the order `workloads.build` lists them.
+Each hash covers the primal and dual iterates, the dual slacks, both values, the
+gap, the status, the iteration count, both residuals and the dropped rows, so equal
+lines mean bit-for-bit equal solves. `--root` names the checkout whose
+`perfbench/workloads.py` and `src/` are used (default: this one). Ops run once each,
+in `workloads.build` order, each after a `# <op key>` line. `--against ROOT` runs
+each workload at both checkouts in subprocesses, prints `<workload>: N of M solves
+differ` and the keys of the ops whose solves differ, and exits 1 if any do.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import subprocess
 import sys
 from pathlib import Path
 
+WORKLOADS = ("qubit_sweeps", "qutrit_sweeps", "seesaw")
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-parser.add_argument("--workload", required=True, help="qubit_sweeps, qutrit_sweeps or seesaw")
+parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
 parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
+parser.add_argument("--against", type=Path, help="another checkout to compare with")
+
+
+def solves_by_op(root: Path, workload: str) -> dict[str, list[str]]:
+    """The hashes of one pass at `root`, listed per op key."""
+    out = subprocess.run([sys.executable, __file__, "--workload", workload, "--root", str(root)],
+                         capture_output=True, text=True, check=True).stdout
+    ops: dict[str, list[str]] = {}
+    for line in out.splitlines():
+        if line.startswith("# "):
+            ops[key := line[2:]] = []
+        else:
+            ops[key].append(line)
+    return ops
+
+
+def compare(root: Path, other: Path, workload: str) -> bool:
+    """Print how many of the workload's solves differ between the checkouts, and where."""
+    mine, theirs = solves_by_op(root, workload), solves_by_op(other, workload)
+    differ = {key: sum(a != b for a, b in zip(mine.get(key, []), theirs.get(key, [])))
+              + abs(len(mine.get(key, [])) - len(theirs.get(key, []))) for key in mine | theirs}
+    keys = [key for key, n in differ.items() if n]
+    print(f"{workload}: {sum(differ.values())} of {sum(map(len, mine.values()))} solves differ",
+          *keys, sep="\n  ", flush=True)
+    return bool(keys)
+
 
 if __name__ == "__main__":
     args = parser.parse_args()
+    workloads = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    if args.against:
+        sys.exit(int(any([compare(args.root, args.against, name) for name in workloads])))
     sys.path.insert(0, str(args.root.resolve() / "perfbench"))
     import numpy as np
-    import workloads  # puts that checkout's src/ first on the path
+    import workloads as bench  # puts that checkout's src/ first on the path
 
     from steercert import sdp
 
@@ -40,6 +73,6 @@ if __name__ == "__main__":
 
     solve = sdp.solve
     sdp.solve = lambda *a, **kw: print(fingerprint(sol := solve(*a, **kw)), flush=True) or sol
-    for op in workloads.build(args.workload):
+    for op in (op for name in workloads for op in bench.build(name)):
         print(f"# {op.key}", flush=True)
-        workloads.execute(op)
+        bench.execute(op)
