@@ -27,7 +27,10 @@ block at a time, so that the grouping does not change the rounding.
 The algorithm is infeasible-start path following with Nesterov-Todd
 scaling and a Mehrotra-style predictor-corrector, solving the dense
 Schur complement with LAPACK potrf/potrs; when potrf fails, its diagonal
-is shifted by 1e-13 to 1e-7 of its mean, and the shift is logged. A
+is shifted by 1e-13 to 1e-7 of its mean, and the shift is logged. A solve
+whose best merit is 4 iterations old while each of its last 5 Schur
+complements needed a shift has stalled: it stops with NUMERICAL_TROUBLE and,
+like any unfinished solve, returns its best-merit iterate. A
 presolve pass removes linearly dependent constraint rows (the R factor of
 a pivoted QR, pivot threshold 1e-10) and checks, with R11^-1 R12, that the
 removed rows are consistent; dual multipliers for removed rows
@@ -50,6 +53,11 @@ import scipy.linalg as sla
 from .qlin import dagger, is_hermitian, matrix_to_json
 
 _log = logging.getLogger("steercert")
+
+# stall stop: the best merit is this many iterations old, and the Schur complement
+# needed regularisation at each of this many last steps, the current one included
+_STALL_ITERS = 4
+_STALL_REGULARISED = 5
 
 
 class SolverStatus(enum.Enum):
@@ -377,6 +385,8 @@ def solve(
 
     best = None
     best_merit = np.inf
+    best_it = 0
+    regularised = 0  # consecutive regularised Schur factorisations, this iteration's included
     status = SolverStatus.MAX_ITERATIONS
     iters_done = 0
 
@@ -393,7 +403,7 @@ def solve(
         merit = max(relgap, pres, dres)
         _log.debug("iter %3d  gap %9.2e  pres %9.2e  dres %9.2e", it, relgap, pres, dres)
         if merit < best_merit:
-            best_merit = merit
+            best_merit, best_it = merit, it
             best = ([xz.copy() for xz in xzs], y.copy(), pres, dres)
         if relgap <= gap_tol and pres <= feas_tol and dres <= feas_tol:
             status = SolverStatus.OPTIMAL
@@ -428,8 +438,14 @@ def solve(
         else:
             status = SolverStatus.NUMERICAL_TROUBLE
             break
+        regularised = regularised + 1 if reg else 0
         if reg:
             _log.debug("iter %3d  Schur complement regularised by %.0e of its mean diagonal", it, reg)
+        if it - best_it >= _STALL_ITERS and regularised >= _STALL_REGULARISED:
+            _log.debug("iter %3d  stalled: best merit at iter %d, Schur complement regularised "
+                       "at each of the last %d steps", it, best_it, regularised)
+            status = SolverStatus.NUMERICAL_TROUBLE
+            break
 
         # the same in the predictor and the corrector
         a_trdt = op_a([t @ r @ t for t, r in zip(tmats, rd)])

@@ -5,8 +5,9 @@ measurements. Two solvable subproblems alternate:
 
 * with measurements fixed, the certification SDP yields the inequality
   coefficients that witness the current bound (`certify_local`);
-* with the inequality fixed, a second SDP picks the measurements that
-  minimize the eavesdropper's witnessed bound (`optimize_measurements`).
+* with the inequality fixed, `optimize_measurements` picks the measurements
+  that minimize the eavesdropper's witnessed bound: in closed form for two
+  outcomes (Helstrom's minimum-error measurement), by an SDP for more.
 
 Each step can only improve (or hold) the certified min-entropy, so the
 recorded trace is monotone up to solver noise. With inefficient
@@ -120,9 +121,24 @@ def optimize_measurements(
 ) -> list[Povm]:
     """Measurements minimizing the witnessed bound sum Tr[(M_ax (x) F_ax) rho].
 
-    Optimizes over complete sets of PSD elements, one block per (outcome,
-    input); returns the minimizing measurements.
+    The bound is sum_ax <W_ax, M_ax> with W_ax = Herm Tr_B[(1 (x) F_ax) rho],
+    minimized per input over complete sets of PSD elements. With two outcomes
+    the minimum is Helstrom's: M_0 projects onto the negative eigenspace of
+    W_0x - W_1x and M_1 = 1 - M_0. With more outcomes an SDP finds it, with
+    ``solver_opts`` as its solver's targets.
     """
+    weights = _alice_weights(rho, functional, shape)
+    if shape.n_outcomes != 2:
+        return _measurements_sdp(weights, solver_opts)
+    vals, vecs = np.linalg.eigh(weights[0] - weights[1])
+    neg = vecs * (vals < 0.0)[:, None, :]
+    eye_a = np.eye(vals.shape[-1], dtype=complex)
+    return [_restore_povm([p, eye_a - p]) for p in neg @ dagger(neg)]
+
+
+def _alice_weights(rho: np.ndarray, functional: SteeringFunctional, shape: Scenario) -> np.ndarray:
+    """The (n_a, m, d_a, d_a) stack W_ax = Herm Tr_B[(1 (x) F_ax) rho], so that
+    Tr[(M (x) F_ax) rho] = <W_ax, M>."""
     rho = np.asarray(rho, dtype=complex)
     d_b = shape.bob_dim
     if rho.shape[0] % d_b != 0:
@@ -133,18 +149,23 @@ def optimize_measurements(
         raise ValueError(
             f"functional grid {functional.F.shape[:2]} does not match shape ({n_a}, {m})"
         )
+    eye_a = np.eye(d_a, dtype=complex)
+    weights = np.empty((n_a, m, d_a, d_a), dtype=complex)
+    for a, x in np.ndindex(n_a, m):
+        w = partial_trace(np.kron(eye_a, functional.F[a, x]) @ rho, (d_a, d_b), keep="A")
+        weights[a, x] = 0.5 * (w + dagger(w))
+    return weights
+
+
+def _measurements_sdp(weights: np.ndarray, solver_opts: dict | None = None) -> list[Povm]:
+    """Per input x, the POVM minimizing sum_a <weights[a, x], M_a>, by one SDP with a
+    block per (outcome, input)."""
+    n_a, m, d_a = weights.shape[:3]
     basis_a = hermitian_basis(d_a)
     eye_a = np.eye(d_a, dtype=complex)
 
     def block(a: int, x: int) -> int:
         return a * m + x
-
-    # Alice-side weights: Tr[(M (x) F) rho] = <weight(a, x), M>
-    objective: list[np.ndarray | None] = []
-    for a in range(n_a):
-        for x in range(m):
-            w = partial_trace(np.kron(eye_a, functional.F[a, x]) @ rho, (d_a, d_b), keep="A")
-            objective.append(-0.5 * (w + dagger(w)))
 
     constraints = []
     for x in range(m):
@@ -152,7 +173,7 @@ def optimize_measurements(
             coeffs = {block(a, x): e_mat for a in range(n_a)}
             constraints.append(sdp.LinearConstraint(coeffs, hermitian_inner(e_mat, eye_a)))
 
-    problem = sdp.SdpProblem((d_a,) * (n_a * m), objective, constraints)
+    problem = sdp.SdpProblem((d_a,) * (n_a * m), list(-weights.reshape(n_a * m, d_a, d_a)), constraints)
     sol = sdp.solve(problem, **(solver_opts or _SEESAW_SOLVER_OPTS))
     if sol.status is not sdp.SolverStatus.OPTIMAL:
         raise RuntimeError(f"measurement optimization failed with status {sol.status}")
@@ -223,6 +244,14 @@ def seesaw(
     below `tol` (Tolerance; requires the known analytic `ceiling` to have
     been reached when one is supplied), when refinement is exhausted short
     of the ceiling (Stall), or at `max_iters`.
+
+    `smoothing` is the first weight delta of the uniform noise mixed into a
+    facially reduced assemblage to get its stepping inequality. A rejected
+    update or a gain below 1e-3 divides delta by 10 while delta exceeds
+    `min_smoothing`, so the last delta is the first one below it: 3e-7 with
+    the defaults. At that last delta, one rejected update ends the loop, and
+    so do `stall_window` accepted updates in a row that each gain less than
+    `tol`.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")

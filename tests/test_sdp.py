@@ -295,18 +295,9 @@ def test_solution_residuals_small():
         assert min_eig(x) >= -1e-9
 
 
-def test_reported_residuals_are_those_of_the_returned_iterate(monkeypatch):
-    # the local problem of a Werner state, captured from certify_local
-    import steercert.sdp as sdp_module
-    from steercert.certify import certify_local
-    from steercert.scenario import assemblage_from, pauli_xz, werner_state
-
-    captured = []
-    monkeypatch.setattr(sdp_module, "solve", lambda p, **kw: captured.append(p) or solve(p, **kw))
-    certify_local(assemblage_from(werner_state(0.9), pauli_xz()), 0)
-    problem = captured[0]
-
-    sol = solve(problem, max_iters=1)
+def recomputed_residuals(problem, sol):
+    """The largest violation of a kept row and the largest entry of sum_i y_i A_i - C - Z,
+    computed from the returned iterate."""
     kept = [i for i in range(len(problem.constraints)) if i not in sol.dropped_rows]
     pres = max(
         abs(problem.constraints[i].rhs - sum(hermitian_inner(a, sol.primal[k])
@@ -320,9 +311,55 @@ def test_reported_residuals_are_those_of_the_returned_iterate(monkeypatch):
             if k in con.coeffs:
                 r = r + y * con.coeffs[k]
         dres = max(dres, np.max(np.abs(r.real)), np.max(np.abs(r.imag)))
+    return pres, dres
+
+
+def captured_problem(monkeypatch, certify, *args, **kwargs):
+    """The SDP a certification hands to ``solve``."""
+    import steercert.sdp as sdp_module
+
+    captured = []
+    monkeypatch.setattr(sdp_module, "solve", lambda p, **kw: captured.append(p) or solve(p, **kw))
+    certify(*args, **kwargs)
+    monkeypatch.undo()
+    return captured[0]
+
+
+def test_reported_residuals_are_those_of_the_returned_iterate(monkeypatch):
+    # the local problem of a Werner state
+    from steercert.certify import certify_local
+    from steercert.scenario import assemblage_from, pauli_xz, werner_state
+
+    problem = captured_problem(monkeypatch, certify_local, assemblage_from(werner_state(0.9), pauli_xz()), 0)
+    sol = solve(problem, max_iters=1)
+    pres, dres = recomputed_residuals(problem, sol)
     assert sol.primal_residual == pytest.approx(pres, rel=1e-9)
     assert sol.dual_residual == pytest.approx(dres, rel=1e-9)
     assert dres > 1.0  # the start point is far from dual feasible
+
+
+def test_stalled_solve_stops_early(monkeypatch, caplog):
+    # a see-saw stepping certification: Pauli X/Z on a pure state, smoothed by
+    # uniform noise of weight 3e-7, at the see-saw's solver targets
+    from steercert.certify import certify_local
+    from steercert.scenario import assemblage_from, pauli_xz, schmidt_state
+    from steercert.seesaw import _SEESAW_SOLVER_OPTS, _smoothed
+
+    theta = np.pi / 7
+    rho = schmidt_state([np.cos(theta) ** 2, np.sin(theta) ** 2])
+    asm = _smoothed(assemblage_from(rho, pauli_xz()), 3e-7)
+    problem = captured_problem(monkeypatch, certify_local, asm, 0, solver_opts=_SEESAW_SOLVER_OPTS)
+    with caplog.at_level(logging.DEBUG, logger="steercert"):
+        sol = solve(problem, **_SEESAW_SOLVER_OPTS)
+    assert sol.status is SolverStatus.NUMERICAL_TROUBLE
+    stalled = [r.getMessage() for r in caplog.records if "stalled" in r.getMessage()]
+    assert len(stalled) == 1 and stalled[0].startswith(f"iter {sol.iterations:3d}  stalled: best merit at iter ")
+    assert stalled[0].endswith("Schur complement regularised at each of the last 5 steps")
+    # without the stall stop the solve ran 30 iterations to the same status and iterate
+    assert sol.iterations < 30
+    pres, dres = recomputed_residuals(problem, sol)
+    assert sol.primal_residual == pytest.approx(pres, rel=1e-9)
+    assert sol.dual_residual == pytest.approx(dres, rel=1e-9)
 
 
 def test_iterations_are_logged_at_debug_level(caplog):

@@ -4,7 +4,9 @@ import pytest
 from steercert.certify import SteeringFunctional, dual_functional
 from steercert.scenario import (
     Scenario,
+    apply_loss,
     assemblage_from,
+    isotropic_state,
     pauli_xz,
     schmidt_state,
     werner_state,
@@ -12,6 +14,9 @@ from steercert.scenario import (
 from steercert.seesaw import (
     SeesawError,
     StopReason,
+    _alice_weights,
+    _measurements_sdp,
+    _strip_loss,
     optimize_measurements,
     random_povms,
     seesaw,
@@ -82,6 +87,69 @@ def test_optimize_measurements_rank_deficient_state():
     value = f.value_on(assemblage_from(rho, povms))
     expected = sum(min(f_grid[a, x, 0, 0].real for a in range(2)) for x in range(2))
     assert value == pytest.approx(expected, abs=1e-7)
+
+
+def random_functional(n_a, m, d, rng):
+    h = rng.standard_normal((n_a, m, d, d)) + 1j * rng.standard_normal((n_a, m, d, d))
+    return SteeringFunctional(F=(h + np.conj(np.swapaxes(h, -1, -2))) / 2, x_star=0)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.8], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("seed", range(3))
+def test_two_outcome_closed_form_matches_the_sdp(eta, seed):
+    rng = np.random.default_rng(seed)
+    shape = Scenario(2, 2, 2)
+    measured = random_functional(2 if eta == 1.0 else 3, 2, 2, rng)  # 3 rows: no-click last
+    f = _strip_loss(measured, 2)
+    closed = optimize_measurements(RHO_PI7, f, shape)
+    reference = _measurements_sdp(_alice_weights(RHO_PI7, f, shape))
+    values = [
+        measured.value_on(assemblage_from(RHO_PI7, povms if eta == 1.0 else [apply_loss(p, eta) for p in povms]))
+        for povms in (closed, reference)
+    ]
+    assert values[0] == pytest.approx(values[1], abs=1e-8)
+
+
+def test_two_outcome_closed_form_matches_the_sdp_on_qutrits():
+    rng = np.random.default_rng(5)
+    rho, shape = isotropic_state(3, 0.9), Scenario(3, 2, 3)
+    f = random_functional(2, 3, 3, rng)
+    closed = optimize_measurements(rho, f, shape)
+    reference = _measurements_sdp(_alice_weights(rho, f, shape))
+    values = [f.value_on(assemblage_from(rho, p)) for p in (closed, reference)]
+    assert values[0] == pytest.approx(values[1], abs=1e-8)
+
+
+def test_two_outcome_closed_form_with_equal_weights():
+    # F_0x = F_1x: every measurement is optimal; the result must still be a POVM
+    rng = np.random.default_rng(2)
+    f = random_functional(1, 2, 2, rng)
+    f = SteeringFunctional(F=np.concatenate([f.F, f.F]), x_star=0)
+    povms = optimize_measurements(RHO_PI7, f, Scenario(2, 2, 2))
+    for povm in povms:
+        assert povm.n_outcomes == 2
+        assert np.max(np.abs(sum(povm.elements) - np.eye(2))) <= 1e-12
+    expected = f.value_on(assemblage_from(RHO_PI7, pauli_xz()))
+    assert f.value_on(assemblage_from(RHO_PI7, povms)) == pytest.approx(expected, abs=1e-12)
+
+
+def test_three_outcome_qutrit_measurements_by_sdp():
+    rng = np.random.default_rng(4)
+    shape = Scenario(2, 3, 3)
+    f = random_functional(3, 2, 3, rng)
+    # product state |00>: the weights are F_ax[0, 0] |0><0|, so the optimum
+    # puts the outcome with the least F_ax[0, 0] on |0>
+    product = np.zeros((9, 9), dtype=complex)
+    product[0, 0] = 1.0
+    povms = optimize_measurements(product, f, shape)
+    assert [p.n_outcomes for p in povms] == [3, 3]
+    expected = sum(min(f.F[a, x, 0, 0].real for a in range(3)) for x in range(2))
+    assert f.value_on(assemblage_from(product, povms)) == pytest.approx(expected, abs=1e-7)
+    # entangled state: no random projective measurement does better
+    rho = isotropic_state(3, 0.8)
+    value = f.value_on(assemblage_from(rho, optimize_measurements(rho, f, shape)))
+    for s in range(20):
+        assert value <= f.value_on(assemblage_from(rho, random_povms(3, 2, 3, seed=s))) + 1e-8
 
 
 def test_seesaw_product_state_stays_flat():

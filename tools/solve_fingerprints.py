@@ -9,8 +9,10 @@ gap, the status, the iteration count, both residuals and the dropped rows, so eq
 lines mean bit-for-bit equal solves. `--root` names the checkout whose
 `perfbench/workloads.py` and `src/` are used (default: this one). Ops run once each,
 in `workloads.build` order, each after a `# <op key>` line. `--against ROOT` runs
-each workload at both checkouts in subprocesses, prints `<workload>: N of M solves
-differ` and the keys of the ops whose solves differ, and exits 1 if any do.
+each workload at both checkouts in subprocesses, prints `<workload>: N solves differ
+(M here, K at ROOT)`, where M and K are the solve counts of the `--root` checkout and
+of ROOT, and the keys of the ops whose solves differ, and exits 1 if any do. A solve
+that one checkout makes and the other does not counts as differing.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ def compare(root: Path, other: Path, workload: str) -> bool:
     differ = {key: sum(a != b for a, b in zip(mine.get(key, []), theirs.get(key, [])))
               + abs(len(mine.get(key, [])) - len(theirs.get(key, []))) for key in mine | theirs}
     keys = [key for key, n in differ.items() if n]
-    print(f"{workload}: {sum(differ.values())} of {sum(map(len, mine.values()))} solves differ",
+    n_mine, n_theirs = (sum(map(len, ops.values())) for ops in (mine, theirs))
+    print(f"{workload}: {sum(differ.values())} solves differ ({n_mine} here, {n_theirs} at {other})",
           *keys, sep="\n  ", flush=True)
     return bool(keys)
 
