@@ -130,10 +130,13 @@ def optimize_measurements(
     weights = _alice_weights(rho, functional, shape)
     if shape.n_outcomes != 2:
         return _measurements_sdp(weights, solver_opts)
-    vals, vecs = np.linalg.eigh(weights[0] - weights[1])
-    neg = vecs * (vals < 0.0)[:, None, :]
-    eye_a = np.eye(vals.shape[-1], dtype=complex)
-    return [_restore_povm([p, eye_a - p]) for p in neg @ dagger(neg)]
+    eye_a = np.eye(weights.shape[-1], dtype=complex)
+    povms = []
+    for vals, vecs in zip(*np.linalg.eigh(weights[0] - weights[1])):
+        neg = vecs[:, vals < 0.0]
+        p = neg @ dagger(neg)
+        povms.append(_restore_povm([p, eye_a - p]))
+    return povms
 
 
 def _alice_weights(rho: np.ndarray, functional: SteeringFunctional, shape: Scenario) -> np.ndarray:
