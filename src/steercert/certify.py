@@ -23,8 +23,14 @@ reach certification-grade accuracy; dropped rank-0 blocks reappear as
 explicit zero matrices in the reported strategy. The dual witness is read
 off the primal solve's consistency multipliers either way; on reduced
 instances it certifies the bound on the observed faces (where the reduced
-pair attains strong duality), and `dual_functional_direct` supplies
-globally valid inequalities when a full-space witness is wanted.
+pair attains strong duality). When a full-space witness is wanted,
+`dual_functional_direct` takes it from the certification of the assemblage
+smoothed by uniform noise of weight delta = 1e-4, which is not reduced; its
+value exceeds the optimum by an amount that shrinks as sqrt(delta).
+
+Every constraint is an equality between Hermitian matrices over a grid of
+Eve's compressed blocks (`_EveGrid`), expanded into rows and folded back into
+matrix multipliers by `sdp.MatrixEquality`, `sdp.expand` and `sdp.fold`.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .qlin import Povm, freeze, hermitian_basis, hermitian_inner, matrix_to_json, partial_trace
+from .qlin import Povm, dagger, freeze, matrix_to_json, partial_trace
 from .scenario import Assemblage, Scenario, assemblage_from
 
 CONSISTENCY_TOL = 1e-8
@@ -115,8 +121,10 @@ class SteeringFunctional:
     blocks), the dual optimum of the full problem is not attained and the
     stored multipliers certify feasibility on the reduced faces only; the
     face isometries are kept in `supports` and `feasibility_margin`
-    compresses onto them. `dual_functional_direct` produces globally
-    feasible (slightly suboptimal) inequalities when those are needed.
+    compresses onto them. `dual_functional_direct` produces a globally
+    feasible inequality when one is needed: that of the assemblage smoothed
+    by uniform noise of weight delta = 1e-4, whose value exceeds the optimum
+    by an amount that shrinks as sqrt(delta).
 
     In the prepare-and-measure scenario the dual carries an extra constant
     from the completeness multipliers, stored in `offset`, and no G grid.
@@ -225,8 +233,91 @@ def _support_isometry(mat: np.ndarray, cutoff: float) -> np.ndarray:
     return vecs[:, keep]
 
 
-def _identity_targets(n_guess: int, d: int) -> np.ndarray:
-    return np.broadcast_to(np.eye(d, dtype=complex), (n_guess, d, d)).copy()
+class _EveGrid:
+    """Eve's PSD blocks X[e, a, x] of a certification, each compressed onto the support
+    V = supports[a][x] of what she must reproduce, so that her operator is V X V^dag.
+    Blocks of rank 0 are left out; the others are numbered e-major."""
+
+    def __init__(self, n_e: int, supports: list[list[np.ndarray]]):
+        self.supports = supports
+        self.shape = (n_e, len(supports), len(supports[0]))
+        self.dim = supports[0][0].shape[0]
+        keys = [key for key in np.ndindex(self.shape) if supports[key[1]][key[2]].shape[1] > 0]
+        self.ids = {key: k for k, key in enumerate(keys)}
+        self.dims = tuple(supports[a][x].shape[1] for _, a, x in keys)
+        # the adjoint stacks of the embeddings X -> V X V^dag
+        self.embedded = {(a, x): self.compressed(a, x, sdp.term_stack(self.dim))
+                         for a, x in np.ndindex(self.shape[1:])}
+
+    def compressed(self, a: int, x: int, mats: np.ndarray) -> np.ndarray:
+        """V^dag M V for a matrix or a stack M, with V = supports[a][x]."""
+        v = self.supports[a][x]
+        return v.conj().T @ mats @ v
+
+    def terms(self, pairs) -> dict[int, np.ndarray]:
+        """The terms of an equality, given as (block key, adjoint stack) pairs; the keys of
+        left-out blocks are skipped."""
+        return {self.ids[key]: stack for key, stack in pairs if key in self.ids}
+
+    def consistency(self, stacks: dict, observed: np.ndarray) -> dict:
+        """sum_e T_ax(X[e, a, x]) = observed[a, x] for each (a, x), where stacks[a, x] is
+        the adjoint stack of T_ax."""
+        n_e = self.shape[0]
+        return {
+            (a, x): sdp.MatrixEquality(
+                self.terms(((e, a, x), stacks[a, x]) for e in range(n_e)), observed[a, x]
+            )
+            for a, x in np.ndindex(self.shape[1:])
+        }
+
+    def no_signalling(self, x_star: int) -> dict:
+        """sum_a V X[e, a, x] V^dag = sum_a V X[e, a, x*] V^dag for each e and x != x*."""
+        n_e, n_a, m = self.shape
+        zero = np.zeros((self.dim, self.dim), dtype=complex)
+        equalities = {}
+        for e, x in np.ndindex(n_e, m):
+            if x != x_star:
+                plus = self.terms(((e, a, x), self.embedded[a, x]) for a in range(n_a))
+                # 0.0 - s rather than -s leaves the zero coefficients +0
+                minus = self.terms(((e, a, x_star), 0.0 - self.embedded[a, x_star]) for a in range(n_a))
+                equalities[e, x] = sdp.MatrixEquality({**plus, **minus}, zero)
+        return equalities
+
+    def solve(self, targets: dict, groups: list[dict], solver_opts: dict | None):
+        """Maximise sum <targets[key], V X[key] V^dag> subject to the equalities of each group,
+        a dict keyed by the caller. An equality naming no block is left out; it must hold at
+        X = 0, within CONSISTENCY_TOL. Returns the solution and, per group, the multiplier of
+        each equality kept, keyed as in the group."""
+        for eq in (eq for group in groups for eq in group.values() if not eq.terms):
+            if max(abs(row.rhs) for row in sdp.expand([eq])) > CONSISTENCY_TOL:
+                raise CertificationError("observed data outside the supports the blocks were compressed onto")
+        kept = [{key: eq for key, eq in group.items() if eq.terms} for group in groups]
+        objective: list[np.ndarray | None] = [None] * len(self.dims)
+        for (e, a, x), target in targets.items():
+            if (e, a, x) in self.ids:
+                objective[self.ids[e, a, x]] = self.compressed(a, x, target)
+        equalities = [eq for group in kept for eq in group.values()]
+        sol = sdp.solve(sdp.SdpProblem(self.dims, objective, sdp.expand(equalities)), **(solver_opts or {}))
+        if sol.status is sdp.SolverStatus.INFEASIBLE:
+            raise CertificationError("certification problem infeasible: inputs malformed")
+        multipliers = iter(sdp.fold(equalities, sol.dual))
+        return sol, [{key: next(multipliers) for key in group} for group in kept]
+
+    def unpack(self, primal: list[np.ndarray]) -> np.ndarray:
+        """Eve's operators V X V^dag as an (n_e, n_a, m, dim, dim) grid, zero on left-out blocks."""
+        out = np.zeros(self.shape + (self.dim, self.dim), dtype=complex)
+        for (e, a, x), k in self.ids.items():
+            v = self.supports[a][x]
+            out[e, a, x] = v @ primal[k] @ v.conj().T
+        return out
+
+
+def _gridded(values: dict, shape: tuple[int, ...], d: int) -> np.ndarray:
+    """A read-only (*shape, d, d) grid holding values[key] at key, and zero elsewhere."""
+    out = np.zeros(shape + (d, d), dtype=complex)
+    for key, value in values.items():
+        out[key] = value
+    return freeze(out)
 
 
 def _solve_steering(
@@ -241,93 +332,22 @@ def _solve_steering(
     _check_x_star(sc.n_inputs, x_star)
     n_a, m, d = sc.n_outcomes, sc.n_inputs, sc.bob_dim
     n_guess = len(guess_outcome)
-    basis = hermitian_basis(d)
 
     scale = max(float(np.linalg.eigvalsh(asm.sigma[a, x])[-1]) for a, x in np.ndindex(n_a, m))
     supports = [
         [_support_isometry(asm.sigma[a, x], SUPPORT_CUTOFF * scale) for x in range(m)]
         for a in range(n_a)
     ]
-    ranks = [[supports[a][x].shape[1] for x in range(m)] for a in range(n_a)]
-    reduced = any(ranks[a][x] < d for a, x in np.ndindex(n_a, m))
-
-    block_ids: dict[tuple[int, int, int], int] = {}
-    block_dims: list[int] = []
-    for e in range(n_guess):
-        for a in range(n_a):
-            for x in range(m):
-                if ranks[a][x] > 0:
-                    block_ids[(e, a, x)] = len(block_dims)
-                    block_dims.append(ranks[a][x])
-
-    objective: list[np.ndarray | None] = [None] * len(block_dims)
-    for e in range(n_guess):
-        a = int(guess_outcome[e])
-        key = (e, a, x_star)
-        if key in block_ids:
-            v = supports[a][x_star]
-            objective[block_ids[key]] = v.conj().T @ guess_target[e] @ v
-
-    constraints = []
-    tags = []  # ("cons", a, x, r) / ("ns", e, x, r), aligned with constraints
-    for a in range(n_a):
-        for x in range(m):
-            v = supports[a][x]
-            for r, e_mat in enumerate(basis):
-                comp = v.conj().T @ e_mat @ v
-                coeffs = {
-                    block_ids[(e, a, x)]: comp
-                    for e in range(n_guess)
-                    if (e, a, x) in block_ids
-                }
-                rhs = hermitian_inner(e_mat, asm.sigma[a, x])
-                if not coeffs:
-                    if abs(rhs) > CONSISTENCY_TOL:
-                        raise CertificationError("assemblage support detection failed")
-                    continue
-                constraints.append(sdp.LinearConstraint(coeffs, rhs))
-                tags.append(("cons", a, x, r))
-    for e in range(n_guess):
-        for x in range(m):
-            if x == x_star:
-                continue
-            for r, e_mat in enumerate(basis):
-                coeffs = {}
-                for a in range(n_a):
-                    if (e, a, x) in block_ids:
-                        v = supports[a][x]
-                        coeffs[block_ids[(e, a, x)]] = v.conj().T @ e_mat @ v
-                    if (e, a, x_star) in block_ids:
-                        v = supports[a][x_star]
-                        prev = coeffs.get(block_ids[(e, a, x_star)], 0.0)
-                        coeffs[block_ids[(e, a, x_star)]] = prev - v.conj().T @ e_mat @ v
-                if coeffs:
-                    constraints.append(sdp.LinearConstraint(coeffs, 0.0))
-                    tags.append(("ns", e, x, r))
-
-    problem = sdp.SdpProblem(tuple(block_dims), objective, constraints)
-    sol = sdp.solve(problem, **(solver_opts or {}))
-    if sol.status is sdp.SolverStatus.INFEASIBLE:
-        raise CertificationError("certification problem infeasible: assemblage malformed")
-
-    sigma_e = np.zeros((n_guess, n_a, m, d, d), dtype=complex)
-    for (e, a, x), k in block_ids.items():
-        v = supports[a][x]
-        sigma_e[e, a, x] = v @ sol.primal[k] @ v.conj().T
-    joint = JointAssemblage(sc, n_guess, sigma_e)
-
-    f_grid = np.zeros((n_a, m, d, d), dtype=complex)
-    g_grid = np.zeros((n_guess, m, d, d), dtype=complex)
-    for y, tag in zip(sol.dual, tags):
-        kind, i, x, r = tag
-        if kind == "cons":
-            f_grid[i, x] += y * basis[r]
-        else:
-            g_grid[i, x] -= y * basis[r]
+    reduced = any(v.shape[1] < d for row in supports for v in row)
+    grid = _EveGrid(n_guess, supports)
+    targets = {(e, int(guess_outcome[e]), x_star): guess_target[e] for e in range(n_guess)}
+    sol, (f, g) = grid.solve(
+        targets, [grid.consistency(grid.embedded, asm.sigma), grid.no_signalling(x_star)], solver_opts
+    )
     functional = SteeringFunctional(
-        F=freeze(f_grid),
+        F=_gridded(f, (n_a, m), d),
         x_star=x_star,
-        G=freeze(g_grid),
+        G=_gridded({key: -y for key, y in g.items()}, (n_guess, m), d),
         guess_outcome=np.asarray(guess_outcome, dtype=int),
         guess_target=freeze(np.asarray(guess_target)),
         supports=tuple(tuple(supports[a]) for a in range(n_a)) if reduced else None,
@@ -342,7 +362,7 @@ def _solve_steering(
         functional=functional,
         x_star=x_star,
         dual_value=sol.dual_value,
-        joint=joint,
+        joint=JointAssemblage(sc, n_guess, grid.unpack(sol.primal)),
     )
 
 
@@ -356,11 +376,9 @@ def certify_local(
     each e. Eve's guess alphabet is the full outcome alphabet (including a
     loss outcome when present).
     """
-    n_a = asm.scenario.n_outcomes
-    d = asm.scenario.bob_dim
-    return _solve_steering(
-        asm, x_star, np.arange(n_a), _identity_targets(n_a, d), solver_opts
-    )
+    n_a, d = asm.scenario.n_outcomes, asm.scenario.bob_dim
+    targets = np.tile(np.eye(d, dtype=complex), (n_a, 1, 1))
+    return _solve_steering(asm, x_star, np.arange(n_a), targets, solver_opts)
 
 
 def certify_global(
@@ -407,24 +425,19 @@ def certify_pm(
     sc = obs.scenario
     _check_x_star(sc.n_inputs, x_star)
     d_a, d_b = povms[0].dim, sc.bob_dim
-    n_e = n_a = sc.n_outcomes
-    m = sc.n_inputs
-    basis_b = hermitian_basis(d_b)
-    basis_a = hermitian_basis(d_a)
+    n_a, m = sc.n_outcomes, sc.n_inputs
     eye_a = np.eye(d_a, dtype=complex)
-    rho_a = partial_trace(rho, (d_a, d_b), keep="A")
-    # Alice-side coefficients with <coef_r, M> = Re Tr[(M (x) E_r) rho]
-    coef_b = [partial_trace(np.kron(eye_a, e_mat) @ rho, (d_a, d_b), keep="A") for e_mat in basis_b]
-    coef_b = [0.5 * (c + c.conj().T) for c in coef_b]
 
+    def consistency_adjoint(basis):
+        """E -> Herm Tr_B[(1 (x) E) rho], the adjoint of N -> Tr_A[(N (x) 1) rho], on a stack."""
+        c = np.stack([partial_trace(np.kron(eye_a, e) @ rho, (d_a, d_b), keep="A") for e in basis])
+        return 0.5 * (c + dagger(c))
+
+    coef = sdp.term_stack(d_b, consistency_adjoint)
     # The aggregates sum_e M^e_{a|x} are pinned to the given POVM elements
-    # exactly when the consistency map N -> Tr_A[(N (x) 1) rho] is injective;
-    # only then is per-block support compression sound.
-    lmap = np.array(
-        [[hermitian_inner(e_b, partial_trace(np.kron(e_a, np.eye(d_b)) @ rho, (d_a, d_b), "B"))
-          for e_a in basis_a] for e_b in basis_b]
-    )
-    svals = np.linalg.svd(lmap, compute_uv=False)
+    # exactly when the consistency map is injective, that is when its adjoint
+    # stack spans d_a^2 dimensions; only then is per-block support compression sound.
+    svals = np.linalg.svd(coef.reshape(len(coef), -1), compute_uv=False)
     injective = svals.size >= d_a * d_a and svals[d_a * d_a - 1] > 1e-10 * max(svals[0], 1.0)
 
     if injective:
@@ -436,94 +449,29 @@ def certify_pm(
             for a in range(n_a)
         ]
     else:
-        supports = [[np.eye(d_a, dtype=complex) for _ in range(m)] for _ in range(n_a)]
+        supports = [[eye_a for _ in range(m)] for _ in range(n_a)]
 
-    block_ids: dict[tuple[int, int, int], int] = {}
-    block_dims: list[int] = []
-    for e in range(n_e):
-        for a in range(n_a):
-            for x in range(m):
-                if supports[a][x].shape[1] > 0:
-                    block_ids[(e, a, x)] = len(block_dims)
-                    block_dims.append(supports[a][x].shape[1])
+    grid = _EveGrid(n_a, supports)
+    stacks = {}
+    for a, x in np.ndindex(n_a, m):
+        comp = grid.compressed(a, x, coef)
+        stacks[a, x] = 0.5 * (comp + dagger(comp))
+    completeness = {
+        x: sdp.MatrixEquality(
+            grid.terms(((e, a, x), grid.embedded[a, x]) for e, a in np.ndindex(n_a, n_a)), eye_a
+        )
+        for x in range(m)
+    }
+    rho_a = partial_trace(rho, (d_a, d_b), keep="A")
+    sol, (f, _, complete) = grid.solve(
+        {(e, e, x_star): rho_a for e in range(n_a)},
+        [grid.consistency(stacks, obs.sigma), grid.no_signalling(x_star), completeness],
+        solver_opts,
+    )
+    # the completeness multipliers Y_x enter the dual value as sum_x <Y_x, 1>
+    offset = float(sum(np.trace(y).real for y in complete.values()))
+    functional = SteeringFunctional(F=_gridded(f, (n_a, m), d_b), x_star=x_star, offset=offset)
 
-    objective: list[np.ndarray | None] = [None] * len(block_dims)
-    for e in range(n_e):
-        key = (e, e, x_star)
-        if key in block_ids:
-            v = supports[e][x_star]
-            objective[block_ids[key]] = v.conj().T @ rho_a @ v
-
-    constraints = []
-    cons_tags = []  # (a, x, r) aligned with the consistency rows appended
-    for a in range(n_a):
-        for x in range(m):
-            v = supports[a][x]
-            for r, e_mat in enumerate(basis_b):
-                comp = v.conj().T @ coef_b[r] @ v
-                comp = 0.5 * (comp + comp.conj().T)
-                coeffs = {
-                    block_ids[(e, a, x)]: comp for e in range(n_e) if (e, a, x) in block_ids
-                }
-                rhs = hermitian_inner(e_mat, obs.sigma[a, x])
-                if not coeffs:
-                    if abs(rhs) > CONSISTENCY_TOL:
-                        raise CertificationError("support detection failed for the trusted state")
-                    continue
-                constraints.append(sdp.LinearConstraint(coeffs, rhs))
-                cons_tags.append((a, x, r))
-    for e in range(n_e):
-        for x in range(m):
-            if x == x_star:
-                continue
-            for e_mat in basis_a:
-                coeffs = {}
-                for a in range(n_a):
-                    if (e, a, x) in block_ids:
-                        v = supports[a][x]
-                        coeffs[block_ids[(e, a, x)]] = v.conj().T @ e_mat @ v
-                    if (e, a, x_star) in block_ids:
-                        v = supports[a][x_star]
-                        prev = coeffs.get(block_ids[(e, a, x_star)], 0.0)
-                        coeffs[block_ids[(e, a, x_star)]] = prev - v.conj().T @ e_mat @ v
-                coeffs = {k: c for k, c in coeffs.items() if np.max(np.abs(c)) > 0.0}
-                if coeffs:
-                    constraints.append(sdp.LinearConstraint(coeffs, 0.0))
-    completeness_values = []
-    for x in range(m):
-        for e_mat in basis_a:
-            coeffs: dict[int, np.ndarray] = {}
-            for e in range(n_e):
-                for a in range(n_a):
-                    if (e, a, x) in block_ids:
-                        v = supports[a][x]
-                        comp = v.conj().T @ e_mat @ v
-                        k = block_ids[(e, a, x)]
-                        coeffs[k] = coeffs.get(k, 0.0) + comp
-            coeffs = {k: c for k, c in coeffs.items() if np.max(np.abs(c)) > 0.0}
-            rhs = hermitian_inner(e_mat, eye_a)
-            if not coeffs:
-                if abs(rhs) > CONSISTENCY_TOL:
-                    raise CertificationError("completeness unreachable on detected supports")
-                continue
-            completeness_values.append((len(constraints), rhs))
-            constraints.append(sdp.LinearConstraint(coeffs, rhs))
-
-    problem = sdp.SdpProblem(tuple(block_dims), objective, constraints)
-    sol = sdp.solve(problem, **(solver_opts or {}))
-    if sol.status is sdp.SolverStatus.INFEASIBLE:
-        raise CertificationError("prepare-and-measure problem infeasible: inputs malformed")
-
-    f_grid = np.zeros((n_a, m, d_b, d_b), dtype=complex)
-    for y, (a, x, r) in zip(sol.dual, cons_tags):
-        f_grid[a, x] += y * basis_b[r]
-    offset = float(sum(sol.dual[i] * rhs for i, rhs in completeness_values))
-    functional = SteeringFunctional(F=freeze(f_grid), x_star=x_star, offset=offset)
-
-    pm_ops = np.zeros((n_e, n_a, m, d_a, d_a), dtype=complex)
-    for (e, a, x), k in block_ids.items():
-        v = supports[a][x]
-        pm_ops[e, a, x] = v @ sol.primal[k] @ v.conj().T
     p_guess = sol.primal_value
     return CertificationResult(
         p_guess=p_guess,
@@ -533,7 +481,7 @@ def certify_pm(
         functional=functional,
         x_star=x_star,
         dual_value=sol.dual_value,
-        pm_measurements=freeze(pm_ops),
+        pm_measurements=freeze(grid.unpack(sol.primal)),
     )
 
 
@@ -544,159 +492,28 @@ def dual_functional(
     return certify_local(asm, x_star, solver_opts=solver_opts).functional
 
 
-def dual_functional_direct(
-    asm: Assemblage,
-    x_star: int = 0,
-    *,
-    trace_budget: float | None = None,
-    solver_opts: dict | None = None,
-) -> tuple[SteeringFunctional, float]:
-    """Solve the dual problem itself; returns (functional, optimal value).
-
-    Kept as an independently assembled cross-check of the multiplier
-    extraction (and as the certificate source on facially reduced
-    instances, where multipliers only certify the face).
-    """
-    n_a = asm.scenario.n_outcomes
-    d = asm.scenario.bob_dim
-    functional, value, status = _direct_dual(
-        asm, x_star, np.arange(n_a), _identity_targets(n_a, d),
-        trace_budget=trace_budget, solver_opts=solver_opts,
-    )
-    if status is not sdp.SolverStatus.OPTIMAL:
-        raise CertificationError(f"direct dual solve failed with status {status}")
-    return functional, value
-
-
-def _direct_dual(
-    asm: Assemblage,
-    x_star: int,
-    guess_outcome: np.ndarray,
-    guess_target: np.ndarray,
-    *,
-    trace_budget: float | None = None,
-    solver_opts: dict | None = None,
-) -> tuple[SteeringFunctional, float, sdp.SolverStatus]:
-    """Dual problem in standard form via PSD splitting of the free variables.
-
-    Minimizes sum <F, sigma_obs> subject to the PSD feasibility operators.
-    F and G are split into differences of PSD blocks; the split leaves
-    objective-flat directions (both parts growing together), so each pair
-    is boxed by a per-pair trace cap with its own slack, which bounds the
-    optimal face without touching the optimum. Caps escalate (and the
-    problem is re-solved) if any of them binds.
-    """
+def _smoothed(asm: Assemblage, delta: float) -> Assemblage:
+    """Assemblage mixed with a weight-delta uniform-noise assemblage."""
     sc = asm.scenario
-    _check_x_star(sc.n_inputs, x_star)
-    n_a, m, d = sc.n_outcomes, sc.n_inputs, sc.bob_dim
-    n_guess = len(guess_outcome)
-    basis = hermitian_basis(d)
-    eye = np.eye(d, dtype=complex)
-    others = [x for x in range(m) if x != x_star]
-
-    n_h = n_guess * n_a * m
-    n_f = n_a * m
-    n_g = n_guess * len(others)
-
-    def h_block(e, a, x):
-        return (e * n_a + a) * m + x
-
-    def fp_block(a, x):
-        return n_h + a * m + x
-
-    def fm_block(a, x):
-        return n_h + n_f + a * m + x
-
-    def gp_block(e, xi):
-        return n_h + 2 * n_f + e * len(others) + xi
-
-    def gm_block(e, xi):
-        return n_h + 2 * n_f + n_g + e * len(others) + xi
-
-    def cap_block(j):  # one scalar slack per split pair
-        return n_h + 2 * n_f + 2 * n_g + j
-
-    n_blocks = n_h + 2 * n_f + 2 * n_g + n_f + n_g
-    cap = trace_budget if trace_budget is not None else 16.0 * d + 16.0
-
-    # With rank-deficient observations the dual infimum is approached, not
-    # attained, so the cap binds at every scale; each escalation trades a
-    # ~1/cap improvement in value for conditioning. Keep the best solve.
-    sol = None
-    best_sol = None
-    for _ in range(3):
-        objective: list[np.ndarray | None] = [None] * n_blocks
-        for a in range(n_a):
-            for x in range(m):
-                objective[fp_block(a, x)] = -np.asarray(asm.sigma[a, x])
-                objective[fm_block(a, x)] = np.asarray(asm.sigma[a, x])
-
-        constraints = []
-        for e in range(n_guess):
-            for a in range(n_a):
-                for x in range(m):
-                    for e_mat in basis:
-                        coeffs = {
-                            h_block(e, a, x): e_mat,
-                            fp_block(a, x): -e_mat,
-                            fm_block(a, x): e_mat,
-                        }
-                        if x != x_star:
-                            xi = others.index(x)
-                            coeffs[gp_block(e, xi)] = e_mat
-                            coeffs[gm_block(e, xi)] = -e_mat
-                        else:
-                            for xi in range(len(others)):
-                                coeffs[gp_block(e, xi)] = -e_mat
-                                coeffs[gm_block(e, xi)] = e_mat
-                        rhs = 0.0
-                        if a == guess_outcome[e] and x == x_star:
-                            rhs = -hermitian_inner(e_mat, guess_target[e])
-                        constraints.append(sdp.LinearConstraint(coeffs, rhs))
-        pair = 0
-        for a in range(n_a):
-            for x in range(m):
-                constraints.append(sdp.LinearConstraint(
-                    {fp_block(a, x): eye, fm_block(a, x): eye,
-                     cap_block(pair): np.eye(1, dtype=complex)}, cap))
-                pair += 1
-        for e in range(n_guess):
-            for xi in range(len(others)):
-                constraints.append(sdp.LinearConstraint(
-                    {gp_block(e, xi): eye, gm_block(e, xi): eye,
-                     cap_block(pair): np.eye(1, dtype=complex)}, cap))
-                pair += 1
-
-        dims = tuple([d] * (n_h + 2 * n_f + 2 * n_g) + [1] * (n_f + n_g))
-        sol = sdp.solve(sdp.SdpProblem(dims, objective, constraints), **(solver_opts or {}))
-        if sol.status is sdp.SolverStatus.OPTIMAL and (
-            best_sol is None or sol.primal_value > best_sol.primal_value
-        ):
-            best_sol = sol
-        if sol.status is not sdp.SolverStatus.OPTIMAL:
-            break
-        min_slack = min(
-            float(sol.primal[cap_block(j)][0, 0].real) for j in range(n_f + n_g)
-        )
-        if min_slack > 1e-3 * cap:
-            break
-        cap *= 10.0
-    if best_sol is not None:
-        sol = best_sol
-
-    f_grid = np.empty((n_a, m, d, d), dtype=complex)
-    for a in range(n_a):
-        for x in range(m):
-            f_grid[a, x] = sol.primal[fp_block(a, x)] - sol.primal[fm_block(a, x)]
-    g_grid = np.zeros((n_guess, m, d, d), dtype=complex)
-    for e in range(n_guess):
-        for xi, x in enumerate(others):
-            g_grid[e, x] = sol.primal[gp_block(e, xi)] - sol.primal[gm_block(e, xi)]
-    functional = SteeringFunctional(
-        F=freeze(f_grid),
-        x_star=x_star,
-        G=freeze(g_grid),
-        guess_outcome=np.asarray(guess_outcome, dtype=int),
-        guess_target=freeze(guess_target),
+    noise = np.broadcast_to(
+        np.eye(sc.bob_dim, dtype=complex) / (sc.bob_dim * sc.n_outcomes), asm.sigma.shape
     )
-    return functional, -sol.primal_value, sol.status
+    return Assemblage(sc, (1.0 - delta) * asm.sigma + delta * noise)
+
+
+def dual_functional_direct(
+    asm: Assemblage, x_star: int = 0, *, solver_opts: dict | None = None
+) -> tuple[SteeringFunctional, float]:
+    """A globally valid steering inequality for the local bound, and its value on ``asm``.
+
+    It is the functional of `certify_local` on ``asm`` mixed with uniform noise
+    of weight delta = 1e-4. Every block of the smoothed assemblage has full
+    rank, so that certification is not facially reduced and its multipliers
+    are dual feasible everywhere. The value exceeds the optimum by O(delta)
+    on interior instances; on degenerate ones, where the dual optimum of the
+    full problem is not attained, the excess shrinks only as sqrt(delta).
+    """
+    res = certify_local(_smoothed(asm, 1e-4), x_star, solver_opts=solver_opts)
+    if res.status is not sdp.SolverStatus.OPTIMAL:
+        raise CertificationError(f"smoothed certification ended with status {res.status}")
+    return res.functional, res.functional.value_on(asm)

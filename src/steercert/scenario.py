@@ -18,8 +18,6 @@ from .qlin import (
     Povm,
     freeze,
     basis_povm,
-    hermitian_basis,
-    hermitian_inner,
     is_psd,
     kron,
     matrix_from_json,
@@ -253,23 +251,22 @@ def lhs_test(asm: Assemblage, *, tol: float = LHS_TOL) -> LhsResult:
         )
     strategies = deterministic_strategies(sc.n_inputs, sc.n_outcomes)
     d = sc.bob_dim
-    basis = hermitian_basis(d)
     noise = np.eye(d) / (sc.n_outcomes * d)
 
     block_dims = (d,) * n_strat + (1,)
     t_block = n_strat
     objective: list[np.ndarray | None] = [None] * n_strat + [-np.eye(1, dtype=complex)]
-    constraints = []
-    for a in range(sc.n_outcomes):
-        for x in range(sc.n_inputs):
-            for e in basis:
-                coeffs = {
-                    lam: e for lam in range(n_strat) if strategies[lam, x] == a
-                }
-                coeffs[t_block] = -hermitian_inner(e, noise) * np.eye(1, dtype=complex)
-                constraints.append(
-                    sdp.LinearConstraint(coeffs, hermitian_inner(e, asm.sigma[a, x]))
-                )
+    identity = sdp.term_stack(d)
+    # the term t -> -t * noise, whose adjoint is E -> -<E, noise>
+    t_term = sdp.term_stack(
+        d, lambda e: -np.real(np.sum(np.conj(e) * noise, axis=(-2, -1)))[:, None, None]
+        * np.eye(1, dtype=complex)
+    )
+    equalities = []
+    for a, x in np.ndindex(sc.n_outcomes, sc.n_inputs):
+        terms = {lam: identity for lam in range(n_strat) if strategies[lam, x] == a}
+        equalities.append(sdp.MatrixEquality({**terms, t_block: t_term}, asm.sigma[a, x]))
+    constraints = sdp.expand(equalities)
     solution = sdp.solve(sdp.SdpProblem(block_dims, objective, constraints))
     if solution.status is not sdp.SolverStatus.OPTIMAL:
         raise RuntimeError(f"LHS membership solve failed with status {solution.status}")

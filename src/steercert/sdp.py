@@ -37,6 +37,10 @@ removed rows are consistent; dual multipliers for removed rows
 are reported as zero, which keeps the returned ``dual`` vector a valid
 certificate in the original row order. Each iteration's gap and residuals
 are logged at DEBUG level on the ``steercert`` logger.
+
+Callers state their constraints as ``MatrixEquality``s between Hermitian
+matrices: ``expand`` makes each one's rows over ``hermitian_basis``, all of
+them, and ``fold`` returns each one's multiplier as a Hermitian matrix.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .qlin import dagger, is_hermitian, matrix_to_json
+from .qlin import dagger, hermitian_basis, is_hermitian, matrix_to_json
 
 _log = logging.getLogger("steercert")
 
@@ -76,6 +80,53 @@ class LinearConstraint:
 
     coeffs: dict[int, np.ndarray]
     rhs: float
+
+
+@functools.cache
+def _basis(d: int) -> np.ndarray:
+    """``hermitian_basis(d)``, read-only and cached."""
+    basis = hermitian_basis(d)
+    basis.setflags(write=False)
+    return basis
+
+
+@dataclass(frozen=True)
+class MatrixEquality:
+    """An equality sum_k T_k(X_k) = rhs between d x d Hermitian matrices, whose rows are
+    sum_k <T_k^dag(E_r), X_k> = <E_r, rhs> for the elements E_r of ``hermitian_basis(d)``.
+    Each term is given by its adjoint on that basis: ``terms[k]`` is the (d*d, d_k, d_k)
+    stack of T_k^dag(E_r) (see ``term_stack``)."""
+
+    terms: dict[int, np.ndarray]
+    rhs: np.ndarray
+
+
+def term_stack(d: int, adjoint=None) -> np.ndarray:
+    """The stack T^dag(E_r), r = 1 .. d*d, of a term T with d x d Hermitian values, given its
+    adjoint as a function of a stack of matrices; the identity term when ``adjoint`` is None."""
+    return _basis(d) if adjoint is None else adjoint(_basis(d))
+
+
+def expand(equalities: list[MatrixEquality]) -> list[LinearConstraint]:
+    """The rows of each equality in turn, d*d of them in basis order; every coefficient is
+    kept, zero or not, so that each equality has d*d rows."""
+    rows = []
+    for eq in equalities:
+        basis = _basis(eq.rhs.shape[-1])
+        rhs = np.real(np.sum(np.conj(basis) * eq.rhs, axis=(-2, -1)))
+        rows += [LinearConstraint({k: t[r] for k, t in eq.terms.items()}, rhs[r]) for r in range(len(basis))]
+    return rows
+
+
+def fold(equalities: list[MatrixEquality], y: np.ndarray) -> list[np.ndarray]:
+    """Each equality's multiplier Y = sum_r y_r E_r, as a Hermitian matrix, from the
+    multipliers ``y`` of the rows ``expand`` made of them."""
+    out, start = [], 0
+    for eq in equalities:
+        basis = _basis(eq.rhs.shape[-1])
+        out.append(sum(y_r * e for y_r, e in zip(y[start:start + len(basis)], basis)))
+        start += len(basis)
+    return out
 
 
 @dataclass

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .certify import CertificationResult, SteeringFunctional, certify_local
-from .qlin import Povm, dagger, hermitian_basis, hermitian_inner, partial_trace, random_unitary
+from .certify import CertificationResult, SteeringFunctional, _smoothed, certify_local
+from .qlin import Povm, dagger, partial_trace, random_unitary
 from .scenario import Assemblage, Scenario, apply_loss, assemblage_from
 
 _log = logging.getLogger("steercert")
@@ -164,40 +164,20 @@ def _measurements_sdp(weights: np.ndarray, solver_opts: dict | None = None) -> l
     """Per input x, the POVM minimizing sum_a <weights[a, x], M_a>, by one SDP with a
     block per (outcome, input)."""
     n_a, m, d_a = weights.shape[:3]
-    basis_a = hermitian_basis(d_a)
-    eye_a = np.eye(d_a, dtype=complex)
-
-    def block(a: int, x: int) -> int:
-        return a * m + x
-
-    constraints = []
-    for x in range(m):
-        for e_mat in basis_a:
-            coeffs = {block(a, x): e_mat for a in range(n_a)}
-            constraints.append(sdp.LinearConstraint(coeffs, hermitian_inner(e_mat, eye_a)))
-
-    problem = sdp.SdpProblem((d_a,) * (n_a * m), list(-weights.reshape(n_a * m, d_a, d_a)), constraints)
+    identity, eye_a = sdp.term_stack(d_a), np.eye(d_a, dtype=complex)
+    completeness = [sdp.MatrixEquality({a * m + x: identity for a in range(n_a)}, eye_a) for x in range(m)]
+    objective = list(-weights.reshape(n_a * m, d_a, d_a))
+    problem = sdp.SdpProblem((d_a,) * (n_a * m), objective, sdp.expand(completeness))
     sol = sdp.solve(problem, **(solver_opts or _SEESAW_SOLVER_OPTS))
     if sol.status is not sdp.SolverStatus.OPTIMAL:
         raise RuntimeError(f"measurement optimization failed with status {sol.status}")
-    return [
-        _restore_povm([sol.primal[block(a, x)] for a in range(n_a)]) for x in range(m)
-    ]
+    return [_restore_povm([sol.primal[a * m + x] for a in range(n_a)]) for x in range(m)]
 
 
 def _strip_loss(functional: SteeringFunctional, n_ideal: int) -> SteeringFunctional:
     """Functional restricted to the conclusive outcomes; the no-click row
     contributes a measurement-independent constant under fixed loss."""
     return SteeringFunctional(F=functional.F[:n_ideal], x_star=functional.x_star)
-
-
-def _smoothed(asm: Assemblage, delta: float) -> Assemblage:
-    """Assemblage mixed with a weight-delta uniform-noise assemblage."""
-    sc = asm.scenario
-    noise = np.broadcast_to(
-        np.eye(sc.bob_dim, dtype=complex) / (sc.bob_dim * sc.n_outcomes), asm.sigma.shape
-    )
-    return Assemblage(sc, (1.0 - delta) * asm.sigma + delta * noise)
 
 
 def _stepping_functional(

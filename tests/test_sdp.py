@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from steercert.qlin import dagger, hermitian_basis, hermitian_inner, min_eig
+from steercert.qlin import dagger, hermitian_basis, hermitian_inner, min_eig, partial_trace
 from steercert.sdp import (
     LinearConstraint,
+    MatrixEquality,
     SdpProblem,
     SolverStatus,
     _max_steps,
@@ -18,8 +19,11 @@ from steercert.sdp import (
     _tril_inv,
     _unsvec,
     derealify,
+    expand,
+    fold,
     realify,
     solve,
+    term_stack,
 )
 
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -286,6 +290,49 @@ def test_forced_zero_block():
     assert np.max(np.abs(sol.primal[1])) <= 1e-7
 
 
+def test_matrix_equality_rows_and_multipliers():
+    # a rank-deficient compression X -> V X V^dag and the prepare-and-measure map
+    # M -> Tr_A[(M (x) 1) rho] into 3 x 3 matrices, then the identity into 2 x 2 ones
+    rng = np.random.default_rng(29)
+    d_a, d = 2, 3
+    v = np.linalg.qr(rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2)))[0]
+    g = rng.standard_normal((d_a * d, d_a * d)) + 1j * rng.standard_normal((d_a * d, d_a * d))
+    rho = g @ dagger(g) / np.trace(g @ dagger(g)).real
+
+    def pm_adjoint(e):  # E -> Herm Tr_B[(1 (x) E) rho]
+        c = np.stack([partial_trace(np.kron(np.eye(d_a), x) @ rho, (d_a, d), keep="A") for x in e])
+        return 0.5 * (c + dagger(c))
+
+    maps = [
+        {
+            0: lambda x: v @ x @ dagger(v),
+            1: lambda m: partial_trace(np.kron(m, np.eye(d)) @ rho, (d_a, d), keep="B"),
+        },
+        {2: lambda x: x},
+    ]
+    equalities = [
+        MatrixEquality({0: term_stack(d, lambda e: dagger(v) @ e @ v), 1: term_stack(d, pm_adjoint)},
+                       random_herm(d, rng)),
+        MatrixEquality({2: term_stack(2)}, random_herm(2, rng)),
+    ]
+    xs = {0: random_herm(2, rng), 1: random_herm(d_a, rng), 2: random_herm(2, rng)}
+    rows = expand(equalities)
+    assert len(rows) == d * d + 4
+    y = rng.standard_normal(len(rows))
+    start = 0
+    for eq, terms, big_y in zip(equalities, maps, fold(equalities, y)):
+        image = sum(t(xs[k]) for k, t in terms.items())
+        basis = hermitian_basis(len(eq.rhs))
+        values = []
+        for e, row in zip(basis, rows[start:start + len(basis)]):
+            values.append(sum(hermitian_inner(c, xs[k]) for k, c in row.coeffs.items()))
+            assert values[-1] == pytest.approx(hermitian_inner(e, image), abs=1e-12)
+            assert row.rhs == pytest.approx(hermitian_inner(e, eq.rhs), abs=1e-12)
+        assert np.max(np.abs(big_y - dagger(big_y))) == 0.0
+        assert y[start:start + len(basis)] @ values == pytest.approx(hermitian_inner(big_y, image), abs=1e-12)
+        start += len(basis)
+
+
 def test_solution_residuals_small():
     rng = np.random.default_rng(77)
     problem, _ = planted_problem(d=3, m=6, rank=2, rng=rng)
@@ -342,9 +389,9 @@ def test_reported_residuals_are_those_of_the_returned_iterate(monkeypatch):
 def test_stalled_solve_stops_early(monkeypatch, caplog):
     # a see-saw stepping certification: Pauli X/Z on a pure state, smoothed by
     # uniform noise of weight 3e-7, at the see-saw's solver targets
-    from steercert.certify import certify_local
+    from steercert.certify import _smoothed, certify_local
     from steercert.scenario import assemblage_from, pauli_xz, schmidt_state
-    from steercert.seesaw import _SEESAW_SOLVER_OPTS, _smoothed
+    from steercert.seesaw import _SEESAW_SOLVER_OPTS
 
     theta = np.pi / 7
     rho = schmidt_state([np.cos(theta) ** 2, np.sin(theta) ** 2])
