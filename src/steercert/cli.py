@@ -387,6 +387,8 @@ def run_seesaw(config: ExperimentConfig, *, out: str | None = None) -> tuple[dic
                             "iterations": len(t.iterations),
                             "converged": t.converged,
                             "stop_reason": str(t.stop_reason),
+                            "deltas": [it.delta for it in t.iterations],
+                            "steps": [it.step for it in t.iterations],
                         }
                         for s, t in traces.items()
                     },

@@ -151,6 +151,23 @@ def test_run_seesaw_artifacts(tmp_path):
     assert "0" in side["seeds"]
 
 
+def test_run_seesaw_sidecar_lists_delta_and_step(tmp_path):
+    config = ExperimentConfig(
+        kind="seesaw",
+        state={"kind": "schmidt", "lambdas": [0.75, 0.25]},
+        seeds=(0, 1),
+        max_iters=4,
+    )
+    run_seesaw(config, out=str(tmp_path / "trace.csv"))
+    side = json.loads((tmp_path / "trace.json").read_text())
+    for seed in ("0", "1"):
+        entry = side["seeds"][seed]
+        assert len(entry["deltas"]) == len(entry["steps"]) == entry["iterations"]
+        assert entry["deltas"][0] is None and entry["steps"][0] == 0
+        assert all(delta > 0 for delta in entry["deltas"][1:])
+        assert all(step in (1, 3, 9, 27) for step in entry["steps"][1:])
+
+
 def test_main_certify_json(tmp_path, capsys):
     path = write_config(
         tmp_path,

@@ -11,10 +11,12 @@ from steercert.scenario import (
     schmidt_state,
     werner_state,
 )
+from steercert.qlin import Povm, random_unitary
 from steercert.seesaw import (
     SeesawError,
     StopReason,
     _alice_weights,
+    _geodesic,
     _measurements_sdp,
     _strip_loss,
     optimize_measurements,
@@ -285,3 +287,140 @@ def test_non_optimal_stepping_certification_is_logged(monkeypatch, caplog):
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stepping")]
     gap = seen[0].gap
     assert lines == [f"stepping certification at delta 3.0e-02 ended numerical_trouble (gap {gap:.2e})"]
+
+
+def projective(p: np.ndarray) -> Povm:
+    return Povm([p, np.eye(len(p)) - p])
+
+
+def rotation(p_old, p_new):
+    """The unitary polar factor of P_new P_old + (1 - P_new)(1 - P_old), by SVD."""
+    eye = np.eye(len(p_old))
+    w, _, vh = np.linalg.svd(p_new @ p_old + (eye - p_new) @ (eye - p_old))
+    return w @ vh
+
+
+# (dimension, rank of M_0, seed): qubits, and qutrits with rank-1 and rank-2 projectors
+GEODESIC_CASES = [(2, 1, 0), (2, 1, 1), (3, 2, 2), (3, 1, 3)]
+
+
+def random_projector_pairs(d, rank, seed):
+    """Two inputs' random rank-`rank` projective measurements, old and new."""
+    rng = np.random.default_rng(seed)
+    old, new = [], []
+    for _ in range(2):
+        for side in (old, new):
+            u = random_unitary(d, rng)
+            side.append(projective(u[:, :rank] @ u[:, :rank].conj().T))
+    return old, new
+
+
+@pytest.mark.parametrize("d, rank, seed", GEODESIC_CASES)
+def test_geodesic_passes_through_both_endpoints(d, rank, seed):
+    old, new = random_projector_pairs(d, rank, seed)
+    path = _geodesic(old, new)
+    for t, ends in ((0, old), (1, new)):
+        for povm, end in zip(path(t), ends):
+            assert np.max(np.abs(povm.elements[0] - end.elements[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("d, rank, seed", GEODESIC_CASES)
+def test_geodesic_stays_on_projectors_of_one_rank(d, rank, seed):
+    old, new = random_projector_pairs(d, rank, seed)
+    path = _geodesic(old, new)
+    for t in (0.5, 2, 3, 9, 27):
+        for povm in path(t):
+            p = povm.elements[0]
+            assert np.max(np.abs(p - p.conj().T)) <= 1e-12
+            assert np.max(np.abs(p @ p - p)) <= 1e-12
+            assert np.trace(p).real == pytest.approx(rank, abs=1e-12)
+    # P(2) is the rotation taking P(0) to P(1), applied twice
+    for povm, o, n in zip(path(2), old, new):
+        u = rotation(o.elements[0], n.elements[0])
+        assert np.max(np.abs(povm.elements[0] - u @ n.elements[0] @ u.conj().T)) <= 1e-12
+
+
+def test_geodesic_needs_a_rotation_between_projectors():
+    old, new = random_projector_pairs(2, 1, 4)
+    assert _geodesic(old, new) is not None
+    p = old[0].elements[0]
+    cases = {
+        "equal": (old, old),
+        "orthogonal": (old, [Povm(q.elements[::-1]) for q in old]),
+        "unequal ranks": ([projective(np.eye(2)), old[1]], new),
+        "not projective": ([projective(0.9 * p), old[1]], new),
+        "three outcomes": ([Povm([p, 0 * p, np.eye(2) - p])] * 2, new),
+    }
+    for name, (a, b) in cases.items():
+        assert _geodesic(a, b) is None, name
+
+
+def count_calls(monkeypatch, run):
+    """(run(), certify_local calls, optimize_measurements calls) inside the see-saw."""
+    import sys
+
+    mod = sys.modules["steercert.seesaw"]
+    calls = {"certify": 0, "optimize": 0}
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(mod, "certify_local", counted("certify", mod.certify_local))
+    monkeypatch.setattr(mod, "optimize_measurements", counted("optimize", mod.optimize_measurements))
+    return run(), calls["certify"], calls["optimize"]
+
+
+@pytest.mark.parametrize("update", ["equal", "orthogonal", "extrapolated"])
+def test_extrapolation_certifies_only_along_a_geodesic(monkeypatch, update):
+    # full-rank assemblages are not facially reduced, so no stepping
+    # certification is made: one certification per update unless extrapolating
+    import sys
+
+    mod = sys.modules["steercert.seesaw"]
+    rho, start = werner_state(0.9), random_povms(2, 2, 2, seed=0)
+    if update != "extrapolated":
+        fixed = start if update == "equal" else [Povm(p.elements[::-1]) for p in start]  # M_0 = 1 - P_old
+        monkeypatch.setattr(mod, "optimize_measurements", lambda *args, **kwargs: list(fixed))
+    trace, certifications, updates = count_calls(monkeypatch, lambda: seesaw(rho, start, 0, max_iters=4))
+    assert updates >= 1
+    if update == "extrapolated":
+        assert certifications > 1 + updates
+        assert any(it.step > 1 for it in trace.iterations)
+    else:
+        assert certifications == 1 + updates
+        assert all(it.step == 1 for it in trace.iterations[1:])
+
+
+def test_three_outcome_updates_are_not_extrapolated(monkeypatch):
+    rho = isotropic_state(3, 0.8)
+    _, certifications, updates = count_calls(
+        monkeypatch, lambda: seesaw(rho, random_povms(3, 2, 3, seed=1), 0, max_iters=3)
+    )
+    assert updates >= 1 and certifications == 1 + updates
+
+
+def test_iterations_record_delta_and_step():
+    trace = seesaw(RHO_PI7, random_povms(2, 2, 2, seed=0), 0, max_iters=50, tol=1e-6, ceiling=1.0)
+    first, *rest = trace.iterations
+    assert (first.delta, first.step) == (None, 0)
+    ladder = [3e-2 / 10**k for k in range(6)]
+    for it in rest:
+        assert it.step in (1, 3, 9, 27)
+        assert any(it.delta == pytest.approx(delta, rel=1e-12) for delta in ladder)
+    assert any(it.step > 1 for it in rest)
+
+
+def test_resuming_a_stalled_start_gains_nothing():
+    stalled = 0
+    for seed in range(5):
+        first = seesaw(RHO_PI7, random_povms(2, 2, 2, seed), 0, max_iters=50, tol=1e-6, ceiling=1.0)
+        if first.stop_reason is not StopReason.STALL:
+            continue
+        stalled += 1
+        resumed = seesaw(RHO_PI7, list(first.final.povms), 0, max_iters=5, tol=1e-6, ceiling=1.0)
+        assert resumed.final.h_min - first.final.h_min < 1e-6
+    assert stalled >= 1

@@ -1,0 +1,106 @@
+"""Run `fig6_seesaw` see-saw starts one by one and report how each ends, or pair
+the starts of this checkout with those of another.
+
+    python3 tools/seesaw_starts.py --starts 0-29
+    python3 tools/seesaw_starts.py --starts 0-29 --against ../parent
+
+Each start s runs the `fig6_seesaw` preset with `seeds=(s,)` through
+`cli.run_seesaw`, as the benchmark's `seesaw` ops do, and prints one line: the
+start, its stop reason, its shortfall from the ceiling of 1 bit, the number of
+`sdp.solve` calls it made (counted by wrapping `sdp.solve` from here) and whether
+it converged. `--root` names the checkout whose `perfbench/workloads.py` and `src/`
+are used (default: this one). `--against ROOT` runs the starts at both checkouts
+in two subprocesses at once, prints both lines per start, the counts of starts
+converged at both, only here, only at ROOT and at neither, and the exact two-sided
+McNemar p-value of the discordant counts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+parser.add_argument("--starts", default="0-29", help="a range LO-HI, both included, or one start")
+parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
+parser.add_argument("--against", type=Path, help="another checkout to compare with")
+
+
+def start_range(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def mcnemar_exact(b: int, c: int) -> float:
+    """Two-sided exact McNemar p-value: the binomial(b + c, 1/2) tail at min(b, c), doubled."""
+    n = b + c
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, k) for k in range(min(b, c) + 1)) / 2**n
+    return min(1.0, 2.0 * tail)
+
+
+def run_starts(root: Path, starts: str) -> subprocess.Popen:
+    return subprocess.Popen([sys.executable, __file__, "--starts", starts, "--root", str(root)],
+                            stdout=subprocess.PIPE, text=True)
+
+
+def rows(proc: subprocess.Popen) -> dict[int, tuple[str, float, int, bool]]:
+    """Start -> (its printed line, shortfall, solves, converged) from a finished child run."""
+    out, _ = proc.communicate()
+    if proc.returncode:
+        raise SystemExit(f"{proc.args} exited {proc.returncode}")
+    found = {}
+    for line in out.splitlines():
+        if not line.startswith("#"):
+            fields = line.split()
+            found[int(fields[0])] = (line, float(fields[2]), int(fields[3]), fields[4] == "yes")
+    return found
+
+
+def compare(root: Path, other: Path, starts: str) -> None:
+    mine, theirs = (rows(p) for p in [run_starts(root, starts), run_starts(other, starts)])
+    print(f"# start     stop_reason  shortfall  solves  converged   (here: {root}, there: {other})")
+    for s in mine:
+        print(f"here  {mine[s][0]}\nthere {theirs[s][0]}")
+    both = sum(mine[s][3] and theirs[s][3] for s in mine)
+    here = sum(mine[s][3] and not theirs[s][3] for s in mine)
+    there = sum(theirs[s][3] and not mine[s][3] for s in mine)
+    shortfall, solves = ([sum(r[k] for r in side.values()) for side in (mine, theirs)] for k in (1, 2))
+    print(f"mean shortfall: {shortfall[0] / len(mine):.3e} here, {shortfall[1] / len(mine):.3e} there; "
+          f"solves: {solves[0]} here, {solves[1]} there")
+    print(f"converged: {both + here} of {len(mine)} here, {both + there} there; both {both}, "
+          f"only here {here}, only there {there}, neither {len(mine) - both - here - there}; "
+          f"exact McNemar p = {mcnemar_exact(here, there):.3g}")
+
+
+if __name__ == "__main__":
+    args = parser.parse_args()
+    if args.against:
+        compare(args.root, args.against, args.starts)
+        sys.exit(0)
+    sys.path.insert(0, str(args.root.resolve() / "perfbench"))
+    import workloads as bench  # puts that checkout's src/ first on the path
+
+    from steercert import sdp
+
+    solves = 0
+    solve = sdp.solve
+
+    def counting(*a, **kw):
+        global solves
+        solves += 1
+        return solve(*a, **kw)
+
+    sdp.solve = counting
+    preset = replace(bench.cli.presets()["fig6_seesaw"], out=None)
+    print("# start     stop_reason  shortfall  solves  converged", flush=True)
+    for s in start_range(args.starts):
+        solves = 0
+        summary, _ = bench.cli.run_seesaw(replace(preset, seeds=(s,)))
+        print(f"{s:7d}  {summary['stop_reason']:>14s}  {1.0 - summary['final_h_min']:9.2e}  {solves:6d}  "
+              f"{'yes' if summary['converged'] else 'no':>9s}", flush=True)
