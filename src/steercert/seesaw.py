@@ -13,7 +13,11 @@ Each step can only improve (or hold) the certified min-entropy, so the
 recorded trace is monotone up to solver noise. The alternation alone
 converges only linearly, so after each accepted update the see-saw also
 tries longer steps along the geodesic through the old and new
-measurements. With inefficient detectors the loss channel is applied
+measurements. Facially reduced certifications steer through the
+inequality of the assemblage smoothed by noise of weight delta; a round
+passes over a fixed ladder of deltas at most once, and a start ends when
+the ceiling is reached or a whole pass accepts nothing, which is a fixed
+point. With inefficient detectors the loss channel is applied
 after each measurement update: the loss is a device property, not
 something the optimization can redesign.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -40,6 +45,9 @@ _SEESAW_SOLVER_OPTS = {"gap_tol": 1e-11, "feas_tol": 1e-10}
 
 # geodesic steps tried, in order, after each accepted update (the update is step 1)
 _EXTRAPOLATION_STEPS = (3, 9, 27)
+# smoothing weights delta of the stepping inequality, top first: 3e-2 divided
+# by 10 in turn while above 1e-6, so the last rung, the floor, is 3e-7
+_SMOOTHING_LADDER = tuple(itertools.accumulate(range(5), lambda delta, _: delta / 10.0, initial=3e-2))
 # entries within this of a projector's are taken as exact; P_old and P_new
 # this close count as equal, and squared cosines this small as orthogonal
 _PROJECTOR_TOL = 1e-9
@@ -249,8 +257,8 @@ def _stepping_functional(
     assemblages leave those faces (and the full dual optimum is not
     attained there); instead, the optimal inequality of the noise-smoothed
     assemblage is used - globally feasible, directionally sharp, and
-    suboptimal only at the O(delta) scale. The caller refines delta when
-    progress stalls.
+    suboptimal only at the O(delta) scale. The caller moves down
+    `_SMOOTHING_LADDER` when progress slows.
 
     A smoothed certification that ends non-optimal still steers, and is
     only logged: its inequality merely proposes an update, which is
@@ -278,38 +286,32 @@ def seesaw(
     max_iters: int = 100,
     tol: float = 1e-6,
     ceiling: float | None = None,
-    stall_window: int = 3,
-    smoothing: float = 3e-2,
-    min_smoothing: float = 1e-6,
     solver_opts: dict | None = None,
 ) -> SeesawTrace:
     """Alternate certification and measurement optimization from a starting
     measurement set, recording the certified min-entropy per round.
 
     Each round takes the stepping inequality of the current measurements at
-    smoothing weight delta, updates the measurements against it and
-    re-certifies. The update is accepted only if its certification is
-    optimal and does not worsen the guessing probability, so the recorded
-    sequence is monotone. The alternation alone converges only linearly, so
-    after an accepted update of two-outcome projective measurements the
-    round extrapolates along the geodesic from the old measurements through
-    the new ones (`_geodesic`): it certifies steps t = 3, 9 and 27 in turn
-    and keeps the last one that is optimal and strictly lowers the guessing
-    probability.
+    a smoothing weight delta of `_SMOOTHING_LADDER`, updates the
+    measurements against it and re-certifies. The update is accepted only
+    if its certification is optimal and does not worsen the guessing
+    probability, so the recorded sequence is monotone. The alternation
+    alone converges only linearly, so after an accepted update of
+    two-outcome projective measurements the round extrapolates along the
+    geodesic from the old measurements through the new ones (`_geodesic`):
+    it certifies steps t = 3, 9 and 27 in turn and keeps the last one that
+    is optimal and strictly lowers the guessing probability.
 
-    `smoothing` is the first weight delta of the uniform noise mixed into a
-    facially reduced assemblage to get its stepping inequality. A rejected
-    update or a gain below 1e-3 divides delta by 10 while delta exceeds
-    `min_smoothing`, so the last delta, the floor, is the first one below
-    it: 3e-7 with the defaults. A rejection at the floor restarts the
-    ladder at `smoothing`. A start ends only when one round tries every
-    delta from `smoothing` down to the floor and accepts none: at the
-    ceiling that is Tolerance, short of it Stall. Resuming from such a
-    start's measurements repeats that round, so it gains nothing. The loop
-    also stops when a gain below `tol` reaches the known analytic `ceiling`
-    (Tolerance; any gain below `tol` when no ceiling is given), after
-    `stall_window` accepted updates in a row at the floor that each gain
-    less than `tol` (Stall), or after `max_iters` rounds.
+    A round tries each rung at most once: from its own rung down to the
+    floor (3e-7), then up from the rung just above its own to the top
+    (3e-2), nearest first, and stops at the first accepted update. The next
+    round starts at the accepting rung, or one rung lower when the gain was
+    below 1e-3. A round that accepts nothing ends the start: short of the
+    ceiling that is Stall. Resuming from such a start's measurements repeats
+    that round, so it gains nothing. The loop stops with Tolerance as soon
+    as the current iterate, the start included, is within `tol` of the known
+    analytic `ceiling`; with no ceiling, after a gain below `tol` or a round
+    that accepts nothing. Otherwise it stops after `max_iters` iterates.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -319,77 +321,59 @@ def seesaw(
     povms = list(initial)
     n_ideal = povms[0].n_outcomes
     ideal_shape = Scenario(len(povms), n_ideal, rho.shape[0] // povms[0].dim)
+    floor = len(_SMOOTHING_LADDER) - 1
 
     def certified(candidate: list[Povm]):
         measured = candidate if eta >= 1.0 else [apply_loss(p, eta) for p in candidate]
         asm = assemblage_from(rho, measured)
         return asm, certify_local(asm, x_star, solver_opts=opts)
 
+    def update(rung: int):
+        """The round's accepted (povms, assemblage, result, step) at `rung`, or None."""
+        functional = _stepping_functional(asm, res, x_star, _SMOOTHING_LADDER[rung], opts)
+        candidate = optimize_measurements(rho, _strip_loss(functional, n_ideal), ideal_shape, solver_opts=opts)
+        cand_asm, cand_res = certified(candidate)
+        if cand_res.status is not sdp.SolverStatus.OPTIMAL or cand_res.p_guess > res.p_guess + 1e-10:
+            return None
+        accepted = (candidate, cand_asm, cand_res, 1)
+        path = _geodesic(povms, candidate)
+        for t in _EXTRAPOLATION_STEPS if path is not None else ():
+            trial = path(t)
+            trial_asm, trial_res = certified(trial)
+            if trial_res.status is not sdp.SolverStatus.OPTIMAL or trial_res.p_guess >= accepted[2].p_guess:
+                break
+            accepted = (trial, trial_asm, trial_res, t)
+        return accepted
+
     asm, res = certified(povms)
     iterations = [
         SeesawIteration(res.h_min, res.p_guess, res.functional, tuple(povms), None, 0)
     ]
-    converged = False
-    stop_reason = StopReason.MAX_ITERATIONS
-    small_steps = 0
-    delta = smoothing
-    for _ in range(max_iters - 1):
+    rung = 0
+    while True:
+        if ceiling is not None and res.h_min >= ceiling - tol:
+            return SeesawTrace(tuple(iterations), True, StopReason.TOLERANCE)
+        if len(iterations) >= max_iters:
+            return SeesawTrace(tuple(iterations), False, StopReason.MAX_ITERATIONS)
         accepted = None
-        from_top = delta == smoothing  # this round's ladder starts at the first delta
-        while True:
+        for k in (*range(rung, floor + 1), *range(rung - 1, -1, -1)):
             try:
-                functional = _stepping_functional(asm, res, x_star, delta, opts)
-                candidate = optimize_measurements(
-                    rho, _strip_loss(functional, n_ideal), ideal_shape, solver_opts=opts
-                )
-                cand_asm, cand_res = certified(candidate)
-                if cand_res.status is sdp.SolverStatus.OPTIMAL and cand_res.p_guess <= res.p_guess + 1e-10:
-                    accepted = (candidate, cand_asm, cand_res, 1)
-                    path = _geodesic(povms, candidate)
-                    for t in _EXTRAPOLATION_STEPS if path is not None else ():
-                        trial = path(t)
-                        trial_asm, trial_res = certified(trial)
-                        if trial_res.status is not sdp.SolverStatus.OPTIMAL:
-                            break
-                        if trial_res.p_guess >= accepted[2].p_guess:
-                            break
-                        accepted = (trial, trial_asm, trial_res, t)
+                accepted = update(k)
             except (RuntimeError, ValueError) as exc:
                 partial = SeesawTrace(tuple(iterations), False, StopReason.MAX_ITERATIONS)
                 raise SeesawError(f"solver failed mid-loop: {exc}", partial) from exc
             if accepted is not None:
+                rung = k
                 break
-            if delta > min_smoothing:
-                delta /= 10.0
-            elif from_top:
-                break  # a full ladder accepted nothing: a fixed point
-            else:
-                delta, from_top = smoothing, True
-        if accepted is None:
-            at_ceiling = ceiling is None or res.h_min >= ceiling - tol
-            converged = at_ceiling
-            stop_reason = StopReason.TOLERANCE if at_ceiling else StopReason.STALL
-            break
+        if accepted is None:  # a full pass accepted nothing: a fixed point
+            stop_reason = StopReason.STALL if ceiling is not None else StopReason.TOLERANCE
+            return SeesawTrace(tuple(iterations), ceiling is None, stop_reason)
         povms, asm, res, step = accepted
         iterations.append(
-            SeesawIteration(res.h_min, res.p_guess, res.functional, tuple(povms), delta, step)
+            SeesawIteration(res.h_min, res.p_guess, res.functional, tuple(povms), _SMOOTHING_LADDER[rung], step)
         )
         gain = iterations[-1].h_min - iterations[-2].h_min
-        if abs(gain) < tol:
-            small_steps += 1
-            at_ceiling = ceiling is None or iterations[-1].h_min >= ceiling - tol
-            if at_ceiling:
-                converged = True
-                stop_reason = StopReason.TOLERANCE
-                break
-            if delta > min_smoothing:
-                delta /= 10.0  # refine before concluding a stall
-                small_steps = 0
-            elif small_steps >= stall_window:
-                stop_reason = StopReason.STALL
-                break
-        else:
-            small_steps = 0
-            if gain < 1e-3 and delta > min_smoothing:
-                delta /= 10.0  # slowing climb: tighten the stepping inequality
-    return SeesawTrace(iterations=tuple(iterations), converged=converged, stop_reason=stop_reason)
+        if ceiling is None and abs(gain) < tol:
+            return SeesawTrace(tuple(iterations), True, StopReason.TOLERANCE)
+        if gain < 1e-3 and rung < floor:
+            rung += 1  # slowing climb: tighten the stepping inequality

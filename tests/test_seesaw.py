@@ -161,12 +161,15 @@ def test_seesaw_product_state_stays_flat():
     assert np.all(trace.h_min_series() <= 1e-6)
 
 
-def test_seesaw_from_optimal_start_does_not_degrade():
-    trace = seesaw(werner_state(1.0), pauli_xz(), 0, max_iters=10, ceiling=1.0)
+def test_seesaw_from_optimal_start_does_not_degrade(monkeypatch):
+    trace, certifications, _ = count_calls(
+        monkeypatch, lambda: seesaw(werner_state(1.0), pauli_xz(), 0, max_iters=10, ceiling=1.0)
+    )
     assert trace.iterations[0].h_min == pytest.approx(1.0, abs=1e-7)
     assert trace.converged
     assert trace.stop_reason is StopReason.TOLERANCE
     assert np.all(trace.h_min_series() >= 1.0 - 1e-7)
+    assert certifications == 1  # a start at the ceiling is not stepped from
 
 
 def test_seesaw_reaches_one_bit_from_random_start():
@@ -424,3 +427,43 @@ def test_resuming_a_stalled_start_gains_nothing():
         resumed = seesaw(RHO_PI7, list(first.final.povms), 0, max_iters=5, tol=1e-6, ceiling=1.0)
         assert resumed.final.h_min - first.final.h_min < 1e-6
     assert stalled >= 1
+
+
+def test_no_round_certifies_a_rung_twice(monkeypatch):
+    import sys
+
+    mod = sys.modules["steercert.seesaw"]
+    original = mod._stepping_functional
+    seen = []  # holds each assemblage, so that no id is reused
+
+    def recorded(asm, res, x_star, delta, opts):
+        seen.append((asm, delta))
+        return original(asm, res, x_star, delta, opts)
+
+    monkeypatch.setattr(mod, "_stepping_functional", recorded)
+    for seed in range(5):
+        seesaw(RHO_PI7, random_povms(2, 2, 2, seed), 0, max_iters=50, tol=1e-6, ceiling=1.0)
+    keys = [(id(asm), delta) for asm, delta in seen]
+    assert len(keys) > 5
+    assert len(set(keys)) == len(keys)
+
+
+def test_seesaw_stops_at_the_ceiling(monkeypatch):
+    import sys
+
+    mod = sys.modules["steercert.seesaw"]
+    original = mod._stepping_functional
+    stepped_from = []
+
+    def recorded(asm, res, *args):
+        stepped_from.append(res.h_min)
+        return original(asm, res, *args)
+
+    monkeypatch.setattr(mod, "_stepping_functional", recorded)
+    tol = 1e-6
+    for seed in range(5):
+        trace = seesaw(RHO_PI7, random_povms(2, 2, 2, seed), 0, max_iters=50, tol=tol, ceiling=1.0)
+        assert np.all(trace.h_min_series()[:-1] < 1.0 - tol)
+        if trace.converged:
+            assert trace.stop_reason is StopReason.TOLERANCE and trace.final.h_min >= 1.0 - tol
+    assert stepped_from and max(stepped_from) < 1.0 - tol  # no round steps from the ceiling

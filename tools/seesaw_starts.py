@@ -11,8 +11,9 @@ start, its stop reason, its shortfall from the ceiling of 1 bit, the number of
 it converged. `--root` names the checkout whose `perfbench/workloads.py` and `src/`
 are used (default: this one). `--against ROOT` runs the starts at both checkouts
 in two subprocesses at once, prints both lines per start, the counts of starts
-converged at both, only here, only at ROOT and at neither, and the exact two-sided
-McNemar p-value of the discordant counts.
+converged at both, only here, only at ROOT and at neither, the exact two-sided
+McNemar p-value of the discordant counts, and each side's count of every stop
+reason (`tolerance`, `stall`, `max_iterations`).
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import math
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,8 +51,8 @@ def run_starts(root: Path, starts: str) -> subprocess.Popen:
                             stdout=subprocess.PIPE, text=True)
 
 
-def rows(proc: subprocess.Popen) -> dict[int, tuple[str, float, int, bool]]:
-    """Start -> (its printed line, shortfall, solves, converged) from a finished child run."""
+def rows(proc: subprocess.Popen) -> dict[int, tuple[str, float, int, bool, str]]:
+    """Start -> (its printed line, shortfall, solves, converged, stop reason) from a finished child run."""
     out, _ = proc.communicate()
     if proc.returncode:
         raise SystemExit(f"{proc.args} exited {proc.returncode}")
@@ -58,7 +60,7 @@ def rows(proc: subprocess.Popen) -> dict[int, tuple[str, float, int, bool]]:
     for line in out.splitlines():
         if not line.startswith("#"):
             fields = line.split()
-            found[int(fields[0])] = (line, float(fields[2]), int(fields[3]), fields[4] == "yes")
+            found[int(fields[0])] = (line, float(fields[2]), int(fields[3]), fields[4] == "yes", fields[1])
     return found
 
 
@@ -76,6 +78,9 @@ def compare(root: Path, other: Path, starts: str) -> None:
     print(f"converged: {both + here} of {len(mine)} here, {both + there} there; both {both}, "
           f"only here {here}, only there {there}, neither {len(mine) - both - here - there}; "
           f"exact McNemar p = {mcnemar_exact(here, there):.3g}")
+    reasons = [Counter(r[4] for r in side.values()) for side in (mine, theirs)]
+    print("stop reasons: " + "; ".join(f"{reason} {reasons[0][reason]} here, {reasons[1][reason]} there"
+                                       for reason in ("tolerance", "stall", "max_iterations")))
 
 
 if __name__ == "__main__":
