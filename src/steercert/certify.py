@@ -41,7 +41,7 @@ import numpy as np
 
 from . import sdp
 from .qlin import Povm, dagger, freeze, matrix_to_json, partial_trace
-from .scenario import Assemblage, Scenario, assemblage_from
+from .scenario import Assemblage, Scenario, assemblage_from, steering_adjoint
 
 CONSISTENCY_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-11  # relative eigenvalue threshold for facial reduction
@@ -220,6 +220,14 @@ def _check_x_star(n_inputs: int, x_star: int) -> None:
         raise ValueError(f"x_star = {x_star} outside the {n_inputs} available inputs")
 
 
+def _supports(mats: np.ndarray) -> list[list[np.ndarray]]:
+    """The support isometry of each mats[a, x] of an (n_a, m, d, d) grid of PSD matrices,
+    keeping eigenvalues above SUPPORT_CUTOFF times the largest of the grid."""
+    cutoff = SUPPORT_CUTOFF * float(np.max(np.linalg.eigvalsh(mats)[..., -1]))
+    n_a, m = mats.shape[:2]
+    return [[_support_isometry(mats[a, x], cutoff) for x in range(m)] for a in range(n_a)]
+
+
 def _support_isometry(mat: np.ndarray, cutoff: float) -> np.ndarray:
     """Columns spanning the range of a PSD matrix (eigenvalues above cutoff).
 
@@ -283,7 +291,7 @@ class _EveGrid:
                 equalities[e, x] = sdp.MatrixEquality({**plus, **minus}, zero)
         return equalities
 
-    def solve(self, targets: dict, groups: list[dict], solver_opts: dict | None):
+    def solve(self, targets: dict, groups: list[dict], solver_opts: dict | None = None):
         """Maximise sum <targets[key], V X[key] V^dag> subject to the equalities of each group,
         a dict keyed by the caller. An equality naming no block is left out; it must hold at
         X = 0, within CONSISTENCY_TOL. Returns the solution and, per group, the multiplier of
@@ -320,12 +328,30 @@ def _gridded(values: dict, shape: tuple[int, ...], d: int) -> np.ndarray:
     return freeze(out)
 
 
+def _result(
+    sol: sdp.SdpSolution, functional: SteeringFunctional, x_star: int, **unpacked
+) -> CertificationResult:
+    """The result of a certification solve, whose primal value is the reported p_guess;
+    ``unpacked`` holds Eve's strategy (``joint`` or ``pm_measurements``)."""
+    p_guess = sol.primal_value
+    return CertificationResult(
+        p_guess=p_guess,
+        h_min=min_entropy(p_guess),
+        gap=abs(p_guess - sol.dual_value),
+        status=sol.status,
+        functional=functional,
+        x_star=x_star,
+        dual_value=sol.dual_value,
+        **unpacked,
+    )
+
+
 def _solve_steering(
     asm: Assemblage,
     x_star: int,
     guess_outcome: np.ndarray,
     guess_target: np.ndarray,
-    solver_opts: dict | None,
+    solver_opts: dict | None = None,
 ) -> CertificationResult:
     """Shared engine for the local and global steering certifications."""
     sc = asm.scenario
@@ -333,11 +359,7 @@ def _solve_steering(
     n_a, m, d = sc.n_outcomes, sc.n_inputs, sc.bob_dim
     n_guess = len(guess_outcome)
 
-    scale = max(float(np.linalg.eigvalsh(asm.sigma[a, x])[-1]) for a, x in np.ndindex(n_a, m))
-    supports = [
-        [_support_isometry(asm.sigma[a, x], SUPPORT_CUTOFF * scale) for x in range(m)]
-        for a in range(n_a)
-    ]
+    supports = _supports(asm.sigma)
     reduced = any(v.shape[1] < d for row in supports for v in row)
     grid = _EveGrid(n_guess, supports)
     targets = {(e, int(guess_outcome[e]), x_star): guess_target[e] for e in range(n_guess)}
@@ -352,18 +374,7 @@ def _solve_steering(
         guess_target=freeze(np.asarray(guess_target)),
         supports=tuple(tuple(supports[a]) for a in range(n_a)) if reduced else None,
     )
-
-    p_guess = sol.primal_value
-    return CertificationResult(
-        p_guess=p_guess,
-        h_min=min_entropy(p_guess),
-        gap=abs(p_guess - sol.dual_value),
-        status=sol.status,
-        functional=functional,
-        x_star=x_star,
-        dual_value=sol.dual_value,
-        joint=JointAssemblage(sc, n_guess, grid.unpack(sol.primal)),
-    )
+    return _result(sol, functional, x_star, joint=JointAssemblage(sc, n_guess, grid.unpack(sol.primal)))
 
 
 def certify_local(
@@ -381,13 +392,7 @@ def certify_local(
     return _solve_steering(asm, x_star, np.arange(n_a), targets, solver_opts)
 
 
-def certify_global(
-    asm: Assemblage,
-    x_star: int,
-    bob_povm: Povm,
-    *,
-    solver_opts: dict | None = None,
-) -> CertificationResult:
+def certify_global(asm: Assemblage, x_star: int, bob_povm: Povm) -> CertificationResult:
     """Optimal probability of guessing the (untrusted, trusted) outcome pair.
 
     Eve holds one guess pair (e, e') per round; the primal variable is the
@@ -401,16 +406,10 @@ def certify_global(
     n_guess = sc.n_outcomes * n_b
     guess_outcome = np.arange(n_guess) // n_b
     guess_target = np.stack([np.asarray(bob_povm[g % n_b]) for g in range(n_guess)])
-    return _solve_steering(asm, x_star, guess_outcome, guess_target, solver_opts)
+    return _solve_steering(asm, x_star, guess_outcome, guess_target)
 
 
-def certify_pm(
-    rho: np.ndarray,
-    povms: list[Povm],
-    x_star: int = 0,
-    *,
-    solver_opts: dict | None = None,
-) -> CertificationResult:
+def certify_pm(rho: np.ndarray, povms: list[Povm], x_star: int = 0) -> CertificationResult:
     """Guessing probability when the shared state itself is trusted.
 
     The channel to the untrusted side may be intercepted, so Eve controls
@@ -427,13 +426,7 @@ def certify_pm(
     d_a, d_b = povms[0].dim, sc.bob_dim
     n_a, m = sc.n_outcomes, sc.n_inputs
     eye_a = np.eye(d_a, dtype=complex)
-
-    def consistency_adjoint(basis):
-        """E -> Herm Tr_B[(1 (x) E) rho], the adjoint of N -> Tr_A[(N (x) 1) rho], on a stack."""
-        c = np.stack([partial_trace(np.kron(eye_a, e) @ rho, (d_a, d_b), keep="A") for e in basis])
-        return 0.5 * (c + dagger(c))
-
-    coef = sdp.term_stack(d_b, consistency_adjoint)
+    coef = sdp.term_stack(d_b, lambda basis: steering_adjoint(rho, basis, d_a))
     # The aggregates sum_e M^e_{a|x} are pinned to the given POVM elements
     # exactly when the consistency map is injective, that is when its adjoint
     # stack spans d_a^2 dimensions; only then is per-block support compression sound.
@@ -441,13 +434,7 @@ def certify_pm(
     injective = svals.size >= d_a * d_a and svals[d_a * d_a - 1] > 1e-10 * max(svals[0], 1.0)
 
     if injective:
-        scale = max(
-            float(np.linalg.eigvalsh(np.asarray(povms[x][a]))[-1]) for a, x in np.ndindex(n_a, m)
-        )
-        supports = [
-            [_support_isometry(np.asarray(povms[x][a]), SUPPORT_CUTOFF * scale) for x in range(m)]
-            for a in range(n_a)
-        ]
+        supports = _supports(np.array([[np.asarray(povms[x][a]) for x in range(m)] for a in range(n_a)]))
     else:
         supports = [[eye_a for _ in range(m)] for _ in range(n_a)]
 
@@ -466,30 +453,16 @@ def certify_pm(
     sol, (f, _, complete) = grid.solve(
         {(e, e, x_star): rho_a for e in range(n_a)},
         [grid.consistency(stacks, obs.sigma), grid.no_signalling(x_star), completeness],
-        solver_opts,
     )
     # the completeness multipliers Y_x enter the dual value as sum_x <Y_x, 1>
     offset = float(sum(np.trace(y).real for y in complete.values()))
     functional = SteeringFunctional(F=_gridded(f, (n_a, m), d_b), x_star=x_star, offset=offset)
-
-    p_guess = sol.primal_value
-    return CertificationResult(
-        p_guess=p_guess,
-        h_min=min_entropy(p_guess),
-        gap=abs(sol.primal_value - sol.dual_value),
-        status=sol.status,
-        functional=functional,
-        x_star=x_star,
-        dual_value=sol.dual_value,
-        pm_measurements=freeze(grid.unpack(sol.primal)),
-    )
+    return _result(sol, functional, x_star, pm_measurements=freeze(grid.unpack(sol.primal)))
 
 
-def dual_functional(
-    asm: Assemblage, x_star: int = 0, *, solver_opts: dict | None = None
-) -> SteeringFunctional:
+def dual_functional(asm: Assemblage, x_star: int = 0) -> SteeringFunctional:
     """Steering inequality certifying the local bound from above."""
-    return certify_local(asm, x_star, solver_opts=solver_opts).functional
+    return certify_local(asm, x_star).functional
 
 
 def _smoothed(asm: Assemblage, delta: float) -> Assemblage:
@@ -501,9 +474,7 @@ def _smoothed(asm: Assemblage, delta: float) -> Assemblage:
     return Assemblage(sc, (1.0 - delta) * asm.sigma + delta * noise)
 
 
-def dual_functional_direct(
-    asm: Assemblage, x_star: int = 0, *, solver_opts: dict | None = None
-) -> tuple[SteeringFunctional, float]:
+def dual_functional_direct(asm: Assemblage, x_star: int = 0) -> tuple[SteeringFunctional, float]:
     """A globally valid steering inequality for the local bound, and its value on ``asm``.
 
     It is the functional of `certify_local` on ``asm`` mixed with uniform noise
@@ -513,7 +484,7 @@ def dual_functional_direct(
     on interior instances; on degenerate ones, where the dual optimum of the
     full problem is not attained, the excess shrinks only as sqrt(delta).
     """
-    res = certify_local(_smoothed(asm, 1e-4), x_star, solver_opts=solver_opts)
+    res = certify_local(_smoothed(asm, 1e-4), x_star)
     if res.status is not sdp.SolverStatus.OPTIMAL:
         raise CertificationError(f"smoothed certification ended with status {res.status}")
     return res.functional, res.functional.value_on(asm)

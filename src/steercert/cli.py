@@ -290,15 +290,12 @@ def _certify_point(config: ExperimentConfig) -> certify_mod.CertificationResult:
     raise ConfigError("kind", f"{config.kind} is not a certification kind")
 
 
-def _sweep_worker(payload: str) -> dict:
-    data = json.loads(payload)
-    config = ExperimentConfig.from_json(data["config"])
-    point = config.at_parameter(data["value"])
+def _sweep_worker(point: ExperimentConfig, value: float) -> dict:
     start = time.perf_counter()
     result = _certify_point(point)
     wall_ms = (time.perf_counter() - start) * 1000.0
     return {
-        "parameter": data["value"],
+        "parameter": value,
         "p_guess": result.p_guess,
         "h_min": result.h_min,
         "gap": result.gap,
@@ -337,12 +334,12 @@ def run_sweep(config: ExperimentConfig, *, jobs: int = 1, out: str | None = None
     CSV and its JSON sidecar when an output path is configured."""
     config.validate()
     values = config.sweep_values()
-    payloads = [json.dumps({"config": config.to_json(), "value": v}) for v in values]
+    points = [config.at_parameter(v) for v in values]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, payloads))
+            rows = list(pool.map(_sweep_worker, points, values))
     else:
-        rows = [_sweep_worker(p) for p in payloads]
+        rows = list(map(_sweep_worker, points, values))
     rows.sort(key=lambda r: r["parameter"])
     target = out or config.out
     if target:
@@ -407,24 +404,18 @@ def run_seesaw(config: ExperimentConfig, *, out: str | None = None) -> tuple[dic
 
 
 def run_lhs(config: ExperimentConfig, *, out: str | None = None) -> tuple[dict, int]:
+    """Test the configured assemblage for a local-hidden-state model; writes the payload
+    to ``out``, or to the config's ``out`` only when its kind is lhs, since another kind's
+    ``out`` names that experiment's artifact."""
     config.validate()
     asm = scen.assemblage_from(config.build_state(), config.build_measurements())
     result = scen.lhs_test(asm)
     payload = {"is_lhs": bool(result.is_lhs), "robustness": float(result.robustness)}
-    target = out or config.out
+    target = out or (config.out if config.kind == "lhs" else None)
     if target:
         with open(target, "w") as fh:
             json.dump(payload, fh)
     return payload, 0
-
-
-def run(config: ExperimentConfig, *, jobs: int = 1, out: str | None = None) -> int:
-    """Execute the configured experiment; returns the process exit code."""
-    if config.kind == "lhs":
-        return run_lhs(config, out=out)[1]
-    if config.kind == "seesaw":
-        return run_seesaw(config, out=out)[1]
-    return run_sweep(config, jobs=jobs, out=out)[1]
 
 
 # -- command line ---------------------------------------------------------
@@ -543,7 +534,7 @@ def main(argv=None) -> int:
             return code
         if args.command == "lhs":
             payload, code = run_lhs(config, out=args.out)
-            if args.json or not (args.out or config.out):
+            if args.json or not (args.out or (config.kind == "lhs" and config.out)):
                 print(json.dumps(payload))
             return code
     except ConfigError as exc:

@@ -16,6 +16,7 @@ import numpy as np
 from . import sdp
 from .qlin import (
     Povm,
+    dagger,
     freeze,
     basis_povm,
     is_psd,
@@ -227,6 +228,15 @@ def assemblage_from(rho: np.ndarray, povms: list[Povm]) -> Assemblage:
         for a, m in enumerate(povm.elements):
             sigma[a, x] = partial_trace(kron(m, eye_b) @ rho, (d_a, d_b), keep="B")
     return Assemblage(Scenario(len(povms), n_outcomes, d_b), sigma)
+
+
+def steering_adjoint(rho: np.ndarray, mats: np.ndarray, d_a: int) -> np.ndarray:
+    """Herm Tr_B[(1 (x) F) rho] for each F of a stack: the adjoint of
+    M -> Tr_A[(M (x) 1) rho], so that Tr[(M (x) F) rho] = <result, M>."""
+    d_b = rho.shape[0] // d_a
+    eye_a = np.eye(d_a, dtype=complex)
+    c = np.stack([partial_trace(np.kron(eye_a, f) @ rho, (d_a, d_b), keep="A") for f in mats])
+    return 0.5 * (c + dagger(c))
 
 
 def deterministic_strategies(n_inputs: int, n_outcomes: int) -> np.ndarray:

@@ -62,6 +62,9 @@ _log = logging.getLogger("steercert")
 # needed regularisation at each of this many last steps, the current one included
 _STALL_ITERS = 4
 _STALL_REGULARISED = 5
+# an unfinished solve whose best iterate has a relative gap and residuals within this is Optimal
+_ACCEPT_TOL = 1e-8
+_STEP_FRAC = 0.98  # the fraction of the step to the PSD boundary taken
 
 
 class SolverStatus(enum.Enum):
@@ -348,16 +351,13 @@ def solve(
     *,
     max_iters: int = 200,
     gap_tol: float = 1e-9,
-    gap_accept: float = 1e-8,
     feas_tol: float = 1e-9,
-    feas_accept: float = 1e-8,
-    step_frac: float = 0.98,
 ) -> SdpSolution:
     """Solve the SDP; the returned status honestly reflects termination.
 
-    ``gap_tol``/``feas_tol`` are the targets the iteration aims for;
-    ``gap_accept``/``feas_accept`` are the thresholds a solution must meet
-    to be declared Optimal.
+    ``gap_tol``/``feas_tol`` are the targets the iteration aims for. A solve
+    that ends short of them is still declared Optimal when its best-merit
+    iterate has a relative gap and both residuals within 1e-8.
     """
     groups = problem.validate()
     m = len(problem.constraints)
@@ -385,7 +385,7 @@ def solve(
         a[np.searchsorted(g.blocks, g.ks), g.rows] = _svec(_realify(g.coeffs), ix)
     b_scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
     keep, drop, consistent, violation = _independent_rows(
-        np.hstack(in_order(a3)), b, pivot_tol=1e-10, consistency_tol=feas_accept * b_scale
+        np.hstack(in_order(a3)), b, pivot_tol=1e-10, consistency_tol=_ACCEPT_TOL * b_scale
     )
 
     def objective(xzs):
@@ -530,7 +530,7 @@ def solve(
             dmats.append(2.0 * dmat / (lam[..., :, None] + lam[..., None, :]))
         dxzs, dy = newton_step(dmats)
 
-        ap, ad = (min(1.0, step_frac * s) for s in _max_steps(linvs, dxzs))
+        ap, ad = (min(1.0, _STEP_FRAC * s) for s in _max_steps(linvs, dxzs))
         if ap < 1e-10 and ad < 1e-10:
             status = SolverStatus.NUMERICAL_TROUBLE
             break
@@ -547,6 +547,6 @@ def solve(
     dobj = 0.5 * float(b_red @ y_f)
     relgap = abs(pobj - dobj) / (1.0 + abs(pobj))
     if status is not SolverStatus.OPTIMAL:
-        if relgap <= gap_accept and pres_f <= feas_accept and dres_f <= feas_accept:
+        if relgap <= _ACCEPT_TOL and pres_f <= _ACCEPT_TOL and dres_f <= _ACCEPT_TOL:
             status = SolverStatus.OPTIMAL
     return _package(xzs_f, y_f, status, iters_done, pres_f, dres_f)

@@ -34,8 +34,8 @@ import numpy as np
 
 from . import sdp
 from .certify import CertificationResult, SteeringFunctional, _smoothed, certify_local
-from .qlin import Povm, dagger, partial_trace, random_unitary
-from .scenario import Assemblage, Scenario, apply_loss, assemblage_from
+from .qlin import Povm, dagger, random_unitary
+from .scenario import Assemblage, Scenario, apply_loss, assemblage_from, steering_adjoint
 
 _log = logging.getLogger("steercert")
 
@@ -136,24 +136,18 @@ def _restore_povm(elements: list[np.ndarray]) -> Povm:
     return Povm([inv_sqrt @ e @ inv_sqrt for e in elements])
 
 
-def optimize_measurements(
-    rho: np.ndarray,
-    functional: SteeringFunctional,
-    shape: Scenario,
-    *,
-    solver_opts: dict | None = None,
-) -> list[Povm]:
+def optimize_measurements(rho: np.ndarray, functional: SteeringFunctional, shape: Scenario) -> list[Povm]:
     """Measurements minimizing the witnessed bound sum Tr[(M_ax (x) F_ax) rho].
 
     The bound is sum_ax <W_ax, M_ax> with W_ax = Herm Tr_B[(1 (x) F_ax) rho],
     minimized per input over complete sets of PSD elements. With two outcomes
     the minimum is Helstrom's: M_0 projects onto the negative eigenspace of
-    W_0x - W_1x and M_1 = 1 - M_0. With more outcomes an SDP finds it, with
-    ``solver_opts`` as its solver's targets.
+    W_0x - W_1x and M_1 = 1 - M_0. With more outcomes an SDP finds it, solved
+    to the see-saw's targets (relative gap 1e-11, residuals 1e-10).
     """
     weights = _alice_weights(rho, functional, shape)
     if shape.n_outcomes != 2:
-        return _measurements_sdp(weights, solver_opts)
+        return _measurements_sdp(weights)
     eye_a = np.eye(weights.shape[-1], dtype=complex)
     povms = []
     for vals, vecs in zip(*np.linalg.eigh(weights[0] - weights[1])):
@@ -176,15 +170,10 @@ def _alice_weights(rho: np.ndarray, functional: SteeringFunctional, shape: Scena
         raise ValueError(
             f"functional grid {functional.F.shape[:2]} does not match shape ({n_a}, {m})"
         )
-    eye_a = np.eye(d_a, dtype=complex)
-    weights = np.empty((n_a, m, d_a, d_a), dtype=complex)
-    for a, x in np.ndindex(n_a, m):
-        w = partial_trace(np.kron(eye_a, functional.F[a, x]) @ rho, (d_a, d_b), keep="A")
-        weights[a, x] = 0.5 * (w + dagger(w))
-    return weights
+    return steering_adjoint(rho, functional.F.reshape(n_a * m, d_b, d_b), d_a).reshape(n_a, m, d_a, d_a)
 
 
-def _measurements_sdp(weights: np.ndarray, solver_opts: dict | None = None) -> list[Povm]:
+def _measurements_sdp(weights: np.ndarray) -> list[Povm]:
     """Per input x, the POVM minimizing sum_a <weights[a, x], M_a>, by one SDP with a
     block per (outcome, input)."""
     n_a, m, d_a = weights.shape[:3]
@@ -192,7 +181,7 @@ def _measurements_sdp(weights: np.ndarray, solver_opts: dict | None = None) -> l
     completeness = [sdp.MatrixEquality({a * m + x: identity for a in range(n_a)}, eye_a) for x in range(m)]
     objective = list(-weights.reshape(n_a * m, d_a, d_a))
     problem = sdp.SdpProblem((d_a,) * (n_a * m), objective, sdp.expand(completeness))
-    sol = sdp.solve(problem, **(solver_opts or _SEESAW_SOLVER_OPTS))
+    sol = sdp.solve(problem, **_SEESAW_SOLVER_OPTS)
     if sol.status is not sdp.SolverStatus.OPTIMAL:
         raise RuntimeError(f"measurement optimization failed with status {sol.status}")
     return [_restore_povm([sol.primal[a * m + x] for a in range(n_a)]) for x in range(m)]
@@ -248,7 +237,7 @@ def _geodesic(old: list[Povm], new: list[Povm]):
 
 
 def _stepping_functional(
-    asm: Assemblage, res: CertificationResult, x_star: int, delta: float, opts: dict
+    asm: Assemblage, res: CertificationResult, x_star: int, delta: float
 ) -> SteeringFunctional:
     """Globally valid inequality used to drive the measurement update.
 
@@ -270,7 +259,7 @@ def _stepping_functional(
     """
     if res.functional.supports is None:
         return res.functional
-    smoothed = certify_local(_smoothed(asm, delta), x_star, solver_opts=opts)
+    smoothed = certify_local(_smoothed(asm, delta), x_star, solver_opts=_SEESAW_SOLVER_OPTS)
     if smoothed.status is not sdp.SolverStatus.OPTIMAL:
         _log.debug("stepping certification at delta %.1e ended %s (gap %.2e)",
                    delta, smoothed.status, smoothed.gap)
@@ -286,7 +275,6 @@ def seesaw(
     max_iters: int = 100,
     tol: float = 1e-6,
     ceiling: float | None = None,
-    solver_opts: dict | None = None,
 ) -> SeesawTrace:
     """Alternate certification and measurement optimization from a starting
     measurement set, recording the certified min-entropy per round.
@@ -312,12 +300,16 @@ def seesaw(
     as the current iterate, the start included, is within `tol` of the known
     analytic `ceiling`; with no ceiling, after a gain below `tol` or a round
     that accepts nothing. Otherwise it stops after `max_iters` iterates.
+
+    Every certification and measurement SDP of the loop is solved to a
+    relative gap of 1e-11 and residuals of 1e-10 (`_SEESAW_SOLVER_OPTS`),
+    tighter than the defaults, so that solver noise stays below the 1e-10
+    by which an accepted update may raise the guessing probability.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     if not initial:
         raise ValueError("need at least one starting measurement")
-    opts = solver_opts or _SEESAW_SOLVER_OPTS
     povms = list(initial)
     n_ideal = povms[0].n_outcomes
     ideal_shape = Scenario(len(povms), n_ideal, rho.shape[0] // povms[0].dim)
@@ -326,12 +318,12 @@ def seesaw(
     def certified(candidate: list[Povm]):
         measured = candidate if eta >= 1.0 else [apply_loss(p, eta) for p in candidate]
         asm = assemblage_from(rho, measured)
-        return asm, certify_local(asm, x_star, solver_opts=opts)
+        return asm, certify_local(asm, x_star, solver_opts=_SEESAW_SOLVER_OPTS)
 
     def update(rung: int):
         """The round's accepted (povms, assemblage, result, step) at `rung`, or None."""
-        functional = _stepping_functional(asm, res, x_star, _SMOOTHING_LADDER[rung], opts)
-        candidate = optimize_measurements(rho, _strip_loss(functional, n_ideal), ideal_shape, solver_opts=opts)
+        functional = _stepping_functional(asm, res, x_star, _SMOOTHING_LADDER[rung])
+        candidate = optimize_measurements(rho, _strip_loss(functional, n_ideal), ideal_shape)
         cand_asm, cand_res = certified(candidate)
         if cand_res.status is not sdp.SolverStatus.OPTIMAL or cand_res.p_guess > res.p_guess + 1e-10:
             return None

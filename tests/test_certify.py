@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from steercert.scenario import (
     isotropic_state,
     mub_povms,
     pauli_xz,
+    schmidt_state,
     werner_state,
 )
 
@@ -241,6 +244,26 @@ def test_dual_functional_direct_on_degenerate_instance():
     for _ in range(10):
         other = random_assemblage(rng)
         assert f.value_on(other) >= np.max(other.outcome_probs(0)) - 1e-7
+
+
+@pytest.mark.parametrize(
+    "rho,povms,unreduced_below",
+    [
+        (schmidt_state([np.cos(np.pi / 7) ** 2, np.sin(np.pi / 7) ** 2]), pauli_xz(), -1.0),
+        (werner_state(1.0), pauli_xz(), -1.0),
+        (werner_state(1.0), [apply_loss(p, 0.8) for p in pauli_xz()], -1.0),
+        (schmidt_state([1.0, 0.0]), pauli_xz(), None),  # Z's outcome 1 leaves a rank-0 block
+    ],
+    ids=["pi7", "werner", "werner_eta0.8", "product"],
+)
+def test_reduced_certificate_is_feasible_on_its_faces(rho, povms, unreduced_below):
+    # the multipliers of a facially reduced solve are dual feasible only once
+    # compressed onto the observed faces, which is what feasibility_margin checks
+    f = certify_local(assemblage_from(rho, povms), 0).functional
+    assert f.supports is not None
+    assert f.feasibility_margin() >= -1e-8
+    if unreduced_below is not None:
+        assert dataclasses.replace(f, supports=None).feasibility_margin() < unreduced_below
 
 
 def test_strong_duality_across_instances():

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from steercert.certify import certify_global
 from steercert.cli import ConfigError, ExperimentConfig, main, presets, run_lhs, run_seesaw, run_sweep
+from steercert.qlin import basis_povm
+from steercert.scenario import assemblage_from, fourier_and_computational, isotropic_state
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -235,3 +238,49 @@ def test_main_sweep_writes_artifacts(tmp_path, capsys):
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 2
     assert (tmp_path / "sweep.csv").exists() and (tmp_path / "sweep.json").exists()
+
+
+@pytest.mark.parametrize("bob", ["computational", "fourier"])
+def test_main_certify_global_matches_library(tmp_path, capsys, bob):
+    path = write_config(
+        tmp_path,
+        {
+            "kind": "steering_global",
+            "state": {"kind": "isotropic", "d": 3, "v": 0.9},
+            "measurements": {"kind": "fourier_and_computational", "d": 3},
+            "bob_measurement": {"kind": bob},
+        },
+    )
+    assert main(["certify", "--config", path, "--json"]) == 0
+    povms = fourier_and_computational(3)
+    bob_povm = povms[0] if bob == "fourier" else basis_povm(np.eye(3, dtype=complex))
+    direct = certify_global(assemblage_from(isotropic_state(3, 0.9), povms), 0, bob_povm)
+    assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(direct.to_json()))
+
+
+def test_main_certify_global_rejects_qubit_bob_on_qutrit(tmp_path, capsys):
+    path = write_config(
+        tmp_path,
+        {
+            "kind": "steering_global",
+            "state": {"kind": "isotropic", "d": 3, "v": 0.9},
+            "measurements": {"kind": "fourier_and_computational", "d": 3},
+            "bob_measurement": {"kind": "pauli_x"},
+        },
+    )
+    assert main(["certify", "--config", path, "--json"]) == 2
+    assert json.loads(capsys.readouterr().err)["exit_code"] == 2
+
+
+def test_main_seesaw(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the preset writes fig6_seesaw.csv
+    assert main(["seesaw", "--preset", "fig6_seesaw", "--seeds", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["converged"] is True
+    assert main(["seesaw", "--preset", "fig2"]) == 2
+
+
+def test_main_lhs_leaves_a_sweeps_csv_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["lhs", "--preset", "fig2", "--json"]) == 0
+    assert set(json.loads(capsys.readouterr().out)) == {"is_lhs", "robustness"}
+    assert not (tmp_path / "fig2.csv").exists()

@@ -286,7 +286,7 @@ def test_non_optimal_stepping_certification_is_logged(monkeypatch, caplog):
 
     monkeypatch.setattr(mod, "certify_local", troubled)
     with caplog.at_level(logging.DEBUG, logger="steercert"):
-        mod._stepping_functional(asm, res, 0, 3e-2, mod._SEESAW_SOLVER_OPTS)
+        mod._stepping_functional(asm, res, 0, 3e-2)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stepping")]
     gap = seen[0].gap
     assert lines == [f"stepping certification at delta 3.0e-02 ended numerical_trouble (gap {gap:.2e})"]
@@ -436,9 +436,9 @@ def test_no_round_certifies_a_rung_twice(monkeypatch):
     original = mod._stepping_functional
     seen = []  # holds each assemblage, so that no id is reused
 
-    def recorded(asm, res, x_star, delta, opts):
+    def recorded(asm, res, x_star, delta):
         seen.append((asm, delta))
-        return original(asm, res, x_star, delta, opts)
+        return original(asm, res, x_star, delta)
 
     monkeypatch.setattr(mod, "_stepping_functional", recorded)
     for seed in range(5):

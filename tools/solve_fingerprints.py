@@ -9,10 +9,11 @@ gap, the status, the iteration count, both residuals and the dropped rows, so eq
 lines mean bit-for-bit equal solves. `--root` names the checkout whose
 `perfbench/workloads.py` and `src/` are used (default: this one). Ops run once each,
 in `workloads.build` order, each after a `# <op key>` line. `--against ROOT` runs
-each workload at both checkouts in subprocesses, prints `<workload>: N solves differ
-(M here, K at ROOT)`, where M and K are the solve counts of the `--root` checkout and
-of ROOT, and the keys of the ops whose solves differ, and exits 1 if any do. A solve
-that one checkout makes and the other does not counts as differing.
+each workload at both checkouts in subprocesses and compares each op's hashes as
+multisets, so a solve one checkout skips does not shift the others. It prints
+`<workload>: N solves differ (P only here, Q only at ROOT; M here, K at ROOT)`, where
+M and K are the solve counts of the `--root` checkout and of ROOT, then the key of each
+op whose solves differ with its own two counts, and exits 1 if any solve differs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import hashlib
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 WORKLOADS = ("qubit_sweeps", "qutrit_sweeps", "seesaw")
@@ -46,13 +48,17 @@ def solves_by_op(root: Path, workload: str) -> dict[str, list[str]]:
 def compare(root: Path, other: Path, workload: str) -> bool:
     """Print how many of the workload's solves differ between the checkouts, and where."""
     mine, theirs = solves_by_op(root, workload), solves_by_op(other, workload)
-    differ = {key: sum(a != b for a, b in zip(mine.get(key, []), theirs.get(key, [])))
-              + abs(len(mine.get(key, [])) - len(theirs.get(key, []))) for key in mine | theirs}
-    keys = [key for key, n in differ.items() if n]
+    only = {}  # op key -> (solves only here, solves only at `other`)
+    for key in mine | theirs:
+        here, there = Counter(mine.get(key, [])), Counter(theirs.get(key, []))
+        if here != there:
+            only[key] = ((here - there).total(), (there - here).total())
+    n_here, n_there = (sum(counts[i] for counts in only.values()) for i in (0, 1))
     n_mine, n_theirs = (sum(map(len, ops.values())) for ops in (mine, theirs))
-    print(f"{workload}: {sum(differ.values())} solves differ ({n_mine} here, {n_theirs} at {other})",
-          *keys, sep="\n  ", flush=True)
-    return bool(keys)
+    print(f"{workload}: {n_here + n_there} solves differ ({n_here} only here, {n_there} only at {other}; "
+          f"{n_mine} here, {n_theirs} at {other})",
+          *(f"{key}: {a} only here, {b} only there" for key, (a, b) in only.items()), sep="\n  ", flush=True)
+    return bool(only)
 
 
 if __name__ == "__main__":
