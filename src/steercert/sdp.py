@@ -24,6 +24,12 @@ use all rows, which keeps the BLAS kernels and inner dimensions of the dense
 products. Block sums run in the caller's order and triangular inverses one
 block at a time, so that the grouping does not change the rounding.
 
+Rewrites for speed keep every kernel's operands, layout and order of accumulation. The
+iteration's Cholesky, SVD and eigvalsh call the gufuncs ``numpy.linalg`` dispatches to
+(``cholesky_lo``, ``svd_f``, ``eigvalsh_lo``) without its wrappers, whose checks and
+per-call ``errstate`` cost more than factorising blocks of order 2 to 8; a failure fills
+the output with NaN, raised as ``LinAlgError`` as ``numpy.linalg`` would.
+
 The algorithm is infeasible-start path following with Nesterov-Todd
 scaling and a Mehrotra-style predictor-corrector, solving the dense
 Schur complement with LAPACK potrf/potrs; when potrf fails, its diagonal
@@ -65,6 +71,12 @@ _STALL_REGULARISED = 5
 # an unfinished solve whose best iterate has a relative gap and residuals within this is Optimal
 _ACCEPT_TOL = 1e-8
 _STEP_FRAC = 0.98  # the fraction of the step to the PSD boundary taken
+
+# the gufuncs numpy.linalg's cholesky, svd and eigvalsh call, without their wrappers
+_cholesky = np.linalg._umath_linalg.cholesky_lo
+_svd = np.linalg._umath_linalg.svd_f
+_eigvalsh = np.linalg._umath_linalg.eigvalsh_lo
+_dtrtrs, _dpotrf, _dpotrs = sla.lapack.dtrtrs, sla.lapack.dpotrf, sla.lapack.dpotrs
 
 
 class SolverStatus(enum.Enum):
@@ -170,7 +182,8 @@ class SdpProblem:
             terms[d].append((i, k, np.zeros((d, d)) if a is None else a))
         groups = []
         for d, entries in terms.items():
-            rows, ks, mats = (np.array(v) for v in zip(*entries))
+            rows, ks, mats = zip(*entries)
+            rows, ks, mats = np.array(rows), np.array(ks), np.concatenate(mats).reshape(-1, d, d)
             defect = np.max(np.abs(mats - dagger(mats)), axis=(-2, -1))
             bad = np.flatnonzero(defect > 1e-10)
             if bad.size:
@@ -202,7 +215,8 @@ class SdpProblem:
 @dataclass
 class SdpSolution:
     """``primal_residual``: the largest violation of a kept row; ``dual_residual``:
-    the largest real or imaginary part of an entry of sum_i y_i A_i - C - Z."""
+    the largest real or imaginary part of an entry of sum_i y_i A_i - C - Z;
+    ``regularised_steps``: the iterations whose Schur complement needed a diagonal shift."""
 
     primal: list[np.ndarray]
     dual: np.ndarray
@@ -215,6 +229,7 @@ class SdpSolution:
     primal_residual: float = np.inf
     dual_residual: float = np.inf
     dropped_rows: tuple[int, ...] = field(default_factory=tuple)
+    regularised_steps: int = 0
 
 
 def realify(a: np.ndarray) -> np.ndarray:
@@ -227,7 +242,8 @@ def realify(a: np.ndarray) -> np.ndarray:
 
 def _realify(a: np.ndarray) -> np.ndarray:
     """``realify`` without its Hermiticity check, for stacks ``SdpProblem.validate`` has checked."""
-    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+    re, im = a.real, a.imag
+    return np.concatenate([np.concatenate([re, -im], -1), np.concatenate([im, re], -1)], -2)
 
 
 def derealify(m: np.ndarray) -> np.ndarray:
@@ -246,18 +262,23 @@ def _svec_indices(dim: int):
     return tuple(np.broadcast_to(a, a.shape) for a in (ii, jj, np.where(ii == jj, 1.0, np.sqrt(2.0))))
 
 
+@functools.cache
+def _gathers(dim: int):
+    """The flat positions of the svec entries in a dim x dim matrix, and for each entry of the
+    matrix, the svec entry it is read from; read-only, cached."""
+    ii, jj, _ = _svec_indices(dim)
+    pos = np.empty((dim, dim), dtype=np.intp)
+    pos[ii, jj] = pos[jj, ii] = np.arange(len(ii))
+    return tuple(np.broadcast_to(a, a.shape) for a in (ii * dim + jj, pos.ravel()))
+
+
 def _svec(mats: np.ndarray, idx) -> np.ndarray:
-    ii, jj, scale = idx
-    return mats[..., ii, jj] * scale
+    dim = mats.shape[-1]
+    return mats.reshape(mats.shape[:-2] + (dim * dim,)).take(_gathers(dim)[0], axis=-1) * idx[2]
 
 
 def _unsvec(vec: np.ndarray, dim: int, idx) -> np.ndarray:
-    ii, jj, scale = idx
-    out = np.zeros(vec.shape[:-1] + (dim, dim))
-    vals = vec / scale
-    out[..., ii, jj] = vals
-    out[..., jj, ii] = vals
-    return out
+    return (vec / idx[2]).take(_gathers(dim)[1], axis=-1).reshape(vec.shape[:-1] + (dim, dim))
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -265,11 +286,13 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 
 def _tril_inv(lower: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """Inverse of each lower-triangular matrix in a stack, by one LAPACK trtrs call each."""
+    """Inverse of each lower-triangular matrix in a stack, by one LAPACK trtrs call each,
+    in place on identities in Fortran order (the transposes of a C-ordered stack)."""
     out = np.empty_like(lower)
-    for i, q in enumerate(lower):
-        out[i] = sla.lapack.dtrtrs(q.T, eye, lower=0, trans=1)[0]
-    return out
+    out[:] = eye
+    for q, x in zip(lower.mT, out.mT):
+        _dtrtrs(q, x, 0, 1, overwrite_b=1)
+    return np.ascontiguousarray(out.mT)
 
 
 def _nt_scaling(xz: np.ndarray, eye: np.ndarray):
@@ -277,9 +300,12 @@ def _nt_scaling(xz: np.ndarray, eye: np.ndarray):
     G^-1 X G^-T = G^T Z G = diag(lam). Returns G, G^-1, lam, T = G G^T and the
     inverse Cholesky factors as one stack [L_X^-1; L_Z^-1]."""
     n = len(xz) // 2
-    chol = np.linalg.cholesky(xz)
-    lx, lz = chol[:n], chol[n:]
-    _, lam, wt = np.linalg.svd(lz.mT @ lx)
+    with np.errstate(invalid="ignore"):  # a failed factorisation is NaN, and so are its products
+        chol = _cholesky(xz, signature="d->d")
+        lx, lz = chol[:n], chol[n:]
+        _, lam, wt = _svd(lz.mT @ lx, signature="d->ddd")
+    if np.isnan(lam).any():
+        raise np.linalg.LinAlgError("[X; Z] is not positive definite, or its SVD did not converge")
     linv = _tril_inv(chol, eye)
     lam = np.maximum(lam, 1e-300)
     g = lx @ wt.mT * (lam[..., None, :] ** -0.5)
@@ -291,17 +317,20 @@ def _max_steps(inv_factors: list[np.ndarray], deltas: list[np.ndarray]) -> tuple
     given per group the stacks [L_X^-1; L_Z^-1] (M = L L^T) and [dX; dZ]."""
     lam_p = lam_d = np.inf
     for linv, delta in zip(inv_factors, deltas):
-        lam = np.linalg.eigvalsh(_sym(linv @ delta @ linv.mT))[:, 0]
+        lam = _eigvalsh(_sym(linv @ delta @ linv.mT), signature="d->d")[:, 0]
         n = len(lam) // 2
-        lam_p, lam_d = min(lam_p, float(np.min(lam[:n]))), min(lam_d, float(np.min(lam[n:])))
+        lo_p, lo_d = lam[:n].min(), lam[n:].min()
+        if lo_p != lo_p or lo_d != lo_d:  # NaN: eigvalsh did not converge
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        lam_p, lam_d = min(lam_p, float(lo_p)), min(lam_d, float(lo_d))
     return tuple(np.inf if lam >= 0.0 else -1.0 / lam for lam in (lam_p, lam_d))
 
 
-def _sparse_rows(a3: list[np.ndarray], order: np.ndarray, dims: list[int], idx: list):
+def _sparse_rows(a3: list[np.ndarray], order, dims: list[int], idx: list):
     """Per group (svec stack (n_g, mr, s)), each block's coefficients on the rows it touches,
     padded to the widest block with a dummy row mr: as an (n_g, r_g, s) stack, zero on the
     padding, and laid out (n_g, D, r_g D); and the bincount plan of ``_schur``, given the
-    caller's order of the blocks of all groups."""
+    caller's order of the blocks of all groups (None: the groups' blocks are in it)."""
     mr = a3[0].shape[1]
     rows = []
     for a in a3:
@@ -310,10 +339,19 @@ def _sparse_rows(a3: list[np.ndarray], order: np.ndarray, dims: list[int], idx: 
         rows.append(np.full((len(a), max(width, min(2, mr, 2 * width))), mr))  # width 1 would take ddot
         k, i = np.nonzero(touched)
         rows[-1][k, np.cumsum(touched, axis=1)[k, i] - 1] = i
-    a_sp = [np.pad(a, ((0, 0), (0, 1), (0, 0)))[np.arange(len(a))[:, None], r] for a, r in zip(a3, rows)]
+    a_sp = [np.concatenate([a, np.zeros((len(a), 1, a.shape[-1]))], 1)[np.arange(len(a))[:, None], r]
+            for a, r in zip(a3, rows)]
     amats = [_unsvec(a, d, ix).transpose(0, 2, 1, 3).reshape(len(a), d, -1) for a, d, ix in zip(a_sp, dims, idx)]
-    bins = [b.ravel() for r in rows for b in r[:, :, None] * (mr + 1) + r[:, None, :]]
-    return a_sp, amats, (np.concatenate([bins[k] for k in order]), order, mr)
+    return a_sp, amats, (_joined([r[:, :, None] * (mr + 1) + r[:, None, :] for r in rows], order), order, mr)
+
+
+def _joined(stacks: list[np.ndarray], order) -> np.ndarray:
+    """The blocks of per-group stacks, each raveled, joined in the caller's order; ``order``
+    None when the groups' blocks are already in it."""
+    if order is None:
+        return np.concatenate([stack.ravel() for stack in stacks])
+    flat = [x.ravel() for stack in stacks for x in stack]
+    return np.concatenate([flat[k] for k in order])
 
 
 def _schur(tmats: list[np.ndarray], amats: list[np.ndarray], a_sp: list[np.ndarray], idx: list, plan):
@@ -326,8 +364,7 @@ def _schur(tmats: list[np.ndarray], amats: list[np.ndarray], a_sp: list[np.ndarr
         tat = ((t @ am).reshape(n, d * r, d) @ t).reshape(n, d, r, d)
         prods.append(np.ascontiguousarray((tat[:, ii, :, jj] * scale[:, None, None]).transpose(1, 2, 0)) @ a.mT)
     bins, order, mr = plan
-    flat = [p.ravel() for stack in prods for p in stack]
-    schur = np.bincount(bins, np.concatenate([flat[k] for k in order]), (mr + 1) ** 2).reshape(mr + 1, -1)
+    schur = np.bincount(bins, _joined(prods, order), (mr + 1) ** 2).reshape(mr + 1, -1)
     schur = schur[:mr, :mr]
     return 0.5 * (schur + schur.T)
 
@@ -368,30 +405,35 @@ def solve(
     cmats = [_realify(g.objective) for g in groups]
     b = np.array([2.0 * con.rhs for con in problem.constraints], dtype=float)
     order = np.argsort(np.concatenate([g.blocks for g in groups]))
+    order = None if np.array_equal(order, np.arange(len(order))) else order  # None: already in it
 
     def in_order(stacks):
         """The blocks of one stack per group, listed in the caller's order."""
         flat = [x for stack in stacks for x in stack]
-        return [flat[i] for i in order]
+        return flat if order is None else [flat[i] for i in order]
 
     def block_sum(parts):
         """Sum over the blocks of per-group stacks, one block after another in the
         caller's order (np.add.reduce would add a lone column pairwise)."""
-        return np.add.accumulate(np.concatenate(parts)[order])[-1]
+        blocks = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return np.add.accumulate(blocks if order is None else blocks[order])[-1]
 
     # constraint rows in svec coordinates, one (n_g, m, s) stack per group
     a3 = [np.zeros((n, m, len(ix[0]))) for n, ix in zip(sizes, idx)]
     for a, g, ix in zip(a3, groups, idx):
         a[np.searchsorted(g.blocks, g.ks), g.rows] = _svec(_realify(g.coeffs), ix)
     b_scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    a_all = np.hstack(in_order(a3))
     keep, drop, consistent, violation = _independent_rows(
-        np.hstack(in_order(a3)), b, pivot_tol=1e-10, consistency_tol=_ACCEPT_TOL * b_scale
+        a_all, b, pivot_tol=1e-10, consistency_tol=_ACCEPT_TOL * b_scale
     )
+    row_norms = np.linalg.norm(a_all[keep], axis=1)  # for the start point
+    del a_all  # all rows of every block: megabytes on qutrit problems
 
     def objective(xzs):
-        return 0.5 * block_sum([np.sum(c * xz[:n], axis=(-2, -1)) for c, xz, n in zip(cmats, xzs, sizes)])
+        return 0.5 * block_sum([(c * xz[:n]).sum(axis=(-2, -1)) for c, xz, n in zip(cmats, xzs, sizes)])
 
-    def _package(xzs, y_red, status, iters, pres, dres):
+    def _package(xzs, y_red, status, iters, pres, dres, shifted=0):
         y = np.zeros(m)
         if y_red is not None:
             y[keep] = y_red
@@ -401,7 +443,7 @@ def solve(
         primal = in_order([derealify(xz[:n]) for xz, n in zip(xzs, sizes)])
         slacks = in_order([derealify(xz[n:]) for xz, n in zip(xzs, sizes)])
         return SdpSolution(primal, y, slacks, float(pval), dval, float(gap), status, iters, pres, dres,
-                           tuple(int(i) for i in drop))
+                           tuple(int(i) for i in drop), shifted)
 
     zero_xzs = [np.zeros((2 * len(c),) + c.shape[1:]) for c in cmats]
     if not consistent:
@@ -423,7 +465,6 @@ def solve(
         return [_unsvec(np.matmul(y, a), d, ix) for a, d, ix in zip(a3, dims, idx)]
 
     # infeasible start: scaled identities sized from the data
-    row_norms = np.linalg.norm(np.hstack(in_order(a3)), axis=1)
     sqrt_dim = np.sqrt(max(dims))
     xi_p = max(1.0, float(np.max(np.abs(b_red) / (1.0 + row_norms)))) * sqrt_dim
     xi_d = max(1.0, max(float(np.linalg.norm(c)) for c in in_order(cmats))) * sqrt_dim
@@ -438,6 +479,7 @@ def solve(
     best_merit = np.inf
     best_it = 0
     regularised = 0  # consecutive regularised Schur factorisations, this iteration's included
+    regularised_steps = 0
     status = SolverStatus.MAX_ITERATIONS
     iters_done = 0
 
@@ -448,21 +490,21 @@ def solve(
         rp = b_red - op_a([xz[:n] for xz, n in zip(xzs, sizes)])
         rd = [aty - c - xz[n:] for aty, c, xz, n in zip(op_at(y), cmats, xzs, sizes)]
 
-        pres = 0.5 * float(np.max(np.abs(rp)))
-        dres = max(float(np.max(np.abs(r))) for r in rd)
+        pres = 0.5 * float(abs(rp).max())
+        dres = max(float(abs(r).max()) for r in rd)
         relgap = abs(pobj - dobj) / (1.0 + abs(pobj))
         merit = max(relgap, pres, dres)
         _log.debug("iter %3d  gap %9.2e  pres %9.2e  dres %9.2e", it, relgap, pres, dres)
         if merit < best_merit:
             best_merit, best_it = merit, it
-            best = ([xz.copy() for xz in xzs], y.copy(), pres, dres)
+            best = (xzs, y, pres, dres)  # iterates are replaced, never changed in place
         if relgap <= gap_tol and pres <= feas_tol and dres <= feas_tol:
             status = SolverStatus.OPTIMAL
             break
 
         # divergence guard: a growing dual iterate whose direction improves the
         # dual objective while staying dual-feasible certifies infeasibility
-        y_norm = float(np.linalg.norm(y, np.inf))
+        y_norm = float(abs(y).max())
         if y_norm > 1e8 * b_scale:
             ray = y / y_norm
             ray_psd = all(np.min(np.linalg.eigvalsh(_sym(s))[..., 0]) >= -1e-6 for s in op_at(ray))
@@ -481,9 +523,9 @@ def solve(
         mu = block_sum([np.matmul(lam[:, None, :], lam[:, :, None])[:, 0, 0] for lam in lams]) / n_total
 
         schur = _schur(tmats, amats, a_sp, idx, schur_plan)
-        diag_mean = max(float(np.mean(np.diag(schur))), 1e-300)
+        diag_mean = max(float(schur.diagonal().sum()) / mr, 1e-300)
         for reg in (0.0, 1e-13, 1e-11, 1e-9, 1e-7):
-            schur_chol, info = sla.lapack.dpotrf(schur + reg * diag_mean * eye_m, lower=1, clean=0)
+            schur_chol, info = _dpotrf(schur + reg * diag_mean * eye_m, 1, 0)
             if info == 0:
                 break
         else:
@@ -491,6 +533,7 @@ def solve(
             break
         regularised = regularised + 1 if reg else 0
         if reg:
+            regularised_steps += 1
             _log.debug("iter %3d  Schur complement regularised by %.0e of its mean diagonal", it, reg)
         if it - best_it >= _STALL_ITERS and regularised >= _STALL_REGULARISED:
             _log.debug("iter %3d  stalled: best merit at iter %d, Schur complement regularised "
@@ -505,18 +548,18 @@ def solve(
             """Solve for dy and, per group, the stack [dX; dZ], given the scaled
             complementarity target."""
             gdg = [g @ dm @ g.mT for g, dm in zip(gmats, dmats)]
-            dy = sla.lapack.dpotrs(schur_chol, op_a(gdg) - a_trdt - rp, lower=1)[0]
+            dy = _dpotrs(schur_chol, op_a(gdg) - a_trdt - rp, 1)[0]
             dz = [atdy + r for atdy, r in zip(op_at(dy), rd)]
             return [_sym(np.concatenate([v - t @ w @ t, w])) for v, t, w in zip(gdg, tmats, dz)], dy
 
         def stepped(ap, ad, dxzs):
             """Each group's [X + ap dX; Z + ad dZ]."""
-            return [xz + np.repeat((ap, ad), n)[:, None, None] * dxz for xz, dxz, n in zip(xzs, dxzs, sizes)]
+            return [xz + np.array((ap, ad)).repeat(n)[:, None, None] * dxz for xz, dxz, n in zip(xzs, dxzs, sizes)]
 
         # predictor: aim at the complementarity target 0
         dxz_aff, _ = newton_step([-lam[..., None] * eye for lam, eye in zip(lams, eyes)])
         ap, ad = (min(1.0, s) for s in _max_steps(linvs, dxz_aff))
-        mu_aff = block_sum([np.sum(s[:n] * s[n:], axis=(-2, -1))
+        mu_aff = block_sum([(s[:n] * s[n:]).sum(axis=(-2, -1))
                             for s, n in zip(stepped(ap, ad, dxz_aff), sizes)]) / n_total
         sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
 
@@ -540,7 +583,7 @@ def solve(
         iters_done = max_iters
 
     if status is SolverStatus.INFEASIBLE:
-        return _package(zero_xzs, None, status, iters_done, np.inf, np.inf)
+        return _package(zero_xzs, None, status, iters_done, np.inf, np.inf, regularised_steps)
 
     xzs_f, y_f, pres_f, dres_f = best if best is not None else (xzs, y, np.inf, np.inf)
     pobj = objective(xzs_f)
@@ -549,4 +592,4 @@ def solve(
     if status is not SolverStatus.OPTIMAL:
         if relgap <= _ACCEPT_TOL and pres_f <= _ACCEPT_TOL and dres_f <= _ACCEPT_TOL:
             status = SolverStatus.OPTIMAL
-    return _package(xzs_f, y_f, status, iters_done, pres_f, dres_f)
+    return _package(xzs_f, y_f, status, iters_done, pres_f, dres_f, regularised_steps)

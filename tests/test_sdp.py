@@ -525,3 +525,95 @@ def test_planted_fuzz_across_shapes(seed):
     sol = solve(problem)
     assert sol.status is SolverStatus.OPTIMAL
     assert sol.primal_value == pytest.approx(value, abs=5e-7)
+
+
+def _svec_by_index(mats, dim):
+    ii, jj, scale = _svec_indices(dim)
+    return mats[..., ii, jj] * scale
+
+
+def _unsvec_by_index(vec, dim):
+    ii, jj, scale = _svec_indices(dim)
+    out = np.zeros(vec.shape[:-1] + (dim, dim))
+    vals = vec / scale
+    out[..., ii, jj] = vals
+    out[..., jj, ii] = vals
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 8])
+def test_svec_gathers_match_the_index_forms(dim):
+    from steercert.sdp import _svec
+
+    rng = np.random.default_rng(20 + dim)
+    idx = _svec_indices(dim)
+    for lead in [(), (3,), (2, 5), (4, 0)]:
+        mats = rng.standard_normal(lead + (dim, dim))
+        vec = rng.standard_normal(lead + (len(idx[0]),))
+        for got, want in [
+            (_svec(mats, idx), _svec_by_index(mats, dim)),
+            (_svec(mats.mT, idx), _svec_by_index(mats.mT, dim)),  # a strided stack
+            (_unsvec(vec, dim, idx), _unsvec_by_index(vec, dim)),
+        ]:
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_factorisations_match_numpy_linalg():
+    # the gufuncs called without numpy.linalg's wrappers; a numpy that moves them fails here
+    from steercert.sdp import _cholesky, _eigvalsh, _svd
+
+    rng = np.random.default_rng(25)
+    for n, d in [(16, 2), (16, 4), (5, 6), (3, 8)]:
+        q = rng.standard_normal((n, d, d))
+        pd = _psd_stack(n, d, rng)
+        assert np.array_equal(_cholesky(pd, signature="d->d"), np.linalg.cholesky(pd))
+        for got, want in zip(_svd(q, signature="d->ddd"), np.linalg.svd(q)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(_eigvalsh(_sym(q), signature="d->d"), np.linalg.eigvalsh(_sym(q)))
+
+
+def test_a_block_that_is_not_positive_definite_fails_the_scaling():
+    import warnings
+
+    from steercert.sdp import _nt_scaling
+
+    xz = _psd_stack(8, 4, np.random.default_rng(26))
+    xz[5] = -xz[5]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(xz)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            _nt_scaling(xz, np.eye(4))
+
+
+def test_a_step_out_of_the_cone_ends_in_numerical_trouble(monkeypatch):
+    # the first fig2 point; with steps past the boundary, [X; Z] leaves the PSD cone at iteration 2
+    import warnings
+
+    import steercert.sdp as sdp_module
+    from steercert.certify import certify_local
+    from steercert.scenario import assemblage_from, pauli_xz, werner_state
+
+    problem = captured_problem(monkeypatch, certify_local, assemblage_from(werner_state(0.6), pauli_xz()), 0)
+    monkeypatch.setattr(sdp_module, "_STEP_FRAC", 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve(problem)
+    assert sol.status is SolverStatus.NUMERICAL_TROUBLE
+    assert sol.iterations == 2
+
+
+def test_regularised_steps_count_the_shifted_schur_complements(monkeypatch, caplog):
+    import steercert.sdp as sdp_module
+    from steercert.certify import certify_local
+    from steercert.scenario import assemblage_from, pauli_xz, werner_state
+
+    sols = []
+    monkeypatch.setattr(sdp_module, "solve", lambda p, **kw: sols.append(s := solve(p, **kw)) or s)
+    with caplog.at_level(logging.DEBUG, logger="steercert"):
+        certify_local(assemblage_from(werner_state(0.99), pauli_xz()), 0)
+    shifted = [r for r in caplog.records if "Schur complement regularised" in r.getMessage()]
+    assert [s.regularised_steps for s in sols] == [len(shifted)] == [1]
+    problem, _ = planted_problem(d=2, m=2, rank=1, rng=np.random.default_rng(3))
+    assert solve(problem).regularised_steps == 0

@@ -3,10 +3,12 @@ or compare the solves of this checkout with those of another.
 
     python3 tools/solve_fingerprints.py --workload qubit_sweeps > change.txt
     python3 tools/solve_fingerprints.py --workload all --against ../parent
+    python3 tools/solve_fingerprints.py --workload all --against HEAD
 
 Each hash covers the primal and dual iterates, the dual slacks, both values, the
 gap, the status, the iteration count, both residuals and the dropped rows, so equal
-lines mean bit-for-bit equal solves. `--root` names the checkout whose
+lines mean bit-for-bit equal solves; `regularised_steps` is left out, so that
+checkouts from before it still compare. `--root` names the checkout whose
 `perfbench/workloads.py` and `src/` are used (default: this one). Ops run once each,
 in `workloads.build` order, each after a `# <op key>` line. `--against ROOT` runs
 each workload at both checkouts in subprocesses and compares each op's hashes as
@@ -14,14 +16,21 @@ multisets, so a solve one checkout skips does not shift the others. It prints
 `<workload>: N solves differ (P only here, Q only at ROOT; M here, K at ROOT)`, where
 M and K are the solve counts of the `--root` checkout and of ROOT, then the key of each
 op whose solves differ with its own two counts, and exits 1 if any solve differs.
+When ROOT is not a directory, it names a git revision of the `--root` checkout: that
+revision is exported with `git archive` into a temporary directory, which is removed
+after the comparison.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import subprocess
 import sys
+import tarfile
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -29,7 +38,21 @@ WORKLOADS = ("qubit_sweeps", "qutrit_sweeps", "seesaw")
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
 parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
-parser.add_argument("--against", type=Path, help="another checkout to compare with")
+parser.add_argument("--against", help="another checkout, or a git revision of this one, to compare with")
+
+
+@contextlib.contextmanager
+def checkout(root: Path, against: str):
+    """The directory of `against`: itself, or an export of that revision of `root`."""
+    if Path(against).is_dir():
+        yield Path(against)
+        return
+    archive = subprocess.run(["git", "-C", str(root), "archive", against],
+                             stdout=subprocess.PIPE, check=True).stdout
+    with tempfile.TemporaryDirectory(prefix="fingerprints-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield Path(tmp)
 
 
 def solves_by_op(root: Path, workload: str) -> dict[str, list[str]]:
@@ -45,8 +68,9 @@ def solves_by_op(root: Path, workload: str) -> dict[str, list[str]]:
     return ops
 
 
-def compare(root: Path, other: Path, workload: str) -> bool:
-    """Print how many of the workload's solves differ between the checkouts, and where."""
+def compare(root: Path, other: Path, workload: str, label: str) -> bool:
+    """Print how many of the workload's solves differ between the checkouts, and where;
+    `label` names `other` in the output."""
     mine, theirs = solves_by_op(root, workload), solves_by_op(other, workload)
     only = {}  # op key -> (solves only here, solves only at `other`)
     for key in mine | theirs:
@@ -55,8 +79,8 @@ def compare(root: Path, other: Path, workload: str) -> bool:
             only[key] = ((here - there).total(), (there - here).total())
     n_here, n_there = (sum(counts[i] for counts in only.values()) for i in (0, 1))
     n_mine, n_theirs = (sum(map(len, ops.values())) for ops in (mine, theirs))
-    print(f"{workload}: {n_here + n_there} solves differ ({n_here} only here, {n_there} only at {other}; "
-          f"{n_mine} here, {n_theirs} at {other})",
+    print(f"{workload}: {n_here + n_there} solves differ ({n_here} only here, {n_there} only at {label}; "
+          f"{n_mine} here, {n_theirs} at {label})",
           *(f"{key}: {a} only here, {b} only there" for key, (a, b) in only.items()), sep="\n  ", flush=True)
     return bool(only)
 
@@ -65,7 +89,9 @@ if __name__ == "__main__":
     args = parser.parse_args()
     workloads = list(WORKLOADS) if args.workload == "all" else [args.workload]
     if args.against:
-        sys.exit(int(any([compare(args.root, args.against, name) for name in workloads])))
+        with checkout(args.root, args.against) as other:
+            differ = [compare(args.root, other, name, args.against) for name in workloads]
+        sys.exit(int(any(differ)))
     sys.path.insert(0, str(args.root.resolve() / "perfbench"))
     import numpy as np
     import workloads as bench  # puts that checkout's src/ first on the path
