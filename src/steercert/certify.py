@@ -221,24 +221,14 @@ def _check_x_star(n_inputs: int, x_star: int) -> None:
 
 
 def _supports(mats: np.ndarray) -> list[list[np.ndarray]]:
-    """The support isometry of each mats[a, x] of an (n_a, m, d, d) grid of PSD matrices,
-    keeping eigenvalues above SUPPORT_CUTOFF times the largest of the grid."""
+    """The support isometry of each mats[a, x] of an (n_a, m, d, d) grid of PSD matrices: the eigenvectors
+    of its Hermitian part (one batched ``eigh``) with eigenvalues above SUPPORT_CUTOFF times the largest of the
+    grid, or the identity when all are, so that unreduced problems keep the plain, unrotated variables."""
     cutoff = SUPPORT_CUTOFF * float(np.max(np.linalg.eigvalsh(mats)[..., -1]))
-    n_a, m = mats.shape[:2]
-    return [[_support_isometry(mats[a, x], cutoff) for x in range(m)] for a in range(n_a)]
-
-
-def _support_isometry(mat: np.ndarray, cutoff: float) -> np.ndarray:
-    """Columns spanning the range of a PSD matrix (eigenvalues above cutoff).
-
-    Full-rank matrices return the identity so unreduced problems keep the
-    plain, unrotated variables."""
-    mat = 0.5 * (mat + mat.conj().T)
-    vals, vecs = np.linalg.eigh(mat)
+    vals, vecs = np.linalg.eigh(0.5 * (mats + dagger(mats)))
     keep = vals > cutoff
-    if np.all(keep):
-        return np.eye(mat.shape[0], dtype=complex)
-    return vecs[:, keep]
+    return [[np.eye(mats.shape[-1], dtype=complex) if keep[a, x].all() else vecs[a, x][:, keep[a, x]]
+             for x in range(mats.shape[1])] for a in range(mats.shape[0])]
 
 
 class _EveGrid:

@@ -49,10 +49,15 @@ def min_eig(a: np.ndarray) -> float:
 
 def is_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:
     """Whether ``a`` is Hermitian (within ``tol``) with spectrum >= -tol."""
-    if not is_hermitian(a, tol=max(tol, ALG_TOL)):
-        return False
-    h = 0.5 * (a + dagger(a))
-    return float(np.linalg.eigvalsh(h)[0]) >= -tol
+    return not not_psd(np.asarray(a)[None], tol)[0]
+
+
+def not_psd(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
+    """Which matrices of a stack ``is_psd`` rejects, by one Hermiticity test and one
+    ``eigvalsh`` of the whole stack."""
+    hermitian = np.max(np.abs(stack - dagger(stack)), axis=(-2, -1)) <= max(tol, ALG_TOL)
+    h = np.where(hermitian[..., None, None], 0.5 * (stack + dagger(stack)), 0.0)  # no eigvalsh of a NaN
+    return ~(hermitian & (np.linalg.eigvalsh(h)[..., 0] >= -tol))
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
@@ -153,8 +158,8 @@ class Povm:
         for k, e in enumerate(els):
             if e.shape != (d, d):
                 raise ValueError(f"element {k} has shape {e.shape}, expected ({d}, {d})")
-            if not is_psd(e, tol=tol):
-                raise ValueError(f"element {k} is not PSD within {tol:g}")
+        if (bad := np.flatnonzero(not_psd(np.stack(els), tol))).size:
+            raise ValueError(f"element {bad[0]} is not PSD within {tol:g}")
         total = sum(els)
         if np.max(np.abs(total - np.eye(d))) > tol:
             raise ValueError(f"elements sum to identity only within {np.max(np.abs(total - np.eye(d))):.3e}")

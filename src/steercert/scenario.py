@@ -19,10 +19,10 @@ from .qlin import (
     dagger,
     freeze,
     basis_povm,
-    is_psd,
     kron,
     matrix_from_json,
     matrix_to_json,
+    not_psd,
     partial_trace,
 )
 
@@ -58,9 +58,8 @@ class Assemblage:
         expected = (scenario.n_outcomes, scenario.n_inputs, scenario.bob_dim, scenario.bob_dim)
         if sigma.shape != expected:
             raise ValueError(f"sigma has shape {sigma.shape}, expected {expected}")
-        for a, x in np.ndindex(sigma.shape[:2]):
-            if not is_psd(sigma[a, x], tol=tol):
-                raise ValueError(f"sigma[{a}|{x}] is not PSD within {tol:g}")
+        if (bad := np.argwhere(not_psd(sigma, tol))).size:
+            raise ValueError(f"sigma[{bad[0][0]}|{bad[0][1]}] is not PSD within {tol:g}")
         reduced = sigma.sum(axis=0)
         for x in range(1, scenario.n_inputs):
             if np.max(np.abs(reduced[x] - reduced[0])) > tol:

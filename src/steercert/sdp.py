@@ -44,9 +44,12 @@ are reported as zero, which keeps the returned ``dual`` vector a valid
 certificate in the original row order. Each iteration's gap and residuals
 are logged at DEBUG level on the ``steercert`` logger.
 
-Callers state their constraints as ``MatrixEquality``s between Hermitian
-matrices: ``expand`` makes each one's rows over ``hermitian_basis``, all of
-them, and ``fold`` returns each one's multiplier as a Hermitian matrix.
+Callers state their constraints as ``MatrixEquality``s between Hermitian matrices,
+with one row per element of ``hermitian_basis``; ``fold`` returns each one's multiplier
+as a Hermitian matrix. ``solve`` builds its (m x N) row matrix from the term stacks in
+one pass: the distinct stacks of one shape are checked, realified and svec'd as one
+stack and scattered into the rows of every equality that uses them. ``expand``'s rows
+are made only when read; a hand-built list of ``LinearConstraint``s enters as 1 x 1 equalities.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ import enum
 import functools
 import json
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,37 +126,46 @@ def term_stack(d: int, adjoint=None) -> np.ndarray:
     return _basis(d) if adjoint is None else adjoint(_basis(d))
 
 
-def expand(equalities: list[MatrixEquality]) -> list[LinearConstraint]:
-    """The rows of each equality in turn, d*d of them in basis order; every coefficient is
-    kept, zero or not, so that each equality has d*d rows."""
-    rows = []
-    for eq in equalities:
-        basis = _basis(eq.rhs.shape[-1])
-        rhs = np.real(np.sum(np.conj(basis) * eq.rhs, axis=(-2, -1)))
-        rows += [LinearConstraint({k: t[r] for k, t in eq.terms.items()}, rhs[r]) for r in range(len(basis))]
-    return rows
+@dataclass(eq=False)
+class _Rows(Sequence):  # the rows ``expand`` makes of ``equalities``
+    equalities: list[MatrixEquality]
+
+    def __len__(self) -> int:
+        return sum(eq.rhs.shape[-1] ** 2 for eq in self.equalities)
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    @functools.cached_property
+    def _rows(self) -> list[LinearConstraint]:
+        rhs = iter(_rhs_rows(self.equalities))
+        return [LinearConstraint({k: t[r] for k, t in eq.terms.items()}, next(rhs))
+                for eq in self.equalities for r in range(eq.rhs.shape[-1] ** 2)]
 
 
-def fold(equalities: list[MatrixEquality], y: np.ndarray) -> list[np.ndarray]:
-    """Each equality's multiplier Y = sum_r y_r E_r, as a Hermitian matrix, from the
-    multipliers ``y`` of the rows ``expand`` made of them."""
-    out, start = [], 0
-    for eq in equalities:
-        basis = _basis(eq.rhs.shape[-1])
-        out.append(sum(y_r * e for y_r, e in zip(y[start:start + len(basis)], basis)))
-        start += len(basis)
+def _rhs_rows(equalities: list[MatrixEquality]) -> np.ndarray:
+    """The right-hand side <E_r, rhs> of each row of each equality in turn, one stack per dimension."""
+    dims = np.array([eq.rhs.shape[-1] for eq in equalities], dtype=int)
+    starts, out = np.cumsum(dims**2) - dims**2, np.empty(int(np.sum(dims**2)))
+    for d in dict.fromkeys(dims.tolist()):
+        at = np.flatnonzero(dims == d)
+        rhs = np.real(np.sum(np.conj(_basis(d)) * np.stack([equalities[q].rhs for q in at])[:, None], axis=(-2, -1)))
+        out[(starts[at, None] + np.arange(d * d)).ravel()] = rhs.ravel()
     return out
 
 
-@dataclass
-class _Group:
-    """The blocks of one dimension, with their coefficients stacked."""
+def expand(equalities: list[MatrixEquality]) -> Sequence[LinearConstraint]:
+    """The rows of each equality in turn, d*d of them in basis order, with every coefficient kept,
+    zero or not; made only when read, since ``solve`` reads the equalities themselves."""
+    return _Rows(list(equalities))
 
-    blocks: np.ndarray  # their indices in the caller's order, ascending
-    objective: np.ndarray  # (n_g, dim, dim), zero for a None objective
-    coeffs: np.ndarray  # (nnz, dim, dim): every constraint coefficient on them
-    rows: np.ndarray  # the constraint of each coefficient
-    ks: np.ndarray  # the block of each coefficient
+
+def fold(equalities: list[MatrixEquality], y: np.ndarray) -> list[np.ndarray]:
+    """Each equality's multiplier Y = sum_r y_r E_r, as a Hermitian matrix, from the multipliers
+    ``y`` of its rows: the terms y_r E_r added one after another to a zero, in basis order."""
+    starts = np.cumsum([0] + [eq.rhs.shape[-1] ** 2 for eq in equalities])
+    return [np.add.accumulate(np.concatenate([np.zeros((1,) + e.shape[1:]), y[i:j, None, None] * e]))[-1]
+            for i, j, e in zip(starts, starts[1:], (_basis(eq.rhs.shape[-1]) for eq in equalities))]
 
 
 @dataclass
@@ -161,37 +174,7 @@ class SdpProblem:
 
     block_dims: tuple[int, ...]
     objective: list[np.ndarray | None]
-    constraints: list[LinearConstraint]
-
-    def validate(self) -> list[_Group]:
-        """Check every shape, and Hermiticity one stack per dimension; return
-        the blocks grouped by dimension, in order of first appearance."""
-        if len(self.objective) != len(self.block_dims):
-            raise ValueError("objective must provide one entry per block (None for zero)")
-        terms = {d: [] for d in self.block_dims}  # (constraint, block, matrix); -1: the objective
-
-        def where(i, k):
-            return f"objective block {k}" if i < 0 else f"constraint {i} block {k}"
-
-        for i, k, a in [(-1, k, c) for k, c in enumerate(self.objective)] + [
-            (i, k, a) for i, con in enumerate(self.constraints) for k, a in con.coeffs.items()
-        ]:
-            d = self.block_dims[k]
-            if a is not None and a.shape != (d, d):
-                raise ValueError(f"{where(i, k)} has shape {a.shape}, expected ({d}, {d})")
-            terms[d].append((i, k, np.zeros((d, d)) if a is None else a))
-        groups = []
-        for d, entries in terms.items():
-            rows, ks, mats = zip(*entries)
-            rows, ks, mats = np.array(rows), np.array(ks), np.concatenate(mats).reshape(-1, d, d)
-            defect = np.max(np.abs(mats - dagger(mats)), axis=(-2, -1))
-            bad = np.flatnonzero(defect > 1e-10)
-            if bad.size:
-                j = bad[0]
-                raise ValueError(f"{where(rows[j], ks[j])} is not Hermitian (defect {defect[j]:.2e})")
-            n_g = int(np.sum(rows < 0))  # the objective entries come first
-            groups.append(_Group(ks[:n_g], mats[:n_g], mats[n_g:], rows[n_g:], ks[n_g:]))
-        return groups
+    constraints: Sequence[LinearConstraint]  # a list, or the rows ``expand`` makes
 
     def to_debug_json(self) -> dict:
         """Problem dump (blocks, constraints, rhs) for offline inspection."""
@@ -241,7 +224,7 @@ def realify(a: np.ndarray) -> np.ndarray:
 
 
 def _realify(a: np.ndarray) -> np.ndarray:
-    """``realify`` without its Hermiticity check, for stacks ``SdpProblem.validate`` has checked."""
+    """``realify`` without its Hermiticity check, for stacks ``_assemble`` has checked."""
     re, im = a.real, a.imag
     return np.concatenate([np.concatenate([re, -im], -1), np.concatenate([im, re], -1)], -2)
 
@@ -383,6 +366,53 @@ def _independent_rows(mat: np.ndarray, b: np.ndarray, pivot_tol: float, consiste
     return keep, drop, violation <= consistency_tol, violation
 
 
+def _check_hermitian(stack: np.ndarray, where) -> None:
+    """Raise unless every matrix of a stack is Hermitian; ``where(*i)`` names its matrix i."""
+    defect = np.max(np.abs(stack - dagger(stack)), axis=(-2, -1))
+    if (bad := np.argwhere(defect > 1e-10)).size:
+        raise ValueError(f"{where(*bad[0])} is not Hermitian (defect {defect[tuple(bad[0])]:.2e})")
+
+
+def _assemble(problem: SdpProblem):
+    """Check the problem; return its (m, N) row matrix (each row's realified svec coefficients,
+    block after block in the caller's order), b, the blocks of each dimension in order of first
+    appearance, their objective stacks (zero for None) and each block's first column."""
+    dims = problem.block_dims
+    if len(problem.objective) != len(dims):
+        raise ValueError("objective must provide one entry per block (None for zero)")
+    cons = problem.constraints
+    equalities = cons.equalities if isinstance(cons, _Rows) else [  # hand-built rows: 1 x 1 equalities
+        MatrixEquality({k: np.asarray(a)[None] for k, a in con.coeffs.items()}, np.full((1, 1), con.rhs))
+        for con in cons]
+    offsets = np.cumsum([0] + [d * (2 * d + 1) for d in dims])  # svec length of a realified block
+    starts = np.cumsum([0] + [eq.rhs.shape[-1] ** 2 for eq in equalities]).tolist()
+    uses = {}  # shape -> {id of a term stack of that shape: (the stack, [(first row, block) of each use])}
+    for eq, start, stop in zip(equalities, starts, starts[1:]):
+        for k, stack in eq.terms.items():
+            if stack.shape != (shape := (stop - start, dims[k], dims[k])):
+                raise ValueError(f"constraint {start} block {k} has coefficients of shape {stack.shape}, not {shape}")
+            uses.setdefault(shape, {}).setdefault(id(stack), (stack, []))[1].append((start, k))
+    rows = np.zeros((starts[-1], offsets[-1]))
+    for (n, d, _), distinct in uses.items():  # the distinct stacks of one shape: checked, realified, svec'd at once
+        stacks, at = zip(*distinct.values())
+        _check_hermitian(big := np.stack(stacks), lambda j, r: f"constraint {at[j][0][0] + r} block {at[j][0][1]}")
+        svecs = _svec(_realify(big), _svec_indices(2 * d))
+        which, first, block = np.array([(j, start, k) for j, at_j in enumerate(at) for start, k in at_j]).T
+        rows[first[:, None, None] + np.arange(n)[:, None],
+             offsets[block][:, None, None] + np.arange(svecs.shape[-1])] = svecs[which]
+    for k, c in enumerate(problem.objective):
+        if c is not None and np.shape(c) != (dims[k], dims[k]):
+            raise ValueError(f"objective block {k} has shape {np.shape(c)}, expected ({dims[k]}, {dims[k]})")
+    groups = [np.flatnonzero(np.array(dims) == d) for d in dict.fromkeys(dims)]
+    zero = {d: np.zeros((d, d)) for d in dict.fromkeys(dims)}
+    objectives = [np.stack([zero[dims[k]] if problem.objective[k] is None else problem.objective[k] for k in blocks])
+                  for blocks in groups]
+    for blocks, stack in zip(groups, objectives):
+        _check_hermitian(stack, lambda j: f"objective block {blocks[j]}")
+    b = 2.0 * _rhs_rows(equalities)
+    return rows, b, groups, objectives, offsets
+
+
 def solve(
     problem: SdpProblem,
     *,
@@ -396,15 +426,14 @@ def solve(
     that ends short of them is still declared Optimal when its best-merit
     iterate has a relative gap and both residuals within 1e-8.
     """
-    groups = problem.validate()
-    m = len(problem.constraints)
-    dims = [2 * g.objective.shape[-1] for g in groups]
-    sizes = [len(g.blocks) for g in groups]
+    rows, b, groups, objectives, offsets = _assemble(problem)
+    m = len(b)
+    dims = [2 * c.shape[-1] for c in objectives]
+    sizes = [len(blocks) for blocks in groups]
     eyes = [np.eye(d) for d in dims]
     idx = [_svec_indices(d) for d in dims]
-    cmats = [_realify(g.objective) for g in groups]
-    b = np.array([2.0 * con.rhs for con in problem.constraints], dtype=float)
-    order = np.argsort(np.concatenate([g.blocks for g in groups]))
+    cmats = [_realify(c) for c in objectives]
+    order = np.argsort(np.concatenate(groups))
     order = None if np.array_equal(order, np.arange(len(order))) else order  # None: already in it
 
     def in_order(stacks):
@@ -418,17 +447,11 @@ def solve(
         blocks = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return np.add.accumulate(blocks if order is None else blocks[order])[-1]
 
-    # constraint rows in svec coordinates, one (n_g, m, s) stack per group
-    a3 = [np.zeros((n, m, len(ix[0]))) for n, ix in zip(sizes, idx)]
-    for a, g, ix in zip(a3, groups, idx):
-        a[np.searchsorted(g.blocks, g.ks), g.rows] = _svec(_realify(g.coeffs), ix)
     b_scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
-    a_all = np.hstack(in_order(a3))
     keep, drop, consistent, violation = _independent_rows(
-        a_all, b, pivot_tol=1e-10, consistency_tol=_ACCEPT_TOL * b_scale
+        rows, b, pivot_tol=1e-10, consistency_tol=_ACCEPT_TOL * b_scale
     )
-    row_norms = np.linalg.norm(a_all[keep], axis=1)  # for the start point
-    del a_all  # all rows of every block: megabytes on qutrit problems
+    row_norms = np.linalg.norm(rows, axis=1)[keep]  # for the start point
 
     def objective(xzs):
         return 0.5 * block_sum([(c * xz[:n]).sum(axis=(-2, -1)) for c, xz, n in zip(cmats, xzs, sizes)])
@@ -454,7 +477,10 @@ def solve(
     mr = len(keep)
     if mr == 0:
         raise ValueError("a well-formed problem needs at least one linearly independent constraint")
-    a3 = [np.ascontiguousarray(a[:, keep]) for a in a3]  # BLAS rounding depends on the layout
+    # the kept rows in svec coordinates, one C-contiguous (n_g, mr, s) stack per group (BLAS rounds by layout)
+    a3 = [rows[keep[None, :, None], (offsets[blocks][:, None] + np.arange(len(ix[0])))[:, None, :]]
+          for blocks, ix in zip(groups, idx)]
+    del rows  # all rows of every block: megabytes on qutrit problems
     a_sp, amats, schur_plan = _sparse_rows(a3, order, dims, idx)
 
     # on all rows: on a block's own, dgemv's kernel (A) or the inner dimension (A^T) would change

@@ -328,3 +328,22 @@ def test_global_uncorrelated_target_gives_two_bits():
     res = certify_global(asm, 1, pauli_xz()[0])
     assert res.p_guess == pytest.approx(0.25, abs=1e-7)
     assert res.h_min == pytest.approx(2.0, abs=1e-6)
+
+
+def test_supports_match_one_eigh_per_block():
+    # the reference: the cutoff from one eigvalsh of the grid, then one eigh per block
+    from steercert.certify import SUPPORT_CUTOFF, _supports
+
+    rng = np.random.default_rng(36)
+    grid = np.zeros((3, 2, 3, 3), dtype=complex)
+    for (a, x), rank in zip(np.ndindex(3, 2), (3, 2, 1, 0, 3, 2)):
+        g = rng.standard_normal((3, rank)) + 1j * rng.standard_normal((3, rank))
+        grid[a, x] = g @ dagger(g)
+    grid[0, 1, 0, 1] += 1e-13  # a block that is Hermitian only within rounding
+    cutoff = SUPPORT_CUTOFF * float(np.max(np.linalg.eigvalsh(grid)[..., -1]))
+    got = _supports(grid)
+    for a, x in np.ndindex(3, 2):
+        vals, vecs = np.linalg.eigh(0.5 * (grid[a, x] + grid[a, x].conj().T))
+        want = np.eye(3, dtype=complex) if np.all(vals > cutoff) else vecs[:, vals > cutoff]
+        assert got[a][x].shape == want.shape == (3, (3, 2, 1, 0, 3, 2)[2 * a + x])
+        assert got[a][x].tobytes() == want.tobytes()

@@ -13,6 +13,7 @@ from steercert.qlin import (
     matrix_from_json,
     matrix_to_json,
     min_eig,
+    not_psd,
     partial_trace,
     random_unitary,
 )
@@ -159,6 +160,47 @@ def test_povm_validation():
         Povm([np.diag([1.0, 0.0]), np.diag([0.0, 0.9])])
     with pytest.raises(ValueError):
         Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+
+
+def _is_psd_one_by_one(a, tol):
+    """The reference PSD test: a Hermiticity check, then one eigvalsh of the Hermitian part."""
+    if not np.max(np.abs(a - dagger(a))) <= max(tol, 1e-12):  # NaN is not Hermitian
+        return False
+    return float(np.linalg.eigvalsh(0.5 * (a + dagger(a)))[0]) >= -tol
+
+
+def test_stacked_psd_test_matches_the_matrix_by_matrix_one():
+    rng = np.random.default_rng(35)
+    stack = np.stack([random_herm(3, rng) for _ in range(12)])
+    g = rng.standard_normal((6, 3, 2)) + 1j * rng.standard_normal((6, 3, 2))
+    stack[:6] = g @ dagger(g)  # PSD of rank 2
+    stack[2] -= 5e-10 * np.eye(3)  # lambda_min -5e-10: PSD within 1e-8 only
+    stack[3, 0, 2] += 1e-11  # Hermitian within both tolerances
+    stack[4, 0, 2] += 1e-9  # Hermitian within 1e-8 only
+    stack[7, 0, 0] = np.nan
+    for tol in (1e-10, 1e-8):
+        want = [not _is_psd_one_by_one(a, tol) for a in stack]
+        assert list(not_psd(stack, tol)) == want
+        assert list(not_psd(stack.reshape(3, 4, 3, 3), tol).ravel()) == want
+        assert [not is_psd(a, tol) for a in stack] == want
+    assert list(not_psd(stack, 1e-10)[:6]) == [False, False, True, False, True, False]
+
+
+def test_povm_errors_name_the_first_failing_element():
+    half = np.diag([0.5, 0.5])
+    cases = [
+        ([half, np.diag([0.5, 0.7]), np.diag([0.0, -0.2])], r"element 2 is not PSD within 1e-10"),
+        ([np.array([[0.5, 0.1], [0.0, 0.5]]), half], r"element 0 is not PSD within 1e-10"),
+        ([np.diag([1.0, 1.0 + 2e-10]), np.diag([0.0, -2e-10])], r"element 1 is not PSD within 1e-10"),
+        ([half, np.full((2, 2), np.nan)], r"element 1 is not PSD within 1e-10"),
+        ([half, np.eye(3)], r"element 1 has shape \(3, 3\), expected \(2, 2\)"),
+        ([half, np.diag([0.5, 0.4])], r"elements sum to identity only within 1\.000e-01"),
+    ]
+    for elements, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Povm(elements)
+    with pytest.raises(ValueError, match=r"^element 1 is not PSD within 0\.3$"):
+        Povm([np.diag([1.5, 0.6]), np.diag([-0.5, 0.0]), np.diag([0.0, 0.4])], tol=0.3)
 
 
 def test_basis_povm_from_unitary():

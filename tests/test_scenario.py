@@ -194,6 +194,21 @@ def test_assemblage_rejects_signalling():
         Assemblage(Scenario(2, 2, 2), sig)
 
 
+def test_assemblage_errors_name_the_first_failing_element():
+    # three outcomes, two inputs: sigma[0|1] and sigma[2|0] fail, sigma[0|1] comes first
+    sig = np.zeros((3, 2, 2, 2), dtype=complex)
+    sig[:, 0] = [0.5 * proj(KET0), 0.5 * proj(KET1), 0.0 * proj(KET0)]
+    sig[:, 1] = [0.5 * proj(KET0), 0.5 * proj(KET1), 0.0 * proj(KET0)]
+    Assemblage(Scenario(2, 3, 2), sig)
+    sig[2, 0, 1, 1] = -1e-8
+    with pytest.raises(ValueError, match=r"^sigma\[2\|0\] is not PSD within 1e-09$"):
+        Assemblage(Scenario(2, 3, 2), sig)
+    sig[0, 1, 0, 1] = 1e-3
+    with pytest.raises(ValueError, match=r"^sigma\[0\|1\] is not PSD within 1e-09$"):
+        Assemblage(Scenario(2, 3, 2), sig)
+    Assemblage(Scenario(2, 3, 2), sig, tol=1e-2)  # within a looser tolerance, both pass
+
+
 def test_assemblage_json_round_trip():
     asm = assemblage_from(werner_state(0.8), pauli_xz())
     data = asm.to_json()

@@ -14,6 +14,7 @@ from steercert.sdp import (
     _max_steps,
     _schur,
     _sparse_rows,
+    _svec,
     _svec_indices,
     _sym,
     _tril_inv,
@@ -543,8 +544,6 @@ def _unsvec_by_index(vec, dim):
 
 @pytest.mark.parametrize("dim", [2, 4, 6, 8])
 def test_svec_gathers_match_the_index_forms(dim):
-    from steercert.sdp import _svec
-
     rng = np.random.default_rng(20 + dim)
     idx = _svec_indices(dim)
     for lead in [(), (3,), (2, 5), (4, 0)]:
@@ -617,3 +616,120 @@ def test_regularised_steps_count_the_shifted_schur_complements(monkeypatch, capl
     assert [s.regularised_steps for s in sols] == [len(shifted)] == [1]
     problem, _ = planted_problem(d=2, m=2, rank=1, rng=np.random.default_rng(3))
     assert solve(problem).regularised_steps == 0
+
+
+def _row_by_row(problem):
+    """The reference build of the row matrix and b: every row's coefficient on every block,
+    realified and svec'd one at a time (zero where the row leaves the block out), one column
+    block per block in the caller's order."""
+    cons = list(problem.constraints)
+    columns = []
+    for k, d in enumerate(problem.block_dims):
+        idx = _svec_indices(2 * d)
+        columns.append(np.array([_svec(realify(con.coeffs[k]), idx) if k in con.coeffs else np.zeros(len(idx[0]))
+                                 for con in cons]).reshape(len(cons), len(idx[0])))
+    return np.hstack(columns), np.array([2.0 * con.rhs for con in cons], dtype=float)
+
+
+def _identical(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and a.tobytes() == b.tobytes()
+
+
+def _mixed_equalities(rng):
+    """Equalities on blocks of dimensions 1, 2, 3, 2 and 2, of which block 4 is untouched: one term
+    stack shared by blocks 1 and 3 and by two equalities, and a term-less equality."""
+    v = np.linalg.qr(rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2)))[0]
+    shared = term_stack(2)
+    scalar = term_stack(2, lambda e: np.trace(e, axis1=1, axis2=2).real[:, None, None] / 2)
+    return [
+        MatrixEquality({0: scalar, 1: shared, 3: shared, 2: term_stack(2, lambda e: v @ e @ dagger(v))},
+                       random_herm(2, rng)),
+        MatrixEquality({}, np.zeros((3, 3))),
+        MatrixEquality({2: term_stack(3), 0: term_stack(3, lambda e: np.trace(e, axis1=1, axis2=2)[:, None, None])},
+                       random_herm(3, rng)),
+        MatrixEquality({1: shared, 0: term_stack(2, lambda e: e[:, :1, :1])}, random_herm(2, rng)),
+        MatrixEquality({3: term_stack(1, lambda e: e[:, 0, 0, None, None] * np.eye(2))}, np.eye(1)),
+    ]
+
+
+def test_assembly_matches_the_row_by_row_build(monkeypatch):
+    import steercert.sdp as sdp_module
+    from steercert.sdp import _assemble
+
+    rng = np.random.default_rng(31)
+    dims = (1, 2, 3, 2, 2)
+    objective = [np.eye(1), random_herm(2, rng), None, random_herm(2, rng), -np.eye(2)]
+    hand_built = [LinearConstraint({0: np.eye(1)}, 0.5), LinearConstraint({1: random_herm(2, rng), 2: np.eye(3)}, 1.0),
+                  LinearConstraint({}, 0.0), LinearConstraint({3: np.diag([1.0, 0.0]), 1: np.eye(2)}, 0.25)]
+    for constraints in (expand(_mixed_equalities(rng)), hand_built):
+        problem = SdpProblem(dims, objective, constraints)
+        rows, b, groups, objectives, _ = _assemble(problem)
+        ref_rows, ref_b = _row_by_row(problem)
+        assert _identical(rows, ref_rows) and _identical(b, ref_b)
+        assert [list(g) for g in groups] == [[0], [1, 3, 4], [2]]
+        for g, stack in zip(groups, objectives):
+            assert all(np.array_equal(s, np.zeros_like(s) if objective[k] is None else objective[k])
+                       for k, s in zip(g, stack))
+        # the group stacks the Newton loop gets: each group's blocks on the kept rows
+        stacks = []
+        monkeypatch.setattr(sdp_module, "_sparse_rows", lambda a3, *rest: stacks.append(a3) or _sparse_rows(a3, *rest))
+        sol = solve(problem)
+        monkeypatch.undo()
+        keep = [i for i in range(len(b)) if i not in sol.dropped_rows]
+        starts = np.cumsum([0] + [d * (2 * d + 1) for d in dims])
+        for g, a in zip(groups, stacks[0]):
+            want = np.stack([ref_rows[keep, starts[k]:starts[k + 1]] for k in g])
+            assert a.flags.c_contiguous and _identical(a, want)
+
+
+def test_expanded_rows_are_a_sequence_of_the_rows():
+    rng = np.random.default_rng(32)
+    equalities = _mixed_equalities(rng)
+    rows = expand(equalities)
+    assert len(rows) == 4 + 9 + 9 + 4 + 1
+    listed = list(rows)
+    assert len(listed) == len(rows) and rows[-1] is listed[-1] and rows[4:13] == listed[4:13]
+    assert all(con.coeffs == {} and con.rhs == 0.0 for con in rows[4:13])  # the term-less equality
+    for i, con in enumerate(listed[13:22]):
+        assert list(con.coeffs) == [2, 0]
+        assert np.array_equal(con.coeffs[2], hermitian_basis(3)[i])
+        assert con.rhs == hermitian_inner(hermitian_basis(3)[i], equalities[2].rhs)
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+
+
+def test_a_non_hermitian_term_names_its_constraint_and_block():
+    rng = np.random.default_rng(33)
+    equalities = _mixed_equalities(rng)
+    bad = term_stack(3).copy()
+    bad[5, 0, 1] += 1e-3  # row 5 of the equality whose rows start at 13
+    equalities[2] = MatrixEquality({2: term_stack(3), 0: equalities[2].terms[0], 3: bad[:, :2, :2]},
+                                   equalities[2].rhs)
+    objective = [None] * 5
+    with pytest.raises(ValueError, match=r"^constraint 18 block 3 is not Hermitian \(defect 1\.00e-03\)$"):
+        solve(SdpProblem((1, 2, 3, 2, 2), objective, expand(equalities)))
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    hand_built = [LinearConstraint({0: np.eye(2)}, 1.0), LinearConstraint({1: np.eye(2), 0: skew}, 0.0)]
+    with pytest.raises(ValueError, match=r"^constraint 1 block 0 is not Hermitian \(defect 1\.00e\+00\)$"):
+        solve(SdpProblem((2, 2), [None, None], hand_built))
+    with pytest.raises(ValueError, match=r"^objective block 1 is not Hermitian"):
+        solve(SdpProblem((2, 2), [None, skew], hand_built[:1]))
+    shape = r"^constraint 0 block 1 has coefficients of shape \(1, 3, 3\), not \(1, 2, 2\)$"
+    with pytest.raises(ValueError, match=shape):
+        solve(SdpProblem((2, 2), [None, None], [LinearConstraint({1: np.eye(3)}, 1.0)]))
+
+
+def test_fold_adds_the_terms_as_a_python_sum_does():
+    rng = np.random.default_rng(34)
+    equalities = _mixed_equalities(rng)
+    mixed = rng.standard_normal(len(expand(equalities)))
+    mixed[[0, 5, 14]] = 0.0, -0.0, -0.0
+    # all terms negative: an entry that only -0.0 terms reach is +0.0 after the sum's zero start
+    negative = -np.abs(mixed)
+    for y in (mixed, negative):
+        start = 0
+        for eq, big_y in zip(equalities, fold(equalities, y)):
+            basis = hermitian_basis(len(eq.rhs))
+            want = sum(y_r * e for y_r, e in zip(y[start:start + len(basis)], basis))
+            assert _identical(big_y, want)
+            start += len(basis)

@@ -3,6 +3,7 @@ the starts of this checkout with those of another.
 
     python3 tools/seesaw_starts.py --starts 0-29
     python3 tools/seesaw_starts.py --starts 0-29 --against ../parent
+    python3 tools/seesaw_starts.py --starts 0-29 --against HEAD
 
 Each start s runs the `fig6_seesaw` preset with `seeds=(s,)` through
 `cli.run_seesaw`, as the benchmark's `seesaw` ops do, and prints one line: the
@@ -13,7 +14,8 @@ are used (default: this one). `--against ROOT` runs the starts at both checkouts
 in two subprocesses at once, prints both lines per start, the counts of starts
 converged at both, only here, only at ROOT and at neither, the exact two-sided
 McNemar p-value of the discordant counts, and each side's count of every stop
-reason (`tolerance`, `stall`, `max_iterations`).
+reason (`tolerance`, `stall`, `max_iterations`). When ROOT is not a directory, it names
+a git revision of the `--root` checkout, exported as `tools/solve_fingerprints.py` does.
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+from solve_fingerprints import checkout
+
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("--starts", default="0-29", help="a range LO-HI, both included, or one start")
 parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
-parser.add_argument("--against", type=Path, help="another checkout to compare with")
+parser.add_argument("--against", help="another checkout, or a git revision of this one, to compare with")
 
 
 def start_range(text: str) -> range:
@@ -86,7 +90,8 @@ def compare(root: Path, other: Path, starts: str) -> None:
 if __name__ == "__main__":
     args = parser.parse_args()
     if args.against:
-        compare(args.root, args.against, args.starts)
+        with checkout(args.root, args.against) as other:
+            compare(args.root, other, args.starts)
         sys.exit(0)
     sys.path.insert(0, str(args.root.resolve() / "perfbench"))
     import workloads as bench  # puts that checkout's src/ first on the path
