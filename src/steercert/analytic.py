@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import JointAssemblage
-from .qlin import Povm
+from .qlin import Povm, dagger, helstrom_pair, normalised
 from .scenario import Assemblage, assemblage_from, pauli_xz, schmidt_state
 
 
@@ -47,14 +47,9 @@ class PureQubitBound:
 
 
 def _purity_defects(asm: Assemblage) -> np.ndarray:
-    n_a, m = asm.scenario.n_outcomes, asm.scenario.n_inputs
-    out = np.zeros((n_a, m))
-    for a, x in np.ndindex(n_a, m):
-        block = asm.sigma[a, x]
-        tr = float(np.trace(block).real)
-        if tr > 1e-14:
-            out[a, x] = 1.0 - float(np.linalg.eigvalsh(block)[-1]) / tr
-    return out
+    traces = np.real(np.trace(asm.sigma, axis1=-2, axis2=-1))
+    tops = np.linalg.eigvalsh(asm.sigma)[..., -1]
+    return np.where(traces > 1e-14, 1.0 - tops / np.maximum(traces, 1e-14), 0.0)
 
 
 def pure_qubit_pg(theta: float) -> PureQubitBound:
@@ -122,17 +117,11 @@ def eve_strategy(rho: np.ndarray, povms: list[Povm], eve_povm: Povm) -> EveStrat
     if eve_povm.dim != d_e:
         raise ValueError(f"Eve's measurement acts on dimension {eve_povm.dim}, purification has {d_e}")
     psi_t = psi.reshape(d_a, d_b, d_e)
-    n_e = eve_povm.n_outcomes
-    sigma_e = np.empty((n_e, sc.n_outcomes, sc.n_inputs, d_b, d_b), dtype=complex)
-    for e in range(n_e):
-        for x, povm in enumerate(povms):
-            for a in range(sc.n_outcomes):
-                sigma_e[e, a, x] = np.einsum(
-                    "ij,kl,jbl,ick->bc",
-                    np.asarray(povm[a]), np.asarray(eve_povm[e]), psi_t, psi_t.conj(),
-                    optimize=True,
-                )
-    joint = JointAssemblage(sc, n_e, sigma_e)
+    grid = np.stack([p.elements for p in povms], axis=1)  # (n_a, m, d_a, d_a)
+    sigma_e = np.einsum(
+        "axij,ekl,jbl,ick->eaxbc", grid, eve_povm.elements, psi_t, psi_t.conj(), optimize=True
+    )
+    joint = JointAssemblage(sc, eve_povm.n_outcomes, sigma_e)
     joint.validate(obs, tol=1e-8)  # a violation here means the purification is wrong
     return EveStrategy(eve_povm=eve_povm, induced=joint)
 
@@ -141,38 +130,14 @@ def _conditional_eve_states(rho, povms, x_star) -> np.ndarray:
     """Eve's subnormalized conditional states W_a on the purifying system,
     given the untrusted outcome a at the target input."""
     d_a = povms[0].dim
-    d_b = rho.shape[0] // d_a
     psi = purify(rho)
-    d_e = psi.shape[1]
-    psi_t = psi.reshape(d_a, d_b, d_e)
-    n_a = povms[x_star].n_outcomes
-    w = np.empty((n_a, d_e, d_e), dtype=complex)
-    for a in range(n_a):
-        w[a] = np.einsum(
-            "ij,jbk,ibl->kl", np.asarray(povms[x_star][a]), psi_t, psi_t.conj(), optimize=True
-        )
-        w[a] = 0.5 * (w[a] + w[a].conj().T)
-    return w
+    psi_t = psi.reshape(d_a, rho.shape[0] // d_a, psi.shape[1])
+    w = np.einsum("aij,jbk,ibl->akl", povms[x_star].elements, psi_t, psi_t.conj(), optimize=True)
+    return 0.5 * (w + dagger(w))
 
 
 def _guess_value(w: np.ndarray, elements: np.ndarray) -> float:
     return float(np.real(np.einsum("eij,eji->", elements, w)))
-
-
-def _pretty_good(w: np.ndarray) -> np.ndarray:
-    total = w.sum(axis=0)
-    vals, vecs = np.linalg.eigh(total)
-    vals = np.maximum(vals, 1e-300)
-    inv_sqrt = (vecs * (vals**-0.5)) @ vecs.conj().T
-    return np.einsum("ij,ejk,kl->eil", inv_sqrt, w, inv_sqrt)
-
-
-def _helstrom_pair(w: np.ndarray) -> np.ndarray:
-    """Exact optimal two-outcome discrimination of {W_0, W_1}."""
-    vals, vecs = np.linalg.eigh(w[0] - w[1])
-    pos = vecs[:, vals > 0]
-    m0 = pos @ pos.conj().T
-    return np.stack([m0, np.eye(w.shape[1]) - m0])
 
 
 def eve_lower_bound(
@@ -194,7 +159,8 @@ def eve_lower_bound(
     if eve_povm is not None:
         return eve_strategy(rho, povms, eve_povm).value(x_star)
     w = _conditional_eve_states(rho, povms, x_star)
-    best = _guess_value(w, _pretty_good(w))
+    best = _guess_value(w, normalised(w))
     if w.shape[0] == 2:
-        best = max(best, _guess_value(w, _helstrom_pair(w)))
+        # Helstrom's M_0 projects onto the positive eigenspace of W_0 - W_1
+        best = max(best, _guess_value(w, helstrom_pair(w[1] - w[0])))
     return best

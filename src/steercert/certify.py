@@ -71,10 +71,7 @@ class JointAssemblage:
         object.__setattr__(self, "sigma_e", sigma_e)
 
     def min_block_eig(self) -> float:
-        return min(
-            float(np.linalg.eigvalsh(0.5 * (blk + blk.conj().T))[0])
-            for blk in self.sigma_e.reshape(-1, *self.sigma_e.shape[-2:])
-        )
+        return float(np.min(np.linalg.eigvalsh(0.5 * (self.sigma_e + dagger(self.sigma_e)))[..., 0]))
 
     def consistency_defect(self, asm: Assemblage) -> float:
         return float(np.max(np.abs(self.sigma_e.sum(axis=0) - asm.sigma)))
@@ -95,13 +92,9 @@ class JointAssemblage:
 
     def guess_probability(self, x_star: int, guess_outcome=None) -> float:
         """sum_e Tr[sigma^e_{a = guess(e) | x_star}] for this strategy."""
-        outs = np.arange(self.eve_alphabet) if guess_outcome is None else guess_outcome
-        return float(
-            sum(
-                np.trace(self.sigma_e[e, outs[e], x_star]).real
-                for e in range(self.eve_alphabet)
-            )
-        )
+        es = np.arange(self.eve_alphabet)
+        blocks = self.sigma_e[es, es if guess_outcome is None else np.asarray(guess_outcome), x_star]
+        return float(sum(np.trace(blocks, axis1=1, axis2=2).real))
 
 
 @dataclass(frozen=True)
@@ -149,36 +142,24 @@ class SteeringFunctional:
         (compressed onto the certificate's faces when facially reduced)."""
         if self.G is None or self.guess_outcome is None or self.guess_target is None:
             raise ValueError("no dual multipliers stored for this functional")
-        n_a, m = self.F.shape[:2]
-        g_sum = self.G.sum(axis=1)  # (n_guess, d, d)
-        worst = np.inf
-        for e in range(self.G.shape[0]):
-            for a in range(n_a):
-                for x in range(m):
-                    h = self.F[a, x] - self.G[e, x]
-                    if x == self.x_star:
-                        h = h + g_sum[e]
-                        if a == self.guess_outcome[e]:
-                            h = h - self.guess_target[e]
-                    if self.supports is not None:
-                        v = self.supports[a][x]
-                        if v.shape[1] == 0:
-                            continue
-                        h = v.conj().T @ h @ v
-                    h = 0.5 * (h + h.conj().T)
-                    worst = min(worst, float(np.linalg.eigvalsh(h)[0]))
-        return worst
+        h = self.F[None] - self.G[:, None]  # the (n_guess, n_a, m, d, d) grid of operators
+        h[:, :, self.x_star] += self.G.sum(axis=1)[:, None]
+        h[np.arange(len(h)), self.guess_outcome, self.x_star] -= self.guess_target
+        # compressed onto each face, leaving out faces of rank 0
+        blocks = [h] if self.supports is None else [
+            dagger(v) @ h[:, a, x] @ v
+            for a, row in enumerate(self.supports) for x, v in enumerate(row) if v.shape[1]
+        ]
+        return min(float(np.min(np.linalg.eigvalsh(0.5 * (b + dagger(b))))) for b in blocks)
 
     def to_json(self) -> dict:
         data = {
             "x_star": int(self.x_star),
             "offset": float(self.offset),
-            "F": [[matrix_to_json(self.F[a, x]) for x in range(self.F.shape[1])]
-                  for a in range(self.F.shape[0])],
+            "F": matrix_to_json(self.F),
         }
         if self.G is not None:
-            data["G"] = [[matrix_to_json(self.G[e, x]) for x in range(self.G.shape[1])]
-                         for e in range(self.G.shape[0])]
+            data["G"] = matrix_to_json(self.G)
         return data
 
 
@@ -392,10 +373,8 @@ def certify_global(asm: Assemblage, x_star: int, bob_povm: Povm) -> Certificatio
     sc = asm.scenario
     if bob_povm.dim != sc.bob_dim:
         raise ValueError("trusted measurement dimension does not match the assemblage")
-    n_b = bob_povm.n_outcomes
-    n_guess = sc.n_outcomes * n_b
-    guess_outcome = np.arange(n_guess) // n_b
-    guess_target = np.stack([np.asarray(bob_povm[g % n_b]) for g in range(n_guess)])
+    guess_outcome = np.repeat(np.arange(sc.n_outcomes), bob_povm.n_outcomes)
+    guess_target = np.tile(bob_povm.elements, (sc.n_outcomes, 1, 1))
     return _solve_steering(asm, x_star, guess_outcome, guess_target)
 
 
@@ -424,7 +403,7 @@ def certify_pm(rho: np.ndarray, povms: list[Povm], x_star: int = 0) -> Certifica
     injective = svals.size >= d_a * d_a and svals[d_a * d_a - 1] > 1e-10 * max(svals[0], 1.0)
 
     if injective:
-        supports = _supports(np.array([[np.asarray(povms[x][a]) for x in range(m)] for a in range(n_a)]))
+        supports = _supports(np.stack([p.elements for p in povms], axis=1))
     else:
         supports = [[eye_a for _ in range(m)] for _ in range(n_a)]
 

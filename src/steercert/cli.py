@@ -25,7 +25,11 @@ from . import scenario as scen
 from .seesaw import random_povms as _random_povms, seesaw as _seesaw_loop
 from .qlin import Povm, basis_povm
 
-KINDS = ("steering_local", "steering_global", "prepare_measure", "seesaw", "lhs")
+CERTIFICATION_KINDS = ("steering_local", "steering_global", "prepare_measure")
+KINDS = (*CERTIFICATION_KINDS, "seesaw", "lhs")
+# the experiment kinds each command runs: lhs tests the assemblage of any kind that has measurements
+COMMAND_KINDS = {"certify": CERTIFICATION_KINDS, "sweep": CERTIFICATION_KINDS, "seesaw": ("seesaw",),
+                 "lhs": (*CERTIFICATION_KINDS, "lhs")}
 STATE_KINDS = ("werner", "isotropic", "schmidt")
 MEASUREMENT_KINDS = ("pauli_xz", "mub", "fourier_and_computational")
 BOB_KINDS = ("pauli_x", "pauli_z", "computational", "fourier")
@@ -129,6 +133,14 @@ class ExperimentConfig:
         if m["kind"] == "mub":
             if "d" not in m or "count" not in m:
                 raise ConfigError("measurements", "mub needs 'd' and 'count'")
+            try:
+                n_bases = len(scen.mub_bases(int(m["d"])))
+            except ValueError as exc:
+                raise ConfigError("measurements.d", str(exc)) from None
+            if not 1 <= int(m["count"]) <= n_bases:
+                raise ConfigError(
+                    "measurements.count", f"d = {m['d']} has 1 to {n_bases} mub bases, got {m['count']}"
+                )
         if m["kind"] == "fourier_and_computational" and "d" not in m:
             raise ConfigError("measurements", "fourier_and_computational needs 'd'")
         d_state = self._alice_dim()
@@ -212,17 +224,16 @@ class ExperimentConfig:
             povms = [scen.apply_loss(p, float(self.eta)) for p in povms]
         return povms
 
-    def build_bob_povm(self) -> Povm:
+    def build_bob_povm(self, d: int) -> Povm:
+        """The trusted measurement, on Bob's dimension d."""
         kind = self.bob_measurement["kind"]
-        d = self.build_state().shape[0] // self._alice_dim()
         if kind in ("pauli_x", "pauli_z"):
             if d != 2:
                 raise ConfigError("bob_measurement", f"{kind} needs a qubit on the trusted side")
             return scen.pauli_xz()[0 if kind == "pauli_x" else 1]
         if kind == "computational":
             return basis_povm(np.eye(d, dtype=complex))
-        fourier = scen.fourier_and_computational(d)[0]
-        return fourier
+        return scen.fourier_and_computational(d)[0]
 
 
 def presets() -> dict[str, ExperimentConfig]:
@@ -276,18 +287,22 @@ def presets() -> dict[str, ExperimentConfig]:
     }
 
 
+def _check_kind(config: ExperimentConfig, command: str) -> None:
+    """Reject, before anything is built, a configuration whose kind `command` does not run."""
+    if config.kind not in COMMAND_KINDS[command]:
+        raise ConfigError("kind", f"{command} needs one of {COMMAND_KINDS[command]}, got {config.kind!r}")
+
+
 def _certify_point(config: ExperimentConfig) -> certify_mod.CertificationResult:
+    _check_kind(config, "certify")
     rho = config.build_state()
     povms = config.build_measurements()
-    if config.kind == "steering_local":
-        return certify_mod.certify_local(scen.assemblage_from(rho, povms), int(config.x_star))
-    if config.kind == "steering_global":
-        return certify_mod.certify_global(
-            scen.assemblage_from(rho, povms), int(config.x_star), config.build_bob_povm()
-        )
     if config.kind == "prepare_measure":
         return certify_mod.certify_pm(rho, povms, int(config.x_star))
-    raise ConfigError("kind", f"{config.kind} is not a certification kind")
+    asm = scen.assemblage_from(rho, povms)
+    if config.kind == "steering_local":
+        return certify_mod.certify_local(asm, int(config.x_star))
+    return certify_mod.certify_global(asm, int(config.x_star), config.build_bob_povm(asm.scenario.bob_dim))
 
 
 def _sweep_worker(point: ExperimentConfig, value: float) -> dict:
@@ -332,6 +347,7 @@ def _write_rows(out: str, rows: list[dict]) -> str:
 def run_sweep(config: ExperimentConfig, *, jobs: int = 1, out: str | None = None) -> tuple[list[dict], int]:
     """Execute every sweep point; returns (rows, exit_code) and writes the
     CSV and its JSON sidecar when an output path is configured."""
+    _check_kind(config, "sweep")
     config.validate()
     values = config.sweep_values()
     points = [config.at_parameter(v) for v in values]
@@ -351,6 +367,7 @@ def run_sweep(config: ExperimentConfig, *, jobs: int = 1, out: str | None = None
 def run_seesaw(config: ExperimentConfig, *, out: str | None = None) -> tuple[dict, int]:
     """Multi-seed see-saw restarts; keeps the best trace and writes its CSV
     plus a JSON sidecar with one summary per seed."""
+    _check_kind(config, "seesaw")
     config.validate()
     rho = config.build_state()
     d = int(np.sqrt(rho.shape[0]))
@@ -407,6 +424,7 @@ def run_lhs(config: ExperimentConfig, *, out: str | None = None) -> tuple[dict, 
     """Test the configured assemblage for a local-hidden-state model; writes the payload
     to ``out``, or to the config's ``out`` only when its kind is lhs, since another kind's
     ``out`` names that experiment's artifact."""
+    _check_kind(config, "lhs")
     config.validate()
     asm = scen.assemblage_from(config.build_state(), config.build_measurements())
     result = scen.lhs_test(asm)
@@ -472,7 +490,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eta", type=float, default=None, help="detection efficiency override")
     parser.add_argument("--v", type=float, default=None, help="visibility override")
     parser.add_argument("--seeds", default=None, help="comma-separated seeds (see-saw restarts)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="sweep worker processes")
+    parser.add_argument("--jobs", type=int, default=1, help="sweep worker processes (default 1); more "
+                        "pay only with single-threaded BLAS, e.g. OPENBLAS_NUM_THREADS=1")
     parser.add_argument("--out", default=None, help="output path override")
     parser.add_argument("--json", action="store_true", help="print results as JSON to stdout")
 
@@ -519,15 +538,11 @@ def main(argv=None) -> int:
                 print(json.dumps(payload))
             return 0 if payload["status"] == "optimal" else 3
         if args.command == "sweep":
-            if config.kind in ("seesaw", "lhs"):
-                return _error_json(2, "kind: sweep needs a certification kind")
             rows, code = run_sweep(config, jobs=max(1, args.jobs), out=args.out)
             if args.json:
                 print(json.dumps([{k: r[k] for k in ("parameter", "p_guess", "h_min", "gap", "status")} for r in rows]))
             return code
         if args.command == "seesaw":
-            if config.kind != "seesaw":
-                return _error_json(2, f"kind: expected seesaw, got {config.kind}")
             summary, code = run_seesaw(config, out=args.out)
             if args.json:
                 print(json.dumps(summary))

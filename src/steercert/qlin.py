@@ -5,6 +5,13 @@ convention is used everywhere: tensor factors are ordered Alice-major, i.e.
 ``kron(A, B)`` puts ``A`` on the slow (leftmost) index and composite
 dimensions are written ``(d_A, d_B, ...)``.
 
+A measurement (`Povm`) holds its elements as one read-only ``(n, d, d)``
+stack, checked once on construction, so that callers contract whole stacks
+in place of looping over elements. `partial_trace` takes such stacks too,
+tracing each matrix over its last two axes. `normalised` (the square-root
+normalisation, or pretty-good measurement) and `helstrom_pair` are the two
+closed-form measurement builders that every caller shares.
+
 Tolerances: 1e-12 for algebraic identities, 1e-10 for PSD / POVM validation.
 """
 
@@ -73,13 +80,14 @@ def kron(*ops: np.ndarray) -> np.ndarray:
 def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
     """Reduced operator on the kept subsystem(s); preserves the trace.
 
+    ``m`` is one operator or a stack of them (the last two axes).
     ``dims`` lists the subsystem dimensions Alice-major; ``keep`` is a
     subsystem index, a sequence of indices, or one of the tags 'A'/'B'/'E'.
     """
     m = np.asarray(m, dtype=complex)
     dims = tuple(int(d) for d in dims)
     total = int(np.prod(dims))
-    if m.shape != (total, total):
+    if m.ndim < 2 or m.shape[-2:] != (total, total):
         raise ValueError(f"operator dimension {m.shape} does not match subsystem dims {dims}")
     if isinstance(keep, str):
         keep = (_SUBSYSTEM_NAMES[keep.upper()],)
@@ -90,12 +98,13 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep={keep} out of range for {n} subsystems")
 
-    t = m.reshape(dims + dims)
+    lead = m.shape[:-2]
+    t = m.reshape(lead + dims + dims)
     traced = [i for i in range(n) if i not in keep]
     for count, i in enumerate(sorted(traced, reverse=True)):
-        t = np.trace(t, axis1=i, axis2=i + n - count)
+        t = np.trace(t, axis1=len(lead) + i, axis2=len(lead) + i + n - count)
     d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
+    return t.reshape(lead + (d_keep, d_keep))
 
 
 def hermitian_basis(d: int) -> np.ndarray:
@@ -138,7 +147,8 @@ def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * ph
 
 
-def freeze(a: np.ndarray) -> np.ndarray:
+def freeze(a) -> np.ndarray:
+    """A read-only complex copy; C-ordered when ``a`` is a list of arrays."""
     out = np.array(a, dtype=complex, copy=True)
     out.setflags(write=False)
     return out
@@ -146,32 +156,34 @@ def freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Povm:
-    """Measurement as an ordered tuple of PSD elements summing to identity."""
+    """Measurement as a read-only (n_outcomes, d, d) stack of PSD elements
+    summing to identity."""
 
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
 
     def __init__(self, elements, *, tol: float = PSD_TOL):
-        els = tuple(freeze(e) for e in elements)
+        els = list(elements)  # the given matrices, or the rows of a given stack
         if not els:
             raise ValueError("a POVM needs at least one element")
-        d = els[0].shape[0]
+        d = np.shape(els[0])[0]
         for k, e in enumerate(els):
-            if e.shape != (d, d):
-                raise ValueError(f"element {k} has shape {e.shape}, expected ({d}, {d})")
-        if (bad := np.flatnonzero(not_psd(np.stack(els), tol))).size:
+            if np.shape(e) != (d, d):
+                raise ValueError(f"element {k} has shape {np.shape(e)}, expected ({d}, {d})")
+        stack = freeze(els)
+        if (bad := np.flatnonzero(not_psd(stack, tol))).size:
             raise ValueError(f"element {bad[0]} is not PSD within {tol:g}")
-        total = sum(els)
-        if np.max(np.abs(total - np.eye(d))) > tol:
-            raise ValueError(f"elements sum to identity only within {np.max(np.abs(total - np.eye(d))):.3e}")
-        object.__setattr__(self, "elements", els)
+        defect = np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])))
+        if defect > tol:
+            raise ValueError(f"elements sum to identity only within {defect:.3e}")
+        object.__setattr__(self, "elements", stack)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[0]
 
     def __iter__(self):
         return iter(self.elements)
@@ -182,19 +194,39 @@ class Povm:
 
 def basis_povm(vectors: np.ndarray) -> Povm:
     """Projective POVM from the columns of a unitary (one outcome per column)."""
-    vectors = np.asarray(vectors, dtype=complex)
-    d = vectors.shape[0]
-    return Povm([np.outer(vectors[:, a], vectors[:, a].conj()) for a in range(d)])
+    cols = np.asarray(vectors, dtype=complex).T
+    return Povm(cols[:, :, None] * cols.conj()[:, None, :])
+
+
+def normalised(stack: np.ndarray) -> np.ndarray:
+    """T^-1/2 W_k T^-1/2 for each W_k of a stack, with T = sum_k W_k: complete
+    whenever T has full rank. Applied to an ensemble it is the pretty-good
+    measurement; applied to nearly complete POVM elements it restores
+    completeness."""
+    vals, vecs = np.linalg.eigh(stack.sum(axis=0))
+    inv_sqrt = (vecs * np.maximum(vals, 1e-300) ** -0.5) @ dagger(vecs)
+    return inv_sqrt @ stack @ inv_sqrt
+
+
+def helstrom_pair(diff: np.ndarray) -> np.ndarray:
+    """The stack [P, 1 - P], with P the projector onto the negative eigenspace of
+    diff = W_0 - W_1: the two-outcome measurement minimising <W_0, M_0> + <W_1, M_1>
+    (Helstrom's)."""
+    vals, vecs = np.linalg.eigh(diff)
+    neg = vecs[:, vals < 0.0]
+    p = neg @ dagger(neg)
+    return np.stack([p, np.eye(len(p), dtype=complex) - p])
 
 
 def matrix_to_json(a: np.ndarray) -> list:
-    """Complex matrix as nested row-major lists of [re, im] pairs."""
+    """Complex matrix, or grid of matrices, as nested row-major lists of [re, im] pairs."""
     a = np.asarray(a, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in a]
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def matrix_from_json(rows: list) -> np.ndarray:
-    out = np.array([[complex(v[0], v[1]) for v in row] for row in rows], dtype=complex)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
+    """Inverse of `matrix_to_json`, for a matrix or a grid of matrices."""
+    pairs = np.array(rows, dtype=float)
+    if pairs.ndim < 3 or pairs.shape[-1] != 2 or pairs.shape[-3] != pairs.shape[-2]:
         raise ValueError("expected a square matrix encoding")
-    return out
+    return pairs.view(complex)[..., 0]

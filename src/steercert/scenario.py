@@ -4,6 +4,13 @@ An assemblage is the grid of unnormalized conditional states prepared on
 the trusted (Bob) side by the untrusted party's measurement choice x and
 outcome a: sigma_{a|x} = Tr_A[(M_{a|x} (x) 1_B) rho]. The grid is stored
 with shape (n_outcomes, n_inputs, d_B, d_B).
+
+One stacked contraction computes that map and its adjoint: it lifts a whole
+stack of operators with one ``kron``, multiplies by rho once per stack and
+takes one partial trace. `assemblage_from` applies it to the (n_outcomes,
+n_inputs) grid of POVM elements, each measurement's elements being one
+`Povm` stack; `steering_adjoint` applies it to Bob's side, giving the
+see-saw's weights and the prepare-and-measure consistency terms.
 """
 
 from __future__ import annotations
@@ -14,17 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .qlin import (
-    Povm,
-    dagger,
-    freeze,
-    basis_povm,
-    kron,
-    matrix_from_json,
-    matrix_to_json,
-    not_psd,
-    partial_trace,
-)
+from .qlin import Povm, basis_povm, dagger, freeze, matrix_from_json, matrix_to_json, not_psd, partial_trace
 
 ASSEMBLAGE_TOL = 1e-9
 LHS_TOL = 1e-8
@@ -81,17 +78,13 @@ class Assemblage:
             "m_A": self.scenario.n_inputs,
             "n_A": self.scenario.n_outcomes,
             "d_B": self.scenario.bob_dim,
-            "sigma": [[matrix_to_json(self.sigma[a, x]) for x in range(self.scenario.n_inputs)]
-                      for a in range(self.scenario.n_outcomes)],
+            "sigma": matrix_to_json(self.sigma),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Assemblage":
         scenario = Scenario(int(data["m_A"]), int(data["n_A"]), int(data["d_B"]))
-        sigma = np.array(
-            [[matrix_from_json(cell) for cell in row] for row in data["sigma"]], dtype=complex
-        )
-        return cls(scenario, sigma)
+        return cls(scenario, matrix_from_json(data["sigma"]))
 
 
 @dataclass(frozen=True)
@@ -153,30 +146,30 @@ def fourier_and_computational(d: int) -> list[Povm]:
     return [basis_povm(fourier), basis_povm(np.eye(d, dtype=complex))]
 
 
-def mub_povms(d: int, count: int) -> list[Povm]:
-    """`count` pairwise mutually unbiased bases as projective POVMs.
-
-    d = 2 supplies X, Z, Y (in that order); d = 3 supplies the Fourier basis,
-    the computational basis and the two quadratically twisted Fourier bases.
-    """
+def mub_bases(d: int) -> list[np.ndarray]:
+    """The unitaries whose columns are the pairwise mutually unbiased bases supplied in
+    dimension d, of which `mub_povms` takes the first `count`: X, Z, Y (in that order)
+    for d = 2; the Fourier basis, the computational basis and the two quadratically
+    twisted Fourier bases for d = 3. Other dimensions raise ValueError."""
     if d == 2:
         s = 1.0 / np.sqrt(2.0)
-        bases = [
+        return [
             np.array([[s, s], [s, -s]], dtype=complex),  # X eigenbasis
             np.eye(2, dtype=complex),  # Z eigenbasis
             np.array([[s, s], [1j * s, -1j * s]], dtype=complex),  # Y eigenbasis
         ]
-    elif d == 3:
+    if d == 3:
         omega = np.exp(2j * np.pi / 3)
         ls = np.arange(3)
-        bases = [omega ** np.outer(ls, ls) / np.sqrt(3.0), np.eye(3, dtype=complex)]
-        for j in (1, 2):
-            cols = np.empty((3, 3), dtype=complex)
-            for k in range(3):
-                cols[:, k] = omega ** ((j * ls * ls + k * ls) % 3) / np.sqrt(3.0)
-            bases.append(cols)
-    else:
-        raise ValueError(f"no MUB construction supplied for d = {d}")
+        # column k of twist j has amplitudes omega^(j l^2 + k l) / sqrt(3)
+        twisted = [omega ** (((j * ls * ls)[:, None] + np.outer(ls, ls)) % 3) / np.sqrt(3.0) for j in (1, 2)]
+        return [omega ** np.outer(ls, ls) / np.sqrt(3.0), np.eye(3, dtype=complex), *twisted]
+    raise ValueError(f"no MUB construction supplied for d = {d}")
+
+
+def mub_povms(d: int, count: int) -> list[Povm]:
+    """`count` pairwise mutually unbiased bases of `mub_bases(d)` as projective POVMs."""
+    bases = mub_bases(d)
     if not 1 <= count <= len(bases):
         raise ValueError(f"requested {count} bases, have {len(bases)} for d = {d}")
     return [basis_povm(b) for b in bases[:count]]
@@ -202,10 +195,20 @@ def apply_loss(povm: Povm, eta: float) -> Povm:
     outcome (1 - eta) * I appended as the last outcome."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"detection efficiency must lie in [0, 1], got {eta}")
-    d = povm.dim
-    elements = [eta * e for e in povm.elements]
-    elements.append((1.0 - eta) * np.eye(d, dtype=complex))
-    return Povm(elements)
+    no_click = (1.0 - eta) * np.eye(povm.dim, dtype=complex)
+    return Povm(np.concatenate([eta * povm.elements, no_click[None]]))
+
+
+def _contract(rho: np.ndarray, mats: np.ndarray, d_a: int, on_alice: bool) -> np.ndarray:
+    """Tr_A[(M (x) 1) rho] for each M of a stack when ``on_alice``, else Tr_B[(1 (x) M) rho]:
+    one kron, one product with rho and one partial trace for the whole stack, whose
+    products and order of accumulation are those of each matrix taken alone."""
+    d_b = rho.shape[0] // d_a
+    if on_alice:
+        lifted = np.kron(mats, np.eye(d_b, dtype=complex))
+    else:
+        lifted = np.kron(np.eye(d_a, dtype=complex), mats)
+    return partial_trace(lifted @ rho, (d_a, d_b), keep="B" if on_alice else "A")
 
 
 def assemblage_from(rho: np.ndarray, povms: list[Povm]) -> Assemblage:
@@ -221,20 +224,15 @@ def assemblage_from(rho: np.ndarray, povms: list[Povm]) -> Assemblage:
     if total % d_a != 0:
         raise ValueError(f"state dimension {total} incompatible with Alice dimension {d_a}")
     d_b = total // d_a
-    eye_b = np.eye(d_b, dtype=complex)
-    sigma = np.empty((n_outcomes, len(povms), d_b, d_b), dtype=complex)
-    for x, povm in enumerate(povms):
-        for a, m in enumerate(povm.elements):
-            sigma[a, x] = partial_trace(kron(m, eye_b) @ rho, (d_a, d_b), keep="B")
-    return Assemblage(Scenario(len(povms), n_outcomes, d_b), sigma)
+    grid = np.stack([p.elements for p in povms], axis=1)  # (n_outcomes, m, d_a, d_a)
+    sigma = _contract(rho, grid.reshape(-1, d_a, d_a), d_a, on_alice=True)
+    return Assemblage(Scenario(len(povms), n_outcomes, d_b), sigma.reshape(n_outcomes, len(povms), d_b, d_b))
 
 
 def steering_adjoint(rho: np.ndarray, mats: np.ndarray, d_a: int) -> np.ndarray:
     """Herm Tr_B[(1 (x) F) rho] for each F of a stack: the adjoint of
     M -> Tr_A[(M (x) 1) rho], so that Tr[(M (x) F) rho] = <result, M>."""
-    d_b = rho.shape[0] // d_a
-    eye_a = np.eye(d_a, dtype=complex)
-    c = np.stack([partial_trace(np.kron(eye_a, f) @ rho, (d_a, d_b), keep="A") for f in mats])
+    c = _contract(rho, mats, d_a, on_alice=False)
     return 0.5 * (c + dagger(c))
 
 

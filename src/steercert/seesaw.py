@@ -34,7 +34,7 @@ import numpy as np
 
 from . import sdp
 from .certify import CertificationResult, SteeringFunctional, _smoothed, certify_local
-from .qlin import Povm, dagger, random_unitary
+from .qlin import Povm, dagger, helstrom_pair, normalised, random_unitary
 from .scenario import Assemblage, Scenario, apply_loss, assemblage_from, steering_adjoint
 
 _log = logging.getLogger("steercert")
@@ -119,21 +119,15 @@ def random_povms(d: int, m: int, n: int, seed: int) -> list[Povm]:
     povms = []
     for _ in range(m):
         u = random_unitary(d, rng)
-        elements = [np.outer(u[:, a], u[:, a].conj()) for a in range(n - 1)]
-        rest = u[:, n - 1:]
-        elements.append(rest @ rest.conj().T)
-        povms.append(Povm(elements))
+        cols, rest = u[:, : n - 1].T, u[:, n - 1:]
+        rank_one = cols[:, :, None] * cols.conj()[:, None, :]
+        povms.append(Povm(np.concatenate([rank_one, (rest @ rest.conj().T)[None]])))
     return povms
 
 
-def _restore_povm(elements: list[np.ndarray]) -> Povm:
-    """Hermitize solver output and renormalize to exact completeness."""
-    elements = [0.5 * (e + dagger(e)) for e in elements]
-    total = sum(elements)
-    vals, vecs = np.linalg.eigh(total)
-    vals = np.maximum(vals, 1e-300)
-    inv_sqrt = (vecs * (vals**-0.5)) @ vecs.conj().T
-    return Povm([inv_sqrt @ e @ inv_sqrt for e in elements])
+def _restore_povm(elements: np.ndarray) -> Povm:
+    """Hermitize a stack of solver output and renormalize it to exact completeness."""
+    return Povm(normalised(0.5 * (elements + dagger(elements))))
 
 
 def optimize_measurements(rho: np.ndarray, functional: SteeringFunctional, shape: Scenario) -> list[Povm]:
@@ -148,13 +142,7 @@ def optimize_measurements(rho: np.ndarray, functional: SteeringFunctional, shape
     weights = _alice_weights(rho, functional, shape)
     if shape.n_outcomes != 2:
         return _measurements_sdp(weights)
-    eye_a = np.eye(weights.shape[-1], dtype=complex)
-    povms = []
-    for vals, vecs in zip(*np.linalg.eigh(weights[0] - weights[1])):
-        neg = vecs[:, vals < 0.0]
-        p = neg @ dagger(neg)
-        povms.append(_restore_povm([p, eye_a - p]))
-    return povms
+    return [_restore_povm(helstrom_pair(diff)) for diff in weights[0] - weights[1]]
 
 
 def _alice_weights(rho: np.ndarray, functional: SteeringFunctional, shape: Scenario) -> np.ndarray:
@@ -184,7 +172,7 @@ def _measurements_sdp(weights: np.ndarray) -> list[Povm]:
     sol = sdp.solve(problem, **_SEESAW_SOLVER_OPTS)
     if sol.status is not sdp.SolverStatus.OPTIMAL:
         raise RuntimeError(f"measurement optimization failed with status {sol.status}")
-    return [_restore_povm([sol.primal[a * m + x] for a in range(n_a)]) for x in range(m)]
+    return [_restore_povm(np.stack(sol.primal[x::m])) for x in range(m)]
 
 
 def _strip_loss(functional: SteeringFunctional, n_ideal: int) -> SteeringFunctional:
@@ -230,7 +218,7 @@ def _geodesic(old: list[Povm], new: list[Povm]):
         for p_old, v, phases in rotations:
             u_t = (v * np.exp(1j * t * phases)) @ dagger(v)
             p = u_t @ p_old @ dagger(u_t)
-            povms.append(_restore_povm([p, eye - p]))
+            povms.append(_restore_povm(np.stack([p, eye - p])))
         return povms
 
     return at

@@ -125,10 +125,11 @@ def test_werner_lower_bound_is_the_exact_discriminator():
     # optimum 0.9 genuinely exceeds every fixed-state purification attack
     rho = werner_state(0.8)
     lower = eve_lower_bound(rho, pauli_xz(), 0)
-    from steercert.analytic import _conditional_eve_states, _guess_value, _helstrom_pair
+    from steercert.analytic import _conditional_eve_states, _guess_value
+    from steercert.qlin import helstrom_pair
 
     w = _conditional_eve_states(rho, pauli_xz(), 0)
-    helstrom = _guess_value(w, _helstrom_pair(w))
+    helstrom = _guess_value(w, helstrom_pair(w[1] - w[0]))  # M_0 on the positive part of W_0 - W_1
     assert lower == pytest.approx(helstrom, abs=1e-9)
     sdp_value = certify_local(assemblage_from(rho, pauli_xz()), 0).p_guess
     assert lower <= sdp_value + 1e-8

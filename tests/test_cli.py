@@ -284,3 +284,37 @@ def test_main_lhs_leaves_a_sweeps_csv_alone(tmp_path, monkeypatch, capsys):
     assert main(["lhs", "--preset", "fig2", "--json"]) == 0
     assert set(json.loads(capsys.readouterr().out)) == {"is_lhs", "robustness"}
     assert not (tmp_path / "fig2.csv").exists()
+
+
+def _mub_config(tmp_path, d, count):
+    return write_config(tmp_path, {
+        "kind": "steering_local",
+        "state": {"kind": "isotropic", "d": d, "v": 0.9},
+        "measurements": {"kind": "mub", "d": d, "count": count},
+    })
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["certify", "--preset", "fig6_seesaw"], "kind"),
+    (["lhs", "--preset", "fig6_seesaw"], "kind"),
+    (lambda tmp_path: ["certify", "--config", _mub_config(tmp_path, 4, 2)], "measurements.d"),
+    (lambda tmp_path: ["certify", "--config", _mub_config(tmp_path, 3, 7)], "measurements.count"),
+], ids=["certify a seesaw config", "lhs of a seesaw config", "mub at d = 4", "seven mubs at d = 3"])
+def test_configuration_errors_exit_2_with_the_json_error(tmp_path, capsys, argv, field):
+    assert main(argv(tmp_path) if callable(argv) else argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2 and err["error"].startswith(f"{field}: ")
+
+
+def test_sweep_runs_in_process_without_jobs(tmp_path, monkeypatch, capsys):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a sweep without --jobs built a process pool")
+
+    monkeypatch.setattr("steercert.cli.ProcessPoolExecutor", no_pool)
+    path = write_config(tmp_path, {
+        "kind": "steering_local",
+        "state": {"kind": "werner", "v": 1.0},
+        "measurements": {"kind": "pauli_xz"},
+        "sweep": {"parameter": "v", "start": 0.8, "stop": 0.9, "points": 2},
+    })
+    assert main(["sweep", "--config", path, "--out", str(tmp_path / "sweep.csv")]) == 0

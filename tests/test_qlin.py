@@ -12,7 +12,9 @@ from steercert.qlin import (
     kron,
     matrix_from_json,
     matrix_to_json,
+    helstrom_pair,
     min_eig,
+    normalised,
     not_psd,
     partial_trace,
     random_unitary,
@@ -112,6 +114,16 @@ def test_partial_trace_three_subsystems():
     assert np.max(np.abs(got_ab - kron(a, b))) <= 1e-12
 
 
+def test_partial_trace_of_a_stack_traces_each_matrix():
+    rng = np.random.default_rng(14)
+    stack = np.stack([random_density(6, rng) for _ in range(5)]).reshape(5, 1, 6, 6)
+    for keep in ("A", "B"):
+        got = partial_trace(stack, (2, 3), keep=keep)
+        want = np.stack([partial_trace(m, (2, 3), keep=keep) for m in stack[:, 0]])
+        assert got.shape == want.shape[:1] + (1,) + want.shape[1:]
+        assert np.array_equal(got[:, 0], want)
+
+
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError):
         partial_trace(np.eye(5), (2, 2), keep="A")
@@ -201,6 +213,52 @@ def test_povm_errors_name_the_first_failing_element():
             Povm(elements)
     with pytest.raises(ValueError, match=r"^element 1 is not PSD within 0\.3$"):
         Povm([np.diag([1.5, 0.6]), np.diag([-0.5, 0.0]), np.diag([0.0, 0.4])], tol=0.3)
+
+
+def test_povm_holds_one_read_only_stack():
+    p = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    assert p.elements.shape == (2, 2, 2) and p.elements.dtype == complex
+    assert not p.elements.flags.writeable and p.elements.flags.c_contiguous
+    assert np.array_equal(Povm(p.elements).elements, p.elements)
+    assert np.array_equal(p[1], np.diag([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_basis_povm_matches_one_outer_product_per_column(d):
+    rng = np.random.default_rng(40 + d)
+    for _ in range(50):
+        u = random_unitary(d, rng)
+        want = np.stack([np.outer(u[:, a], u[:, a].conj()) for a in range(d)])
+        assert np.array_equal(basis_povm(u).elements, want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_normalised_matches_the_per_element_form(d):
+    rng = np.random.default_rng(50 + d)
+    for n in (2, 3, 4):
+        g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        stack = g @ dagger(g)
+        # the reference: one sum, one inverse square root, one product per element
+        vals, vecs = np.linalg.eigh(sum(list(stack)))
+        vals = np.maximum(vals, 1e-300)
+        inv_sqrt = (vecs * (vals**-0.5)) @ vecs.conj().T
+        want = np.stack([inv_sqrt @ e @ inv_sqrt for e in stack])
+        got = normalised(stack)
+        assert np.array_equal(got, want)
+        assert np.max(np.abs(got.sum(axis=0) - np.eye(d))) <= 1e-10
+
+
+def test_helstrom_pair_projects_onto_the_negative_eigenspace():
+    rng = np.random.default_rng(37)
+    for d in (2, 3, 4):
+        w0, w1 = random_herm(d, rng), random_herm(d, rng)
+        m = helstrom_pair(w0 - w1)
+        vals, vecs = np.linalg.eigh(w0 - w1)
+        neg = vecs[:, vals < 0.0]
+        assert np.array_equal(m[0], neg @ dagger(neg))
+        assert np.array_equal(m[1], np.eye(d, dtype=complex) - m[0])
+        value = hermitian_inner(w0, m[0]) + hermitian_inner(w1, m[1])
+        assert value == pytest.approx(np.trace(w1).real + vals[vals < 0].sum(), abs=1e-12)
 
 
 def test_basis_povm_from_unitary():

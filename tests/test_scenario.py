@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steercert.qlin import dagger, kron, random_unitary
+from steercert.qlin import basis_povm, dagger, kron, partial_trace, random_unitary
 from steercert.scenario import (
     Assemblage,
     Scenario,
@@ -16,6 +16,7 @@ from steercert.scenario import (
     pauli_xz,
     schmidt_state,
     standard_povms,
+    steering_adjoint,
     werner_state,
 )
 
@@ -143,6 +144,52 @@ def test_apply_loss_preserves_completeness():
         lossy = apply_loss(povm, eta)
         total = sum(lossy.elements)
         assert np.max(np.abs(total - np.eye(3))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_apply_loss_matches_the_per_element_form(d):
+    rng = np.random.default_rng(60 + d)
+    for _ in range(50):
+        povm = basis_povm(random_unitary(d, rng))
+        eta = float(rng.uniform())
+        want = np.stack([eta * e for e in povm] + [(1.0 - eta) * np.eye(d, dtype=complex)])
+        assert np.array_equal(apply_loss(povm, eta).elements, want)
+
+
+def _random_basis_povms(d, m, rng):
+    return [basis_povm(random_unitary(d, rng)) for _ in range(m)]
+
+
+ASSEMBLAGE_CASES = {
+    "lossless": lambda rng: (werner_state(0.9), pauli_xz()),
+    "lossy": lambda rng: (werner_state(1.0), [apply_loss(p, 0.75) for p in pauli_xz()]),
+    "qutrit MUBs": lambda rng: (isotropic_state(3, 0.8), [apply_loss(p, 0.6) for p in mub_povms(3, 4)]),
+    "PM inputs": lambda rng: (isotropic_state(3, 0.7), mub_povms(3, 2)),
+    "random": lambda rng: (random_density(6, rng), _random_basis_povms(2, 3, rng)),
+    "random qutrit on qubit": lambda rng: (random_density(6, rng), _random_basis_povms(3, 2, rng)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASSEMBLAGE_CASES))
+def test_assemblage_from_matches_the_per_element_map(case):
+    rho, povms = ASSEMBLAGE_CASES[case](np.random.default_rng(70))
+    d_a = povms[0].dim
+    d_b = rho.shape[0] // d_a
+    # the reference: one kron, one product and one partial trace per element
+    want = np.array([
+        [partial_trace(kron(m, np.eye(d_b)) @ rho, (d_a, d_b), keep="B") for m in povm] for povm in povms
+    ]).swapaxes(0, 1)
+    assert np.array_equal(assemblage_from(rho, povms).sigma, want)
+
+
+@pytest.mark.parametrize("d_a,d_b", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_steering_adjoint_matches_the_per_element_map(d_a, d_b):
+    rng = np.random.default_rng(80 + d_a * d_b)
+    rho = random_density(d_a * d_b, rng)
+    g = rng.standard_normal((7, d_b, d_b)) + 1j * rng.standard_normal((7, d_b, d_b))
+    mats = g + dagger(g)
+    c = np.stack([partial_trace(np.kron(np.eye(d_a, dtype=complex), f) @ rho, (d_a, d_b), keep="A") for f in mats])
+    assert np.array_equal(steering_adjoint(rho, mats, d_a), 0.5 * (c + dagger(c)))
 
 
 def test_assemblage_from_bell_xz():

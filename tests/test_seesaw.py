@@ -39,6 +39,16 @@ def test_random_povms_reproducible_and_complete():
         assert np.max(np.abs(total - np.eye(2))) <= 1e-12
 
 
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 2), (3, 3), (4, 3), (5, 5)])
+def test_random_povms_match_the_per_element_construction(d, n):
+    rng = np.random.default_rng(9)
+    for povm in random_povms(d, 4, n, seed=9):
+        u = random_unitary(d, rng)
+        rest = u[:, n - 1:]
+        want = [np.outer(u[:, a], u[:, a].conj()) for a in range(n - 1)] + [rest @ rest.conj().T]
+        assert np.array_equal(povm.elements, np.stack(want))
+
+
 def test_random_povms_distinct_seeds_differ():
     a = random_povms(2, 2, 2, seed=1)
     b = random_povms(2, 2, 2, seed=2)
