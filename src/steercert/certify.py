@@ -35,6 +35,7 @@ matrix multipliers by `sdp.MatrixEquality`, `sdp.expand` and `sdp.fold`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,9 +225,11 @@ class _EveGrid:
         keys = [key for key in np.ndindex(self.shape) if supports[key[1]][key[2]].shape[1] > 0]
         self.ids = {key: k for k, key in enumerate(keys)}
         self.dims = tuple(supports[a][x].shape[1] for _, a, x in keys)
-        # the adjoint stacks of the embeddings X -> V X V^dag
+        # the adjoint stacks of the embeddings X -> V X V^dag, read-only as terms a structure may keep
         self.embedded = {(a, x): self.compressed(a, x, sdp.term_stack(self.dim))
                          for a, x in np.ndindex(self.shape[1:])}
+        for stack in self.embedded.values():
+            stack.setflags(write=False)
 
     def compressed(self, a: int, x: int, mats: np.ndarray) -> np.ndarray:
         """V^dag M V for a matrix or a stack M, with V = supports[a][x]."""
@@ -262,11 +265,10 @@ class _EveGrid:
                 equalities[e, x] = sdp.MatrixEquality({**plus, **minus}, zero)
         return equalities
 
-    def solve(self, targets: dict, groups: list[dict], solver_opts: dict | None = None):
-        """Maximise sum <targets[key], V X[key] V^dag> subject to the equalities of each group,
-        a dict keyed by the caller. An equality naming no block is left out; it must hold at
-        X = 0, within CONSISTENCY_TOL. Returns the solution and, per group, the multiplier of
-        each equality kept, keyed as in the group."""
+    def problem(self, targets: dict, groups: list[dict]) -> tuple[sdp.SdpProblem, list[dict]]:
+        """The problem of maximising sum <targets[key], V X[key] V^dag> subject to the equalities
+        of each group, a dict keyed by the caller, and those groups' equalities kept. An equality
+        naming no block is left out; it must hold at X = 0, within CONSISTENCY_TOL."""
         for eq in (eq for group in groups for eq in group.values() if not eq.terms):
             if max(abs(row.rhs) for row in sdp.expand([eq])) > CONSISTENCY_TOL:
                 raise CertificationError("observed data outside the supports the blocks were compressed onto")
@@ -276,11 +278,7 @@ class _EveGrid:
             if (e, a, x) in self.ids:
                 objective[self.ids[e, a, x]] = self.compressed(a, x, target)
         equalities = [eq for group in kept for eq in group.values()]
-        sol = sdp.solve(sdp.SdpProblem(self.dims, objective, sdp.expand(equalities)), **(solver_opts or {}))
-        if sol.status is sdp.SolverStatus.INFEASIBLE:
-            raise CertificationError("certification problem infeasible: inputs malformed")
-        multipliers = iter(sdp.fold(equalities, sol.dual))
-        return sol, [{key: next(multipliers) for key in group} for group in kept]
+        return sdp.SdpProblem(self.dims, objective, sdp.expand(equalities)), kept
 
     def unpack(self, primal: list[np.ndarray]) -> np.ndarray:
         """Eve's operators V X V^dag as an (n_e, n_a, m, dim, dim) grid, zero on left-out blocks."""
@@ -289,6 +287,35 @@ class _EveGrid:
             v = self.supports[a][x]
             out[e, a, x] = v @ primal[k] @ v.conj().T
         return out
+
+
+def _solve(problem: sdp.SdpProblem, kept: list[dict], solver_opts: dict | None = None):
+    """Solve a problem of ``_EveGrid.problem`` (or one of its structure's, with the same
+    equalities); returns the solution and, per group, the multiplier of each equality kept,
+    keyed as in the group."""
+    sol = sdp.solve(problem, **(solver_opts or {}))
+    if sol.status is sdp.SolverStatus.INFEASIBLE:
+        raise CertificationError("certification problem infeasible: inputs malformed")
+    multipliers = iter(sdp.fold([eq for group in kept for eq in group.values()], sol.dual))
+    return sol, [{key: next(multipliers) for key in group} for group in kept]
+
+
+@functools.lru_cache(maxsize=sdp.SHARED_STRUCTURES)
+def _unreduced_steering(n_a: int, m: int, d: int, x_star: int, guess_outcome: tuple, guess_target: bytes):
+    """The grid, prepared structure and kept equalities of the steering certification of an
+    (n_a, m) grid of full-rank d x d blocks, whose consistency right-hand sides are the only data;
+    ``guess_target`` holds the (n_guess, d, d) complex targets' bytes, so that the key holds all
+    the structure depends on."""
+    eye = np.eye(d, dtype=complex)
+    eye.setflags(write=False)
+    grid = _EveGrid(len(guess_outcome), [[eye] * m for _ in range(n_a)])
+    target = np.frombuffer(guess_target, dtype=complex).reshape(-1, d, d)
+    targets = {(e, a, x_star): target[e] for e, a in enumerate(guess_outcome)}
+    unobserved = np.zeros((n_a, m, d, d), dtype=complex)
+    problem, kept = grid.problem(targets, [grid.consistency(grid.embedded, unobserved), grid.no_signalling(x_star)])
+    structure = sdp.prepare(problem)
+    equalities = iter(structure.equalities)  # the structure's read-only copies
+    return grid, structure, [{key: next(equalities) for key in group} for group in kept]
 
 
 def _gridded(values: dict, shape: tuple[int, ...], d: int) -> np.ndarray:
@@ -332,11 +359,20 @@ def _solve_steering(
 
     supports = _supports(asm.sigma)
     reduced = any(v.shape[1] < d for row in supports for v in row)
-    grid = _EveGrid(n_guess, supports)
-    targets = {(e, int(guess_outcome[e]), x_star): guess_target[e] for e in range(n_guess)}
-    sol, (f, g) = grid.solve(
-        targets, [grid.consistency(grid.embedded, asm.sigma), grid.no_signalling(x_star)], solver_opts
-    )
+    if reduced:  # the faces depend on the data: a structure of its own
+        grid = _EveGrid(n_guess, supports)
+        targets = {(e, int(guess_outcome[e]), x_star): guess_target[e] for e in range(n_guess)}
+        problem, kept = grid.problem(
+            targets, [grid.consistency(grid.embedded, asm.sigma), grid.no_signalling(x_star)]
+        )
+    else:
+        target = np.ascontiguousarray(guess_target, dtype=complex)
+        grid, structure, kept = _unreduced_steering(
+            n_a, m, d, x_star, tuple(int(a) for a in guess_outcome), target.tobytes()
+        )
+        # the observed blocks, then the no-signalling equalities' zeros
+        problem = structure.problem([*asm.sigma.reshape(-1, d, d), *(eq.rhs for eq in kept[1].values())])
+    sol, (f, g) = _solve(problem, kept, solver_opts)
     functional = SteeringFunctional(
         F=_gridded(f, (n_a, m), d),
         x_star=x_star,
@@ -419,10 +455,11 @@ def certify_pm(rho: np.ndarray, povms: list[Povm], x_star: int = 0) -> Certifica
         for x in range(m)
     }
     rho_a = partial_trace(rho, (d_a, d_b), keep="A")
-    sol, (f, _, complete) = grid.solve(
+    problem, kept = grid.problem(
         {(e, e, x_star): rho_a for e in range(n_a)},
         [grid.consistency(stacks, obs.sigma), grid.no_signalling(x_star), completeness],
     )
+    sol, (f, _, complete) = _solve(problem, kept)
     # the completeness multipliers Y_x enter the dual value as sum_x <Y_x, 1>
     offset = float(sum(np.trace(y).real for y in complete.values()))
     functional = SteeringFunctional(F=_gridded(f, (n_a, m), d_b), x_star=x_star, offset=offset)

@@ -213,7 +213,8 @@ class ExperimentConfig:
             return scen.isotropic_state(int(self.state["d"]), float(self.state["v"]))
         return scen.schmidt_state([float(x) for x in self.state["lambdas"]])
 
-    def build_measurements(self) -> list[Povm]:
+    def build_measurements(self) -> tuple[Povm, ...]:
+        """The named family (`scenario` builds each once), with this point's loss applied."""
         m = self.measurements
         povms = scen.standard_povms(
             m["kind"],
@@ -221,7 +222,7 @@ class ExperimentConfig:
             count=int(m["count"]) if "count" in m else None,
         )
         if self.eta < 1.0:
-            povms = [scen.apply_loss(p, float(self.eta)) for p in povms]
+            povms = tuple(scen.apply_loss(p, float(self.eta)) for p in povms)
         return povms
 
     def build_bob_povm(self, d: int) -> Povm:

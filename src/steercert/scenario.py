@@ -15,6 +15,7 @@ see-saw's weights and the prepare-and-measure consistency terms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -26,6 +27,8 @@ from .qlin import Povm, basis_povm, dagger, freeze, matrix_from_json, matrix_to_
 ASSEMBLAGE_TOL = 1e-9
 LHS_TOL = 1e-8
 MAX_DETERMINISTIC_STRATEGIES = 100_000
+# the named measurement families kept once built; a family is a tuple of read-only Povms
+MEASUREMENT_FAMILIES = 16
 
 
 @dataclass(frozen=True)
@@ -130,20 +133,21 @@ def schmidt_state(lambdas) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def pauli_xz() -> list[Povm]:
+def pauli_xz() -> tuple[Povm, ...]:
     """The two mutually unbiased qubit spin measurements, X first."""
     return mub_povms(2, 2)
 
 
-def fourier_and_computational(d: int) -> list[Povm]:
+@functools.lru_cache(maxsize=MEASUREMENT_FAMILIES)
+def fourier_and_computational(d: int) -> tuple[Povm, ...]:
     """Fourier-transform basis (outcome a has amplitudes w^{ak}/sqrt(d)) then
-    the computational basis; mutually unbiased in every dimension."""
+    the computational basis; mutually unbiased in every dimension. Built once per d."""
     if d < 2:
         raise ValueError("need d >= 2")
     omega = np.exp(2j * np.pi / d)
     ks = np.arange(d)
     fourier = omega ** np.outer(ks, ks) / np.sqrt(d)  # column a = |a~>
-    return [basis_povm(fourier), basis_povm(np.eye(d, dtype=complex))]
+    return basis_povm(fourier), basis_povm(np.eye(d, dtype=complex))
 
 
 def mub_bases(d: int) -> list[np.ndarray]:
@@ -167,15 +171,17 @@ def mub_bases(d: int) -> list[np.ndarray]:
     raise ValueError(f"no MUB construction supplied for d = {d}")
 
 
-def mub_povms(d: int, count: int) -> list[Povm]:
-    """`count` pairwise mutually unbiased bases of `mub_bases(d)` as projective POVMs."""
+@functools.lru_cache(maxsize=MEASUREMENT_FAMILIES)
+def mub_povms(d: int, count: int) -> tuple[Povm, ...]:
+    """`count` pairwise mutually unbiased bases of `mub_bases(d)` as projective POVMs,
+    built once per (d, count)."""
     bases = mub_bases(d)
     if not 1 <= count <= len(bases):
         raise ValueError(f"requested {count} bases, have {len(bases)} for d = {d}")
-    return [basis_povm(b) for b in bases[:count]]
+    return tuple(basis_povm(b) for b in bases[:count])
 
 
-def standard_povms(kind: str, *, d: int | None = None, count: int | None = None) -> list[Povm]:
+def standard_povms(kind: str, *, d: int | None = None, count: int | None = None) -> tuple[Povm, ...]:
     """Dispatcher over the named measurement families (used by the CLI)."""
     if kind == "pauli_xz":
         return pauli_xz()
@@ -241,6 +247,29 @@ def deterministic_strategies(n_inputs: int, n_outcomes: int) -> np.ndarray:
     return np.array(list(itertools.product(range(n_outcomes), repeat=n_inputs)), dtype=int)
 
 
+@functools.lru_cache(maxsize=sdp.SHARED_STRUCTURES)
+def _lhs_structure(n_outcomes: int, n_inputs: int, d: int) -> sdp.Structure:
+    """The prepared structure of `lhs_test`'s SDP, whose only data are the right-hand sides
+    sigma[a, x] of its equalities, in (a, x) order."""
+    n_strat = n_outcomes**n_inputs
+    strategies = deterministic_strategies(n_inputs, n_outcomes)
+    noise = np.eye(d) / (n_outcomes * d)
+    block_dims = (d,) * n_strat + (1,)
+    t_block = n_strat
+    objective: list[np.ndarray | None] = [None] * n_strat + [-np.eye(1, dtype=complex)]
+    identity = sdp.term_stack(d)
+    # the term t -> -t * noise, whose adjoint is E -> -<E, noise>
+    t_term = sdp.term_stack(
+        d, lambda e: -np.real(np.sum(np.conj(e) * noise, axis=(-2, -1)))[:, None, None]
+        * np.eye(1, dtype=complex)
+    )
+    equalities = []
+    for a, x in np.ndindex(n_outcomes, n_inputs):
+        terms = {lam: identity for lam in range(n_strat) if strategies[lam, x] == a}
+        equalities.append(sdp.MatrixEquality({**terms, t_block: t_term}, np.zeros((d, d), dtype=complex)))
+    return sdp.prepare(sdp.SdpProblem(block_dims, objective, sdp.expand(equalities)))
+
+
 def lhs_test(asm: Assemblage, *, tol: float = LHS_TOL) -> LhsResult:
     """Decide membership in the local-hidden-state set.
 
@@ -256,25 +285,8 @@ def lhs_test(asm: Assemblage, *, tol: float = LHS_TOL) -> LhsResult:
             f"{sc.n_outcomes}^{sc.n_inputs} = {n_strat} deterministic strategies "
             f"exceeds the supported limit {MAX_DETERMINISTIC_STRATEGIES}"
         )
-    strategies = deterministic_strategies(sc.n_inputs, sc.n_outcomes)
-    d = sc.bob_dim
-    noise = np.eye(d) / (sc.n_outcomes * d)
-
-    block_dims = (d,) * n_strat + (1,)
-    t_block = n_strat
-    objective: list[np.ndarray | None] = [None] * n_strat + [-np.eye(1, dtype=complex)]
-    identity = sdp.term_stack(d)
-    # the term t -> -t * noise, whose adjoint is E -> -<E, noise>
-    t_term = sdp.term_stack(
-        d, lambda e: -np.real(np.sum(np.conj(e) * noise, axis=(-2, -1)))[:, None, None]
-        * np.eye(1, dtype=complex)
-    )
-    equalities = []
-    for a, x in np.ndindex(sc.n_outcomes, sc.n_inputs):
-        terms = {lam: identity for lam in range(n_strat) if strategies[lam, x] == a}
-        equalities.append(sdp.MatrixEquality({**terms, t_block: t_term}, asm.sigma[a, x]))
-    constraints = sdp.expand(equalities)
-    solution = sdp.solve(sdp.SdpProblem(block_dims, objective, constraints))
+    structure = _lhs_structure(sc.n_outcomes, sc.n_inputs, sc.bob_dim)
+    solution = sdp.solve(structure.problem(asm.sigma.reshape(-1, sc.bob_dim, sc.bob_dim)))
     if solution.status is not sdp.SolverStatus.OPTIMAL:
         raise RuntimeError(f"LHS membership solve failed with status {solution.status}")
     robustness = max(0.0, -solution.primal_value)

@@ -50,6 +50,21 @@ as a Hermitian matrix. ``solve`` builds its (m x N) row matrix from the term sta
 one pass: the distinct stacks of one shape are checked, realified and svec'd as one
 stack and scattered into the rows of every equality that uses them. ``expand``'s rows
 are made only when read; a hand-built list of ``LinearConstraint``s enters as 1 x 1 equalities.
+
+A solve has a structural half and a data half. The structural half, a ``Structure``, depends
+only on the block dimensions, the objective and the term stacks: the checked row matrix's
+presolve (kept rows, dropped rows and R11^-1 R12), the kept rows' norms, their svec stacks,
+the sparse Schur plan and the realified objective, all read-only. The data half is the
+right-hand sides, the consistency check of the dropped rows, the start point and the Newton
+loop. ``solve`` builds the structure of every problem it is given, except a problem made by
+``Structure.problem`` of a structure from ``prepare``: that one runs the data half only, with
+the operands a fresh build would give, so it is bit for bit the solve of the same problem
+prepared afresh. Builders share a structure by construction, keyed by all it is built from:
+``scenario.lhs_test`` one per (outcomes, inputs, d), unreduced steering certifications one per
+(shape, x*, guess outcomes, guess-target bytes), each in an LRU cache of SHARED_STRUCTURES
+entries filled at the first solve. Facially reduced certifications, whose faces come from
+the data, and ``certify_pm`` prepare per call. No cache is keyed by content: its key would
+need the problem assembled, which is the cost a structure saves.
 """
 
 from __future__ import annotations
@@ -60,6 +75,7 @@ import json
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg as sla
@@ -75,6 +91,8 @@ _STALL_REGULARISED = 5
 # an unfinished solve whose best iterate has a relative gap and residuals within this is Optimal
 _ACCEPT_TOL = 1e-8
 _STEP_FRAC = 0.98  # the fraction of the step to the PSD boundary taken
+# the prepared structures each builder keeps, least recently used dropped first
+SHARED_STRUCTURES = 8
 
 # the gufuncs numpy.linalg's cholesky, svd and eigvalsh call, without their wrappers
 _cholesky = np.linalg._umath_linalg.cholesky_lo
@@ -175,6 +193,7 @@ class SdpProblem:
     block_dims: tuple[int, ...]
     objective: list[np.ndarray | None]
     constraints: Sequence[LinearConstraint]  # a list, or the rows ``expand`` makes
+    structure: Structure | None = field(default=None, repr=False, compare=False)  # set by ``Structure.problem``
 
     def to_debug_json(self) -> dict:
         """Problem dump (blocks, constraints, rhs) for offline inspection."""
@@ -352,18 +371,15 @@ def _schur(tmats: list[np.ndarray], amats: list[np.ndarray], a_sp: list[np.ndarr
     return 0.5 * (schur + schur.T)
 
 
-def _independent_rows(mat: np.ndarray, b: np.ndarray, pivot_tol: float, consistency_tol: float):
-    """Select a full-rank subset of rows; report dropped rows and consistency."""
+def _presolve(mat: np.ndarray, pivot_tol: float):
+    """A full-rank subset of the rows of ``mat``: the pivot order of a pivoted QR of mat^T, the
+    rank, and R11^-1 R12, which writes the dropped rows in terms of the kept ones (None: none dropped)."""
     r, piv = sla.qr(mat.T, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > pivot_tol * diag[:1]))  # no row, no rank
-    keep, drop = np.sort(piv[:rank]), np.sort(piv[rank:])
-    violation = 0.0
-    if drop.size:
-        # mat.T P = Q R: the dropped rows are R11^-1 R12 times the kept ones, in pivot order
-        coef = sla.solve_triangular(r[:rank, :rank], r[:rank, rank:])
-        violation = float(np.max(np.abs(b[piv[rank:]] - coef.T @ b[piv[:rank]])))
-    return keep, drop, violation <= consistency_tol, violation
+    # mat.T P = Q R: the dropped rows are R11^-1 R12 times the kept ones, in pivot order
+    coef = sla.solve_triangular(r[:rank, :rank], r[:rank, rank:]) if rank < len(piv) else None
+    return piv, rank, coef
 
 
 def _check_hermitian(stack: np.ndarray, where) -> None:
@@ -373,17 +389,26 @@ def _check_hermitian(stack: np.ndarray, where) -> None:
         raise ValueError(f"{where(*bad[0])} is not Hermitian (defect {defect[tuple(bad[0])]:.2e})")
 
 
+def _equalities(constraints) -> list[MatrixEquality]:
+    """The equalities behind ``expand``'s rows; hand-built rows as 1 x 1 equalities."""
+    return constraints.equalities if isinstance(constraints, _Rows) else [
+        MatrixEquality({k: np.asarray(a)[None] for k, a in con.coeffs.items()}, np.full((1, 1), con.rhs))
+        for con in constraints]
+
+
+def _rhs(constraints) -> np.ndarray:
+    """b: the right-hand side of each row, doubled as realification doubles the rows."""
+    return 2.0 * _rhs_rows(_equalities(constraints))
+
+
 def _assemble(problem: SdpProblem):
     """Check the problem; return its (m, N) row matrix (each row's realified svec coefficients,
-    block after block in the caller's order), b, the blocks of each dimension in order of first
+    block after block in the caller's order), the blocks of each dimension in order of first
     appearance, their objective stacks (zero for None) and each block's first column."""
     dims = problem.block_dims
     if len(problem.objective) != len(dims):
         raise ValueError("objective must provide one entry per block (None for zero)")
-    cons = problem.constraints
-    equalities = cons.equalities if isinstance(cons, _Rows) else [  # hand-built rows: 1 x 1 equalities
-        MatrixEquality({k: np.asarray(a)[None] for k, a in con.coeffs.items()}, np.full((1, 1), con.rhs))
-        for con in cons]
+    equalities = _equalities(problem.constraints)
     offsets = np.cumsum([0] + [d * (2 * d + 1) for d in dims])  # svec length of a realified block
     starts = np.cumsum([0] + [eq.rhs.shape[-1] ** 2 for eq in equalities]).tolist()
     uses = {}  # shape -> {id of a term stack of that shape: (the stack, [(first row, block) of each use])}
@@ -409,8 +434,123 @@ def _assemble(problem: SdpProblem):
                   for blocks in groups]
     for blocks, stack in zip(groups, objectives):
         _check_hermitian(stack, lambda j: f"objective block {blocks[j]}")
-    b = 2.0 * _rhs_rows(equalities)
-    return rows, b, groups, objectives, offsets
+    return rows, groups, objectives, offsets
+
+
+def _read_only(value) -> None:
+    """Mark every array in ``value``, and in the lists, tuples and dicts it holds, read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _read_only(item)
+    elif isinstance(value, dict):
+        _read_only(list(value.values()))
+
+
+class Structure:
+    """The half of ``solve`` that depends only on a problem's block dimensions, objective and term
+    stacks, never on its right-hand sides: the checked row matrix's presolve (kept and dropped rows,
+    R11^-1 R12), the kept rows' norms, their svec stacks, the sparse Schur plan and the realified
+    objective; every array read-only. ``solve`` builds one per problem, unless the problem was
+    made by ``problem`` of a structure from ``prepare``."""
+
+    def __init__(self, problem: SdpProblem, template: SdpProblem | None = None):
+        rows, groups, objectives, offsets = _assemble(problem)
+        self.block_dims, self.template, self.m = tuple(problem.block_dims), template, len(rows)
+        self.dims = [2 * c.shape[-1] for c in objectives]
+        self.sizes = [len(blocks) for blocks in groups]
+        self.eyes = [np.eye(d) for d in self.dims]
+        self.idx = [_svec_indices(d) for d in self.dims]
+        self.cmats = [_realify(c) for c in objectives]
+        order = np.argsort(np.concatenate(groups))
+        self.order = None if np.array_equal(order, np.arange(len(order))) else order  # None: already in it
+        piv, rank, coef = _presolve(rows, pivot_tol=1e-10)
+        self.keep, self.drop = np.sort(piv[:rank]), np.sort(piv[rank:])
+        self.pivots, self.coef_t = (piv[:rank], piv[rank:]), None if coef is None else coef.T
+        self.row_norms = np.linalg.norm(rows, axis=1)[self.keep]  # for the start point
+        self.xi_d = max(1.0, max(float(np.linalg.norm(c)) for c in self.in_order(self.cmats))) * np.sqrt(max(self.dims))
+        self.a3 = self.a_sp = self.amats = self.schur_plan = None
+        if rank:
+            # the kept rows in svec coordinates, one C-contiguous (n_g, mr, s) stack per group (BLAS rounds by layout)
+            self.a3 = [rows[self.keep[None, :, None], (offsets[blocks][:, None] + np.arange(len(ix[0])))[:, None, :]]
+                       for blocks, ix in zip(groups, self.idx)]
+            self.a_sp, self.amats, self.schur_plan = _sparse_rows(self.a3, self.order, self.dims, self.idx)
+        _read_only(list(vars(self).values()))
+
+    @property
+    def equalities(self) -> list[MatrixEquality]:
+        """The equalities of the problem ``prepare`` was given, with read-only terms."""
+        return self.template.constraints.equalities
+
+    def problem(self, rhs) -> SdpProblem:
+        """The problem of this structure whose equality q has the right-hand side rhs[q];
+        ``solve`` takes its structural half from here."""
+        if self.template is None:
+            raise ValueError("only a structure from prepare makes problems")
+        equalities = self.equalities
+        if len(rhs) != len(equalities):
+            raise ValueError(f"{len(rhs)} right-hand sides for {len(equalities)} equalities")
+        made = []
+        for q, (eq, r) in enumerate(zip(equalities, rhs)):
+            if np.shape(r) != eq.rhs.shape:
+                raise ValueError(f"right-hand side {q} has shape {np.shape(r)}, not {eq.rhs.shape}")
+            made.append(MatrixEquality(eq.terms, r))
+        return SdpProblem(self.block_dims, list(self.template.objective), _Rows(made), self)
+
+    def made(self, problem: SdpProblem) -> bool:
+        """Whether ``problem`` has this structure's blocks and term stacks, as ``problem`` makes them."""
+        equalities = getattr(problem.constraints, "equalities", None)
+        mine = None if self.template is None else self.equalities
+        return (mine is not None and equalities is not None and problem.block_dims == self.block_dims
+                and len(equalities) == len(mine)
+                and all(eq.terms is t.terms and np.shape(eq.rhs) == t.rhs.shape for eq, t in zip(equalities, mine)))
+
+    def violation(self, b: np.ndarray) -> float:
+        """The largest amount by which b breaks the linear dependencies of the dropped rows."""
+        kept, dropped = self.pivots
+        return float(np.max(np.abs(b[dropped] - self.coef_t @ b[kept]))) if len(dropped) else 0.0
+
+    def in_order(self, stacks):
+        """The blocks of one stack per group, listed in the caller's order."""
+        flat = [x for stack in stacks for x in stack]
+        return flat if self.order is None else [flat[i] for i in self.order]
+
+    def block_sum(self, parts):
+        """Sum over the blocks of per-group stacks, one block after another in the
+        caller's order (np.add.reduce would add a lone column pairwise)."""
+        blocks = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return np.add.accumulate(blocks if self.order is None else blocks[self.order])[-1]
+
+    def objective(self, xzs):
+        return 0.5 * self.block_sum([(c * xz[:n]).sum(axis=(-2, -1)) for c, xz, n in zip(self.cmats, xzs, self.sizes)])
+
+    # on all rows: on a block's own, dgemv's kernel (A) or the inner dimension (A^T) would change
+    def op_a(self, mats):
+        return self.block_sum([np.matmul(a, _svec(x, ix)[..., None])[..., 0]
+                               for a, x, ix in zip(self.a3, mats, self.idx)])
+
+    def op_at(self, y):
+        return [_unsvec(np.matmul(y, a), d, ix) for a, d, ix in zip(self.a3, self.dims, self.idx)]
+
+
+def prepare(problem: SdpProblem) -> Structure:
+    """The structure of ``problem``, to share among the problems its ``problem`` makes with other
+    right-hand sides. It keeps read-only copies of the term stacks and objective (arrays already
+    read-only are kept as they are); the right-hand sides given here fix only their shapes."""
+    frozen = {}
+
+    def keep(a):
+        if id(a) not in frozen:  # a stack shared between terms stays shared
+            frozen[id(a)] = a if not a.flags.writeable else np.array(a, copy=True)
+            frozen[id(a)].setflags(write=False)
+        return frozen[id(a)]
+
+    equalities = [MatrixEquality(MappingProxyType({k: keep(t) for k, t in eq.terms.items()}), keep(np.asarray(eq.rhs)))
+                  for eq in _equalities(problem.constraints)]
+    objective = [None if c is None else keep(np.asarray(c)) for c in problem.objective]
+    template = SdpProblem(tuple(problem.block_dims), objective, _Rows(equalities))
+    return Structure(template, template)
 
 
 def solve(
@@ -426,50 +566,30 @@ def solve(
     that ends short of them is still declared Optimal when its best-merit
     iterate has a relative gap and both residuals within 1e-8.
     """
-    rows, b, groups, objectives, offsets = _assemble(problem)
-    m = len(b)
-    dims = [2 * c.shape[-1] for c in objectives]
-    sizes = [len(blocks) for blocks in groups]
-    eyes = [np.eye(d) for d in dims]
-    idx = [_svec_indices(d) for d in dims]
-    cmats = [_realify(c) for c in objectives]
-    order = np.argsort(np.concatenate(groups))
-    order = None if np.array_equal(order, np.arange(len(order))) else order  # None: already in it
-
-    def in_order(stacks):
-        """The blocks of one stack per group, listed in the caller's order."""
-        flat = [x for stack in stacks for x in stack]
-        return flat if order is None else [flat[i] for i in order]
-
-    def block_sum(parts):
-        """Sum over the blocks of per-group stacks, one block after another in the
-        caller's order (np.add.reduce would add a lone column pairwise)."""
-        blocks = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return np.add.accumulate(blocks if order is None else blocks[order])[-1]
-
-    b_scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
-    keep, drop, consistent, violation = _independent_rows(
-        rows, b, pivot_tol=1e-10, consistency_tol=_ACCEPT_TOL * b_scale
-    )
-    row_norms = np.linalg.norm(rows, axis=1)[keep]  # for the start point
-
-    def objective(xzs):
-        return 0.5 * block_sum([(c * xz[:n]).sum(axis=(-2, -1)) for c, xz, n in zip(cmats, xzs, sizes)])
+    st = problem.structure
+    if st is None:
+        st = Structure(problem)
+    elif not st.made(problem):
+        raise ValueError("the problem's structure did not make it: build it with Structure.problem")
+    b = _rhs(problem.constraints)
+    sizes, eyes, cmats, keep = st.sizes, st.eyes, st.cmats, st.keep
 
     def _package(xzs, y_red, status, iters, pres, dres, shifted=0):
-        y = np.zeros(m)
+        y = np.zeros(st.m)
         if y_red is not None:
             y[keep] = y_red
-        pval = objective(xzs)
+        pval = st.objective(xzs)
         dval = 0.5 * float(b @ y)
         gap = abs(pval - dval) / (1.0 + abs(pval))
-        primal = in_order([derealify(xz[:n]) for xz, n in zip(xzs, sizes)])
-        slacks = in_order([derealify(xz[n:]) for xz, n in zip(xzs, sizes)])
+        primal = st.in_order([derealify(xz[:n]) for xz, n in zip(xzs, sizes)])
+        slacks = st.in_order([derealify(xz[n:]) for xz, n in zip(xzs, sizes)])
         return SdpSolution(primal, y, slacks, float(pval), dval, float(gap), status, iters, pres, dres,
-                           tuple(int(i) for i in drop), shifted)
+                           tuple(int(i) for i in st.drop), shifted)
 
+    b_scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    violation = st.violation(b)
     zero_xzs = [np.zeros((2 * len(c),) + c.shape[1:]) for c in cmats]
-    if not consistent:
+    if not violation <= _ACCEPT_TOL * b_scale:
         # the rows and right-hand sides are realified, which doubles the violation
         return _package(zero_xzs, None, SolverStatus.INFEASIBLE, 0, 0.5 * violation, np.inf)
 
@@ -477,29 +597,16 @@ def solve(
     mr = len(keep)
     if mr == 0:
         raise ValueError("a well-formed problem needs at least one linearly independent constraint")
-    # the kept rows in svec coordinates, one C-contiguous (n_g, mr, s) stack per group (BLAS rounds by layout)
-    a3 = [rows[keep[None, :, None], (offsets[blocks][:, None] + np.arange(len(ix[0])))[:, None, :]]
-          for blocks, ix in zip(groups, idx)]
-    del rows  # all rows of every block: megabytes on qutrit problems
-    a_sp, amats, schur_plan = _sparse_rows(a3, order, dims, idx)
-
-    # on all rows: on a block's own, dgemv's kernel (A) or the inner dimension (A^T) would change
-    def op_a(mats):
-        return block_sum([np.matmul(a, _svec(x, ix)[..., None])[..., 0] for a, x, ix in zip(a3, mats, idx)])
-
-    def op_at(y):
-        return [_unsvec(np.matmul(y, a), d, ix) for a, d, ix in zip(a3, dims, idx)]
+    op_a, op_at, block_sum, objective = st.op_a, st.op_at, st.block_sum, st.objective
 
     # infeasible start: scaled identities sized from the data
-    sqrt_dim = np.sqrt(max(dims))
-    xi_p = max(1.0, float(np.max(np.abs(b_red) / (1.0 + row_norms)))) * sqrt_dim
-    xi_d = max(1.0, max(float(np.linalg.norm(c)) for c in in_order(cmats))) * sqrt_dim
+    xi_p = max(1.0, float(np.max(np.abs(b_red) / (1.0 + st.row_norms)))) * np.sqrt(max(st.dims))
     # each group's X and Z blocks as one stack [X; Z]
-    xzs = [np.concatenate([xi_p * np.tile(eye, (n, 1, 1)), xi_d * np.tile(eye, (n, 1, 1))])
+    xzs = [np.concatenate([xi_p * np.tile(eye, (n, 1, 1)), st.xi_d * np.tile(eye, (n, 1, 1))])
            for eye, n in zip(eyes, sizes)]
     y = np.zeros(mr)
     eye_m = np.eye(mr)
-    n_total = float(2 * sum(problem.block_dims))
+    n_total = float(2 * sum(st.block_dims))
 
     best = None
     best_merit = np.inf
@@ -548,7 +655,7 @@ def solve(
 
         mu = block_sum([np.matmul(lam[:, None, :], lam[:, :, None])[:, 0, 0] for lam in lams]) / n_total
 
-        schur = _schur(tmats, amats, a_sp, idx, schur_plan)
+        schur = _schur(tmats, st.amats, st.a_sp, st.idx, st.schur_plan)
         diag_mean = max(float(schur.diagonal().sum()) / mr, 1e-300)
         for reg in (0.0, 1e-13, 1e-11, 1e-9, 1e-7):
             schur_chol, info = _dpotrf(schur + reg * diag_mean * eye_m, 1, 0)

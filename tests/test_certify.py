@@ -347,3 +347,90 @@ def test_supports_match_one_eigh_per_block():
         want = np.eye(3, dtype=complex) if np.all(vals > cutoff) else vecs[:, vals > cutoff]
         assert got[a][x].shape == want.shape == (3, (3, 2, 1, 0, 3, 2)[2 * a + x])
         assert got[a][x].tobytes() == want.tobytes()
+
+
+def _afresh_and_shared(monkeypatch, certification, *args):
+    """The result of a certification, and the problem it solved, twice: once as the builder made
+    it, and once with the same problem prepared afresh inside solve (its structure stripped)."""
+    import steercert.sdp as sdp_module
+
+    solve = sdp_module.solve
+    runs = []
+    for afresh in (True, False):
+        captured = []
+
+        def capturing(problem, **kw):
+            captured.append(problem)
+            return solve(dataclasses.replace(problem, structure=None) if afresh else problem, **kw)
+
+        monkeypatch.setattr(sdp_module, "solve", capturing)
+        runs.append((certification(*args), captured[0]))
+        monkeypatch.undo()
+    return runs
+
+
+def _results_identical(got, want):
+    for name in ("p_guess", "h_min", "gap", "status", "dual_value"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert np.array_equal(got.joint.sigma_e, want.joint.sigma_e)
+    for name in ("F", "G"):
+        assert np.array_equal(getattr(got.functional, name), getattr(want.functional, name))
+
+
+@pytest.mark.parametrize("v", [0.7, 0.9])
+def test_unreduced_certifications_share_a_structure_bit_for_bit(monkeypatch, v):
+    from steercert.certify import _unreduced_steering
+
+    certify_local(assemblage_from(werner_state(0.8), pauli_xz()), 0)  # the structure exists
+    misses = _unreduced_steering.cache_info().misses
+    asm = assemblage_from(werner_state(v), pauli_xz())
+    (fresh, fresh_problem), (shared, problem) = _afresh_and_shared(monkeypatch, certify_local, asm, 0)
+    assert _unreduced_steering.cache_info().misses == misses
+    assert problem.structure is fresh_problem.structure is not None
+    _results_identical(shared, fresh)
+    # the solutions behind them, solved from the problem prepared afresh here
+    import steercert.sdp as sdp_module
+
+    again = sdp_module.solve(dataclasses.replace(problem, structure=None))
+    solution = sdp_module.solve(problem)
+    assert np.array_equal(solution.dual, again.dual) and solution.dual_value == again.dual_value
+    assert all(np.array_equal(a, b) for a, b in zip(solution.primal, again.primal))
+
+
+def test_global_certifications_keep_one_structure_per_trusted_measurement(monkeypatch):
+    asm = assemblage_from(werner_state(0.9), pauli_xz())
+    structures = []
+    for bob in pauli_xz():
+        (fresh, _), (shared, problem) = _afresh_and_shared(monkeypatch, certify_global, asm, 0, bob)
+        _results_identical(shared, fresh)
+        structures.append(problem.structure)
+    assert structures[0] is not None and structures[1] is not None and structures[0] is not structures[1]
+    assert not np.array_equal(structures[0].cmats[0], structures[1].cmats[0])
+
+
+def test_a_face_reduced_certification_adds_no_structure(monkeypatch):
+    from steercert.certify import _unreduced_steering
+
+    before = _unreduced_steering.cache_info()
+    asm = assemblage_from(werner_state(1.0), pauli_xz())  # pure: every block has rank 1
+    (fresh, _), (res, problem) = _afresh_and_shared(monkeypatch, certify_local, asm, 0)
+    assert res.functional.supports is not None and problem.structure is None
+    after = _unreduced_steering.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+    _results_identical(res, fresh)
+
+
+def test_a_certification_leaves_its_shared_structure_unchanged():
+    from steercert.certify import _unreduced_steering
+
+    certify_local(assemblage_from(werner_state(0.8), pauli_xz()), 0)
+    targets = np.tile(np.eye(2, dtype=complex), (2, 1, 1))
+    grid, structure, kept = _unreduced_steering(2, 2, 2, 0, (0, 1), targets.tobytes())
+    arrays = [a for value in vars(structure).values() for a in (value if isinstance(value, list) else [value])
+              if isinstance(a, np.ndarray)]
+    arrays += [t for group in kept for eq in group.values() for t in (*eq.terms.values(), eq.rhs)]
+    arrays += [v for row in grid.supports for v in row] + list(grid.embedded.values())
+    assert len(arrays) > 20 and not any(a.flags.writeable for a in arrays)
+    before = [a.tobytes() for a in arrays]
+    certify_local(assemblage_from(werner_state(0.75), pauli_xz()), 0)
+    assert [a.tobytes() for a in arrays] == before

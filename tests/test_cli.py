@@ -318,3 +318,20 @@ def test_sweep_runs_in_process_without_jobs(tmp_path, monkeypatch, capsys):
         "sweep": {"parameter": "v", "start": 0.8, "stop": 0.9, "points": 2},
     })
     assert main(["sweep", "--config", path, "--out", str(tmp_path / "sweep.csv")]) == 0
+
+
+def test_sweep_points_reuse_the_measurement_families(monkeypatch):
+    import steercert.qlin as qlin
+
+    table = presets()
+    table["fig_global"].at_parameter(0.9).build_bob_povm(2)  # the families exist
+    built = []
+    init = qlin.Povm.__init__
+    monkeypatch.setattr(qlin.Povm, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    for v in (0.8, 0.9):
+        point = table["fig_global"].at_parameter(v)
+        assert point.build_measurements() is table["fig2"].build_measurements()
+        assert point.build_bob_povm(2) is point.build_measurements()[0]
+    assert built == []
+    lossy = table["fig3_qubit"].at_parameter(0.7).build_measurements()  # loss is per point
+    assert len(built) == len(lossy) == 2

@@ -330,3 +330,47 @@ def test_lhs_handles_loss_outcomes():
     assert res.is_lhs  # inconclusive rounds dominate: 40% efficiency is unsteerable
     res_hi = lhs_test(assemblage_from(werner_state(1.0), [apply_loss(p, 0.95) for p in pauli_xz()]))
     assert not res_hi.is_lhs
+
+
+def test_lhs_tests_share_a_structure_bit_for_bit(monkeypatch):
+    import dataclasses
+
+    import steercert.sdp as sdp_module
+    from steercert.scenario import _lhs_structure
+
+    solve = sdp_module.solve
+    povms = mub_povms(3, 4)
+    lhs_test(assemblage_from(isotropic_state(3, 0.3), povms))  # the structure exists
+    misses = _lhs_structure.cache_info().misses
+    structure = _lhs_structure(3, 4, 3)
+    arrays = [a for value in vars(structure).values() for a in (value if isinstance(value, list) else [value])
+              if isinstance(a, np.ndarray)]
+    assert not any(a.flags.writeable for a in arrays)
+    before = [a.tobytes() for a in arrays]
+    for v in (0.2, 0.6):  # one LHS, one steerable
+        asm = assemblage_from(isotropic_state(3, v), povms)
+        solutions = []
+        monkeypatch.setattr(sdp_module, "solve",
+                            lambda p, **kw: solutions.append((p, solve(p, **kw))) or solutions[-1][1])
+        shared = lhs_test(asm)
+        monkeypatch.setattr(sdp_module, "solve", lambda p, **kw: solve(dataclasses.replace(p, structure=None), **kw))
+        fresh = lhs_test(asm)
+        monkeypatch.undo()
+        problem, solution = solutions[0]
+        assert problem.structure is structure
+        assert shared.robustness == fresh.robustness and shared.is_lhs == fresh.is_lhs == (v < 0.5)
+        assert (shared.members is None and fresh.members is None) or np.array_equal(shared.members, fresh.members)
+        again = solve(dataclasses.replace(problem, structure=None))
+        assert np.array_equal(solution.dual, again.dual)
+        assert all(np.array_equal(a, b) for a, b in zip(solution.primal, again.primal))
+    assert _lhs_structure.cache_info().misses == misses
+    assert [a.tobytes() for a in arrays] == before
+
+
+def test_measurement_families_are_built_once():
+    for family in (pauli_xz, lambda: mub_povms(3, 4), lambda: fourier_and_computational(5),
+                   lambda: standard_povms("mub", d=2, count=3)):
+        first = family()
+        assert isinstance(first, tuple) and family() is first
+        assert not any(p.elements.flags.writeable for p in first)
+    assert pauli_xz() is mub_povms(2, 2)

@@ -11,6 +11,7 @@ from steercert.sdp import (
     MatrixEquality,
     SdpProblem,
     SolverStatus,
+    Structure,
     _max_steps,
     _schur,
     _sparse_rows,
@@ -654,7 +655,7 @@ def _mixed_equalities(rng):
 
 def test_assembly_matches_the_row_by_row_build(monkeypatch):
     import steercert.sdp as sdp_module
-    from steercert.sdp import _assemble
+    from steercert.sdp import _assemble, _rhs
 
     rng = np.random.default_rng(31)
     dims = (1, 2, 3, 2, 2)
@@ -663,7 +664,8 @@ def test_assembly_matches_the_row_by_row_build(monkeypatch):
                   LinearConstraint({}, 0.0), LinearConstraint({3: np.diag([1.0, 0.0]), 1: np.eye(2)}, 0.25)]
     for constraints in (expand(_mixed_equalities(rng)), hand_built):
         problem = SdpProblem(dims, objective, constraints)
-        rows, b, groups, objectives, _ = _assemble(problem)
+        rows, groups, objectives, _ = _assemble(problem)
+        b = _rhs(problem.constraints)
         ref_rows, ref_b = _row_by_row(problem)
         assert _identical(rows, ref_rows) and _identical(b, ref_b)
         assert [list(g) for g in groups] == [[0], [1, 3, 4], [2]]
@@ -733,3 +735,111 @@ def test_fold_adds_the_terms_as_a_python_sum_does():
             want = sum(y_r * e for y_r, e in zip(y[start:start + len(basis)], basis))
             assert _identical(big_y, want)
             start += len(basis)
+
+
+def _solutions_identical(got, want):
+    """Every field of two solutions equal, array by array."""
+    for name in ("primal", "dual_slacks"):
+        assert len(getattr(got, name)) == len(getattr(want, name))
+        assert all(_identical(a, b) for a, b in zip(getattr(got, name), getattr(want, name)))
+    assert _identical(got.dual, want.dual)
+    for name in ("primal_value", "dual_value", "gap", "status", "iterations", "primal_residual",
+                 "dual_residual", "dropped_rows", "regularised_steps"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def _retained_arrays(structure):
+    """Every array a prepared structure holds, its template's terms, right-hand sides and objective included."""
+    found = []
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            found.append(value)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item)
+        elif isinstance(value, dict):
+            walk(list(value.values()))
+
+    walk([v for k, v in vars(structure).items() if k != "template"])
+    for eq in structure.equalities:
+        walk(list(eq.terms.values()))
+        walk(eq.rhs)
+    walk(structure.template.objective)
+    return found
+
+
+def test_a_prepared_structure_solves_as_the_problem_prepared_afresh():
+    from steercert.sdp import prepare
+
+    rng = np.random.default_rng(35)
+    dims = (1, 2, 3, 2, 2)
+    objective = [np.eye(1), random_herm(2, rng), None, random_herm(2, rng), -np.eye(2)]
+    equalities = _mixed_equalities(rng)
+    template = [MatrixEquality(eq.terms, np.zeros_like(eq.rhs)) for eq in equalities]
+    structure = prepare(SdpProblem(dims, objective, expand(template)))
+    for scale in (1.0, 0.5):
+        rhs = [scale * eq.rhs for eq in equalities]
+        fresh = SdpProblem(dims, objective, expand([MatrixEquality(eq.terms, r) for eq, r in zip(equalities, rhs)]))
+        made = structure.problem(rhs)
+        assert made.structure is structure and made.block_dims == dims
+        assert len(made.constraints) == len(fresh.constraints)
+        _solutions_identical(solve(made), solve(fresh))
+
+
+def test_an_inconsistent_rhs_on_a_prepared_structure_is_infeasible():
+    from steercert.sdp import prepare
+
+    rng = np.random.default_rng(36)
+    identity = term_stack(2)
+    template = [MatrixEquality({0: identity}, np.zeros((2, 2))), MatrixEquality({0: identity}, np.zeros((2, 2)))]
+    structure = prepare(SdpProblem((2,), [np.eye(2)], expand(template)))
+    a = random_herm(2, rng) @ random_herm(2, rng)
+    a = a @ dagger(a) + np.eye(2)  # X = a is the one feasible point
+    consistent = solve(structure.problem([a, a]))
+    assert consistent.status is SolverStatus.OPTIMAL and len(consistent.dropped_rows) == 4
+    rhs = [a, a + 1e-3 * np.diag([1.0, -1.0])]
+    fresh = solve(SdpProblem((2,), [np.eye(2)], expand([MatrixEquality({0: identity}, r) for r in rhs])))
+    cached = solve(structure.problem(rhs))
+    assert cached.status is fresh.status is SolverStatus.INFEASIBLE
+    assert cached.primal_residual == fresh.primal_residual == pytest.approx(1e-3)
+    _solutions_identical(cached, fresh)
+
+
+def test_a_solve_leaves_the_prepared_structure_unchanged():
+    from steercert.sdp import prepare
+
+    rng = np.random.default_rng(37)
+    equalities = _mixed_equalities(rng)
+    objective = [np.eye(1), random_herm(2, rng), None, random_herm(2, rng), -np.eye(2)]
+    structure = prepare(SdpProblem((1, 2, 3, 2, 2), objective, expand(equalities)))
+    arrays = _retained_arrays(structure)
+    assert len(arrays) > 20 and not any(a.flags.writeable for a in arrays)
+    before = [a.tobytes() for a in arrays]
+    objective[1][0, 0] += 1.0  # the caller's arrays are copied, not kept
+    equalities[0].terms[2][...] = 0.0
+    solve(structure.problem([eq.rhs for eq in equalities]))
+    assert [a.tobytes() for a in arrays] == before
+    with pytest.raises(TypeError):
+        structure.equalities[0].terms[0] = term_stack(2)
+
+
+def test_a_problem_its_structure_did_not_make_is_refused():
+    from steercert.sdp import prepare
+
+    rng = np.random.default_rng(38)
+    equalities = _mixed_equalities(rng)
+    dims, objective = (1, 2, 3, 2, 2), [None] * 5
+    structure = prepare(SdpProblem(dims, objective, expand(equalities)))
+    rhs = [eq.rhs for eq in equalities]
+    with pytest.raises(ValueError, match="right-hand side 2 has shape"):
+        structure.problem(rhs[:2] + [np.eye(2)] + rhs[3:])
+    with pytest.raises(ValueError, match="4 right-hand sides for 5 equalities"):
+        structure.problem(rhs[:4])
+    with pytest.raises(ValueError, match="structure did not make it"):
+        solve(SdpProblem(dims, objective, expand(equalities), structure))
+    unprepared = Structure(SdpProblem(dims, objective, expand(equalities)))  # as solve builds one: no template
+    with pytest.raises(ValueError, match="structure did not make it"):
+        solve(SdpProblem(dims, objective, expand(equalities), unprepared))
+    with pytest.raises(ValueError, match="only a structure from prepare"):
+        unprepared.problem(rhs)
