@@ -46,6 +46,8 @@ from .scenario import Assemblage, Scenario, assemblage_from, steering_adjoint
 
 CONSISTENCY_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-11  # relative eigenvalue threshold for facial reduction
+# the parents of unreduced steering certifications kept, least recently used dropped first
+SHARED_STRUCTURES = 8
 
 
 class CertificationError(RuntimeError):
@@ -206,9 +208,8 @@ def _supports(mats: np.ndarray) -> list[list[np.ndarray]]:
     """The support isometry of each mats[a, x] of an (n_a, m, d, d) grid of PSD matrices: the eigenvectors
     of its Hermitian part (one batched ``eigh``) with eigenvalues above SUPPORT_CUTOFF times the largest of the
     grid, or the identity when all are, so that unreduced problems keep the plain, unrotated variables."""
-    cutoff = SUPPORT_CUTOFF * float(np.max(np.linalg.eigvalsh(mats)[..., -1]))
     vals, vecs = np.linalg.eigh(0.5 * (mats + dagger(mats)))
-    keep = vals > cutoff
+    keep = vals > SUPPORT_CUTOFF * float(np.max(vals[..., -1]))
     return [[np.eye(mats.shape[-1], dtype=complex) if keep[a, x].all() else vecs[a, x][:, keep[a, x]]
              for x in range(mats.shape[1])] for a in range(mats.shape[0])]
 
@@ -225,11 +226,9 @@ class _EveGrid:
         keys = [key for key in np.ndindex(self.shape) if supports[key[1]][key[2]].shape[1] > 0]
         self.ids = {key: k for k, key in enumerate(keys)}
         self.dims = tuple(supports[a][x].shape[1] for _, a, x in keys)
-        # the adjoint stacks of the embeddings X -> V X V^dag, read-only as terms a structure may keep
+        # the adjoint stacks of the embeddings X -> V X V^dag
         self.embedded = {(a, x): self.compressed(a, x, sdp.term_stack(self.dim))
                          for a, x in np.ndindex(self.shape[1:])}
-        for stack in self.embedded.values():
-            stack.setflags(write=False)
 
     def compressed(self, a: int, x: int, mats: np.ndarray) -> np.ndarray:
         """V^dag M V for a matrix or a stack M, with V = supports[a][x]."""
@@ -290,9 +289,8 @@ class _EveGrid:
 
 
 def _solve(problem: sdp.SdpProblem, kept: list[dict], solver_opts: dict | None = None):
-    """Solve a problem of ``_EveGrid.problem`` (or one of its structure's, with the same
-    equalities); returns the solution and, per group, the multiplier of each equality kept,
-    keyed as in the group."""
+    """Solve a problem of ``_EveGrid.problem`` (or a problem its ``with_rhs`` made); returns the
+    solution and, per group, the multiplier of each equality kept, keyed as in the group."""
     sol = sdp.solve(problem, **(solver_opts or {}))
     if sol.status is sdp.SolverStatus.INFEASIBLE:
         raise CertificationError("certification problem infeasible: inputs malformed")
@@ -300,22 +298,17 @@ def _solve(problem: sdp.SdpProblem, kept: list[dict], solver_opts: dict | None =
     return sol, [{key: next(multipliers) for key in group} for group in kept]
 
 
-@functools.lru_cache(maxsize=sdp.SHARED_STRUCTURES)
+@functools.lru_cache(maxsize=SHARED_STRUCTURES)
 def _unreduced_steering(n_a: int, m: int, d: int, x_star: int, guess_outcome: tuple, guess_target: bytes):
-    """The grid, prepared structure and kept equalities of the steering certification of an
-    (n_a, m) grid of full-rank d x d blocks, whose consistency right-hand sides are the only data;
+    """The grid, parent problem and kept equalities of the steering certification of an (n_a, m)
+    grid of full-rank d x d blocks, whose consistency right-hand sides are the only data;
     ``guess_target`` holds the (n_guess, d, d) complex targets' bytes, so that the key holds all
-    the structure depends on."""
-    eye = np.eye(d, dtype=complex)
-    eye.setflags(write=False)
-    grid = _EveGrid(len(guess_outcome), [[eye] * m for _ in range(n_a)])
+    the parent depends on."""
+    grid = _EveGrid(len(guess_outcome), [[np.eye(d, dtype=complex)] * m for _ in range(n_a)])
     target = np.frombuffer(guess_target, dtype=complex).reshape(-1, d, d)
     targets = {(e, a, x_star): target[e] for e, a in enumerate(guess_outcome)}
     unobserved = np.zeros((n_a, m, d, d), dtype=complex)
-    problem, kept = grid.problem(targets, [grid.consistency(grid.embedded, unobserved), grid.no_signalling(x_star)])
-    structure = sdp.prepare(problem)
-    equalities = iter(structure.equalities)  # the structure's read-only copies
-    return grid, structure, [{key: next(equalities) for key in group} for group in kept]
+    return grid, *grid.problem(targets, [grid.consistency(grid.embedded, unobserved), grid.no_signalling(x_star)])
 
 
 def _gridded(values: dict, shape: tuple[int, ...], d: int) -> np.ndarray:
@@ -367,11 +360,11 @@ def _solve_steering(
         )
     else:
         target = np.ascontiguousarray(guess_target, dtype=complex)
-        grid, structure, kept = _unreduced_steering(
+        grid, parent, kept = _unreduced_steering(
             n_a, m, d, x_star, tuple(int(a) for a in guess_outcome), target.tobytes()
         )
         # the observed blocks, then the no-signalling equalities' zeros
-        problem = structure.problem([*asm.sigma.reshape(-1, d, d), *(eq.rhs for eq in kept[1].values())])
+        problem = parent.with_rhs([*asm.sigma.reshape(-1, d, d), *(eq.rhs for eq in kept[1].values())])
     sol, (f, g) = _solve(problem, kept, solver_opts)
     functional = SteeringFunctional(
         F=_gridded(f, (n_a, m), d),

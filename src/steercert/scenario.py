@@ -247,9 +247,11 @@ def deterministic_strategies(n_inputs: int, n_outcomes: int) -> np.ndarray:
     return np.array(list(itertools.product(range(n_outcomes), repeat=n_inputs)), dtype=int)
 
 
-@functools.lru_cache(maxsize=sdp.SHARED_STRUCTURES)
-def _lhs_structure(n_outcomes: int, n_inputs: int, d: int) -> sdp.Structure:
-    """The prepared structure of `lhs_test`'s SDP, whose only data are the right-hand sides
+# one parent: its structure grows as outcomes^inputs (12 MB for qutrits under 4 MUBs with a
+# no-click outcome, 256 strategies), so it is kept only while tests stay in one scenario
+@functools.lru_cache(maxsize=1)
+def _lhs_problem(n_outcomes: int, n_inputs: int, d: int) -> sdp.SdpProblem:
+    """The parent problem of `lhs_test`'s SDPs, whose only data are the right-hand sides
     sigma[a, x] of its equalities, in (a, x) order."""
     n_strat = n_outcomes**n_inputs
     strategies = deterministic_strategies(n_inputs, n_outcomes)
@@ -267,7 +269,7 @@ def _lhs_structure(n_outcomes: int, n_inputs: int, d: int) -> sdp.Structure:
     for a, x in np.ndindex(n_outcomes, n_inputs):
         terms = {lam: identity for lam in range(n_strat) if strategies[lam, x] == a}
         equalities.append(sdp.MatrixEquality({**terms, t_block: t_term}, np.zeros((d, d), dtype=complex)))
-    return sdp.prepare(sdp.SdpProblem(block_dims, objective, sdp.expand(equalities)))
+    return sdp.SdpProblem(block_dims, objective, sdp.expand(equalities))
 
 
 def lhs_test(asm: Assemblage, *, tol: float = LHS_TOL) -> LhsResult:
@@ -285,8 +287,8 @@ def lhs_test(asm: Assemblage, *, tol: float = LHS_TOL) -> LhsResult:
             f"{sc.n_outcomes}^{sc.n_inputs} = {n_strat} deterministic strategies "
             f"exceeds the supported limit {MAX_DETERMINISTIC_STRATEGIES}"
         )
-    structure = _lhs_structure(sc.n_outcomes, sc.n_inputs, sc.bob_dim)
-    solution = sdp.solve(structure.problem(asm.sigma.reshape(-1, sc.bob_dim, sc.bob_dim)))
+    parent = _lhs_problem(sc.n_outcomes, sc.n_inputs, sc.bob_dim)
+    solution = sdp.solve(parent.with_rhs(asm.sigma.reshape(-1, sc.bob_dim, sc.bob_dim)))
     if solution.status is not sdp.SolverStatus.OPTIMAL:
         raise RuntimeError(f"LHS membership solve failed with status {solution.status}")
     robustness = max(0.0, -solution.primal_value)

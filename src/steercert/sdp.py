@@ -54,17 +54,17 @@ are made only when read; a hand-built list of ``LinearConstraint``s enters as 1 
 A solve has a structural half and a data half. The structural half, a ``Structure``, depends
 only on the block dimensions, the objective and the term stacks: the checked row matrix's
 presolve (kept rows, dropped rows and R11^-1 R12), the kept rows' norms, their svec stacks,
-the sparse Schur plan and the realified objective, all read-only. The data half is the
-right-hand sides, the consistency check of the dropped rows, the start point and the Newton
-loop. ``solve`` builds the structure of every problem it is given, except a problem made by
-``Structure.problem`` of a structure from ``prepare``: that one runs the data half only, with
-the operands a fresh build would give, so it is bit for bit the solve of the same problem
-prepared afresh. Builders share a structure by construction, keyed by all it is built from:
-``scenario.lhs_test`` one per (outcomes, inputs, d), unreduced steering certifications one per
-(shape, x*, guess outcomes, guess-target bytes), each in an LRU cache of SHARED_STRUCTURES
-entries filled at the first solve. Facially reduced certifications, whose faces come from
-the data, and ``certify_pm`` prepare per call. No cache is keyed by content: its key would
-need the problem assembled, which is the cost a structure saves.
+the sparse Schur plan and the realified objective, all read-only arrays derived from the
+problem, none a caller's. The data half is the right-hand sides, the dropped rows' consistency
+check, the start point and the Newton loop. The problems ``SdpProblem.with_rhs`` makes share
+the structure its first call builds from their parent, and ``solve`` runs their data half
+only: it reads a child's right-hand sides and that structure, nothing else, so a write to the
+parent after that call changes no child's solve, which is bit for bit the solve of the same
+problem built afresh. Every other problem, the parent included, gets a structure of its own.
+Builders keep parents keyed by all they are built from: ``scenario.lhs_test`` its last
+(outcomes, inputs, d), unreduced steering certifications each (shape, x*, guess outcomes,
+guess-target bytes). A key computed from content would need the problem assembled, which is
+the cost a structure saves; facially reduced certifications and ``certify_pm`` keep none.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ import json
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 import scipy.linalg as sla
@@ -91,8 +90,6 @@ _STALL_REGULARISED = 5
 # an unfinished solve whose best iterate has a relative gap and residuals within this is Optimal
 _ACCEPT_TOL = 1e-8
 _STEP_FRAC = 0.98  # the fraction of the step to the PSD boundary taken
-# the prepared structures each builder keeps, least recently used dropped first
-SHARED_STRUCTURES = 8
 
 # the gufuncs numpy.linalg's cholesky, svd and eigvalsh call, without their wrappers
 _cholesky = np.linalg._umath_linalg.cholesky_lo
@@ -167,7 +164,10 @@ def _rhs_rows(equalities: list[MatrixEquality]) -> np.ndarray:
     starts, out = np.cumsum(dims**2) - dims**2, np.empty(int(np.sum(dims**2)))
     for d in dict.fromkeys(dims.tolist()):
         at = np.flatnonzero(dims == d)
-        rhs = np.real(np.sum(np.conj(_basis(d)) * np.stack([equalities[q].rhs for q in at])[:, None], axis=(-2, -1)))
+        stack = np.stack([equalities[q].rhs for q in at])
+        # within the tolerance of Assemblage and realify, which every valid assemblage meets
+        _check_hermitian(stack, lambda j: f"the right-hand side of equality {at[j]}", tol=1e-9)
+        rhs = np.real(np.sum(np.conj(_basis(d)) * stack[:, None], axis=(-2, -1)))
         out[(starts[at, None] + np.arange(d * d)).ravel()] = rhs.ravel()
     return out
 
@@ -193,7 +193,26 @@ class SdpProblem:
     block_dims: tuple[int, ...]
     objective: list[np.ndarray | None]
     constraints: Sequence[LinearConstraint]  # a list, or the rows ``expand`` makes
-    structure: Structure | None = field(default=None, repr=False, compare=False)  # set by ``Structure.problem``
+    # the structure of the parent whose ``with_rhs`` made this problem, shared with its siblings
+    _shared: Structure | None = field(default=None, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def _children_structure(self) -> Structure:
+        return Structure(self)
+
+    def with_rhs(self, rhs) -> SdpProblem:
+        """This problem with the right-hand side rhs[q] on equality q. Every problem made here
+        shares one structure, built from this one at its first call: ``solve`` runs their data half only."""
+        equalities = _equalities(self.constraints)
+        if len(rhs) != len(equalities):
+            raise ValueError(f"{len(rhs)} right-hand sides for {len(equalities)} equalities")
+        for q, (eq, r) in enumerate(zip(equalities, rhs)):
+            if np.shape(r) != eq.rhs.shape:
+                raise ValueError(f"right-hand side {q} has shape {np.shape(r)}, not {eq.rhs.shape}")
+        child = SdpProblem(self.block_dims, list(self.objective),
+                           _Rows([MatrixEquality(eq.terms, r) for eq, r in zip(equalities, rhs)]))
+        child._shared = self._children_structure
+        return child
 
     def to_debug_json(self) -> dict:
         """Problem dump (blocks, constraints, rhs) for offline inspection."""
@@ -382,10 +401,10 @@ def _presolve(mat: np.ndarray, pivot_tol: float):
     return piv, rank, coef
 
 
-def _check_hermitian(stack: np.ndarray, where) -> None:
-    """Raise unless every matrix of a stack is Hermitian; ``where(*i)`` names its matrix i."""
+def _check_hermitian(stack: np.ndarray, where, tol: float = 1e-10) -> None:
+    """Raise unless every matrix of a stack is Hermitian within ``tol``; ``where(*i)`` names its matrix i."""
     defect = np.max(np.abs(stack - dagger(stack)), axis=(-2, -1))
-    if (bad := np.argwhere(defect > 1e-10)).size:
+    if (bad := np.argwhere(defect > tol)).size:
         raise ValueError(f"{where(*bad[0])} is not Hermitian (defect {defect[tuple(bad[0])]:.2e})")
 
 
@@ -438,26 +457,24 @@ def _assemble(problem: SdpProblem):
 
 
 def _read_only(value) -> None:
-    """Mark every array in ``value``, and in the lists, tuples and dicts it holds, read-only."""
+    """Mark every array in ``value``, and in the lists and tuples it holds, read-only."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
     elif isinstance(value, (list, tuple)):
         for item in value:
             _read_only(item)
-    elif isinstance(value, dict):
-        _read_only(list(value.values()))
 
 
 class Structure:
     """The half of ``solve`` that depends only on a problem's block dimensions, objective and term
     stacks, never on its right-hand sides: the checked row matrix's presolve (kept and dropped rows,
     R11^-1 R12), the kept rows' norms, their svec stacks, the sparse Schur plan and the realified
-    objective; every array read-only. ``solve`` builds one per problem, unless the problem was
-    made by ``problem`` of a structure from ``prepare``."""
+    objective; every array derived from the problem and read-only, none the caller's. ``solve``
+    builds one per problem, except for the problems ``SdpProblem.with_rhs`` makes, which share one."""
 
-    def __init__(self, problem: SdpProblem, template: SdpProblem | None = None):
+    def __init__(self, problem: SdpProblem):
         rows, groups, objectives, offsets = _assemble(problem)
-        self.block_dims, self.template, self.m = tuple(problem.block_dims), template, len(rows)
+        self.block_dims, self.m = tuple(problem.block_dims), len(rows)
         self.dims = [2 * c.shape[-1] for c in objectives]
         self.sizes = [len(blocks) for blocks in groups]
         self.eyes = [np.eye(d) for d in self.dims]
@@ -477,34 +494,6 @@ class Structure:
                        for blocks, ix in zip(groups, self.idx)]
             self.a_sp, self.amats, self.schur_plan = _sparse_rows(self.a3, self.order, self.dims, self.idx)
         _read_only(list(vars(self).values()))
-
-    @property
-    def equalities(self) -> list[MatrixEquality]:
-        """The equalities of the problem ``prepare`` was given, with read-only terms."""
-        return self.template.constraints.equalities
-
-    def problem(self, rhs) -> SdpProblem:
-        """The problem of this structure whose equality q has the right-hand side rhs[q];
-        ``solve`` takes its structural half from here."""
-        if self.template is None:
-            raise ValueError("only a structure from prepare makes problems")
-        equalities = self.equalities
-        if len(rhs) != len(equalities):
-            raise ValueError(f"{len(rhs)} right-hand sides for {len(equalities)} equalities")
-        made = []
-        for q, (eq, r) in enumerate(zip(equalities, rhs)):
-            if np.shape(r) != eq.rhs.shape:
-                raise ValueError(f"right-hand side {q} has shape {np.shape(r)}, not {eq.rhs.shape}")
-            made.append(MatrixEquality(eq.terms, r))
-        return SdpProblem(self.block_dims, list(self.template.objective), _Rows(made), self)
-
-    def made(self, problem: SdpProblem) -> bool:
-        """Whether ``problem`` has this structure's blocks and term stacks, as ``problem`` makes them."""
-        equalities = getattr(problem.constraints, "equalities", None)
-        mine = None if self.template is None else self.equalities
-        return (mine is not None and equalities is not None and problem.block_dims == self.block_dims
-                and len(equalities) == len(mine)
-                and all(eq.terms is t.terms and np.shape(eq.rhs) == t.rhs.shape for eq, t in zip(equalities, mine)))
 
     def violation(self, b: np.ndarray) -> float:
         """The largest amount by which b breaks the linear dependencies of the dropped rows."""
@@ -534,25 +523,6 @@ class Structure:
         return [_unsvec(np.matmul(y, a), d, ix) for a, d, ix in zip(self.a3, self.dims, self.idx)]
 
 
-def prepare(problem: SdpProblem) -> Structure:
-    """The structure of ``problem``, to share among the problems its ``problem`` makes with other
-    right-hand sides. It keeps read-only copies of the term stacks and objective (arrays already
-    read-only are kept as they are); the right-hand sides given here fix only their shapes."""
-    frozen = {}
-
-    def keep(a):
-        if id(a) not in frozen:  # a stack shared between terms stays shared
-            frozen[id(a)] = a if not a.flags.writeable else np.array(a, copy=True)
-            frozen[id(a)].setflags(write=False)
-        return frozen[id(a)]
-
-    equalities = [MatrixEquality(MappingProxyType({k: keep(t) for k, t in eq.terms.items()}), keep(np.asarray(eq.rhs)))
-                  for eq in _equalities(problem.constraints)]
-    objective = [None if c is None else keep(np.asarray(c)) for c in problem.objective]
-    template = SdpProblem(tuple(problem.block_dims), objective, _Rows(equalities))
-    return Structure(template, template)
-
-
 def solve(
     problem: SdpProblem,
     *,
@@ -566,11 +536,7 @@ def solve(
     that ends short of them is still declared Optimal when its best-merit
     iterate has a relative gap and both residuals within 1e-8.
     """
-    st = problem.structure
-    if st is None:
-        st = Structure(problem)
-    elif not st.made(problem):
-        raise ValueError("the problem's structure did not make it: build it with Structure.problem")
+    st = Structure(problem) if problem._shared is None else problem._shared
     b = _rhs(problem.constraints)
     sizes, eyes, cmats, keep = st.sizes, st.eyes, st.cmats, st.keep
 

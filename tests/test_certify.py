@@ -331,7 +331,7 @@ def test_global_uncorrelated_target_gives_two_bits():
 
 
 def test_supports_match_one_eigh_per_block():
-    # the reference: the cutoff from one eigvalsh of the grid, then one eigh per block
+    # the reference: one eigh per block, and the cutoff from the largest eigenvalue they give
     from steercert.certify import SUPPORT_CUTOFF, _supports
 
     rng = np.random.default_rng(36)
@@ -340,10 +340,10 @@ def test_supports_match_one_eigh_per_block():
         g = rng.standard_normal((3, rank)) + 1j * rng.standard_normal((3, rank))
         grid[a, x] = g @ dagger(g)
     grid[0, 1, 0, 1] += 1e-13  # a block that is Hermitian only within rounding
-    cutoff = SUPPORT_CUTOFF * float(np.max(np.linalg.eigvalsh(grid)[..., -1]))
+    eighs = {(a, x): np.linalg.eigh(0.5 * (grid[a, x] + grid[a, x].conj().T)) for a, x in np.ndindex(3, 2)}
+    cutoff = SUPPORT_CUTOFF * max(float(vals[-1]) for vals, _ in eighs.values())
     got = _supports(grid)
-    for a, x in np.ndindex(3, 2):
-        vals, vecs = np.linalg.eigh(0.5 * (grid[a, x] + grid[a, x].conj().T))
+    for (a, x), (vals, vecs) in eighs.items():
         want = np.eye(3, dtype=complex) if np.all(vals > cutoff) else vecs[:, vals > cutoff]
         assert got[a][x].shape == want.shape == (3, (3, 2, 1, 0, 3, 2)[2 * a + x])
         assert got[a][x].tobytes() == want.tobytes()
@@ -351,7 +351,7 @@ def test_supports_match_one_eigh_per_block():
 
 def _afresh_and_shared(monkeypatch, certification, *args):
     """The result of a certification, and the problem it solved, twice: once as the builder made
-    it, and once with the same problem prepared afresh inside solve (its structure stripped)."""
+    it, and once with the same problem built afresh inside solve (without a shared structure)."""
     import steercert.sdp as sdp_module
 
     solve = sdp_module.solve
@@ -361,7 +361,7 @@ def _afresh_and_shared(monkeypatch, certification, *args):
 
         def capturing(problem, **kw):
             captured.append(problem)
-            return solve(dataclasses.replace(problem, structure=None) if afresh else problem, **kw)
+            return solve(dataclasses.replace(problem) if afresh else problem, **kw)
 
         monkeypatch.setattr(sdp_module, "solve", capturing)
         runs.append((certification(*args), captured[0]))
@@ -386,12 +386,12 @@ def test_unreduced_certifications_share_a_structure_bit_for_bit(monkeypatch, v):
     asm = assemblage_from(werner_state(v), pauli_xz())
     (fresh, fresh_problem), (shared, problem) = _afresh_and_shared(monkeypatch, certify_local, asm, 0)
     assert _unreduced_steering.cache_info().misses == misses
-    assert problem.structure is fresh_problem.structure is not None
+    assert problem._shared is fresh_problem._shared is not None
     _results_identical(shared, fresh)
-    # the solutions behind them, solved from the problem prepared afresh here
+    # the solutions behind them, solved from the problem built afresh here
     import steercert.sdp as sdp_module
 
-    again = sdp_module.solve(dataclasses.replace(problem, structure=None))
+    again = sdp_module.solve(dataclasses.replace(problem))
     solution = sdp_module.solve(problem)
     assert np.array_equal(solution.dual, again.dual) and solution.dual_value == again.dual_value
     assert all(np.array_equal(a, b) for a, b in zip(solution.primal, again.primal))
@@ -403,7 +403,7 @@ def test_global_certifications_keep_one_structure_per_trusted_measurement(monkey
     for bob in pauli_xz():
         (fresh, _), (shared, problem) = _afresh_and_shared(monkeypatch, certify_global, asm, 0, bob)
         _results_identical(shared, fresh)
-        structures.append(problem.structure)
+        structures.append(problem._shared)
     assert structures[0] is not None and structures[1] is not None and structures[0] is not structures[1]
     assert not np.array_equal(structures[0].cmats[0], structures[1].cmats[0])
 
@@ -414,7 +414,7 @@ def test_a_face_reduced_certification_adds_no_structure(monkeypatch):
     before = _unreduced_steering.cache_info()
     asm = assemblage_from(werner_state(1.0), pauli_xz())  # pure: every block has rank 1
     (fresh, _), (res, problem) = _afresh_and_shared(monkeypatch, certify_local, asm, 0)
-    assert res.functional.supports is not None and problem.structure is None
+    assert res.functional.supports is not None and problem._shared is None
     after = _unreduced_steering.cache_info()
     assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
     _results_identical(res, fresh)
@@ -425,12 +425,15 @@ def test_a_certification_leaves_its_shared_structure_unchanged():
 
     certify_local(assemblage_from(werner_state(0.8), pauli_xz()), 0)
     targets = np.tile(np.eye(2, dtype=complex), (2, 1, 1))
-    grid, structure, kept = _unreduced_steering(2, 2, 2, 0, (0, 1), targets.tobytes())
+    grid, parent, kept = _unreduced_steering(2, 2, 2, 0, (0, 1), targets.tobytes())
+    structure = parent._children_structure
     arrays = [a for value in vars(structure).values() for a in (value if isinstance(value, list) else [value])
               if isinstance(a, np.ndarray)]
+    assert not any(a.flags.writeable for a in arrays)
     arrays += [t for group in kept for eq in group.values() for t in (*eq.terms.values(), eq.rhs)]
     arrays += [v for row in grid.supports for v in row] + list(grid.embedded.values())
-    assert len(arrays) > 20 and not any(a.flags.writeable for a in arrays)
+    assert len(arrays) > 20
     before = [a.tobytes() for a in arrays]
     certify_local(assemblage_from(werner_state(0.75), pauli_xz()), 0)
     assert [a.tobytes() for a in arrays] == before
+    assert _unreduced_steering(2, 2, 2, 0, (0, 1), targets.tobytes())[1]._children_structure is structure

@@ -336,13 +336,13 @@ def test_lhs_tests_share_a_structure_bit_for_bit(monkeypatch):
     import dataclasses
 
     import steercert.sdp as sdp_module
-    from steercert.scenario import _lhs_structure
+    from steercert.scenario import _lhs_problem
 
     solve = sdp_module.solve
     povms = mub_povms(3, 4)
-    lhs_test(assemblage_from(isotropic_state(3, 0.3), povms))  # the structure exists
-    misses = _lhs_structure.cache_info().misses
-    structure = _lhs_structure(3, 4, 3)
+    lhs_test(assemblage_from(isotropic_state(3, 0.3), povms))  # the parent and its structure exist
+    misses = _lhs_problem.cache_info().misses
+    structure = _lhs_problem(3, 4, 3)._children_structure
     arrays = [a for value in vars(structure).values() for a in (value if isinstance(value, list) else [value])
               if isinstance(a, np.ndarray)]
     assert not any(a.flags.writeable for a in arrays)
@@ -353,18 +353,29 @@ def test_lhs_tests_share_a_structure_bit_for_bit(monkeypatch):
         monkeypatch.setattr(sdp_module, "solve",
                             lambda p, **kw: solutions.append((p, solve(p, **kw))) or solutions[-1][1])
         shared = lhs_test(asm)
-        monkeypatch.setattr(sdp_module, "solve", lambda p, **kw: solve(dataclasses.replace(p, structure=None), **kw))
+        monkeypatch.setattr(sdp_module, "solve", lambda p, **kw: solve(dataclasses.replace(p), **kw))
         fresh = lhs_test(asm)
         monkeypatch.undo()
         problem, solution = solutions[0]
-        assert problem.structure is structure
+        assert problem._shared is structure
         assert shared.robustness == fresh.robustness and shared.is_lhs == fresh.is_lhs == (v < 0.5)
         assert (shared.members is None and fresh.members is None) or np.array_equal(shared.members, fresh.members)
-        again = solve(dataclasses.replace(problem, structure=None))
+        again = solve(dataclasses.replace(problem))
         assert np.array_equal(solution.dual, again.dual)
         assert all(np.array_equal(a, b) for a, b in zip(solution.primal, again.primal))
-    assert _lhs_structure.cache_info().misses == misses
+    assert _lhs_problem.cache_info().misses == misses
     assert [a.tobytes() for a in arrays] == before
+
+
+def test_lhs_tests_keep_one_parent():
+    from steercert.scenario import _lhs_problem
+
+    lhs_test(assemblage_from(werner_state(0.3), pauli_xz()))
+    lhs_test(assemblage_from(isotropic_state(3, 0.3), mub_povms(3, 2)))
+    info = _lhs_problem.cache_info()
+    assert info.currsize == 1
+    _lhs_problem(3, 2, 3)  # the last scenario's is the one kept
+    assert _lhs_problem.cache_info().misses == info.misses
 
 
 def test_measurement_families_are_built_once():

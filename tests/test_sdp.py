@@ -11,7 +11,6 @@ from steercert.sdp import (
     MatrixEquality,
     SdpProblem,
     SolverStatus,
-    Structure,
     _max_steps,
     _schur,
     _sparse_rows,
@@ -749,7 +748,7 @@ def _solutions_identical(got, want):
 
 
 def _retained_arrays(structure):
-    """Every array a prepared structure holds, its template's terms, right-hand sides and objective included."""
+    """Every array a shared structure holds."""
     found = []
 
     def walk(value):
@@ -758,88 +757,121 @@ def _retained_arrays(structure):
         elif isinstance(value, (list, tuple)):
             for item in value:
                 walk(item)
-        elif isinstance(value, dict):
-            walk(list(value.values()))
 
-    walk([v for k, v in vars(structure).items() if k != "template"])
-    for eq in structure.equalities:
-        walk(list(eq.terms.values()))
-        walk(eq.rhs)
-    walk(structure.template.objective)
+    walk(list(vars(structure).values()))
     return found
 
 
-def test_a_prepared_structure_solves_as_the_problem_prepared_afresh():
-    from steercert.sdp import prepare
+def _met_by(equalities, dims, rng):
+    """The right-hand sides that a random positive definite point X_k (k < len(dims)) meets."""
+    points = [g @ dagger(g) + np.eye(d) for d in dims for g in [random_herm(d, rng)]]
+    return [fold([eq], np.array([sum(hermitian_inner(t[r], points[k]) for k, t in eq.terms.items())
+                                 for r in range(eq.rhs.shape[-1] ** 2)], dtype=float))[0] for eq in equalities]
 
+
+def test_a_child_solves_as_the_same_problem_built_afresh():
     rng = np.random.default_rng(35)
     dims = (1, 2, 3, 2, 2)
     objective = [np.eye(1), random_herm(2, rng), None, random_herm(2, rng), -np.eye(2)]
     equalities = _mixed_equalities(rng)
-    template = [MatrixEquality(eq.terms, np.zeros_like(eq.rhs)) for eq in equalities]
-    structure = prepare(SdpProblem(dims, objective, expand(template)))
-    for scale in (1.0, 0.5):
-        rhs = [scale * eq.rhs for eq in equalities]
+    parent = SdpProblem(dims, objective, expand(equalities))
+    met = _met_by(equalities, dims, rng)
+    optimal, infeasible = SolverStatus.OPTIMAL, SolverStatus.INFEASIBLE
+    for rhs, status in ((met, optimal), ([0.5 * r for r in met], optimal), ([eq.rhs for eq in equalities], infeasible)):
         fresh = SdpProblem(dims, objective, expand([MatrixEquality(eq.terms, r) for eq, r in zip(equalities, rhs)]))
-        made = structure.problem(rhs)
-        assert made.structure is structure and made.block_dims == dims
-        assert len(made.constraints) == len(fresh.constraints)
-        _solutions_identical(solve(made), solve(fresh))
+        child = parent.with_rhs(rhs)
+        assert child.block_dims == dims and child._shared is not None and fresh._shared is None
+        assert [row.rhs for row in child.constraints] == [row.rhs for row in fresh.constraints]
+        _solutions_identical(got := solve(child), solve(fresh))
+        assert got.status is status
 
 
-def test_an_inconsistent_rhs_on_a_prepared_structure_is_infeasible():
-    from steercert.sdp import prepare
+def test_one_parent_builds_its_structure_once(monkeypatch):
+    import dataclasses
 
+    import steercert.sdp as sdp_module
+
+    built, make = [], sdp_module.Structure
+    monkeypatch.setattr(sdp_module, "Structure", lambda problem: built.append(problem) or make(problem))
+    rng = np.random.default_rng(39)
+    equalities = _mixed_equalities(rng)
+    parent = SdpProblem((1, 2, 3, 2, 2), [np.eye(1), None, None, None, -np.eye(2)], expand(equalities))
+    met = _met_by(equalities, parent.block_dims, rng)
+    children = [parent.with_rhs([scale * r for r in met]) for scale in (1.0, 0.5, 0.25)]
+    assert len(built) == 1 and built[0] is parent
+    assert all(child._shared is children[0]._shared for child in children)
+    solutions = [solve(child) for child in children]
+    assert len(built) == 1 and all(sol.status is SolverStatus.OPTIMAL for sol in solutions)
+    solve(parent)  # every problem with_rhs did not make builds its own, the parent too
+    _solutions_identical(solve(dataclasses.replace(children[1])), solutions[1])
+    assert len(built) == 3 and built[1] is parent
+
+
+def test_an_inconsistent_rhs_on_a_child_is_infeasible():
     rng = np.random.default_rng(36)
     identity = term_stack(2)
-    template = [MatrixEquality({0: identity}, np.zeros((2, 2))), MatrixEquality({0: identity}, np.zeros((2, 2)))]
-    structure = prepare(SdpProblem((2,), [np.eye(2)], expand(template)))
+    zeros = [MatrixEquality({0: identity}, np.zeros((2, 2))), MatrixEquality({0: identity}, np.zeros((2, 2)))]
+    parent = SdpProblem((2,), [np.eye(2)], expand(zeros))
     a = random_herm(2, rng) @ random_herm(2, rng)
     a = a @ dagger(a) + np.eye(2)  # X = a is the one feasible point
-    consistent = solve(structure.problem([a, a]))
+    consistent = solve(parent.with_rhs([a, a]))
     assert consistent.status is SolverStatus.OPTIMAL and len(consistent.dropped_rows) == 4
     rhs = [a, a + 1e-3 * np.diag([1.0, -1.0])]
     fresh = solve(SdpProblem((2,), [np.eye(2)], expand([MatrixEquality({0: identity}, r) for r in rhs])))
-    cached = solve(structure.problem(rhs))
-    assert cached.status is fresh.status is SolverStatus.INFEASIBLE
-    assert cached.primal_residual == fresh.primal_residual == pytest.approx(1e-3)
-    _solutions_identical(cached, fresh)
+    shared = solve(parent.with_rhs(rhs))
+    assert shared.status is fresh.status is SolverStatus.INFEASIBLE
+    assert shared.primal_residual == fresh.primal_residual == pytest.approx(1e-3)
+    _solutions_identical(shared, fresh)
 
 
-def test_a_solve_leaves_the_prepared_structure_unchanged():
-    from steercert.sdp import prepare
+def test_a_solve_leaves_the_shared_structure_unchanged():
+    import dataclasses
 
     rng = np.random.default_rng(37)
     equalities = _mixed_equalities(rng)
     objective = [np.eye(1), random_herm(2, rng), None, random_herm(2, rng), -np.eye(2)]
-    structure = prepare(SdpProblem((1, 2, 3, 2, 2), objective, expand(equalities)))
-    arrays = _retained_arrays(structure)
+    parent = SdpProblem((1, 2, 3, 2, 2), objective, expand(equalities))
+    rhs = _met_by(equalities, parent.block_dims, rng)
+    child = parent.with_rhs(rhs)
+    want = solve(dataclasses.replace(child))
+    assert want.status is SolverStatus.OPTIMAL
+    arrays = _retained_arrays(child._shared)
     assert len(arrays) > 20 and not any(a.flags.writeable for a in arrays)
     before = [a.tobytes() for a in arrays]
-    objective[1][0, 0] += 1.0  # the caller's arrays are copied, not kept
+    _solutions_identical(solve(child), want)
+    # writes to the parent after its first with_rhs: the structure keeps derived copies, not its arrays
+    objective[1][0, 0] += 1.0
     equalities[0].terms[2][...] = 0.0
-    solve(structure.problem([eq.rhs for eq in equalities]))
+    assert solve(dataclasses.replace(child)).primal_value != want.primal_value
+    _solutions_identical(solve(child), want)
+    _solutions_identical(solve(parent.with_rhs(rhs)), want)  # a later child shares the same structure
     assert [a.tobytes() for a in arrays] == before
-    with pytest.raises(TypeError):
-        structure.equalities[0].terms[0] = term_stack(2)
 
 
-def test_a_problem_its_structure_did_not_make_is_refused():
-    from steercert.sdp import prepare
-
+def test_with_rhs_refuses_right_hand_sides_of_the_wrong_shape():
     rng = np.random.default_rng(38)
     equalities = _mixed_equalities(rng)
-    dims, objective = (1, 2, 3, 2, 2), [None] * 5
-    structure = prepare(SdpProblem(dims, objective, expand(equalities)))
+    parent = SdpProblem((1, 2, 3, 2, 2), [None] * 5, expand(equalities))
     rhs = [eq.rhs for eq in equalities]
     with pytest.raises(ValueError, match="right-hand side 2 has shape"):
-        structure.problem(rhs[:2] + [np.eye(2)] + rhs[3:])
+        parent.with_rhs(rhs[:2] + [np.eye(2)] + rhs[3:])
     with pytest.raises(ValueError, match="4 right-hand sides for 5 equalities"):
-        structure.problem(rhs[:4])
-    with pytest.raises(ValueError, match="structure did not make it"):
-        solve(SdpProblem(dims, objective, expand(equalities), structure))
-    unprepared = Structure(SdpProblem(dims, objective, expand(equalities)))  # as solve builds one: no template
-    with pytest.raises(ValueError, match="structure did not make it"):
-        solve(SdpProblem(dims, objective, expand(equalities), unprepared))
-    with pytest.raises(ValueError, match="only a structure from prepare"):
-        unprepared.problem(rhs)
+        parent.with_rhs(rhs[:4])
+    assert "_children_structure" not in vars(parent)  # nothing built for a refused call
+
+
+def test_a_right_hand_side_that_is_not_hermitian_is_refused():
+    identity = term_stack(2)
+    upper = np.array([[0.5, 1.0], [0.0, 0.5]])  # no Hermitian X has identity(X) = upper
+    with pytest.raises(ValueError, match="right-hand side of equality 0 is not Hermitian"):
+        solve(SdpProblem((2,), [np.eye(2)], expand([MatrixEquality({0: identity}, upper)])))
+    # a complex scalar right-hand side is a 1 x 1 matrix that is not Hermitian either
+    rows = [LinearConstraint({0: np.eye(2)}, 1.0), LinearConstraint({0: np.diag([1.0, 0.0])}, 0.5 + 2j)]
+    with pytest.raises(ValueError, match="right-hand side of equality 1 is not Hermitian"):
+        solve(SdpProblem((2,), [np.eye(2)], rows))
+    parent = SdpProblem((2,), [np.eye(2)], expand([MatrixEquality({0: identity}, np.eye(2) / 2)]))
+    with pytest.raises(ValueError, match="right-hand side of equality 0 is not Hermitian"):
+        solve(parent.with_rhs([upper]))
+    # within 1e-9, the tolerance of Assemblage and realify, a right-hand side is accepted
+    near = np.eye(2) / 2 + np.array([[0.0, 9e-10j], [0.0, 0.0]])
+    assert solve(parent.with_rhs([near])).status is SolverStatus.OPTIMAL
