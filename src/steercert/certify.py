@@ -288,10 +288,11 @@ class _EveGrid:
         return out
 
 
-def _solve(problem: sdp.SdpProblem, kept: list[dict], solver_opts: dict | None = None):
-    """Solve a problem of ``_EveGrid.problem`` (or a problem its ``with_rhs`` made); returns the
-    solution and, per group, the multiplier of each equality kept, keyed as in the group."""
-    sol = sdp.solve(problem, **(solver_opts or {}))
+def _solve(problem: sdp.SdpProblem, kept: list[dict], solver_opts: dict | None = None, start=None):
+    """Solve a problem of ``_EveGrid.problem`` (or a problem its ``with_rhs`` made), from the
+    primal ``start`` if given; returns the solution and, per group, the multiplier of each
+    equality kept, keyed as in the group."""
+    sol = sdp.solve(problem, **(solver_opts or {}), start=start)
     if sol.status is sdp.SolverStatus.INFEASIBLE:
         raise CertificationError("certification problem infeasible: inputs malformed")
     multipliers = iter(sdp.fold([eq for group in kept for eq in group.values()], sol.dual))
@@ -343,8 +344,11 @@ def _solve_steering(
     guess_outcome: np.ndarray,
     guess_target: np.ndarray,
     solver_opts: dict | None = None,
+    trivial_start: bool = False,
 ) -> CertificationResult:
-    """Shared engine for the local and global steering certifications."""
+    """Shared engine for the local and global steering certifications. With ``trivial_start``
+    the solve starts from Eve's trivial strategy X[e, a, x] = V^dag sigma_{a|x} V / n_guess,
+    which is consistent, no-signalling and positive definite on every face kept."""
     sc = asm.scenario
     _check_x_star(sc.n_inputs, x_star)
     n_a, m, d = sc.n_outcomes, sc.n_inputs, sc.bob_dim
@@ -365,7 +369,8 @@ def _solve_steering(
         )
         # the observed blocks, then the no-signalling equalities' zeros
         problem = parent.with_rhs([*asm.sigma.reshape(-1, d, d), *(eq.rhs for eq in kept[1].values())])
-    sol, (f, g) = _solve(problem, kept, solver_opts)
+    start = [grid.compressed(a, x, asm.sigma[a, x]) / n_guess for _, a, x in grid.ids] if trivial_start else None
+    sol, (f, g) = _solve(problem, kept, solver_opts, start)
     functional = SteeringFunctional(
         F=_gridded(f, (n_a, m), d),
         x_star=x_star,
@@ -378,7 +383,7 @@ def _solve_steering(
 
 
 def certify_local(
-    asm: Assemblage, x_star: int = 0, *, solver_opts: dict | None = None
+    asm: Assemblage, x_star: int = 0, *, solver_opts: dict | None = None, trivial_start: bool = False
 ) -> CertificationResult:
     """Optimal local guessing probability for the target input.
 
@@ -386,10 +391,16 @@ def certify_local(
     are PSD, reproduce the observed assemblage, and are no-signalling for
     each e. Eve's guess alphabet is the full outcome alphabet (including a
     loss outcome when present).
+
+    ``trivial_start`` starts the solve from Eve's trivial strategy, sigma_{a|x}
+    split evenly over her guesses, a strictly feasible point, in place of the
+    solver's scaled identity. It takes fewer Newton steps on the see-saw's
+    certifications; the sweeps keep the identity start, whose values
+    ``perfbench/reference.json`` records to 1e-9.
     """
     n_a, d = asm.scenario.n_outcomes, asm.scenario.bob_dim
     targets = np.tile(np.eye(d, dtype=complex), (n_a, 1, 1))
-    return _solve_steering(asm, x_star, np.arange(n_a), targets, solver_opts)
+    return _solve_steering(asm, x_star, np.arange(n_a), targets, solver_opts, trivial_start)
 
 
 def certify_global(asm: Assemblage, x_star: int, bob_povm: Povm) -> CertificationResult:

@@ -134,6 +134,9 @@ class MatrixEquality:
     terms: dict[int, np.ndarray]
     rhs: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=complex))
+
 
 def term_stack(d: int, adjoint=None) -> np.ndarray:
     """The stack T^dag(E_r), r = 1 .. d*d, of a term T with d x d Hermitian values, given its
@@ -204,11 +207,12 @@ class SdpProblem:
         """This problem with the right-hand side rhs[q] on equality q. Every problem made here
         shares one structure, built from this one at its first call: ``solve`` runs their data half only."""
         equalities = _equalities(self.constraints)
+        rhs = [np.asarray(r, dtype=complex) for r in rhs]
         if len(rhs) != len(equalities):
             raise ValueError(f"{len(rhs)} right-hand sides for {len(equalities)} equalities")
         for q, (eq, r) in enumerate(zip(equalities, rhs)):
-            if np.shape(r) != eq.rhs.shape:
-                raise ValueError(f"right-hand side {q} has shape {np.shape(r)}, not {eq.rhs.shape}")
+            if r.shape != eq.rhs.shape:
+                raise ValueError(f"right-hand side {q} has shape {r.shape}, not {eq.rhs.shape}")
         child = SdpProblem(self.block_dims, list(self.objective),
                            _Rows([MatrixEquality(eq.terms, r) for eq, r in zip(equalities, rhs)]))
         child._shared = self._children_structure
@@ -456,6 +460,23 @@ def _assemble(problem: SdpProblem):
     return rows, groups, objectives, offsets
 
 
+def _checked_start(start, block_dims: tuple[int, ...]) -> list[np.ndarray]:
+    """The primal start blocks, Hermitised, after checking their count and shapes, that each is
+    Hermitian within 1e-9 (the tolerance of ``realify``) and that each is positive definite."""
+    if len(start) != len(block_dims):
+        raise ValueError(f"start has {len(start)} blocks, the problem {len(block_dims)}")
+    blocks = []
+    for k, (x, d) in enumerate(zip(start, block_dims)):
+        if np.shape(x) != (d, d):
+            raise ValueError(f"start block {k} has shape {np.shape(x)}, expected ({d}, {d})")
+        x = np.asarray(x, dtype=complex)
+        _check_hermitian(x[None], lambda _: f"start block {k}", tol=1e-9)
+        blocks.append(h := 0.5 * (x + dagger(x)))
+        if not np.linalg.eigvalsh(h)[0] > 0.0:
+            raise ValueError(f"start block {k} is not positive definite")
+    return blocks
+
+
 def _read_only(value) -> None:
     """Mark every array in ``value``, and in the lists and tuples it holds, read-only."""
     if isinstance(value, np.ndarray):
@@ -480,6 +501,7 @@ class Structure:
         self.eyes = [np.eye(d) for d in self.dims]
         self.idx = [_svec_indices(d) for d in self.dims]
         self.cmats = [_realify(c) for c in objectives]
+        self.groups = groups
         order = np.argsort(np.concatenate(groups))
         self.order = None if np.array_equal(order, np.arange(len(order))) else order  # None: already in it
         piv, rank, coef = _presolve(rows, pivot_tol=1e-10)
@@ -529,14 +551,19 @@ def solve(
     max_iters: int = 200,
     gap_tol: float = 1e-9,
     feas_tol: float = 1e-9,
+    start: Sequence[np.ndarray] | None = None,
 ) -> SdpSolution:
     """Solve the SDP; the returned status honestly reflects termination.
 
     ``gap_tol``/``feas_tol`` are the targets the iteration aims for. A solve
     that ends short of them is still declared Optimal when its best-merit
-    iterate has a relative gap and both residuals within 1e-8.
+    iterate has a relative gap and both residuals within 1e-8. ``start``, one
+    positive definite Hermitian matrix per block in the caller's order, replaces
+    the primal start xi_p * I; the dual start xi_d * I, y = 0 is the same either way.
     """
     st = Structure(problem) if problem._shared is None else problem._shared
+    if start is not None:
+        start = _checked_start(start, st.block_dims)
     b = _rhs(problem.constraints)
     sizes, eyes, cmats, keep = st.sizes, st.eyes, st.cmats, st.keep
 
@@ -565,11 +592,14 @@ def solve(
         raise ValueError("a well-formed problem needs at least one linearly independent constraint")
     op_a, op_at, block_sum, objective = st.op_a, st.op_at, st.block_sum, st.objective
 
-    # infeasible start: scaled identities sized from the data
-    xi_p = max(1.0, float(np.max(np.abs(b_red) / (1.0 + st.row_norms)))) * np.sqrt(max(st.dims))
+    # infeasible start: scaled identities sized from the data, or the caller's primal blocks
+    if start is None:
+        xi_p = max(1.0, float(np.max(np.abs(b_red) / (1.0 + st.row_norms)))) * np.sqrt(max(st.dims))
+        xs = [xi_p * np.tile(eye, (n, 1, 1)) for eye, n in zip(eyes, sizes)]
+    else:
+        xs = [_realify(np.stack([start[k] for k in blocks])) for blocks in st.groups]
     # each group's X and Z blocks as one stack [X; Z]
-    xzs = [np.concatenate([xi_p * np.tile(eye, (n, 1, 1)), st.xi_d * np.tile(eye, (n, 1, 1))])
-           for eye, n in zip(eyes, sizes)]
+    xzs = [np.concatenate([x, st.xi_d * np.tile(eye, (n, 1, 1))]) for x, eye, n in zip(xs, eyes, sizes)]
     y = np.zeros(mr)
     eye_m = np.eye(mr)
     n_total = float(2 * sum(st.block_dims))

@@ -24,6 +24,7 @@ from steercert.scenario import (
     schmidt_state,
     werner_state,
 )
+from steercert.sdp import SolverStatus
 
 
 def random_density(d, rng, rank=None):
@@ -437,3 +438,40 @@ def test_a_certification_leaves_its_shared_structure_unchanged():
     certify_local(assemblage_from(werner_state(0.75), pauli_xz()), 0)
     assert [a.tobytes() for a in arrays] == before
     assert _unreduced_steering(2, 2, 2, 0, (0, 1), targets.tobytes())[1]._children_structure is structure
+
+
+# a Werner point (no block reduced) and a lossy qubit point (every conclusive block reduced to rank 1)
+TRIVIAL_START_CASES = [
+    pytest.param(werner_state(0.9), list(pauli_xz()), False, id="werner"),
+    pytest.param(werner_state(1.0), [apply_loss(p, 0.8) for p in pauli_xz()], True, id="lossy"),
+]
+
+
+@pytest.mark.parametrize("rho, povms, reduced", TRIVIAL_START_CASES)
+def test_the_trivial_start_is_strictly_feasible(monkeypatch, rho, povms, reduced):
+    import steercert.sdp as sdp_module
+
+    seen, solve = [], sdp_module.solve
+
+    def recorded(problem, **kwargs):
+        seen.append((problem, kwargs.get("start")))
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(sdp_module, "solve", recorded)
+    res = certify_local(assemblage_from(rho, povms), 0, trivial_start=True)
+    assert (res.functional.supports is not None) == reduced
+    (problem, start), = seen
+    assert len(start) == len(problem.block_dims)
+    assert min(float(np.linalg.eigvalsh(x)[0]) for x in start) > 1e-3
+    # every row is a consistency or a no-signalling row: 4 per (a, x), and 4 per guess
+    residuals = [sum(np.vdot(a, start[k]).real for k, a in row.coeffs.items()) - row.rhs for row in problem.constraints]
+    assert len(residuals) == (36 if reduced else 24) and np.max(np.abs(residuals)) <= 1e-12
+
+
+@pytest.mark.parametrize("rho, povms, reduced", TRIVIAL_START_CASES)
+def test_the_trivial_start_reaches_the_same_optimum(rho, povms, reduced):
+    asm = assemblage_from(rho, povms)
+    plain, started = certify_local(asm, 0), certify_local(asm, 0, trivial_start=True)
+    assert plain.status is started.status is SolverStatus.OPTIMAL
+    assert abs(started.p_guess - plain.p_guess) <= 1e-8
+    assert abs(started.dual_value - plain.dual_value) <= 1e-8

@@ -764,7 +764,11 @@ def _retained_arrays(structure):
 
 def _met_by(equalities, dims, rng):
     """The right-hand sides that a random positive definite point X_k (k < len(dims)) meets."""
-    points = [g @ dagger(g) + np.eye(d) for d in dims for g in [random_herm(d, rng)]]
+    return _met(equalities, [g @ dagger(g) + np.eye(d) for d in dims for g in [random_herm(d, rng)]])
+
+
+def _met(equalities, points):
+    """The right-hand sides that the point X_k = points[k] meets."""
     return [fold([eq], np.array([sum(hermitian_inner(t[r], points[k]) for k, t in eq.terms.items())
                                  for r in range(eq.rhs.shape[-1] ** 2)], dtype=float))[0] for eq in equalities]
 
@@ -875,3 +879,64 @@ def test_a_right_hand_side_that_is_not_hermitian_is_refused():
     # within 1e-9, the tolerance of Assemblage and realify, a right-hand side is accepted
     near = np.eye(2) / 2 + np.array([[0.0, 9e-10j], [0.0, 0.0]])
     assert solve(parent.with_rhs([near])).status is SolverStatus.OPTIMAL
+
+
+def test_a_nested_list_right_hand_side_solves_as_an_array():
+    identity = term_stack(2)
+    upper = [[0.5, 1], [0, 0.5]]
+    for rhs in (upper, np.array(upper)):
+        with pytest.raises(ValueError, match=r"^the right-hand side of equality 0 is not Hermitian \(defect 1\.00e\+00\)$"):
+            solve(SdpProblem((2,), [np.eye(2)], expand([MatrixEquality({0: identity}, rhs)])))
+    hermitian = [[0.5, 0.25 - 0.1j], [0.25 + 0.1j, 0.5]]
+    from_list, from_array = (solve(SdpProblem((2,), [np.eye(2)], expand([MatrixEquality({0: identity}, rhs)])))
+                             for rhs in (hermitian, np.array(hermitian)))
+    assert from_list.status is SolverStatus.OPTIMAL
+    _solutions_identical(from_list, from_array)
+    parent = SdpProblem((2,), [np.eye(2)], expand([MatrixEquality({0: identity}, np.eye(2) / 2)]))
+    _solutions_identical(solve(parent.with_rhs([hermitian])), solve(parent.with_rhs([np.array(hermitian)])))
+    with pytest.raises(ValueError, match="right-hand side 0 has shape"):
+        parent.with_rhs([[0.5, 0.5]])
+
+
+def _start_problem():
+    """max <C, X> subject to Tr X = 1 on a 2 x 2 block and X_11 = 1 on a 1 x 1 block."""
+    rows = [LinearConstraint({0: np.eye(2)}, 1.0), LinearConstraint({1: np.eye(1)}, 1.0)]
+    return SdpProblem((2, 1), [np.diag([1.0, 0.0]), None], rows)
+
+
+def test_a_start_of_the_wrong_kind_is_refused():
+    problem = _start_problem()
+    good = [np.eye(2) / 2, np.eye(1)]
+    cases = {
+        r"^start has 1 blocks, the problem 2$": good[:1],
+        r"^start block 1 has shape \(2, 2\), expected \(1, 1\)$": [good[0], np.eye(2)],
+        r"^start block 0 is not Hermitian \(defect 1\.00e-03\)$": [good[0] + np.array([[0, 1e-3], [0, 0]]), good[1]],
+        r"^start block 0 is not positive definite$": [np.diag([1.0, 0.0]), good[1]],
+        r"^start block 1 is not positive definite$": [good[0], -np.eye(1)],
+    }
+    for message, start in cases.items():
+        with pytest.raises(ValueError, match=message):
+            solve(problem, start=start)
+    # within 1e-9, the tolerance of realify, a start is Hermitian
+    near = [good[0] + np.array([[0, 9e-10j], [0, 0]]), good[1]]
+    assert solve(problem, start=near).status is SolverStatus.OPTIMAL
+
+
+def test_a_start_replaces_only_the_primal_identity():
+    rng = np.random.default_rng(41)
+    dims = (1, 2, 3, 2, 2)
+    objective = [np.eye(1), random_herm(2, rng), None, random_herm(2, rng), -np.eye(2)]
+    equalities = _mixed_equalities(rng)
+    # the right-hand sides a positive definite point meets: that point is a strictly feasible start
+    points = [0.5 * (h + dagger(h)) + np.eye(d) for d in dims for g in [random_herm(d, rng)] for h in [g @ dagger(g)]]
+    met = _met(equalities, points)
+    problem = SdpProblem(dims, objective, expand([MatrixEquality(eq.terms, r) for eq, r in zip(equalities, met)]))
+    plain, started = solve(problem), solve(problem, start=points)
+    _solutions_identical(solve(problem, start=None), plain)
+    assert plain.status is started.status is SolverStatus.OPTIMAL
+    assert started.primal_value == pytest.approx(plain.primal_value, abs=1e-8)
+    # before any step: the primal iterate is the start, and the dual slacks are those of the plain start
+    first, plain_first = solve(problem, start=points, max_iters=0), solve(problem, max_iters=0)
+    assert all(np.array_equal(x, p) for x, p in zip(first.primal, points))
+    assert not np.array_equal(first.primal[0], plain_first.primal[0])
+    assert all(np.array_equal(z, w) for z, w in zip(first.dual_slacks, plain_first.dual_slacks))

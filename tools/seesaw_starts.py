@@ -8,10 +8,12 @@ the starts of this checkout with those of another.
 Each start s runs the `fig6_seesaw` preset with `seeds=(s,)` through
 `cli.run_seesaw`, as the benchmark's `seesaw` ops do, and prints one line: the
 start, its stop reason, its shortfall from the ceiling of 1 bit, the number of
-`sdp.solve` calls it made (counted by wrapping `sdp.solve` from here) and whether
-it converged. `--root` names the checkout whose `perfbench/workloads.py` and `src/`
-are used (default: this one). `--against ROOT` runs the starts at both checkouts
-in two subprocesses at once, prints both lines per start, the counts of starts
+`sdp.solve` calls it made and their Newton steps (the sum of
+`SdpSolution.iterations`), both counted by wrapping `sdp.solve` from here, and
+whether it converged. `--root` names the checkout whose `perfbench/workloads.py`
+and `src/` are used (default: this one). `--against ROOT` runs the starts at both
+checkouts in two subprocesses at once, prints both lines per start, each side's
+mean shortfall, total solves and total Newton steps, the counts of starts
 converged at both, only here, only at ROOT and at neither, the exact two-sided
 McNemar p-value of the discordant counts, and each side's count of every stop
 reason (`tolerance`, `stall`, `max_iterations`). When ROOT is not a directory, it names
@@ -55,8 +57,9 @@ def run_starts(root: Path, starts: str) -> subprocess.Popen:
                             stdout=subprocess.PIPE, text=True)
 
 
-def rows(proc: subprocess.Popen) -> dict[int, tuple[str, float, int, bool, str]]:
-    """Start -> (its printed line, shortfall, solves, converged, stop reason) from a finished child run."""
+def rows(proc: subprocess.Popen) -> dict[int, tuple[str, float, int, int, bool, str]]:
+    """Start -> (its printed line, shortfall, solves, Newton steps, converged, stop reason) from a
+    finished child run."""
     out, _ = proc.communicate()
     if proc.returncode:
         raise SystemExit(f"{proc.args} exited {proc.returncode}")
@@ -64,25 +67,26 @@ def rows(proc: subprocess.Popen) -> dict[int, tuple[str, float, int, bool, str]]
     for line in out.splitlines():
         if not line.startswith("#"):
             fields = line.split()
-            found[int(fields[0])] = (line, float(fields[2]), int(fields[3]), fields[4] == "yes", fields[1])
+            found[int(fields[0])] = (line, float(fields[2]), int(fields[3]), int(fields[4]), fields[5] == "yes",
+                                     fields[1])
     return found
 
 
 def compare(root: Path, other: Path, starts: str) -> None:
     mine, theirs = (rows(p) for p in [run_starts(root, starts), run_starts(other, starts)])
-    print(f"# start     stop_reason  shortfall  solves  converged   (here: {root}, there: {other})")
+    print(f"# start     stop_reason  shortfall  solves  steps  converged   (here: {root}, there: {other})")
     for s in mine:
         print(f"here  {mine[s][0]}\nthere {theirs[s][0]}")
-    both = sum(mine[s][3] and theirs[s][3] for s in mine)
-    here = sum(mine[s][3] and not theirs[s][3] for s in mine)
-    there = sum(theirs[s][3] and not mine[s][3] for s in mine)
-    shortfall, solves = ([sum(r[k] for r in side.values()) for side in (mine, theirs)] for k in (1, 2))
+    both = sum(mine[s][4] and theirs[s][4] for s in mine)
+    here = sum(mine[s][4] and not theirs[s][4] for s in mine)
+    there = sum(theirs[s][4] and not mine[s][4] for s in mine)
+    shortfall, solves, steps = ([sum(r[k] for r in side.values()) for side in (mine, theirs)] for k in (1, 2, 3))
     print(f"mean shortfall: {shortfall[0] / len(mine):.3e} here, {shortfall[1] / len(mine):.3e} there; "
-          f"solves: {solves[0]} here, {solves[1]} there")
+          f"solves: {solves[0]} here, {solves[1]} there; Newton steps: {steps[0]} here, {steps[1]} there")
     print(f"converged: {both + here} of {len(mine)} here, {both + there} there; both {both}, "
           f"only here {here}, only there {there}, neither {len(mine) - both - here - there}; "
           f"exact McNemar p = {mcnemar_exact(here, there):.3g}")
-    reasons = [Counter(r[4] for r in side.values()) for side in (mine, theirs)]
+    reasons = [Counter(r[5] for r in side.values()) for side in (mine, theirs)]
     print("stop reasons: " + "; ".join(f"{reason} {reasons[0][reason]} here, {reasons[1][reason]} there"
                                        for reason in ("tolerance", "stall", "max_iterations")))
 
@@ -98,19 +102,20 @@ if __name__ == "__main__":
 
     from steercert import sdp
 
-    solves = 0
+    solves = steps = 0
     solve = sdp.solve
 
     def counting(*a, **kw):
-        global solves
-        solves += 1
-        return solve(*a, **kw)
+        global solves, steps
+        sol = solve(*a, **kw)
+        solves, steps = solves + 1, steps + sol.iterations
+        return sol
 
     sdp.solve = counting
     preset = replace(bench.cli.presets()["fig6_seesaw"], out=None)
-    print("# start     stop_reason  shortfall  solves  converged", flush=True)
+    print("# start     stop_reason  shortfall  solves  steps  converged", flush=True)
     for s in start_range(args.starts):
-        solves = 0
+        solves = steps = 0
         summary, _ = bench.cli.run_seesaw(replace(preset, seeds=(s,)))
         print(f"{s:7d}  {summary['stop_reason']:>14s}  {1.0 - summary['final_h_min']:9.2e}  {solves:6d}  "
-              f"{'yes' if summary['converged'] else 'no':>9s}", flush=True)
+              f"{steps:5d}  {'yes' if summary['converged'] else 'no':>9s}", flush=True)
