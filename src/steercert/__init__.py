@@ -9,7 +9,6 @@ from .certify import (
     certify_global,
     certify_local,
     certify_pm,
-    dual_functional,
     dual_functional_direct,
     min_entropy,
 )

@@ -35,7 +35,7 @@ matrix multipliers by `sdp.MatrixEquality`, `sdp.expand` and `sdp.fold`.
 
 from __future__ import annotations
 
-import functools
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +46,8 @@ from .scenario import Assemblage, Scenario, assemblage_from, steering_adjoint
 
 CONSISTENCY_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-11  # relative eigenvalue threshold for facial reduction
-# the parents of unreduced steering certifications kept, least recently used dropped first
+# the steering parents kept, least recently used dropped first; keyed by face ranks, not isometry bytes
+# (see _steering_parent), so a sweep whose faces turn point by point keeps one parent, not eight
 SHARED_STRUCTURES = 8
 
 
@@ -207,11 +208,22 @@ def _check_x_star(n_inputs: int, x_star: int) -> None:
 def _supports(mats: np.ndarray) -> list[list[np.ndarray]]:
     """The support isometry of each mats[a, x] of an (n_a, m, d, d) grid of PSD matrices: the eigenvectors
     of its Hermitian part (one batched ``eigh``) with eigenvalues above SUPPORT_CUTOFF times the largest of the
-    grid, or the identity when all are, so that unreduced problems keep the plain, unrotated variables."""
+    grid, or the identity when all are, so that unreduced problems keep the plain, unrotated variables.
+    Each is read-only: a cached steering parent's grid and a result's functional may hold the same one."""
     vals, vecs = np.linalg.eigh(0.5 * (mats + dagger(mats)))
     keep = vals > SUPPORT_CUTOFF * float(np.max(vals[..., -1]))
-    return [[np.eye(mats.shape[-1], dtype=complex) if keep[a, x].all() else vecs[a, x][:, keep[a, x]]
-             for x in range(mats.shape[1])] for a in range(mats.shape[0])]
+    supports = [[np.eye(mats.shape[-1], dtype=complex) if keep[a, x].all() else vecs[a, x][:, keep[a, x]]
+                 for x in range(mats.shape[1])] for a in range(mats.shape[0])]
+    for v in (v for row in supports for v in row):
+        v.setflags(write=False)
+    return supports
+
+
+def _check_left_out(equalities) -> None:
+    """Each equality naming no block must hold at X = 0: every row's right-hand side within CONSISTENCY_TOL."""
+    for eq in equalities:
+        if not eq.terms and max(abs(row.rhs) for row in sdp.expand([eq])) > CONSISTENCY_TOL:
+            raise CertificationError("observed data outside the supports the blocks were compressed onto")
 
 
 class _EveGrid:
@@ -267,10 +279,8 @@ class _EveGrid:
     def problem(self, targets: dict, groups: list[dict]) -> tuple[sdp.SdpProblem, list[dict]]:
         """The problem of maximising sum <targets[key], V X[key] V^dag> subject to the equalities
         of each group, a dict keyed by the caller, and those groups' equalities kept. An equality
-        naming no block is left out; it must hold at X = 0, within CONSISTENCY_TOL."""
-        for eq in (eq for group in groups for eq in group.values() if not eq.terms):
-            if max(abs(row.rhs) for row in sdp.expand([eq])) > CONSISTENCY_TOL:
-                raise CertificationError("observed data outside the supports the blocks were compressed onto")
+        naming no block is left out, after ``_check_left_out``."""
+        _check_left_out(eq for group in groups for eq in group.values())
         kept = [{key: eq for key, eq in group.items() if eq.terms} for group in groups]
         objective: list[np.ndarray | None] = [None] * len(self.dims)
         for (e, a, x), target in targets.items():
@@ -299,17 +309,31 @@ def _solve(problem: sdp.SdpProblem, kept: list[dict], solver_opts: dict | None =
     return sol, [{key: next(multipliers) for key in group} for group in kept]
 
 
-@functools.lru_cache(maxsize=SHARED_STRUCTURES)
-def _unreduced_steering(n_a: int, m: int, d: int, x_star: int, guess_outcome: tuple, guess_target: bytes):
-    """The grid, parent problem and kept equalities of the steering certification of an (n_a, m)
-    grid of full-rank d x d blocks, whose consistency right-hand sides are the only data;
-    ``guess_target`` holds the (n_guess, d, d) complex targets' bytes, so that the key holds all
-    the parent depends on."""
-    grid = _EveGrid(len(guess_outcome), [[np.eye(d, dtype=complex)] * m for _ in range(n_a)])
-    target = np.frombuffer(guess_target, dtype=complex).reshape(-1, d, d)
-    targets = {(e, a, x_star): target[e] for e, a in enumerate(guess_outcome)}
-    unobserved = np.zeros((n_a, m, d, d), dtype=complex)
-    return grid, *grid.problem(targets, [grid.consistency(grid.embedded, unobserved), grid.no_signalling(x_star)])
+# (n_a, m, d, x*, guess outcomes, guess-target bytes, face ranks) -> (isometry bytes, grid, parent, kept)
+_steering_parents: OrderedDict = OrderedDict()
+
+
+def _steering_parent(supports: list[list[np.ndarray]], x_star: int, guess_outcome, guess_target: np.ndarray):
+    """The grid, parent problem and kept equalities of the steering certification on the faces
+    ``supports``, whose consistency right-hand sides are the only data. An unreduced problem's
+    faces are identities. Parents are keyed by all they are built from but the face isometries,
+    whose bytes each entry holds: a call on other isometries of the same ranks rebuilds its entry."""
+    n_a, m, d = len(supports), len(supports[0]), supports[0][0].shape[0]
+    target = np.ascontiguousarray(guess_target, dtype=complex)
+    key = (n_a, m, d, x_star, tuple(int(a) for a in guess_outcome), target.tobytes(),
+           tuple(v.shape[1] for row in supports for v in row))
+    faces = b"".join(v.tobytes() for row in supports for v in row)
+    entry = _steering_parents.pop(key, None)
+    if entry is None or entry[0] != faces:
+        grid = _EveGrid(len(guess_outcome), supports)
+        targets = {(e, int(a), x_star): target[e] for e, a in enumerate(guess_outcome)}
+        unobserved = np.zeros((n_a, m, d, d), dtype=complex)
+        entry = (faces, grid, *grid.problem(
+            targets, [grid.consistency(grid.embedded, unobserved), grid.no_signalling(x_star)]))
+    _steering_parents[key] = entry
+    if len(_steering_parents) > SHARED_STRUCTURES:
+        _steering_parents.popitem(last=False)
+    return entry[1:]
 
 
 def _gridded(values: dict, shape: tuple[int, ...], d: int) -> np.ndarray:
@@ -355,20 +379,11 @@ def _solve_steering(
     n_guess = len(guess_outcome)
 
     supports = _supports(asm.sigma)
-    reduced = any(v.shape[1] < d for row in supports for v in row)
-    if reduced:  # the faces depend on the data: a structure of its own
-        grid = _EveGrid(n_guess, supports)
-        targets = {(e, int(guess_outcome[e]), x_star): guess_target[e] for e in range(n_guess)}
-        problem, kept = grid.problem(
-            targets, [grid.consistency(grid.embedded, asm.sigma), grid.no_signalling(x_star)]
-        )
-    else:
-        target = np.ascontiguousarray(guess_target, dtype=complex)
-        grid, parent, kept = _unreduced_steering(
-            n_a, m, d, x_star, tuple(int(a) for a in guess_outcome), target.tobytes()
-        )
-        # the observed blocks, then the no-signalling equalities' zeros
-        problem = parent.with_rhs([*asm.sigma.reshape(-1, d, d), *(eq.rhs for eq in kept[1].values())])
+    grid, parent, kept = _steering_parent(supports, x_star, guess_outcome, guess_target)
+    # a face of rank 0 leaves its consistency equality without terms: its data must vanish
+    _check_left_out(sdp.MatrixEquality({}, asm.sigma[key]) for key in np.ndindex(n_a, m) if key not in kept[0])
+    # the observed blocks on the faces of rank > 0, then the no-signalling equalities' zeros
+    problem = parent.with_rhs([*(asm.sigma[key] for key in kept[0]), *(eq.rhs for eq in kept[1].values())])
     start = [grid.compressed(a, x, asm.sigma[a, x]) / n_guess for _, a, x in grid.ids] if trivial_start else None
     sol, (f, g) = _solve(problem, kept, solver_opts, start)
     functional = SteeringFunctional(
@@ -377,7 +392,7 @@ def _solve_steering(
         G=_gridded({key: -y for key, y in g.items()}, (n_guess, m), d),
         guess_outcome=np.asarray(guess_outcome, dtype=int),
         guess_target=freeze(np.asarray(guess_target)),
-        supports=tuple(tuple(supports[a]) for a in range(n_a)) if reduced else None,
+        supports=tuple(map(tuple, supports)) if any(v.shape[1] < d for row in supports for v in row) else None,
     )
     return _result(sol, functional, x_star, joint=JointAssemblage(sc, n_guess, grid.unpack(sol.primal)))
 
@@ -468,11 +483,6 @@ def certify_pm(rho: np.ndarray, povms: list[Povm], x_star: int = 0) -> Certifica
     offset = float(sum(np.trace(y).real for y in complete.values()))
     functional = SteeringFunctional(F=_gridded(f, (n_a, m), d_b), x_star=x_star, offset=offset)
     return _result(sol, functional, x_star, pm_measurements=freeze(grid.unpack(sol.primal)))
-
-
-def dual_functional(asm: Assemblage, x_star: int = 0) -> SteeringFunctional:
-    """Steering inequality certifying the local bound from above."""
-    return certify_local(asm, x_star).functional
 
 
 def _smoothed(asm: Assemblage, delta: float) -> Assemblage:

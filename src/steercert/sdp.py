@@ -61,17 +61,20 @@ the structure its first call builds from their parent, and ``solve`` runs their 
 only: it reads a child's right-hand sides and that structure, nothing else, so a write to the
 parent after that call changes no child's solve, which is bit for bit the solve of the same
 problem built afresh. Every other problem, the parent included, gets a structure of its own.
-Builders keep parents keyed by all they are built from: ``scenario.lhs_test`` its last
-(outcomes, inputs, d), unreduced steering certifications each (shape, x*, guess outcomes,
-guess-target bytes). A key computed from content would need the problem assembled, which is
-the cost a structure saves; facially reduced certifications and ``certify_pm`` keep none.
+Builders keep parents keyed by what they are built from: ``scenario.lhs_test`` its last
+(outcomes, inputs, d); steering certifications, facially reduced or not, up to 8 keyed by
+(shape, x*, guess outcomes, guess-target bytes, face ranks), each holding the face isometries
+it was built for and rebuilt when a call's differ in any byte. Keying by those bytes as well
+would keep up to 8 parents of one rank pattern alive (``fig4_qutrit_loss``'s lossy points turn
+their faces point by point): 15% more peak memory on its benchmark for one build fewer per pass.
+A key computed from content would need the problem assembled, which is the cost a structure
+saves; ``certify_pm`` keeps none.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import json
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -79,7 +82,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .qlin import dagger, hermitian_basis, is_hermitian, matrix_to_json
+from .qlin import dagger, hermitian_basis, is_hermitian
 
 _log = logging.getLogger("steercert")
 
@@ -217,24 +220,6 @@ class SdpProblem:
                            _Rows([MatrixEquality(eq.terms, r) for eq, r in zip(equalities, rhs)]))
         child._shared = self._children_structure
         return child
-
-    def to_debug_json(self) -> dict:
-        """Problem dump (blocks, constraints, rhs) for offline inspection."""
-        return {
-            "block_dims": list(self.block_dims),
-            "objective": [None if c is None else matrix_to_json(c) for c in self.objective],
-            "constraints": [
-                {
-                    "coeffs": {str(k): matrix_to_json(a) for k, a in con.coeffs.items()},
-                    "rhs": float(con.rhs),
-                }
-                for con in self.constraints
-            ],
-        }
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_debug_json(), fh)
 
 
 @dataclass

@@ -9,7 +9,6 @@ from steercert.certify import (
     certify_global,
     certify_local,
     certify_pm,
-    dual_functional,
     dual_functional_direct,
     min_entropy,
 )
@@ -186,7 +185,7 @@ def test_lossy_monotonicity_in_eta():
 
 def test_dual_functional_value_matches_primal():
     asm = assemblage_from(werner_state(1.0), pauli_xz())
-    f = dual_functional(asm, 0)
+    f = certify_local(asm, 0).functional
     assert f.value_on(asm) == pytest.approx(0.5, abs=1e-7)
 
 
@@ -380,13 +379,13 @@ def _results_identical(got, want):
 
 @pytest.mark.parametrize("v", [0.7, 0.9])
 def test_unreduced_certifications_share_a_structure_bit_for_bit(monkeypatch, v):
-    from steercert.certify import _unreduced_steering
+    from steercert.certify import _steering_parents
 
     certify_local(assemblage_from(werner_state(0.8), pauli_xz()), 0)  # the structure exists
-    misses = _unreduced_steering.cache_info().misses
+    entries = {id(entry) for entry in _steering_parents.values()}
     asm = assemblage_from(werner_state(v), pauli_xz())
     (fresh, fresh_problem), (shared, problem) = _afresh_and_shared(monkeypatch, certify_local, asm, 0)
-    assert _unreduced_steering.cache_info().misses == misses
+    assert {id(entry) for entry in _steering_parents.values()} == entries  # no parent built or replaced
     assert problem._shared is fresh_problem._shared is not None
     _results_identical(shared, fresh)
     # the solutions behind them, solved from the problem built afresh here
@@ -409,24 +408,55 @@ def test_global_certifications_keep_one_structure_per_trusted_measurement(monkey
     assert not np.array_equal(structures[0].cmats[0], structures[1].cmats[0])
 
 
-def test_a_face_reduced_certification_adds_no_structure(monkeypatch):
-    from steercert.certify import _unreduced_steering
+def _lossy(eta, povms=pauli_xz()):
+    """A fig3_qubit point: the pure Werner state under lossy measurements."""
+    return assemblage_from(werner_state(1.0), [apply_loss(p, eta) for p in povms])
 
-    before = _unreduced_steering.cache_info()
-    asm = assemblage_from(werner_state(1.0), pauli_xz())  # pure: every block has rank 1
-    (fresh, _), (res, problem) = _afresh_and_shared(monkeypatch, certify_local, asm, 0)
-    assert res.functional.supports is not None and problem._shared is None
-    after = _unreduced_steering.cache_info()
-    assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+
+def test_face_reduced_certifications_share_a_parent_bit_for_bit(monkeypatch):
+    from steercert.certify import _steering_parents
+
+    _steering_parents.clear()
+    (fresh, _), (res, problem) = _afresh_and_shared(monkeypatch, certify_local, _lossy(0.7), 0)
+    assert res.functional.supports is not None and problem._shared is not None
+    _results_identical(res, fresh)
+    ((key, entry),) = _steering_parents.items()
+    (fresh, _), (res, again) = _afresh_and_shared(monkeypatch, certify_local, _lossy(0.8), 0)
+    assert res.functional.supports is not None and again._shared is problem._shared
+    assert len(_steering_parents) == 1 and _steering_parents[key] is entry
+    _results_identical(res, fresh)
+    # the same face ranks on other isometries: the entry is rebuilt in place, not added
+    u = random_unitary(2, np.random.default_rng(5))
+    rotated = [Povm(u @ p.elements @ dagger(u)) for p in pauli_xz()]
+    (fresh, _), (res, other) = _afresh_and_shared(monkeypatch, certify_local, _lossy(0.8, rotated), 0)
+    assert other._shared is not None and other._shared is not problem._shared
+    assert len(_steering_parents) == 1 and _steering_parents[key] is not entry
     _results_identical(res, fresh)
 
 
+def test_data_off_a_face_of_rank_0_is_refused_on_every_call(monkeypatch):
+    import steercert.certify as certify_module
+    from steercert.certify import CertificationError, _steering_parents
+
+    # the conclusive blocks (0.4 on their range) keep rank 1, the no-click blocks (0.1 I) fall to rank 0
+    monkeypatch.setattr(certify_module, "SUPPORT_CUTOFF", 0.9)
+    _steering_parents.clear()
+    with pytest.raises(CertificationError, match="observed data outside the supports"):
+        certify_local(_lossy(0.8), 0)
+    ((key, entry),) = _steering_parents.items()  # the call built the parent
+    assert key[-1] == (1, 1, 1, 1, 0, 0)
+    with pytest.raises(CertificationError, match="observed data outside the supports"):
+        certify_local(_lossy(0.8), 0)
+    assert len(_steering_parents) == 1 and _steering_parents[key] is entry  # and the next reused it
+
+
 def test_a_certification_leaves_its_shared_structure_unchanged():
-    from steercert.certify import _unreduced_steering
+    from steercert.certify import _steering_parent
 
     certify_local(assemblage_from(werner_state(0.8), pauli_xz()), 0)
     targets = np.tile(np.eye(2, dtype=complex), (2, 1, 1))
-    grid, parent, kept = _unreduced_steering(2, 2, 2, 0, (0, 1), targets.tobytes())
+    faces = [[np.eye(2, dtype=complex)] * 2 for _ in range(2)]
+    grid, parent, kept = _steering_parent(faces, 0, np.arange(2), targets)
     structure = parent._children_structure
     arrays = [a for value in vars(structure).values() for a in (value if isinstance(value, list) else [value])
               if isinstance(a, np.ndarray)]
@@ -437,7 +467,7 @@ def test_a_certification_leaves_its_shared_structure_unchanged():
     before = [a.tobytes() for a in arrays]
     certify_local(assemblage_from(werner_state(0.75), pauli_xz()), 0)
     assert [a.tobytes() for a in arrays] == before
-    assert _unreduced_steering(2, 2, 2, 0, (0, 1), targets.tobytes())[1]._children_structure is structure
+    assert _steering_parent(faces, 0, np.arange(2), targets)[1]._children_structure is structure
 
 
 # a Werner point (no block reduced) and a lossy qubit point (every conclusive block reduced to rank 1)

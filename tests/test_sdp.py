@@ -504,18 +504,6 @@ def test_sparse_schur_matches_the_dense_build(lone_row):
     assert np.array_equal(_schur(tmats, amats, a_sp, idx, plan), 0.5 * (schur + schur.T))
 
 
-def test_debug_dump_round_trips(tmp_path):
-    rng = np.random.default_rng(3)
-    problem, _ = planted_problem(d=2, m=2, rank=1, rng=rng)
-    path = tmp_path / "problem.json"
-    problem.dump(path)
-    import json
-
-    data = json.loads(path.read_text())
-    assert data["block_dims"] == [2]
-    assert len(data["constraints"]) == 2
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_planted_fuzz_across_shapes(seed):
     rng = np.random.default_rng(1000 + seed)

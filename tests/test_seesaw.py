@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steercert.certify import SteeringFunctional, dual_functional
+from steercert.certify import SteeringFunctional, certify_local
 from steercert.scenario import (
     Scenario,
     apply_loss,
@@ -80,7 +80,7 @@ def test_optimize_measurements_constant_functional():
 
 def test_optimize_measurements_cannot_beat_feasible_start():
     rho = werner_state(1.0)
-    f = dual_functional(assemblage_from(rho, pauli_xz()), 0)
+    f = certify_local(assemblage_from(rho, pauli_xz()), 0).functional
     povms = optimize_measurements(rho, f, Scenario(2, 2, 2))
     value = f.value_on(assemblage_from(rho, povms))
     assert value <= 0.5 + 1e-6  # pauli_xz already achieves 0.5
