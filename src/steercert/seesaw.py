@@ -15,9 +15,10 @@ converges only linearly, so after each accepted update the see-saw also
 tries longer steps along the geodesic through the old and new
 measurements. Facially reduced certifications steer through the
 inequality of the assemblage smoothed by noise of weight delta; a round
-passes over a fixed ladder of deltas at most once, and a start ends when
-the ceiling is reached or a whole pass accepts nothing, which is a fixed
-point. With inefficient detectors the loss channel is applied
+passes over a fixed ladder of deltas at most once, never coarser than
+the guessing probability left to gain, and a start ends when the ceiling
+is reached or a whole pass accepts nothing, which is a fixed point. With
+inefficient detectors the loss channel is applied
 after each measurement update: the loss is a device property, not
 something the optimization can redesign.
 
@@ -290,16 +291,24 @@ def seesaw(
     it certifies steps t = 3, 9 and 27 in turn and keeps the last one that
     is optimal and strictly lowers the guessing probability.
 
-    A round tries each rung at most once: from its own rung down to the
-    floor (3e-7), then up from the rung just above its own to the top
-    (3e-2), nearest first, and stops at the first accepted update. The next
-    round starts at the accepting rung, or one rung lower when the gain was
+    Eve always guesses with probability at least 1/n (n outcomes, a
+    no-click outcome included), so the guessing probability can fall by at
+    most its excess e = p_guess - 1/n over that floor; a stepping
+    inequality smoothed by more than e is mostly smoothing, and its update
+    is mostly rejected (in one `fig6_seesaw` pass, rungs with delta > e
+    accepted 4 of 16 updates, rungs with delta <= e 30 of 40). Let k_e be
+    the first rung with delta <= e, or the floor when none is. A round tries
+    each rung at most once: from rung max(own, k_e) down to the floor
+    (3e-7), then up, nearest first, to rung k_e - 1, one rung coarser than
+    the excess, and stops at the first accepted update. The next round's
+    own rung is the accepting one, or one rung lower when the gain was
     below 1e-3. A round that accepts nothing ends the start: short of the
-    ceiling that is Stall. Resuming from such a start's measurements repeats
-    that round, so it gains nothing. The loop stops with Tolerance as soon
-    as the current iterate, the start included, is within `tol` of the known
-    analytic `ceiling`; with no ceiling, after a gain below `tol` or a round
-    that accepts nothing. Otherwise it stops after `max_iters` iterates.
+    ceiling that is Stall. Resuming from such a start's measurements tries
+    that round's rungs again on the same certification, so it gains
+    nothing. The loop stops with Tolerance as soon as the current iterate,
+    the start included, is within `tol` of the known analytic `ceiling`;
+    with no ceiling, after a gain below `tol` or a round that accepts
+    nothing. Otherwise it stops after `max_iters` iterates.
 
     Every certification of the loop starts from Eve's trivial strategy
     (`certify_local(..., trivial_start=True)`). The certifications of the
@@ -351,8 +360,12 @@ def seesaw(
             return SeesawTrace(tuple(iterations), True, StopReason.TOLERANCE)
         if len(iterations) >= max_iters:
             return SeesawTrace(tuple(iterations), False, StopReason.MAX_ITERATIONS)
+        # no rung coarser than the guessing probability left to gain, bar one on the way back
+        excess = res.p_guess - 1.0 / asm.scenario.n_outcomes
+        k_e = next((k for k, delta in enumerate(_SMOOTHING_LADDER) if delta <= excess), floor)
+        first = max(rung, k_e)
         accepted = None
-        for k in (*range(rung, floor + 1), *range(rung - 1, -1, -1)):
+        for k in (*range(first, floor + 1), *range(first - 1, max(k_e - 1, 0) - 1, -1)):
             try:
                 accepted = update(k)
             except (RuntimeError, ValueError) as exc:

@@ -459,6 +459,36 @@ def test_no_round_certifies_a_rung_twice(monkeypatch):
     assert len(set(keys)) == len(keys)
 
 
+def test_no_round_smooths_coarser_than_the_excess(monkeypatch):
+    # Eve guesses with at least 1/n, so p_guess can fall by at most e = p_guess - 1/n: each
+    # round starts no coarser than k_e, the first rung with delta <= e (the floor when none
+    # is), and climbs back no coarser than k_e - 1
+    import sys
+
+    mod = sys.modules["steercert.seesaw"]
+    original, ladder = mod._stepping_functional, mod._SMOOTHING_LADDER
+    rounds = []  # (res, outcomes, rungs tried) per round; holds each res, so that no id is reused
+
+    def recorded(asm, res, x_star, delta):
+        if not rounds or rounds[-1][0] is not res:
+            rounds.append((res, asm.scenario.n_outcomes, []))
+        rounds[-1][2].append(ladder.index(delta))
+        return original(asm, res, x_star, delta)
+
+    monkeypatch.setattr(mod, "_stepping_functional", recorded)
+    for seed in range(5):  # the fig6_seesaw starts
+        seesaw(RHO_PI7, random_povms(2, 2, 2, seed), 0, max_iters=50, tol=1e-6, ceiling=1.0)
+    assert len(rounds) > 5
+    climbed = 0
+    for res, n, rungs in rounds:
+        excess = res.p_guess - 1.0 / n
+        k_e = next((k for k, delta in enumerate(ladder) if delta <= excess), len(ladder) - 1)
+        assert rungs[0] >= k_e
+        assert min(rungs) >= k_e - 1
+        climbed += rungs[-1] < rungs[0]
+    assert climbed >= 1  # a round that reached the floor and climbed back
+
+
 def test_seesaw_stops_at_the_ceiling(monkeypatch):
     import sys
 

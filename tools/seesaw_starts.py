@@ -13,7 +13,8 @@ start, its stop reason, its shortfall from the ceiling of 1 bit, the number of
 whether it converged. `--root` names the checkout whose `perfbench/workloads.py`
 and `src/` are used (default: this one). `--against ROOT` runs the starts at both
 checkouts in two subprocesses at once, prints both lines per start, each side's
-mean shortfall, total solves and total Newton steps, the counts of starts
+mean shortfall, total solves and total Newton steps, the counts of starts that
+make fewer, as many and more solves here than at ROOT, the counts of starts
 converged at both, only here, only at ROOT and at neither, the exact two-sided
 McNemar p-value of the discordant counts, and each side's count of every stop
 reason (`tolerance`, `stall`, `max_iterations`). When ROOT is not a directory, it names
@@ -83,6 +84,10 @@ def compare(root: Path, other: Path, starts: str) -> None:
     shortfall, solves, steps = ([sum(r[k] for r in side.values()) for side in (mine, theirs)] for k in (1, 2, 3))
     print(f"mean shortfall: {shortfall[0] / len(mine):.3e} here, {shortfall[1] / len(mine):.3e} there; "
           f"solves: {solves[0]} here, {solves[1]} there; Newton steps: {steps[0]} here, {steps[1]} there")
+    fewer = sum(mine[s][2] < theirs[s][2] for s in mine)
+    more = sum(mine[s][2] > theirs[s][2] for s in mine)
+    print(f"solves per start: fewer here in {fewer}, equal in {len(mine) - fewer - more}, "
+          f"more here in {more}")
     print(f"converged: {both + here} of {len(mine)} here, {both + there} there; both {both}, "
           f"only here {here}, only there {there}, neither {len(mine) - both - here - there}; "
           f"exact McNemar p = {mcnemar_exact(here, there):.3g}")
