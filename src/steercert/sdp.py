@@ -36,7 +36,11 @@ Schur complement with LAPACK potrf/potrs; when potrf fails, its diagonal
 is shifted by 1e-13 to 1e-7 of its mean, and the shift is logged. A solve
 whose best merit is 4 iterations old while each of its last 5 Schur
 complements needed a shift has stalled: it stops with NUMERICAL_TROUBLE and,
-like any unfinished solve, returns its best-merit iterate. A
+like any unfinished solve, returns its best-merit iterate. A caller that
+only asks whether the optimum exceeds a value passes it as ``stop_above``:
+the first iterate that is primal feasible within ``feas_tol`` and whose value
+beats it by more than an optimal end's gap ends the solve, and is returned as
+it is with status BOUND_EXCEEDED (``solve`` derives the margin). A
 presolve pass removes linearly dependent constraint rows (the R factor of
 a pivoted QR, pivot threshold 1e-10) and checks, with R11^-1 R12, that the
 removed rows are consistent; dual multipliers for removed rows
@@ -106,6 +110,7 @@ class SolverStatus(enum.Enum):
     INFEASIBLE = "infeasible"
     MAX_ITERATIONS = "max_iterations"
     NUMERICAL_TROUBLE = "numerical_trouble"
+    BOUND_EXCEEDED = "bound_exceeded"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -544,6 +549,7 @@ def solve(
     gap_tol: float = 1e-9,
     feas_tol: float = 1e-9,
     start: Sequence[np.ndarray] | None = None,
+    stop_above: float | None = None,
 ) -> SdpSolution:
     """Solve the SDP; the returned status honestly reflects termination.
 
@@ -552,6 +558,19 @@ def solve(
     iterate has a relative gap and both residuals within 1e-8. ``start``, one
     positive definite Hermitian matrix per block in the caller's order, replaces
     the primal start xi_p * I; the dual start xi_d * I, y = 0 is the same either way.
+
+    ``stop_above`` is a bar for a caller that only needs to know whether the optimum
+    exceeds it. The solve stops at the first iterate whose primal residual is within
+    ``feas_tol`` and whose primal value p_k exceeds stop_above + 2 g (1 + |stop_above|),
+    g = max(gap_tol, 1e-8), and returns that iterate with status BOUND_EXCEEDED: a
+    feasible point whose value already beats the bar. The margin is the most an optimal
+    end may leave. Such an end reports a primal value p_f within g (1 + |p_f|) of its dual
+    value d_f, and weak duality puts d_f above the value of any feasible iterate, up to
+    terms of order ``feas_tol``: so p_f >= p_k - g (1 + |p_f|) - O(feas_tol). Were p_f at
+    most the bar, g (1 + |p_f|) would be g (1 + |stop_above|) to first order, and p_k
+    would lie within that of the bar, plus the residual terms, which the second
+    g (1 + |stop_above|) covers. So a solve that would end optimal at or below the bar
+    never meets this stop, and takes the same steps with the bar as without it.
     """
     st = Structure(problem) if problem._shared is None else problem._shared
     if start is not None:
@@ -594,6 +613,8 @@ def solve(
     xzs = [np.concatenate([x, st.xi_d * np.tile(eye, (n, 1, 1))]) for x, eye, n in zip(xs, eyes, sizes)]
     y = np.zeros(mr)
     eye_m = np.eye(mr)
+    # the primal value above which a feasible iterate ends the solve; see the docstring
+    bar = np.inf if stop_above is None else stop_above + 2.0 * max(gap_tol, _ACCEPT_TOL) * (1.0 + abs(stop_above))
     n_total = float(2 * sum(st.block_dims))
 
     best = None
@@ -622,6 +643,9 @@ def solve(
         if relgap <= gap_tol and pres <= feas_tol and dres <= feas_tol:
             status = SolverStatus.OPTIMAL
             break
+        if pres <= feas_tol and pobj > bar:
+            _log.debug("iter %3d  primal value %.12g beats the bar %.12g", it, pobj, stop_above)
+            return _package(xzs, y, SolverStatus.BOUND_EXCEEDED, it, pres, dres, regularised_steps)
 
         # divergence guard: a growing dual iterate whose direction improves the
         # dual objective while staying dual-feasible certifies infeasibility

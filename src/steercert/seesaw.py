@@ -13,14 +13,17 @@ Each step can only improve (or hold) the certified min-entropy, so the
 recorded trace is monotone up to solver noise. The alternation alone
 converges only linearly, so after each accepted update the see-saw also
 tries longer steps along the geodesic through the old and new
-measurements. Facially reduced certifications steer through the
-inequality of the assemblage smoothed by noise of weight delta; a round
-passes over a fixed ladder of deltas at most once, never coarser than
-the guessing probability left to gain, and a start ends when the ceiling
-is reached or a whole pass accepts nothing, which is a fixed point. With
-inefficient detectors the loss channel is applied
-after each measurement update: the loss is a device property, not
-something the optimization can redesign.
+measurements, up to t = 729. A candidate, an update or a geodesic trial,
+need only be decided: its certification stops as soon as an iterate, a
+feasible strategy of Eve's, guesses better than the candidate may, so a
+rejected candidate costs a few Newton steps. Facially reduced
+certifications steer through the inequality of the assemblage smoothed
+by noise of weight delta; a round passes over a fixed ladder of deltas
+at most once, never coarser than the guessing probability left to gain,
+and a start ends when the ceiling is reached or a whole pass accepts
+nothing, which is a fixed point. With inefficient detectors the loss
+channel is applied after each measurement update: the loss is a device
+property, not something the optimization can redesign.
 
 Every certification of the loop starts from Eve's trivial strategy, a
 strictly feasible point (`certify_local(..., trivial_start=True)`), which
@@ -52,7 +55,7 @@ _log = logging.getLogger("steercert")
 _SEESAW_SOLVER_OPTS = {"gap_tol": 1e-11, "feas_tol": 1e-10}
 
 # geodesic steps tried, in order, after each accepted update (the update is step 1)
-_EXTRAPOLATION_STEPS = (3, 9, 27)
+_EXTRAPOLATION_STEPS = (3, 9, 27, 81, 243, 729)
 # smoothing weights delta of the stepping inequality, top first: 3e-2 divided
 # by 10 in turn while above 1e-6, so the last rung, the floor, is 3e-7
 _SMOOTHING_LADDER = tuple(itertools.accumulate(range(5), lambda delta, _: delta / 10.0, initial=3e-2))
@@ -82,8 +85,8 @@ class SeesawError(RuntimeError):
 class SeesawIteration:
     """One recorded round. `delta` is the smoothing weight of the stepping
     inequality that gave the update (None for the start) and `step` the
-    geodesic step it was taken at: 1 for the plain update, 3, 9 or 27 for an
-    extrapolation, 0 for the start."""
+    geodesic step it was taken at: 1 for the plain update, one of
+    `_EXTRAPOLATION_STEPS` (3 to 729) for an extrapolation, 0 for the start."""
 
     h_min: float
     p_guess: float
@@ -288,8 +291,22 @@ def seesaw(
     alone converges only linearly, so after an accepted update of
     two-outcome projective measurements the round extrapolates along the
     geodesic from the old measurements through the new ones (`_geodesic`):
-    it certifies steps t = 3, 9 and 27 in turn and keeps the last one that
-    is optimal and strictly lowers the guessing probability.
+    it certifies steps t = 3, 9, 27, 81, 243 and 729 in turn and keeps the
+    last one that is optimal and strictly lowers the guessing probability.
+
+    A candidate's certification, an update's or a trial's, is solved only far
+    enough to decide it. Its bar is the guessing probability it must not
+    exceed: the current one plus 1e-10 for an update, the best accepted so
+    far for a trial, passed to `sdp.solve` as `stop_above`. Every iterate of
+    a certification from Eve's trivial strategy is a feasible strategy of
+    hers, so one that guesses better than the bar, by more than an optimal
+    end's gap, is an explicit attack that rejects the candidate; the solve
+    stops there with BOUND_EXCEEDED. An accepted candidate's certification
+    never reaches its bar, so the bar changes no recorded value, only the
+    Newton steps of the rejected candidates. Those cheap rejections pay for
+    the steps beyond 27: on the five `fig6_seesaw` starts, 166 solves and
+    1,527 Newton steps per pass with steps to 27 and no bar, 157 solves and
+    1,242 Newton steps with both, and start 4 converges.
 
     Eve always guesses with probability at least 1/n (n outcomes, a
     no-click outcome included), so the guessing probability can fall by at
@@ -328,23 +345,25 @@ def seesaw(
     ideal_shape = Scenario(len(povms), n_ideal, rho.shape[0] // povms[0].dim)
     floor = len(_SMOOTHING_LADDER) - 1
 
-    def certified(candidate: list[Povm]):
+    def certified(candidate: list[Povm], bar: float | None = None):
+        """The candidate's assemblage and certification, cut short once Eve's iterate beats `bar`."""
         measured = candidate if eta >= 1.0 else [apply_loss(p, eta) for p in candidate]
         asm = assemblage_from(rho, measured)
-        return asm, certify_local(asm, x_star, solver_opts=_SEESAW_SOLVER_OPTS, trivial_start=True)
+        opts = {**_SEESAW_SOLVER_OPTS, "stop_above": bar}
+        return asm, certify_local(asm, x_star, solver_opts=opts, trivial_start=True)
 
     def update(rung: int):
         """The round's accepted (povms, assemblage, result, step) at `rung`, or None."""
         functional = _stepping_functional(asm, res, x_star, _SMOOTHING_LADDER[rung])
         candidate = optimize_measurements(rho, _strip_loss(functional, n_ideal), ideal_shape)
-        cand_asm, cand_res = certified(candidate)
+        cand_asm, cand_res = certified(candidate, res.p_guess + 1e-10)
         if cand_res.status is not sdp.SolverStatus.OPTIMAL or cand_res.p_guess > res.p_guess + 1e-10:
             return None
         accepted = (candidate, cand_asm, cand_res, 1)
         path = _geodesic(povms, candidate)
         for t in _EXTRAPOLATION_STEPS if path is not None else ():
             trial = path(t)
-            trial_asm, trial_res = certified(trial)
+            trial_asm, trial_res = certified(trial, accepted[2].p_guess)
             if trial_res.status is not sdp.SolverStatus.OPTIMAL or trial_res.p_guess >= accepted[2].p_guess:
                 break
             accepted = (trial, trial_asm, trial_res, t)

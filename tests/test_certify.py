@@ -505,3 +505,28 @@ def test_the_trivial_start_reaches_the_same_optimum(rho, povms, reduced):
     assert plain.status is started.status is SolverStatus.OPTIMAL
     assert abs(started.p_guess - plain.p_guess) <= 1e-8
     assert abs(started.dual_value - plain.dual_value) <= 1e-8
+
+
+@pytest.mark.parametrize("rho, povms, reduced", TRIVIAL_START_CASES)
+def test_a_bar_below_the_optimum_ends_at_a_strategy_that_beats_it(rho, povms, reduced):
+    asm = assemblage_from(rho, povms)
+    full = certify_local(asm, 0, trivial_start=True)
+    # the trivial start guesses with 1/n, so this bar lies between the start and the optimum
+    bar = 0.5 * (full.p_guess + 1.0 / asm.scenario.n_outcomes)
+    cut = certify_local(asm, 0, solver_opts={"stop_above": bar}, trivial_start=True)
+    assert full.status is SolverStatus.OPTIMAL and cut.status is SolverStatus.BOUND_EXCEEDED
+    cut.joint.validate(asm)  # an explicit attack: a feasible strategy of Eve's
+    assert cut.joint.guess_probability(0) == pytest.approx(cut.p_guess, abs=1e-9)
+    assert bar < cut.p_guess <= full.p_guess + 1e-9
+
+
+@pytest.mark.parametrize("rho, povms, reduced", TRIVIAL_START_CASES)
+def test_a_bar_at_the_optimum_changes_nothing(rho, povms, reduced):
+    # the see-saw's accepted certifications end at or below their bar
+    asm = assemblage_from(rho, povms)
+    plain = certify_local(asm, 0, trivial_start=True)
+    barred = certify_local(asm, 0, solver_opts={"stop_above": plain.p_guess}, trivial_start=True)
+    assert np.array_equal(barred.joint.sigma_e, plain.joint.sigma_e)
+    assert (barred.p_guess, barred.dual_value, barred.gap, barred.status) == (
+        plain.p_guess, plain.dual_value, plain.gap, plain.status)
+    assert np.array_equal(barred.functional.F, plain.functional.F)

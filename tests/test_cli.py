@@ -7,6 +7,7 @@ from steercert.certify import certify_global
 from steercert.cli import ConfigError, ExperimentConfig, main, presets, run_lhs, run_seesaw, run_sweep
 from steercert.qlin import basis_povm
 from steercert.scenario import assemblage_from, fourier_and_computational, isotropic_state
+from steercert.seesaw import _EXTRAPOLATION_STEPS
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -168,7 +169,7 @@ def test_run_seesaw_sidecar_lists_delta_and_step(tmp_path):
         assert len(entry["deltas"]) == len(entry["steps"]) == entry["iterations"]
         assert entry["deltas"][0] is None and entry["steps"][0] == 0
         assert all(delta > 0 for delta in entry["deltas"][1:])
-        assert all(step in (1, 3, 9, 27) for step in entry["steps"][1:])
+        assert all(step in (1, *_EXTRAPOLATION_STEPS) for step in entry["steps"][1:])
 
 
 def test_main_certify_json(tmp_path, capsys):

@@ -928,3 +928,23 @@ def test_a_start_replaces_only_the_primal_identity():
     assert all(np.array_equal(x, p) for x, p in zip(first.primal, points))
     assert not np.array_equal(first.primal[0], plain_first.primal[0])
     assert all(np.array_equal(z, w) for z, w in zip(first.dual_slacks, plain_first.dual_slacks))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_bar_above_the_optimum_changes_no_solve(seed):
+    problem, opt = planted_problem(4, 6, 2, np.random.default_rng(seed))
+    plain = solve(problem)
+    assert plain.status is SolverStatus.OPTIMAL
+    _solutions_identical(solve(problem, stop_above=opt + 1e-6), plain)
+
+
+def test_a_bar_below_the_optimum_stops_at_a_feasible_iterate_above_it():
+    problem, opt = planted_problem(4, 6, 2, np.random.default_rng(3))
+    plain = solve(problem)
+    bar = opt - 0.1 * (1.0 + abs(opt))
+    cut = solve(problem, stop_above=bar)
+    assert cut.status is SolverStatus.BOUND_EXCEEDED
+    assert cut.iterations < plain.iterations
+    assert cut.primal_residual <= 1e-9  # feas_tol: the iterate is feasible
+    assert min(np.linalg.eigvalsh(x)[0] for x in cut.primal) > 0
+    assert bar < cut.primal_value <= opt + 1e-7

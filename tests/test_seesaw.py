@@ -15,6 +15,7 @@ from steercert.qlin import Povm, random_unitary
 from steercert.seesaw import (
     SeesawError,
     StopReason,
+    _EXTRAPOLATION_STEPS,
     _alice_weights,
     _geodesic,
     _measurements_sdp,
@@ -423,14 +424,14 @@ def test_iterations_record_delta_and_step():
     assert (first.delta, first.step) == (None, 0)
     ladder = [3e-2 / 10**k for k in range(6)]
     for it in rest:
-        assert it.step in (1, 3, 9, 27)
+        assert it.step in (1, *_EXTRAPOLATION_STEPS)
         assert any(it.delta == pytest.approx(delta, rel=1e-12) for delta in ladder)
     assert any(it.step > 1 for it in rest)
 
 
 def test_resuming_a_stalled_start_gains_nothing():
     stalled = 0
-    for seed in range(5):
+    for seed in range(12):  # starts 10 and 11 stall
         first = seesaw(RHO_PI7, random_povms(2, 2, 2, seed), 0, max_iters=50, tol=1e-6, ceiling=1.0)
         if first.stop_reason is not StopReason.STALL:
             continue
@@ -438,6 +439,42 @@ def test_resuming_a_stalled_start_gains_nothing():
         resumed = seesaw(RHO_PI7, list(first.final.povms), 0, max_iters=5, tol=1e-6, ceiling=1.0)
         assert resumed.final.h_min - first.final.h_min < 1e-6
     assert stalled >= 1
+
+
+def test_the_bar_cuts_short_only_rejected_candidates(monkeypatch):
+    # an accepted certification never beats its bar, so without the bar every trace is the
+    # same, bit for bit; only the candidates it rejects stop early, and save Newton steps
+    import sys
+
+    import steercert.sdp as sdp_module
+
+    mod = sys.modules["steercert.seesaw"]
+    certify, solve = mod.certify_local, sdp_module.solve
+    counts = {"steps": 0, "cut": 0}
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        counts["steps"] += sol.iterations
+        counts["cut"] += sol.status is sdp_module.SolverStatus.BOUND_EXCEEDED
+        return sol
+
+    def unbarred(asm, x_star, *, solver_opts=None, **kwargs):
+        opts = {key: value for key, value in (solver_opts or {}).items() if key != "stop_above"}
+        return certify(asm, x_star, solver_opts=opts, **kwargs)
+
+    def traces():
+        counts.update(steps=0, cut=0)
+        runs = [seesaw(RHO_PI7, random_povms(2, 2, 2, seed), 0, max_iters=50, tol=1e-6, ceiling=1.0)
+                for seed in range(5)]  # the fig6_seesaw starts
+        return [[(it.p_guess.hex(), it.delta, it.step) for it in run.iterations] for run in runs], dict(counts)
+
+    monkeypatch.setattr(sdp_module, "solve", counted)
+    barred, with_bar = traces()
+    monkeypatch.setattr(mod, "certify_local", unbarred)
+    plain, without_bar = traces()
+    assert barred == plain
+    assert with_bar["cut"] > 0 and without_bar["cut"] == 0
+    assert with_bar["steps"] < without_bar["steps"]
 
 
 def test_no_round_certifies_a_rung_twice(monkeypatch):
@@ -476,7 +513,7 @@ def test_no_round_smooths_coarser_than_the_excess(monkeypatch):
         return original(asm, res, x_star, delta)
 
     monkeypatch.setattr(mod, "_stepping_functional", recorded)
-    for seed in range(5):  # the fig6_seesaw starts
+    for seed in range(12):  # the fig6_seesaw starts, and 10 and 11, which stall
         seesaw(RHO_PI7, random_povms(2, 2, 2, seed), 0, max_iters=50, tol=1e-6, ceiling=1.0)
     assert len(rounds) > 5
     climbed = 0
