@@ -35,6 +35,7 @@ matrix multipliers by `sdp.MatrixEquality`, `sdp.expand` and `sdp.fold`.
 
 from __future__ import annotations
 
+import itertools
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -211,9 +212,10 @@ def _supports(mats: np.ndarray) -> list[list[np.ndarray]]:
     grid, or the identity when all are, so that unreduced problems keep the plain, unrotated variables.
     Each is read-only: a cached steering parent's grid and a result's functional may hold the same one."""
     vals, vecs = np.linalg.eigh(0.5 * (mats + dagger(mats)))
-    keep = vals > SUPPORT_CUTOFF * float(np.max(vals[..., -1]))
-    supports = [[np.eye(mats.shape[-1], dtype=complex) if keep[a, x].all() else vecs[a, x][:, keep[a, x]]
-                 for x in range(mats.shape[1])] for a in range(mats.shape[0])]
+    keep = vals > SUPPORT_CUTOFF * float(vals[..., -1].max())
+    eye = np.eye(mats.shape[-1], dtype=complex)
+    supports = [[eye if full else vecs[a, x][:, keep[a, x]] for x, full in enumerate(row)]
+                for a, row in enumerate(keep.all(axis=-1).tolist())]
     for v in (v for row in supports for v in row):
         v.setflags(write=False)
     return supports
@@ -235,12 +237,17 @@ class _EveGrid:
         self.supports = supports
         self.shape = (n_e, len(supports), len(supports[0]))
         self.dim = supports[0][0].shape[0]
-        keys = [key for key in np.ndindex(self.shape) if supports[key[1]][key[2]].shape[1] > 0]
+        faces = list(itertools.product(range(self.shape[1]), range(self.shape[2])))
+        keys = [(e, a, x) for e in range(n_e) for a, x in faces if supports[a][x].shape[1] > 0]
         self.ids = {key: k for k, key in enumerate(keys)}
         self.dims = tuple(supports[a][x].shape[1] for _, a, x in keys)
-        # the adjoint stacks of the embeddings X -> V X V^dag
-        self.embedded = {(a, x): self.compressed(a, x, sdp.term_stack(self.dim))
-                         for a, x in np.ndindex(self.shape[1:])}
+        # the adjoint stacks of the embeddings X -> V X V^dag, V^dag E_r V for the faces of one rank at once,
+        # each product with the operands and layout of ``compressed``'s
+        self.embedded = {}
+        for rank in dict.fromkeys(supports[a][x].shape[1] for a, x in faces):
+            at = [(a, x) for a, x in faces if supports[a][x].shape[1] == rank]
+            vs = np.array([supports[a][x] for a, x in at])
+            self.embedded.update(zip(at, vs.conj().mT[:, None] @ sdp.term_stack(self.dim) @ vs[:, None]))
 
     def compressed(self, a: int, x: int, mats: np.ndarray) -> np.ndarray:
         """V^dag M V for a matrix or a stack M, with V = supports[a][x]."""
@@ -255,24 +262,25 @@ class _EveGrid:
     def consistency(self, stacks: dict, observed: np.ndarray) -> dict:
         """sum_e T_ax(X[e, a, x]) = observed[a, x] for each (a, x), where stacks[a, x] is
         the adjoint stack of T_ax."""
-        n_e = self.shape[0]
+        n_e, n_a, m = self.shape
         return {
             (a, x): sdp.MatrixEquality(
                 self.terms(((e, a, x), stacks[a, x]) for e in range(n_e)), observed[a, x]
             )
-            for a, x in np.ndindex(self.shape[1:])
+            for a, x in itertools.product(range(n_a), range(m))
         }
 
     def no_signalling(self, x_star: int) -> dict:
         """sum_a V X[e, a, x] V^dag = sum_a V X[e, a, x*] V^dag for each e and x != x*."""
         n_e, n_a, m = self.shape
         zero = np.zeros((self.dim, self.dim), dtype=complex)
+        # 0.0 - s rather than -s leaves the zero coefficients +0
+        negated = [0.0 - self.embedded[a, x_star] for a in range(n_a)]
         equalities = {}
-        for e, x in np.ndindex(n_e, m):
+        for e, x in itertools.product(range(n_e), range(m)):
             if x != x_star:
                 plus = self.terms(((e, a, x), self.embedded[a, x]) for a in range(n_a))
-                # 0.0 - s rather than -s leaves the zero coefficients +0
-                minus = self.terms(((e, a, x_star), 0.0 - self.embedded[a, x_star]) for a in range(n_a))
+                minus = self.terms(((e, a, x_star), negated[a]) for a in range(n_a))
                 equalities[e, x] = sdp.MatrixEquality({**plus, **minus}, zero)
         return equalities
 
@@ -341,7 +349,8 @@ def _gridded(values: dict, shape: tuple[int, ...], d: int) -> np.ndarray:
     out = np.zeros(shape + (d, d), dtype=complex)
     for key, value in values.items():
         out[key] = value
-    return freeze(out)
+    out.setflags(write=False)
+    return out
 
 
 def _result(
@@ -381,10 +390,13 @@ def _solve_steering(
     supports = _supports(asm.sigma)
     grid, parent, kept = _steering_parent(supports, x_star, guess_outcome, guess_target)
     # a face of rank 0 leaves its consistency equality without terms: its data must vanish
-    _check_left_out(sdp.MatrixEquality({}, asm.sigma[key]) for key in np.ndindex(n_a, m) if key not in kept[0])
+    _check_left_out(sdp.MatrixEquality({}, asm.sigma[key])
+                    for key in itertools.product(range(n_a), range(m)) if key not in kept[0])
     # the observed blocks on the faces of rank > 0, then the no-signalling equalities' zeros
     problem = parent.with_rhs([*(asm.sigma[key] for key in kept[0]), *(eq.rhs for eq in kept[1].values())])
-    start = [grid.compressed(a, x, asm.sigma[a, x]) / n_guess for _, a, x in grid.ids] if trivial_start else None
+    # one compression per face of rank > 0, shared by Eve's guesses
+    faces = {(a, x): grid.compressed(a, x, asm.sigma[a, x]) / n_guess for a, x in kept[0]} if trivial_start else None
+    start = [faces[a, x] for _, a, x in grid.ids] if trivial_start else None
     sol, (f, g) = _solve(problem, kept, solver_opts, start)
     functional = SteeringFunctional(
         F=_gridded(f, (n_a, m), d),
@@ -414,7 +426,7 @@ def certify_local(
     ``perfbench/reference.json`` records to 1e-9.
     """
     n_a, d = asm.scenario.n_outcomes, asm.scenario.bob_dim
-    targets = np.tile(np.eye(d, dtype=complex), (n_a, 1, 1))
+    targets = np.eye(d, dtype=complex)[None].repeat(n_a, axis=0)
     return _solve_steering(asm, x_star, np.arange(n_a), targets, solver_opts, trivial_start)
 
 

@@ -17,6 +17,7 @@ Tolerances: 1e-12 for algebraic identities, 1e-10 for PSD / POVM validation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ _SUBSYSTEM_NAMES = {"A": 0, "B": 1, "E": 2}
 
 def dagger(a: np.ndarray) -> np.ndarray:
     """Adjoint of a matrix, or of each matrix in a stack (last two axes)."""
-    return np.conj(np.swapaxes(a, -1, -2))
+    return np.conj(a).swapaxes(-1, -2)
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
@@ -62,8 +63,11 @@ def is_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:
 def not_psd(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """Which matrices of a stack ``is_psd`` rejects, by one Hermiticity test and one
     ``eigvalsh`` of the whole stack."""
-    hermitian = np.max(np.abs(stack - dagger(stack)), axis=(-2, -1)) <= max(tol, ALG_TOL)
-    h = np.where(hermitian[..., None, None], 0.5 * (stack + dagger(stack)), 0.0)  # no eigvalsh of a NaN
+    adjoint = dagger(stack)
+    hermitian = np.abs(stack - adjoint).max(axis=(-2, -1)) <= max(tol, ALG_TOL)
+    h = 0.5 * (stack + adjoint)
+    if not hermitian.all():
+        h[~hermitian] = 0.0  # no eigvalsh of a NaN
     return ~(hermitian & (np.linalg.eigvalsh(h)[..., 0] >= -tol))
 
 
@@ -86,7 +90,7 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
     """
     m = np.asarray(m, dtype=complex)
     dims = tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if m.ndim < 2 or m.shape[-2:] != (total, total):
         raise ValueError(f"operator dimension {m.shape} does not match subsystem dims {dims}")
     if isinstance(keep, str):
@@ -103,7 +107,7 @@ def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
     traced = [i for i in range(n) if i not in keep]
     for count, i in enumerate(sorted(traced, reverse=True)):
         t = np.trace(t, axis1=len(lead) + i, axis2=len(lead) + i + n - count)
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
+    d_keep = math.prod(dims[k] for k in keep)
     return t.reshape(lead + (d_keep, d_keep))
 
 
@@ -169,10 +173,10 @@ class Povm:
         for k, e in enumerate(els):
             if np.shape(e) != (d, d):
                 raise ValueError(f"element {k} has shape {np.shape(e)}, expected ({d}, {d})")
-        stack = freeze(els)
-        if (bad := np.flatnonzero(not_psd(stack, tol))).size:
-            raise ValueError(f"element {bad[0]} is not PSD within {tol:g}")
-        defect = np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])))
+        stack = freeze(elements if isinstance(elements, np.ndarray) else els)
+        if (bad := not_psd(stack, tol)).any():
+            raise ValueError(f"element {np.flatnonzero(bad)[0]} is not PSD within {tol:g}")
+        defect = np.abs(stack.sum(axis=0) - np.eye(stack.shape[1])).max()
         if defect > tol:
             raise ValueError(f"elements sum to identity only within {defect:.3e}")
         object.__setattr__(self, "elements", stack)

@@ -58,14 +58,14 @@ class Assemblage:
         expected = (scenario.n_outcomes, scenario.n_inputs, scenario.bob_dim, scenario.bob_dim)
         if sigma.shape != expected:
             raise ValueError(f"sigma has shape {sigma.shape}, expected {expected}")
-        if (bad := np.argwhere(not_psd(sigma, tol))).size:
-            raise ValueError(f"sigma[{bad[0][0]}|{bad[0][1]}] is not PSD within {tol:g}")
+        if (bad := not_psd(sigma, tol)).any():
+            a, x = np.argwhere(bad)[0]
+            raise ValueError(f"sigma[{a}|{x}] is not PSD within {tol:g}")
         reduced = sigma.sum(axis=0)
-        for x in range(1, scenario.n_inputs):
-            if np.max(np.abs(reduced[x] - reduced[0])) > tol:
-                raise ValueError("assemblage signals: sum_a sigma[a|x] depends on x")
-        if abs(np.trace(reduced[0]).real - 1.0) > tol:
-            raise ValueError(f"assemblage is not normalized: Tr = {np.trace(reduced[0]).real}")
+        if np.abs(reduced[1:] - reduced[0]).max(initial=0.0) > tol:
+            raise ValueError("assemblage signals: sum_a sigma[a|x] depends on x")
+        if abs(reduced[0].trace().real - 1.0) > tol:
+            raise ValueError(f"assemblage is not normalized: Tr = {reduced[0].trace().real}")
         object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "sigma", sigma)
 
@@ -207,13 +207,15 @@ def apply_loss(povm: Povm, eta: float) -> Povm:
 
 def _contract(rho: np.ndarray, mats: np.ndarray, d_a: int, on_alice: bool) -> np.ndarray:
     """Tr_A[(M (x) 1) rho] for each M of a stack when ``on_alice``, else Tr_B[(1 (x) M) rho]:
-    one kron, one product with rho and one partial trace for the whole stack, whose
-    products and order of accumulation are those of each matrix taken alone."""
+    one Kronecker product (the products ``np.kron`` forms, by one broadcast multiply), one
+    product with rho and one partial trace for the whole stack, whose products and order of
+    accumulation are those of each matrix taken alone."""
     d_b = rho.shape[0] // d_a
     if on_alice:
-        lifted = np.kron(mats, np.eye(d_b, dtype=complex))
+        lifted = mats[..., :, None, :, None] * np.eye(d_b, dtype=complex)[:, None, :]
     else:
-        lifted = np.kron(np.eye(d_a, dtype=complex), mats)
+        lifted = np.eye(d_a, dtype=complex)[:, None, :, None] * mats[..., None, :, None, :]
+    lifted = lifted.reshape(mats.shape[:-2] + (d_a * d_b, d_a * d_b))
     return partial_trace(lifted @ rho, (d_a, d_b), keep="B" if on_alice else "A")
 
 

@@ -34,16 +34,18 @@ The algorithm is infeasible-start path following with Nesterov-Todd
 scaling and a Mehrotra-style predictor-corrector, solving the dense
 Schur complement with LAPACK potrf/potrs; when potrf fails, its diagonal
 is shifted by 1e-13 to 1e-7 of its mean, and the shift is logged. A solve
-whose best merit is 4 iterations old while each of its last 5 Schur
-complements needed a shift has stalled: it stops with NUMERICAL_TROUBLE and,
-like any unfinished solve, returns its best-merit iterate. A caller that
+whose best merit is at least 1 iteration old while each of its last 2 Schur
+complements needed a shift has stalled: it stops there with NUMERICAL_TROUBLE
+and, like any unfinished solve, returns its best-merit iterate, which further
+steps would not have changed on any benchmark solve. A caller that
 only asks whether the optimum exceeds a value passes it as ``stop_above``:
 the first iterate that is primal feasible within ``feas_tol`` and whose value
 beats it by more than an optimal end's gap ends the solve, and is returned as
 it is with status BOUND_EXCEEDED (``solve`` derives the margin). A
 presolve pass removes linearly dependent constraint rows (the R factor of
-a pivoted QR, pivot threshold 1e-10) and checks, with R11^-1 R12, that the
-removed rows are consistent; dual multipliers for removed rows
+a pivoted QR, pivot threshold 1e-10, by LAPACK's dgeqp3 and dtrtrs called as
+``scipy.linalg.qr`` and ``solve_triangular`` call them) and checks, with
+R11^-1 R12, that the removed rows are consistent; dual multipliers for removed rows
 are reported as zero, which keeps the returned ``dual`` vector a valid
 certificate in the original row order. Each iteration's gap and residuals
 are logged at DEBUG level on the ``steercert`` logger.
@@ -68,17 +70,15 @@ problem built afresh. Every other problem, the parent included, gets a structure
 Builders keep parents keyed by what they are built from: ``scenario.lhs_test`` its last
 (outcomes, inputs, d); steering certifications, facially reduced or not, up to 8 keyed by
 (shape, x*, guess outcomes, guess-target bytes, face ranks), each holding the face isometries
-it was built for and rebuilt when a call's differ in any byte. Keying by those bytes as well
-would keep up to 8 parents of one rank pattern alive (``fig4_qutrit_loss``'s lossy points turn
-their faces point by point): 15% more peak memory on its benchmark for one build fewer per pass.
-A key computed from content would need the problem assembled, which is the cost a structure
-saves; ``certify_pm`` keeps none.
+it was built for and rebuilt when a call's differ in any byte (README, "Numerical notes", says
+why not keyed by those bytes or by content); ``certify_pm`` keeps none.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -92,8 +92,8 @@ _log = logging.getLogger("steercert")
 
 # stall stop: the best merit is this many iterations old, and the Schur complement
 # needed regularisation at each of this many last steps, the current one included
-_STALL_ITERS = 4
-_STALL_REGULARISED = 5
+_STALL_ITERS = 1
+_STALL_REGULARISED = 2
 # an unfinished solve whose best iterate has a relative gap and residuals within this is Optimal
 _ACCEPT_TOL = 1e-8
 _STEP_FRAC = 0.98  # the fraction of the step to the PSD boundary taken
@@ -102,7 +102,7 @@ _STEP_FRAC = 0.98  # the fraction of the step to the PSD boundary taken
 _cholesky = np.linalg._umath_linalg.cholesky_lo
 _svd = np.linalg._umath_linalg.svd_f
 _eigvalsh = np.linalg._umath_linalg.eigvalsh_lo
-_dtrtrs, _dpotrf, _dpotrs = sla.lapack.dtrtrs, sla.lapack.dpotrf, sla.lapack.dpotrs
+_dtrtrs, _dpotrf, _dpotrs, _dgeqp3 = sla.lapack.dtrtrs, sla.lapack.dpotrf, sla.lapack.dpotrs, sla.lapack.dgeqp3
 
 
 class SolverStatus(enum.Enum):
@@ -169,17 +169,23 @@ class _Rows(Sequence):  # the rows ``expand`` makes of ``equalities``
                 for eq in self.equalities for r in range(eq.rhs.shape[-1] ** 2)]
 
 
+def _by_dimension(equalities: list[MatrixEquality]):
+    """Per dimension d of the equalities: d, the positions of its equalities, and their rows' indices."""
+    dims = [eq.rhs.shape[-1] for eq in equalities]
+    starts = np.cumsum([0] + [d * d for d in dims])
+    for d in dict.fromkeys(dims):
+        at = [q for q, dq in enumerate(dims) if dq == d]
+        yield d, at, starts[at, None] + np.arange(d * d)
+
+
 def _rhs_rows(equalities: list[MatrixEquality]) -> np.ndarray:
     """The right-hand side <E_r, rhs> of each row of each equality in turn, one stack per dimension."""
-    dims = np.array([eq.rhs.shape[-1] for eq in equalities], dtype=int)
-    starts, out = np.cumsum(dims**2) - dims**2, np.empty(int(np.sum(dims**2)))
-    for d in dict.fromkeys(dims.tolist()):
-        at = np.flatnonzero(dims == d)
-        stack = np.stack([equalities[q].rhs for q in at])
+    out = np.empty(sum(eq.rhs.shape[-1] ** 2 for eq in equalities))
+    for d, at, rows in _by_dimension(equalities):
+        stack = np.array([equalities[q].rhs for q in at])
         # within the tolerance of Assemblage and realify, which every valid assemblage meets
         _check_hermitian(stack, lambda j: f"the right-hand side of equality {at[j]}", tol=1e-9)
-        rhs = np.real(np.sum(np.conj(_basis(d)) * stack[:, None], axis=(-2, -1)))
-        out[(starts[at, None] + np.arange(d * d)).ravel()] = rhs.ravel()
+        out[rows.ravel()] = (np.conj(_basis(d)) * stack[:, None]).sum(axis=(-2, -1)).real.ravel()
     return out
 
 
@@ -191,10 +197,15 @@ def expand(equalities: list[MatrixEquality]) -> Sequence[LinearConstraint]:
 
 def fold(equalities: list[MatrixEquality], y: np.ndarray) -> list[np.ndarray]:
     """Each equality's multiplier Y = sum_r y_r E_r, as a Hermitian matrix, from the multipliers
-    ``y`` of its rows: the terms y_r E_r added one after another to a zero, in basis order."""
-    starts = np.cumsum([0] + [eq.rhs.shape[-1] ** 2 for eq in equalities])
-    return [np.add.accumulate(np.concatenate([np.zeros((1,) + e.shape[1:]), y[i:j, None, None] * e]))[-1]
-            for i, j, e in zip(starts, starts[1:], (_basis(eq.rhs.shape[-1]) for eq in equalities))]
+    ``y`` of its rows: the terms y_r E_r added one after another to a zero, in basis order, for all
+    the equalities of one dimension at once."""
+    out = [None] * len(equalities)
+    for d, at, rows in _by_dimension(equalities):
+        terms = y[rows][..., None, None] * _basis(d)
+        sums = np.add.accumulate(np.concatenate([np.zeros((len(at), 1, d, d)), terms], 1), axis=1)[:, -1]
+        for q, total in zip(at, sums):
+            out[q] = total
+    return out
 
 
 @dataclass
@@ -349,11 +360,10 @@ def _sparse_rows(a3: list[np.ndarray], order, dims: list[int], idx: list):
     mr = a3[0].shape[1]
     rows = []
     for a in a3:
-        touched = np.any(a != 0.0, axis=-1)
+        touched = (a != 0.0).any(axis=-1)
         width = int(touched.sum(axis=1).max())
-        rows.append(np.full((len(a), max(width, min(2, mr, 2 * width))), mr))  # width 1 would take ddot
-        k, i = np.nonzero(touched)
-        rows[-1][k, np.cumsum(touched, axis=1)[k, i] - 1] = i
+        # each block's rows in order, then the dummy row; width 1 would take ddot
+        rows.append(np.sort(np.where(touched, np.arange(mr), mr), axis=1)[:, :max(width, min(2, mr, 2 * width))])
     a_sp = [np.concatenate([a, np.zeros((len(a), 1, a.shape[-1]))], 1)[np.arange(len(a))[:, None], r]
             for a, r in zip(a3, rows)]
     amats = [_unsvec(a, d, ix).transpose(0, 2, 1, 3).reshape(len(a), d, -1) for a, d, ix in zip(a_sp, dims, idx)]
@@ -386,20 +396,33 @@ def _schur(tmats: list[np.ndarray], amats: list[np.ndarray], a_sp: list[np.ndarr
 
 def _presolve(mat: np.ndarray, pivot_tol: float):
     """A full-rank subset of the rows of ``mat``: the pivot order of a pivoted QR of mat^T, the
-    rank, and R11^-1 R12, which writes the dropped rows in terms of the kept ones (None: none dropped)."""
-    r, piv = sla.qr(mat.T, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > pivot_tol * diag[:1]))  # no row, no rank
-    # mat.T P = Q R: the dropped rows are R11^-1 R12 times the kept ones, in pivot order
-    coef = sla.solve_triangular(r[:rank, :rank], r[:rank, rank:]) if rank < len(piv) else None
-    return piv, rank, coef
+    rank, and R11^-1 R12, which writes the dropped rows in terms of the kept ones (None: none dropped).
+    dgeqp3 and dtrtrs get what ``scipy.linalg.qr(mat.T, mode="r", pivoting=True)`` and ``solve_triangular``
+    give them, dgeqp3 the workspace it asks for (a smaller one rounds differently)."""
+    if not np.isfinite(mat).all():
+        raise ValueError("array must not contain infs or NaNs")
+    if not mat.size:  # no row, no rank
+        return np.arange(len(mat), dtype=np.int32), 0, np.zeros((0, len(mat))) if len(mat) else None
+    r, piv = _dgeqp3(mat.T, int(_dgeqp3(mat.T, lwork=-1)[-2][0]))[:2]
+    piv -= 1
+    diag = np.abs(r.diagonal())
+    rank = int(np.count_nonzero(diag > pivot_tol * diag[0]))
+    if rank == len(piv):
+        return piv, rank, None
+    # mat.T P = Q R: the dropped rows are R11^-1 R12 times the kept ones, in pivot order; trtrs reads
+    # R's upper triangle only, and gets R11 as solve_triangular passes scipy's C-ordered one
+    r11, r12 = r[:rank, :rank], r[:rank, rank:]
+    if not rank:
+        return piv, rank, r12
+    return piv, rank, (_dtrtrs(r11, r12) if rank == 1 else _dtrtrs(r11.T, r12, 1, 1))[0]
 
 
 def _check_hermitian(stack: np.ndarray, where, tol: float = 1e-10) -> None:
     """Raise unless every matrix of a stack is Hermitian within ``tol``; ``where(*i)`` names its matrix i."""
-    defect = np.max(np.abs(stack - dagger(stack)), axis=(-2, -1))
-    if (bad := np.argwhere(defect > tol)).size:
-        raise ValueError(f"{where(*bad[0])} is not Hermitian (defect {defect[tuple(bad[0])]:.2e})")
+    defect = np.abs(stack - dagger(stack)).max(axis=(-2, -1))
+    if (defect > tol).any():
+        bad = np.argwhere(defect > tol)[0]
+        raise ValueError(f"{where(*bad)} is not Hermitian (defect {defect[tuple(bad)]:.2e})")
 
 
 def _equalities(constraints) -> list[MatrixEquality]:
@@ -423,7 +446,7 @@ def _assemble(problem: SdpProblem):
         raise ValueError("objective must provide one entry per block (None for zero)")
     equalities = _equalities(problem.constraints)
     offsets = np.cumsum([0] + [d * (2 * d + 1) for d in dims])  # svec length of a realified block
-    starts = np.cumsum([0] + [eq.rhs.shape[-1] ** 2 for eq in equalities]).tolist()
+    starts = list(itertools.accumulate((eq.rhs.shape[-1] ** 2 for eq in equalities), initial=0))
     uses = {}  # shape -> {id of a term stack of that shape: (the stack, [(first row, block) of each use])}
     for eq, start, stop in zip(equalities, starts, starts[1:]):
         for k, stack in eq.terms.items():
@@ -433,7 +456,7 @@ def _assemble(problem: SdpProblem):
     rows = np.zeros((starts[-1], offsets[-1]))
     for (n, d, _), distinct in uses.items():  # the distinct stacks of one shape: checked, realified, svec'd at once
         stacks, at = zip(*distinct.values())
-        _check_hermitian(big := np.stack(stacks), lambda j, r: f"constraint {at[j][0][0] + r} block {at[j][0][1]}")
+        _check_hermitian(big := np.array(stacks), lambda j, r: f"constraint {at[j][0][0] + r} block {at[j][0][1]}")
         svecs = _svec(_realify(big), _svec_indices(2 * d))
         which, first, block = np.array([(j, start, k) for j, at_j in enumerate(at) for start, k in at_j]).T
         rows[first[:, None, None] + np.arange(n)[:, None],
@@ -441,9 +464,9 @@ def _assemble(problem: SdpProblem):
     for k, c in enumerate(problem.objective):
         if c is not None and np.shape(c) != (dims[k], dims[k]):
             raise ValueError(f"objective block {k} has shape {np.shape(c)}, expected ({dims[k]}, {dims[k]})")
-    groups = [np.flatnonzero(np.array(dims) == d) for d in dict.fromkeys(dims)]
+    groups = [np.array([k for k, dk in enumerate(dims) if dk == d]) for d in dict.fromkeys(dims)]
     zero = {d: np.zeros((d, d)) for d in dict.fromkeys(dims)}
-    objectives = [np.stack([zero[dims[k]] if problem.objective[k] is None else problem.objective[k] for k in blocks])
+    objectives = [np.array([zero[dims[k]] if problem.objective[k] is None else problem.objective[k] for k in blocks])
                   for blocks in groups]
     for blocks, stack in zip(groups, objectives):
         _check_hermitian(stack, lambda j: f"objective block {blocks[j]}")
@@ -462,9 +485,10 @@ def _checked_start(start, block_dims: tuple[int, ...], groups: list[np.ndarray])
             raise ValueError(f"start block {k} has shape {np.shape(x)}, expected ({d}, {d})")
     stacks, defects, definite = [], np.empty(len(block_dims)), np.empty(len(block_dims), dtype=bool)
     for blocks in groups:
-        x = np.stack([np.asarray(start[k], dtype=complex) for k in blocks])
-        defects[blocks] = np.max(np.abs(x - dagger(x)), axis=(-2, -1))
-        stacks.append(h := 0.5 * (x + dagger(x)))
+        x = np.array([start[k] for k in blocks], dtype=complex)
+        adjoint = dagger(x)
+        defects[blocks] = np.abs(x - adjoint).max(axis=(-2, -1))
+        stacks.append(h := 0.5 * (x + adjoint))
         definite[blocks] = np.linalg.eigvalsh(h)[:, 0] > 0.0
     if (bad := np.flatnonzero((defects > 1e-9) | ~definite)).size:
         k = bad[0]
@@ -472,15 +496,6 @@ def _checked_start(start, block_dims: tuple[int, ...], groups: list[np.ndarray])
             raise ValueError(f"start block {k} is not Hermitian (defect {defects[k]:.2e})")
         raise ValueError(f"start block {k} is not positive definite")
     return stacks
-
-
-def _read_only(value) -> None:
-    """Mark every array in ``value``, and in the lists and tuples it holds, read-only."""
-    if isinstance(value, np.ndarray):
-        value.setflags(write=False)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _read_only(item)
 
 
 class Structure:
@@ -499,20 +514,27 @@ class Structure:
         self.idx = [_svec_indices(d) for d in self.dims]
         self.cmats = [_realify(c) for c in objectives]
         self.groups = groups
-        order = np.argsort(np.concatenate(groups))
-        self.order = None if np.array_equal(order, np.arange(len(order))) else order  # None: already in it
+        flat = [k for blocks in groups for k in blocks.tolist()]
+        self.order = None if flat == sorted(flat) else np.argsort(flat)  # None: already in it
         piv, rank, coef = _presolve(rows, pivot_tol=1e-10)
         self.keep, self.drop = np.sort(piv[:rank]), np.sort(piv[rank:])
         self.pivots, self.coef_t = (piv[:rank], piv[rank:]), None if coef is None else coef.T
-        self.row_norms = np.linalg.norm(rows, axis=1)[self.keep]  # for the start point
-        self.xi_d = max(1.0, max(float(np.linalg.norm(c)) for c in self.in_order(self.cmats))) * np.sqrt(max(self.dims))
+        kept = rows[self.keep]
+        self.row_norms = np.sqrt(np.add.reduce(kept * kept, axis=1))  # np.linalg.norm's, for the start point
+        # the largest Frobenius norm of a realified objective block, each by one ddot as in np.linalg.norm
+        sq = max(float((f[:, None, :] @ f[:, :, None]).max()) for f in (c.reshape(len(c), -1) for c in self.cmats))
+        self.xi_d = max(1.0, np.sqrt(sq)) * np.sqrt(max(self.dims))
+        self.z_start = [self.xi_d * eye[None].repeat(n, axis=0) for eye, n in zip(self.eyes, self.sizes)]
         self.a3 = self.a_sp = self.amats = self.schur_plan = None
         if rank:
             # the kept rows in svec coordinates, one C-contiguous (n_g, mr, s) stack per group (BLAS rounds by layout)
             self.a3 = [rows[self.keep[None, :, None], (offsets[blocks][:, None] + np.arange(len(ix[0])))[:, None, :]]
                        for blocks, ix in zip(groups, self.idx)]
             self.a_sp, self.amats, self.schur_plan = _sparse_rows(self.a3, self.order, self.dims, self.idx)
-        _read_only(list(vars(self).values()))
+        for value in vars(self).values():  # every array made here, also in a list or tuple (idx's are read-only)
+            for array in value if isinstance(value, (list, tuple)) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
 
     def violation(self, b: np.ndarray) -> float:
         """The largest amount by which b breaks the linear dependencies of the dropped rows."""
@@ -578,24 +600,26 @@ def solve(
     b = _rhs(problem.constraints)
     sizes, eyes, cmats, keep = st.sizes, st.eyes, st.cmats, st.keep
 
-    def _package(xzs, y_red, status, iters, pres, dres, shifted=0):
+    def _package(xzs, y_red, status, iters, pres, dres, shifted=0, pval=None):
+        if xzs is None:
+            xzs = [np.zeros((2 * len(z),) + z.shape[1:]) for z in st.z_start]
         y = np.zeros(st.m)
         if y_red is not None:
             y[keep] = y_red
-        pval = st.objective(xzs)
+        pval = st.objective(xzs) if pval is None else pval
         dval = 0.5 * float(b @ y)
         gap = abs(pval - dval) / (1.0 + abs(pval))
-        primal = st.in_order([derealify(xz[:n]) for xz, n in zip(xzs, sizes)])
-        slacks = st.in_order([derealify(xz[n:]) for xz, n in zip(xzs, sizes)])
+        herms = [derealify(xz) for xz in xzs]
+        primal = st.in_order([h[:n] for h, n in zip(herms, sizes)])
+        slacks = st.in_order([h[n:] for h, n in zip(herms, sizes)])
         return SdpSolution(primal, y, slacks, float(pval), dval, float(gap), status, iters, pres, dres,
                            tuple(int(i) for i in st.drop), shifted)
 
     b_scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
     violation = st.violation(b)
-    zero_xzs = [np.zeros((2 * len(c),) + c.shape[1:]) for c in cmats]
     if not violation <= _ACCEPT_TOL * b_scale:
         # the rows and right-hand sides are realified, which doubles the violation
-        return _package(zero_xzs, None, SolverStatus.INFEASIBLE, 0, 0.5 * violation, np.inf)
+        return _package(None, None, SolverStatus.INFEASIBLE, 0, 0.5 * violation, np.inf)
 
     b_red = b[keep]
     mr = len(keep)
@@ -606,11 +630,11 @@ def solve(
     # infeasible start: scaled identities sized from the data, or the caller's primal blocks
     if start is None:
         xi_p = max(1.0, float(np.max(np.abs(b_red) / (1.0 + st.row_norms)))) * np.sqrt(max(st.dims))
-        xs = [xi_p * np.tile(eye, (n, 1, 1)) for eye, n in zip(eyes, sizes)]
+        xs = [xi_p * eye[None].repeat(n, axis=0) for eye, n in zip(eyes, sizes)]
     else:
         xs = [_realify(stack) for stack in start]
     # each group's X and Z blocks as one stack [X; Z]
-    xzs = [np.concatenate([x, st.xi_d * np.tile(eye, (n, 1, 1))]) for x, eye, n in zip(xs, eyes, sizes)]
+    xzs = [np.concatenate([x, z]) for x, z in zip(xs, st.z_start)]
     y = np.zeros(mr)
     eye_m = np.eye(mr)
     # the primal value above which a feasible iterate ends the solve; see the docstring
@@ -639,13 +663,13 @@ def solve(
         _log.debug("iter %3d  gap %9.2e  pres %9.2e  dres %9.2e", it, relgap, pres, dres)
         if merit < best_merit:
             best_merit, best_it = merit, it
-            best = (xzs, y, pres, dres)  # iterates are replaced, never changed in place
+            best = (xzs, y, pres, dres, pobj, relgap)  # iterates are replaced, never changed in place
         if relgap <= gap_tol and pres <= feas_tol and dres <= feas_tol:
             status = SolverStatus.OPTIMAL
             break
         if pres <= feas_tol and pobj > bar:
             _log.debug("iter %3d  primal value %.12g beats the bar %.12g", it, pobj, stop_above)
-            return _package(xzs, y, SolverStatus.BOUND_EXCEEDED, it, pres, dres, regularised_steps)
+            return _package(xzs, y, SolverStatus.BOUND_EXCEEDED, it, pres, dres, regularised_steps, pobj)
 
         # divergence guard: a growing dual iterate whose direction improves the
         # dual objective while staying dual-feasible certifies infeasibility
@@ -728,13 +752,10 @@ def solve(
         iters_done = max_iters
 
     if status is SolverStatus.INFEASIBLE:
-        return _package(zero_xzs, None, status, iters_done, np.inf, np.inf, regularised_steps)
+        return _package(None, None, status, iters_done, np.inf, np.inf, regularised_steps)
 
-    xzs_f, y_f, pres_f, dres_f = best if best is not None else (xzs, y, np.inf, np.inf)
-    pobj = objective(xzs_f)
-    dobj = 0.5 * float(b_red @ y_f)
-    relgap = abs(pobj - dobj) / (1.0 + abs(pobj))
+    xzs_f, y_f, pres_f, dres_f, pobj, relgap = best if best is not None else (xzs, y, np.inf, np.inf, None, np.inf)
     if status is not SolverStatus.OPTIMAL:
         if relgap <= _ACCEPT_TOL and pres_f <= _ACCEPT_TOL and dres_f <= _ACCEPT_TOL:
             status = SolverStatus.OPTIMAL
-    return _package(xzs_f, y_f, status, iters_done, pres_f, dres_f, regularised_steps)
+    return _package(xzs_f, y_f, status, iters_done, pres_f, dres_f, regularised_steps, pobj)

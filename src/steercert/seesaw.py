@@ -305,8 +305,8 @@ def seesaw(
     never reaches its bar, so the bar changes no recorded value, only the
     Newton steps of the rejected candidates. Those cheap rejections pay for
     the steps beyond 27: on the five `fig6_seesaw` starts, 166 solves and
-    1,527 Newton steps per pass with steps to 27 and no bar, 157 solves and
-    1,242 Newton steps with both, and start 4 converges.
+    1,527 Newton steps per pass with steps to 27 and no bar, 157 and 1,242
+    with both (1,162 with `sdp`'s stall stop), and start 4 converges.
 
     Eve always guesses with probability at least 1/n (n outcomes, a
     no-click outcome included), so the guessing probability can fall by at

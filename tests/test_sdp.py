@@ -11,6 +11,8 @@ from steercert.sdp import (
     MatrixEquality,
     SdpProblem,
     SolverStatus,
+    _STALL_ITERS,
+    _STALL_REGULARISED,
     _max_steps,
     _schur,
     _sparse_rows,
@@ -407,7 +409,7 @@ def test_stalled_solve_stops_early(monkeypatch, caplog):
                          r"regularised at each of the last (\d+) steps", stalled[0])
     assert match is not None
     it, best_it, regularised = map(int, match.groups())
-    assert it == sol.iterations and it - best_it >= 4 and regularised >= 5
+    assert it == sol.iterations and it - best_it >= _STALL_ITERS and regularised >= _STALL_REGULARISED
     # before the stall stop, this solve ran 30 iterations to the same status and iterate
     assert sol.iterations < 30
     pres, dres = recomputed_residuals(problem, sol)
@@ -948,3 +950,27 @@ def test_a_bar_below_the_optimum_stops_at_a_feasible_iterate_above_it():
     assert cut.primal_residual <= 1e-9  # feas_tol: the iterate is feasible
     assert min(np.linalg.eigvalsh(x)[0] for x in cut.primal) > 0
     assert bar < cut.primal_value <= opt + 1e-7
+
+
+@pytest.mark.parametrize("lossy", [True, False])
+def test_presolve_matches_scipy_qr_bit_for_bit(monkeypatch, lossy):
+    # _presolve calls LAPACK's dgeqp3 and dtrtrs itself, with dgeqp3's queried workspace (a smaller one
+    # takes its unblocked path, which rounds the large problem differently); scipy is the reference
+    from steercert.certify import certify_local
+    from steercert.sdp import _assemble, _presolve
+    from steercert.scenario import apply_loss, assemblage_from, isotropic_state, mub_povms, pauli_xz, schmidt_state
+
+    if lossy:  # a fig4_qutrit_loss point: qutrits under 4 MUBs at efficiency 0.5
+        asm, shape = assemblage_from(isotropic_state(3, 1.0), [apply_loss(p, 0.5) for p in mub_povms(3, 4)]), (252, 480)
+    else:  # a see-saw round's rank-1 faces: a pure qubit state under X and Z
+        asm, shape = assemblage_from(schmidt_state([0.7, 0.3]), pauli_xz()), (24, 24)
+    rows = _assemble(captured_problem(monkeypatch, certify_local, asm, 0))[0]
+    assert rows.shape == shape
+    piv, rank, coef = _presolve(rows, pivot_tol=1e-10)
+    r, want_piv = sla.qr(rows.T, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    want_rank = int(np.sum(diag > 1e-10 * diag[:1]))
+    want_coef = sla.solve_triangular(r[:want_rank, :want_rank], r[:want_rank, want_rank:])
+    assert rank == want_rank < len(rows)
+    assert piv.dtype == want_piv.dtype and np.array_equal(piv, want_piv)
+    assert coef.shape == want_coef.shape and coef.tobytes() == want_coef.tobytes()

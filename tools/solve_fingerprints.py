@@ -8,7 +8,9 @@ or compare the solves of this checkout with those of another.
 Each hash covers the primal and dual iterates, the dual slacks, both values, the
 gap, the status, the iteration count, both residuals and the dropped rows, so equal
 lines mean bit-for-bit equal solves; `regularised_steps` is left out, so that
-checkouts from before it still compare. `--root` names the checkout whose
+checkouts from before it still compare. `--ignore-iterations` leaves the iteration
+count out too, so that equal lines mean the same returned solution, however many
+Newton steps it took: a change that only stops some solves sooner compares equal. `--root` names the checkout whose
 `perfbench/workloads.py` and `src/` are used (default: this one). Ops run once each,
 in `workloads.build` order, each after a `# <op key>` line. `--against ROOT` runs
 each workload at both checkouts in subprocesses and compares each op's hashes as
@@ -39,6 +41,7 @@ parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
 parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
 parser.add_argument("--against", help="another checkout, or a git revision of this one, to compare with")
+parser.add_argument("--ignore-iterations", action="store_true", help="leave the iteration count out of each hash")
 
 
 @contextlib.contextmanager
@@ -55,9 +58,10 @@ def checkout(root: Path, against: str):
         yield Path(tmp)
 
 
-def solves_by_op(root: Path, workload: str) -> dict[str, list[str]]:
+def solves_by_op(root: Path, workload: str, ignore_iterations: bool) -> dict[str, list[str]]:
     """The hashes of one pass at `root`, listed per op key."""
-    out = subprocess.run([sys.executable, __file__, "--workload", workload, "--root", str(root)],
+    flags = ["--ignore-iterations"] if ignore_iterations else []
+    out = subprocess.run([sys.executable, __file__, "--workload", workload, "--root", str(root), *flags],
                          capture_output=True, text=True, check=True).stdout
     ops: dict[str, list[str]] = {}
     for line in out.splitlines():
@@ -68,10 +72,10 @@ def solves_by_op(root: Path, workload: str) -> dict[str, list[str]]:
     return ops
 
 
-def compare(root: Path, other: Path, workload: str, label: str) -> bool:
+def compare(root: Path, other: Path, workload: str, label: str, ignore_iterations: bool) -> bool:
     """Print how many of the workload's solves differ between the checkouts, and where;
     `label` names `other` in the output."""
-    mine, theirs = solves_by_op(root, workload), solves_by_op(other, workload)
+    mine, theirs = (solves_by_op(side, workload, ignore_iterations) for side in (root, other))
     only = {}  # op key -> (solves only here, solves only at `other`)
     for key in mine | theirs:
         here, there = Counter(mine.get(key, [])), Counter(theirs.get(key, []))
@@ -90,7 +94,7 @@ if __name__ == "__main__":
     workloads = list(WORKLOADS) if args.workload == "all" else [args.workload]
     if args.against:
         with checkout(args.root, args.against) as other:
-            differ = [compare(args.root, other, name, args.against) for name in workloads]
+            differ = [compare(args.root, other, name, args.against, args.ignore_iterations) for name in workloads]
         sys.exit(int(any(differ)))
     sys.path.insert(0, str(args.root.resolve() / "perfbench"))
     import numpy as np
@@ -102,7 +106,8 @@ if __name__ == "__main__":
         h = hashlib.sha256()
         for a in (*sol.primal, sol.dual, *sol.dual_slacks):
             h.update(repr(a.shape).encode() + np.ascontiguousarray(a).tobytes())
-        h.update(repr((sol.primal_value, sol.dual_value, sol.gap, sol.status.value, sol.iterations,
+        iterations = () if args.ignore_iterations else (sol.iterations,)
+        h.update(repr((sol.primal_value, sol.dual_value, sol.gap, sol.status.value, *iterations,
                        sol.primal_residual, sol.dual_residual, sol.dropped_rows)).encode())
         return h.hexdigest()
 
