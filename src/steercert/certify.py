@@ -377,11 +377,10 @@ def _solve_steering(
     guess_outcome: np.ndarray,
     guess_target: np.ndarray,
     solver_opts: dict | None = None,
-    trivial_start: bool = False,
 ) -> CertificationResult:
-    """Shared engine for the local and global steering certifications. With ``trivial_start``
-    the solve starts from Eve's trivial strategy X[e, a, x] = V^dag sigma_{a|x} V / n_guess,
-    which is consistent, no-signalling and positive definite on every face kept."""
+    """Shared engine for the local and global steering certifications. The solve starts from
+    Eve's trivial strategy X[e, a, x] = V^dag sigma_{a|x} V / n_guess, which is consistent,
+    no-signalling and positive definite on every face kept."""
     sc = asm.scenario
     _check_x_star(sc.n_inputs, x_star)
     n_a, m, d = sc.n_outcomes, sc.n_inputs, sc.bob_dim
@@ -395,9 +394,8 @@ def _solve_steering(
     # the observed blocks on the faces of rank > 0, then the no-signalling equalities' zeros
     problem = parent.with_rhs([*(asm.sigma[key] for key in kept[0]), *(eq.rhs for eq in kept[1].values())])
     # one compression per face of rank > 0, shared by Eve's guesses
-    faces = {(a, x): grid.compressed(a, x, asm.sigma[a, x]) / n_guess for a, x in kept[0]} if trivial_start else None
-    start = [faces[a, x] for _, a, x in grid.ids] if trivial_start else None
-    sol, (f, g) = _solve(problem, kept, solver_opts, start)
+    faces = {(a, x): grid.compressed(a, x, asm.sigma[a, x]) / n_guess for a, x in kept[0]}
+    sol, (f, g) = _solve(problem, kept, solver_opts, [faces[a, x] for _, a, x in grid.ids])
     functional = SteeringFunctional(
         F=_gridded(f, (n_a, m), d),
         x_star=x_star,
@@ -409,9 +407,7 @@ def _solve_steering(
     return _result(sol, functional, x_star, joint=JointAssemblage(sc, n_guess, grid.unpack(sol.primal)))
 
 
-def certify_local(
-    asm: Assemblage, x_star: int = 0, *, solver_opts: dict | None = None, trivial_start: bool = False
-) -> CertificationResult:
+def certify_local(asm: Assemblage, x_star: int = 0, *, solver_opts: dict | None = None) -> CertificationResult:
     """Optimal local guessing probability for the target input.
 
     Maximizes sum_e Tr[sigma^e_{a=e|x*}] over Eve-resolved assemblages that
@@ -419,15 +415,14 @@ def certify_local(
     each e. Eve's guess alphabet is the full outcome alphabet (including a
     loss outcome when present).
 
-    ``trivial_start`` starts the solve from Eve's trivial strategy, sigma_{a|x}
-    split evenly over her guesses, a strictly feasible point, in place of the
-    solver's scaled identity. It takes fewer Newton steps on the see-saw's
-    certifications; the sweeps keep the identity start, whose values
-    ``perfbench/reference.json`` records to 1e-9.
+    The solve starts from Eve's trivial strategy, sigma_{a|x} split evenly
+    over her guesses, a strictly feasible point. So when ``solver_opts``
+    sets ``stop_above``, a solve cut short ends at a strategy of hers that
+    guesses better than the bar: an explicit attack.
     """
     n_a, d = asm.scenario.n_outcomes, asm.scenario.bob_dim
     targets = np.eye(d, dtype=complex)[None].repeat(n_a, axis=0)
-    return _solve_steering(asm, x_star, np.arange(n_a), targets, solver_opts, trivial_start)
+    return _solve_steering(asm, x_star, np.arange(n_a), targets, solver_opts)
 
 
 def certify_global(asm: Assemblage, x_star: int, bob_povm: Povm) -> CertificationResult:

@@ -42,6 +42,14 @@ class ConfigError(ValueError):
         self.field = fld
 
 
+def _coerced(fld: str, value, kind: type):
+    """``value`` as ``kind`` (int or float), or a ConfigError naming ``fld``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(fld, f"expected {kind.__name__}, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment (see module docstring)."""
@@ -65,13 +73,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}
-        unknown = set(data) - known
+        """The configuration of a parsed JSON document, its numeric fields coerced to their types."""
+        if not isinstance(data, dict):
+            raise ConfigError("config", f"must be a JSON object, got {type(data).__name__}")
+        unknown = set(data) - {f.name for f in cls.__dataclass_fields__.values()}
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown configuration field")
-        kwargs = dict(data)
-        if "seeds" in kwargs and kwargs["seeds"] is not None:
-            kwargs["seeds"] = tuple(int(s) for s in kwargs["seeds"])
+        numbers = {"eta": float, "x_star": int, "max_iters": int, "tol": float}
+        kwargs = {k: _coerced(k, v, numbers[k]) if k in numbers else v for k, v in data.items()}
+        if kwargs.get("seeds") is not None:
+            if not isinstance(kwargs["seeds"], list):
+                raise ConfigError("seeds", f"must be a list of integers, got {kwargs['seeds']!r}")
+            kwargs["seeds"] = tuple(_coerced("seeds", s, int) for s in kwargs["seeds"])
+        if kwargs.get("out") is not None and not isinstance(kwargs["out"], str):
+            raise ConfigError("out", f"must be a path, got {kwargs['out']!r}")
         return cls(**kwargs)
 
     # -- validation -------------------------------------------------------
@@ -84,25 +99,25 @@ class ExperimentConfig:
             raise ConfigError("measurements", "required for this experiment kind")
         if self.measurements is not None:
             self._validate_measurements()
-        if not 0.0 <= float(self.eta) <= 1.0:
+        if not 0.0 <= self.eta <= 1.0:
             raise ConfigError("eta", f"detection efficiency must lie in [0, 1], got {self.eta}")
         n_inputs = self._n_inputs()
-        if not 0 <= int(self.x_star) < n_inputs:
+        if not 0 <= self.x_star < n_inputs:
             raise ConfigError("x_star", f"must lie in [0, {n_inputs - 1}], got {self.x_star}")
         if self.kind == "steering_global":
             if self.bob_measurement is None:
                 raise ConfigError("bob_measurement", "required for steering_global")
-            if self.bob_measurement.get("kind") not in BOB_KINDS:
+            if not isinstance(self.bob_measurement, dict) or self.bob_measurement.get("kind") not in BOB_KINDS:
                 raise ConfigError("bob_measurement", f"kind must be one of {BOB_KINDS}")
         if self.sweep is not None:
             self._validate_sweep()
         if not self.seeds:
             raise ConfigError("seeds", "must not be empty")
-        if any(int(s) < 0 for s in self.seeds):
+        if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds", "seeds must be non-negative integers")
-        if int(self.max_iters) < 1:
+        if self.max_iters < 1:
             raise ConfigError("max_iters", "must be at least 1")
-        if not float(self.tol) > 0:
+        if not self.tol > 0:
             raise ConfigError("tol", "must be positive")
 
     def _validate_state(self) -> None:
@@ -113,17 +128,18 @@ class ExperimentConfig:
             raise ConfigError("state.kind", f"must be one of {STATE_KINDS}, got {kind!r}")
         if kind in ("werner", "isotropic"):
             v = self.state.get("v")
-            if v is None or not 0.0 <= float(v) <= 1.0:
+            if v is None or not 0.0 <= _coerced("state.v", v, float) <= 1.0:
                 raise ConfigError("state.v", f"visibility must lie in [0, 1], got {v}")
         if kind == "isotropic":
             d = self.state.get("d")
-            if d is None or int(d) < 2:
+            if d is None or _coerced("state.d", d, int) < 2:
                 raise ConfigError("state.d", f"local dimension must be >= 2, got {d}")
         if kind == "schmidt":
             lam = self.state.get("lambdas")
-            if not lam or any(float(x) < 0 for x in lam) or abs(sum(map(float, lam)) - 1) > 1e-9:
+            lam = [_coerced("state.lambdas", x, float) for x in lam] if isinstance(lam, (list, tuple)) else None
+            if not lam or any(x < 0 for x in lam) or abs(sum(lam) - 1) > 1e-9:
                 raise ConfigError("state.lambdas", "must be a probability vector")
-            if self.kind == "seesaw" and any(float(x) == 0.0 for x in lam):
+            if self.kind == "seesaw" and 0.0 in lam:
                 raise ConfigError("state.lambdas", "see-saw ceiling needs strictly positive coefficients")
 
     def _validate_measurements(self) -> None:
@@ -133,19 +149,18 @@ class ExperimentConfig:
         if m["kind"] == "mub":
             if "d" not in m or "count" not in m:
                 raise ConfigError("measurements", "mub needs 'd' and 'count'")
+            d = _coerced("measurements.d", m["d"], int)
             try:
-                n_bases = len(scen.mub_bases(int(m["d"])))
+                n_bases = len(scen.mub_bases(d))
             except ValueError as exc:
                 raise ConfigError("measurements.d", str(exc)) from None
-            if not 1 <= int(m["count"]) <= n_bases:
-                raise ConfigError(
-                    "measurements.count", f"d = {m['d']} has 1 to {n_bases} mub bases, got {m['count']}"
-                )
+            if not 1 <= _coerced("measurements.count", m["count"], int) <= n_bases:
+                raise ConfigError("measurements.count", f"d = {d} has 1 to {n_bases} mub bases, got {m['count']}")
         if m["kind"] == "fourier_and_computational" and "d" not in m:
             raise ConfigError("measurements", "fourier_and_computational needs 'd'")
         d_state = self._alice_dim()
         d_meas = {"pauli_xz": 2}.get(m["kind"], m.get("d"))
-        if d_meas is not None and d_state is not None and int(d_meas) != d_state:
+        if d_meas is not None and d_state is not None and _coerced("measurements.d", d_meas, int) != d_state:
             raise ConfigError(
                 "measurements", f"act on dimension {d_meas} but the state needs {d_state}"
             )
@@ -191,10 +206,7 @@ class ExperimentConfig:
     def sweep_values(self) -> list[float]:
         if self.sweep is None:
             return [float(self.state.get("v", self.eta))]
-        return [
-            float(v)
-            for v in np.linspace(self.sweep["start"], self.sweep["stop"], int(self.sweep["points"]))
-        ]
+        return np.linspace(float(self.sweep["start"]), float(self.sweep["stop"]), int(self.sweep["points"])).tolist()
 
     def at_parameter(self, value: float) -> "ExperimentConfig":
         """Config specialized to one sweep point (sweep removed)."""
@@ -222,7 +234,7 @@ class ExperimentConfig:
             count=int(m["count"]) if "count" in m else None,
         )
         if self.eta < 1.0:
-            povms = tuple(scen.apply_loss(p, float(self.eta)) for p in povms)
+            povms = tuple(scen.apply_loss(p, self.eta) for p in povms)
         return povms
 
     def build_bob_povm(self, d: int) -> Povm:
@@ -299,11 +311,11 @@ def _certify_point(config: ExperimentConfig) -> certify_mod.CertificationResult:
     rho = config.build_state()
     povms = config.build_measurements()
     if config.kind == "prepare_measure":
-        return certify_mod.certify_pm(rho, povms, int(config.x_star))
+        return certify_mod.certify_pm(rho, povms, config.x_star)
     asm = scen.assemblage_from(rho, povms)
     if config.kind == "steering_local":
-        return certify_mod.certify_local(asm, int(config.x_star))
-    return certify_mod.certify_global(asm, int(config.x_star), config.build_bob_povm(asm.scenario.bob_dim))
+        return certify_mod.certify_local(asm, config.x_star)
+    return certify_mod.certify_global(asm, config.x_star, config.build_bob_povm(asm.scenario.bob_dim))
 
 
 def _sweep_worker(point: ExperimentConfig, value: float) -> dict:
@@ -375,15 +387,9 @@ def run_seesaw(config: ExperimentConfig, *, out: str | None = None) -> tuple[dic
     ceiling = float(np.log2(d)) if config.state["kind"] == "schmidt" else None
     traces = {}
     for seed in config.seeds:
-        initial = _random_povms(d, 2, d, int(seed))
-        traces[int(seed)] = _seesaw_loop(
-            rho,
-            initial,
-            int(config.x_star),
-            eta=float(config.eta),
-            max_iters=int(config.max_iters),
-            tol=float(config.tol),
-            ceiling=ceiling,
+        initial = _random_povms(d, 2, d, seed)
+        traces[seed] = _seesaw_loop(
+            rho, initial, config.x_star, eta=config.eta, max_iters=config.max_iters, tol=config.tol, ceiling=ceiling
         )
     best_seed = max(traces, key=lambda s: traces[s].final.h_min)
     best = traces[best_seed]

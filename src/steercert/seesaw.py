@@ -25,12 +25,12 @@ nothing, which is a fixed point. With inefficient detectors the loss
 channel is applied after each measurement update: the loss is a device
 property, not something the optimization can redesign.
 
-Every certification of the loop starts from Eve's trivial strategy, a
-strictly feasible point (`certify_local(..., trivial_start=True)`), which
-saves about two fifths of its Newton steps. The certifications whose bound is
-recorded, and the measurement SDP, are solved to tight targets; the
-smoothed stepping certifications, which only propose an update, to the
-solver's defaults.
+Every certification starts from Eve's trivial strategy, a strictly
+feasible point (`certify_local`), which saves about two fifths of the
+loop's Newton steps against the solver's scaled identity. The
+certifications whose bound is recorded, and the measurement SDP, are
+solved to tight targets; the smoothed stepping certifications, which only
+propose an update, to the solver's defaults.
 """
 
 from __future__ import annotations
@@ -257,13 +257,13 @@ def _stepping_functional(
     0.9999966 to 0.9988359.
 
     For the same reason the smoothed certification is solved to the
-    solver's default targets, not the see-saw's tight ones, from Eve's
-    trivial strategy: the update it proposes is still accepted only on a
-    certification at the tight targets, so the trace stays monotone.
+    solver's default targets, not the see-saw's tight ones: the update it
+    proposes is still accepted only on a certification at the tight
+    targets, so the trace stays monotone.
     """
     if res.functional.supports is None:
         return res.functional
-    smoothed = certify_local(_smoothed(asm, delta), x_star, trivial_start=True)
+    smoothed = certify_local(_smoothed(asm, delta), x_star)
     if smoothed.status is not sdp.SolverStatus.OPTIMAL:
         _log.debug("stepping certification at delta %.1e ended %s (gap %.2e)",
                    delta, smoothed.status, smoothed.gap)
@@ -327,14 +327,12 @@ def seesaw(
     with no ceiling, after a gain below `tol` or a round that accepts
     nothing. Otherwise it stops after `max_iters` iterates.
 
-    Every certification of the loop starts from Eve's trivial strategy
-    (`certify_local(..., trivial_start=True)`). The certifications of the
-    start, of each update and of each geodesic trial, and the measurement
-    SDP, are solved to a relative gap of 1e-11 and residuals of 1e-10
-    (`_SEESAW_SOLVER_OPTS`), tighter than the defaults, so that solver noise
-    stays below the 1e-10 by which an accepted update may raise the guessing
-    probability. The stepping certifications are solved to the defaults
-    (`_stepping_functional`).
+    The certifications of the start, of each update and of each geodesic
+    trial, and the measurement SDP, are solved to a relative gap of 1e-11
+    and residuals of 1e-10 (`_SEESAW_SOLVER_OPTS`), tighter than the
+    defaults, so that solver noise stays below the 1e-10 by which an
+    accepted update may raise the guessing probability. The stepping
+    certifications are solved to the defaults (`_stepping_functional`).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -350,7 +348,7 @@ def seesaw(
         measured = candidate if eta >= 1.0 else [apply_loss(p, eta) for p in candidate]
         asm = assemblage_from(rho, measured)
         opts = {**_SEESAW_SOLVER_OPTS, "stop_above": bar}
-        return asm, certify_local(asm, x_star, solver_opts=opts, trivial_start=True)
+        return asm, certify_local(asm, x_star, solver_opts=opts)
 
     def update(rung: int):
         """The round's accepted (povms, assemblage, result, step) at `rung`, or None."""

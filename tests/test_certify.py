@@ -477,8 +477,12 @@ TRIVIAL_START_CASES = [
 ]
 
 
-@pytest.mark.parametrize("rho, povms, reduced", TRIVIAL_START_CASES)
-def test_the_trivial_start_is_strictly_feasible(monkeypatch, rho, povms, reduced):
+@pytest.mark.parametrize("rho, povms, reduced, bob", [
+    *(pytest.param(*case.values, None, id=case.id) for case in TRIVIAL_START_CASES),
+    # the global certification's guesses repeat each untrusted outcome once per trusted one
+    pytest.param(werner_state(0.9), list(pauli_xz()), False, pauli_xz()[0], id="global"),
+])
+def test_the_trivial_start_is_strictly_feasible(monkeypatch, rho, povms, reduced, bob):
     import steercert.sdp as sdp_module
 
     seen, solve = [], sdp_module.solve
@@ -488,32 +492,44 @@ def test_the_trivial_start_is_strictly_feasible(monkeypatch, rho, povms, reduced
         return solve(problem, **kwargs)
 
     monkeypatch.setattr(sdp_module, "solve", recorded)
-    res = certify_local(assemblage_from(rho, povms), 0, trivial_start=True)
+    asm = assemblage_from(rho, povms)
+    res = certify_local(asm, 0) if bob is None else certify_global(asm, 0, bob)
     assert (res.functional.supports is not None) == reduced
     (problem, start), = seen
     assert len(start) == len(problem.block_dims)
     assert min(float(np.linalg.eigvalsh(x)[0]) for x in start) > 1e-3
     # every row is a consistency or a no-signalling row: 4 per (a, x), and 4 per guess
+    sc, n_guess = asm.scenario, res.joint.eve_alphabet
+    assert n_guess == (sc.n_outcomes if bob is None else 4)
     residuals = [sum(np.vdot(a, start[k]).real for k, a in row.coeffs.items()) - row.rhs for row in problem.constraints]
-    assert len(residuals) == (36 if reduced else 24) and np.max(np.abs(residuals)) <= 1e-12
+    assert len(residuals) == 4 * (sc.n_outcomes * sc.n_inputs + n_guess)
+    assert np.max(np.abs(residuals)) <= 1e-12
 
 
 @pytest.mark.parametrize("rho, povms, reduced", TRIVIAL_START_CASES)
 def test_the_trivial_start_reaches_the_same_optimum(rho, povms, reduced):
+    # the same child problem solved from the solver's own start, xi_p * I
+    from steercert import sdp
+    from steercert.certify import _steering_parent, _supports
+
     asm = assemblage_from(rho, povms)
-    plain, started = certify_local(asm, 0), certify_local(asm, 0, trivial_start=True)
+    started = certify_local(asm, 0)
+    n_a, d = asm.scenario.n_outcomes, asm.scenario.bob_dim
+    targets = np.eye(d, dtype=complex)[None].repeat(n_a, axis=0)
+    _, parent, kept = _steering_parent(_supports(asm.sigma), 0, np.arange(n_a), targets)
+    plain = sdp.solve(parent.with_rhs([*(asm.sigma[key] for key in kept[0]), *(eq.rhs for eq in kept[1].values())]))
     assert plain.status is started.status is SolverStatus.OPTIMAL
-    assert abs(started.p_guess - plain.p_guess) <= 1e-8
+    assert abs(started.p_guess - plain.primal_value) <= 1e-8
     assert abs(started.dual_value - plain.dual_value) <= 1e-8
 
 
 @pytest.mark.parametrize("rho, povms, reduced", TRIVIAL_START_CASES)
 def test_a_bar_below_the_optimum_ends_at_a_strategy_that_beats_it(rho, povms, reduced):
     asm = assemblage_from(rho, povms)
-    full = certify_local(asm, 0, trivial_start=True)
+    full = certify_local(asm, 0)
     # the trivial start guesses with 1/n, so this bar lies between the start and the optimum
     bar = 0.5 * (full.p_guess + 1.0 / asm.scenario.n_outcomes)
-    cut = certify_local(asm, 0, solver_opts={"stop_above": bar}, trivial_start=True)
+    cut = certify_local(asm, 0, solver_opts={"stop_above": bar})
     assert full.status is SolverStatus.OPTIMAL and cut.status is SolverStatus.BOUND_EXCEEDED
     cut.joint.validate(asm)  # an explicit attack: a feasible strategy of Eve's
     assert cut.joint.guess_probability(0) == pytest.approx(cut.p_guess, abs=1e-9)
@@ -524,8 +540,8 @@ def test_a_bar_below_the_optimum_ends_at_a_strategy_that_beats_it(rho, povms, re
 def test_a_bar_at_the_optimum_changes_nothing(rho, povms, reduced):
     # the see-saw's accepted certifications end at or below their bar
     asm = assemblage_from(rho, povms)
-    plain = certify_local(asm, 0, trivial_start=True)
-    barred = certify_local(asm, 0, solver_opts={"stop_above": plain.p_guess}, trivial_start=True)
+    plain = certify_local(asm, 0)
+    barred = certify_local(asm, 0, solver_opts={"stop_above": plain.p_guess})
     assert np.array_equal(barred.joint.sigma_e, plain.joint.sigma_e)
     assert (barred.p_guess, barred.dual_value, barred.gap, barred.status) == (
         plain.p_guess, plain.dual_value, plain.gap, plain.status)

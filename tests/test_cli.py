@@ -57,6 +57,18 @@ def test_presets_contents():
         ({"seeds": [-1]}, "seeds"),
         ({"max_iters": 0}, "max_iters"),
         ({"tol": 0.0}, "tol"),
+        # values of the wrong type
+        ({"seeds": 5}, "seeds"),
+        ({"seeds": ["one"]}, "seeds"),
+        ({"state": {"kind": "werner", "v": "x"}}, "state.v"),
+        ({"state": {"kind": "schmidt", "lambdas": 5}}, "state.lambdas"),
+        ({"eta": "high"}, "eta"),
+        ({"x_star": "a"}, "x_star"),
+        ({"measurements": {"kind": "mub", "d": 3, "count": "two"}}, "measurements.count"),
+        ({"measurements": {"kind": "fourier_and_computational", "d": "three"}}, "measurements.d"),
+        ({"max_iters": "many"}, "max_iters"),
+        ({"kind": "steering_global", "bob_measurement": "pauli_x"}, "bob_measurement"),
+        ({"out": 5}, "out"),
     ],
 )
 def test_invalid_configs_never_reach_the_solver(mutation, field):
@@ -69,6 +81,22 @@ def test_invalid_configs_never_reach_the_solver(mutation, field):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_json(base).validate()
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("document", [[{}], 5, "config"])
+def test_a_document_that_is_not_an_object_exits_2(tmp_path, capsys, document):
+    assert main(["certify", "--config", write_config(tmp_path, document)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": f"config: must be a JSON object, got {type(document).__name__}", "exit_code": 2}
+
+
+def test_a_sweep_given_as_numeric_strings_runs_as_its_numbers():
+    config = ExperimentConfig.from_json({
+        "kind": "steering_local", "state": {"kind": "werner", "v": 0.8}, "measurements": {"kind": "pauli_xz"},
+        "sweep": {"parameter": "v", "start": "0.8", "stop": "0.9", "points": "2"},
+    })
+    config.validate()
+    assert config.sweep_values() == [0.8, 0.9]
 
 
 def test_unknown_field_rejected():

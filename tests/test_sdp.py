@@ -426,14 +426,20 @@ def test_iterations_are_logged_at_debug_level(caplog):
     assert lines[0].startswith("iter   0  gap ") and " pres " in lines[0] and " dres " in lines[0]
 
 
+def _fig3_qubit_at(eta):
+    """The fig3_qubit point at detection efficiency eta: a Werner state of visibility 1 under lossy X/Z."""
+    from steercert.scenario import apply_loss, assemblage_from, pauli_xz, werner_state
+
+    return assemblage_from(werner_state(1.0), [apply_loss(p, eta) for p in pauli_xz()])
+
+
 def test_schur_regularisation_is_logged(caplog):
     from steercert.certify import certify_local
-    from steercert.scenario import assemblage_from, pauli_xz, werner_state
 
     with caplog.at_level(logging.DEBUG, logger="steercert"):
-        certify_local(assemblage_from(werner_state(0.99), pauli_xz()), 0)
+        certify_local(_fig3_qubit_at(0.9), 0)
     lines = [r.getMessage() for r in caplog.records if "Schur" in r.getMessage()]
-    assert lines == ["iter  10  Schur complement regularised by 1e-13 of its mean diagonal"]
+    assert lines == ["iter   7  Schur complement regularised by 1e-13 of its mean diagonal"]
 
 
 def _psd_stack(n, d, rng):
@@ -596,12 +602,11 @@ def test_a_step_out_of_the_cone_ends_in_numerical_trouble(monkeypatch):
 def test_regularised_steps_count_the_shifted_schur_complements(monkeypatch, caplog):
     import steercert.sdp as sdp_module
     from steercert.certify import certify_local
-    from steercert.scenario import assemblage_from, pauli_xz, werner_state
 
     sols = []
     monkeypatch.setattr(sdp_module, "solve", lambda p, **kw: sols.append(s := solve(p, **kw)) or s)
     with caplog.at_level(logging.DEBUG, logger="steercert"):
-        certify_local(assemblage_from(werner_state(0.99), pauli_xz()), 0)
+        certify_local(_fig3_qubit_at(0.9), 0)
     shifted = [r for r in caplog.records if "Schur complement regularised" in r.getMessage()]
     assert [s.regularised_steps for s in sols] == [len(shifted)] == [1]
     problem, _ = planted_problem(d=2, m=2, rank=1, rng=np.random.default_rng(3))
