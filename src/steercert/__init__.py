@@ -9,7 +9,6 @@ from .certify import (
     certify_global,
     certify_local,
     certify_pm,
-    dual_functional_direct,
     min_entropy,
 )
 from .qlin import Povm, basis_povm, is_hermitian, is_psd, kron, min_eig, partial_trace
@@ -29,7 +28,7 @@ from .scenario import (
     standard_povms,
     werner_state,
 )
-from .sdp import LinearConstraint, SdpProblem, SdpSolution, SolverStatus, realify, solve
+from .sdp import LinearConstraint, SdpProblem, SdpSolution, SolverStatus, solve
 from .seesaw import SeesawError, SeesawTrace, StopReason, optimize_measurements, random_povms, seesaw
 
 __version__ = "0.1.0"

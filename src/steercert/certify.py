@@ -23,9 +23,9 @@ reach certification-grade accuracy; dropped rank-0 blocks reappear as
 explicit zero matrices in the reported strategy. The dual witness is read
 off the primal solve's consistency multipliers either way; on reduced
 instances it certifies the bound on the observed faces (where the reduced
-pair attains strong duality). When a full-space witness is wanted,
-`dual_functional_direct` takes it from the certification of the assemblage
-smoothed by uniform noise of weight delta = 1e-4, which is not reduced; its
+pair attains strong duality). Where a full-space witness is wanted, the
+see-saw's `_stepping_functional` takes it from the certification of the
+assemblage smoothed by uniform noise (`_smoothed`), which is not reduced; its
 value exceeds the optimum by an amount that shrinks as sqrt(delta).
 
 Every constraint is an equality between Hermitian matrices over a grid of
@@ -119,10 +119,10 @@ class SteeringFunctional:
     blocks), the dual optimum of the full problem is not attained and the
     stored multipliers certify feasibility on the reduced faces only; the
     face isometries are kept in `supports` and `feasibility_margin`
-    compresses onto them. `dual_functional_direct` produces a globally
-    feasible inequality when one is needed: that of the assemblage smoothed
-    by uniform noise of weight delta = 1e-4, whose value exceeds the optimum
-    by an amount that shrinks as sqrt(delta).
+    compresses onto them. The see-saw's `_stepping_functional` produces a
+    globally feasible inequality when it needs one: that of the assemblage
+    smoothed by uniform noise of weight delta, whose value exceeds the
+    optimum by an amount that shrinks as sqrt(delta).
 
     In the prepare-and-measure scenario the dual carries an extra constant
     from the completeness multipliers, stored in `offset`, and no G grid.
@@ -499,19 +499,3 @@ def _smoothed(asm: Assemblage, delta: float) -> Assemblage:
         np.eye(sc.bob_dim, dtype=complex) / (sc.bob_dim * sc.n_outcomes), asm.sigma.shape
     )
     return Assemblage(sc, (1.0 - delta) * asm.sigma + delta * noise)
-
-
-def dual_functional_direct(asm: Assemblage, x_star: int = 0) -> tuple[SteeringFunctional, float]:
-    """A globally valid steering inequality for the local bound, and its value on ``asm``.
-
-    It is the functional of `certify_local` on ``asm`` mixed with uniform noise
-    of weight delta = 1e-4. Every block of the smoothed assemblage has full
-    rank, so that certification is not facially reduced and its multipliers
-    are dual feasible everywhere. The value exceeds the optimum by O(delta)
-    on interior instances; on degenerate ones, where the dual optimum of the
-    full problem is not attained, the excess shrinks only as sqrt(delta).
-    """
-    res = certify_local(_smoothed(asm, 1e-4), x_star)
-    if res.status is not sdp.SolverStatus.OPTIMAL:
-        raise CertificationError(f"smoothed certification ended with status {res.status}")
-    return res.functional, res.functional.value_on(asm)

@@ -4,6 +4,8 @@ tests, with CSV/JSON artifacts suitable for plotting.
 
 Configurations are JSON documents (see `ExperimentConfig`); command-line
 flags override file fields. Named presets reproduce the standard curves.
+Types are settled once, when an `ExperimentConfig` is built, by one number
+coercer and one table of nested-object shapes (`SHAPES`).
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 
@@ -30,10 +32,16 @@ KINDS = (*CERTIFICATION_KINDS, "seesaw", "lhs")
 # the experiment kinds each command runs: lhs tests the assemblage of any kind that has measurements
 COMMAND_KINDS = {"certify": CERTIFICATION_KINDS, "sweep": CERTIFICATION_KINDS, "seesaw": ("seesaw",),
                  "lhs": (*CERTIFICATION_KINDS, "lhs")}
-STATE_KINDS = ("werner", "isotropic", "schmidt")
-MEASUREMENT_KINDS = ("pauli_xz", "mub", "fourier_and_computational")
-BOB_KINDS = ("pauli_x", "pauli_z", "computational", "fourier")
-SWEEP_PARAMETERS = ("v", "eta")
+# each nested object's tag key, and per tag the numeric keys it takes with their types (list: of floats)
+SHAPES = {
+    "state": ("kind", {"werner": {"v": float}, "isotropic": {"d": int, "v": float}, "schmidt": {"lambdas": list}}),
+    "measurements": ("kind", {"pauli_xz": {}, "mub": {"d": int, "count": int},
+                              "fourier_and_computational": {"d": int}}),
+    "bob_measurement": ("kind", dict.fromkeys(("pauli_x", "pauli_z", "computational", "fourier"), {})),
+    "sweep": ("parameter", dict.fromkeys(("v", "eta"), {"start": float, "stop": float, "points": int})),
+}
+STATE_KINDS, MEASUREMENT_KINDS, BOB_KINDS, SWEEP_PARAMETERS = (tuple(tags) for _, tags in SHAPES.values())
+NUMBERS = {"eta": float, "x_star": int, "max_iters": int, "tol": float}
 
 
 class ConfigError(ValueError):
@@ -42,17 +50,46 @@ class ConfigError(ValueError):
         self.field = fld
 
 
-def _coerced(fld: str, value, kind: type):
-    """``value`` as ``kind`` (int or float), or a ConfigError naming ``fld``."""
+def _number(fld: str, value, kind: type):
+    """``value`` as ``kind`` (int or float), or a ConfigError naming ``fld``. Numeric strings are
+    accepted; booleans are refused, and so is a float that is not integral (1.7, nan, inf) as an int."""
     try:
+        if isinstance(value, bool) or (kind is int and isinstance(value, float) and not value.is_integer()):
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError):
         raise ConfigError(fld, f"expected {kind.__name__}, got {value!r}") from None
 
 
+def _parsed(name: str, value) -> dict:
+    """The nested object ``name`` as a new dict of its tag and exactly the numbers `SHAPES` gives
+    that tag, each coerced; or a ConfigError naming the object, or the key, that is wrong."""
+    tag_key, shapes = SHAPES[name]
+    if not isinstance(value, dict) or tag_key not in value:
+        raise ConfigError(name, f"must be an object with a {tag_key!r} key, got {value!r}")
+    tag = value[tag_key]
+    if not isinstance(tag, str) or tag not in shapes:
+        raise ConfigError(f"{name}.{tag_key}", f"must be one of {tuple(shapes)}, got {tag!r}")
+    shape = shapes[tag]
+    unknown = sorted(set(value) - {tag_key, *shape})
+    if unknown:
+        raise ConfigError(f"{name}.{unknown[0]}", f"unknown key for {tag_key} {tag!r}")
+    if any(key not in value for key in shape):
+        raise ConfigError(name, f"{tag_key} {tag!r} needs {', '.join(map(repr, shape))}")
+    parsed = {tag_key: tag}
+    for key, kind in shape.items():
+        fld, raw = f"{name}.{key}", value[key]
+        if kind is list and not isinstance(raw, (list, tuple)):
+            raise ConfigError(fld, f"must be a list of numbers, got {raw!r}")
+        parsed[key] = [_number(fld, x, float) for x in raw] if kind is list else _number(fld, raw, kind)
+    return parsed
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment (see module docstring)."""
+    """Declarative description of one experiment (see module docstring). Every field's type is settled
+    once, at construction, so `from_json`, the presets, the command-line overrides and every `replace`
+    share one parse (`_number`, `_parsed`); `validate` then checks ranges and consistency only."""
 
     kind: str
     state: dict
@@ -66,6 +103,18 @@ class ExperimentConfig:
     tol: float = 1e-6
     out: str | None = None
 
+    def __post_init__(self) -> None:
+        for fld, kind in NUMBERS.items():
+            object.__setattr__(self, fld, _number(fld, getattr(self, fld), kind))
+        for name in SHAPES:
+            if name == "state" or getattr(self, name) is not None:
+                object.__setattr__(self, name, _parsed(name, getattr(self, name)))
+        if not isinstance(self.seeds, (list, tuple)):
+            raise ConfigError("seeds", f"must be a list of integers, got {self.seeds!r}")
+        object.__setattr__(self, "seeds", tuple(_number("seeds", s, int) for s in self.seeds))
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("out", f"must be a path, got {self.out!r}")
+
     def to_json(self) -> dict:
         data = asdict(self)
         data["seeds"] = list(self.seeds)
@@ -73,25 +122,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
-        """The configuration of a parsed JSON document, its numeric fields coerced to their types."""
+        """The configuration of a parsed JSON document."""
         if not isinstance(data, dict):
             raise ConfigError("config", f"must be a JSON object, got {type(data).__name__}")
-        unknown = set(data) - {f.name for f in cls.__dataclass_fields__.values()}
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(sorted(unknown)[0], "unknown configuration field")
-        numbers = {"eta": float, "x_star": int, "max_iters": int, "tol": float}
-        kwargs = {k: _coerced(k, v, numbers[k]) if k in numbers else v for k, v in data.items()}
-        if kwargs.get("seeds") is not None:
-            if not isinstance(kwargs["seeds"], list):
-                raise ConfigError("seeds", f"must be a list of integers, got {kwargs['seeds']!r}")
-            kwargs["seeds"] = tuple(_coerced("seeds", s, int) for s in kwargs["seeds"])
-        if kwargs.get("out") is not None and not isinstance(kwargs["out"], str):
-            raise ConfigError("out", f"must be a path, got {kwargs['out']!r}")
-        return cls(**kwargs)
+        for fld in ("kind", "state"):
+            if fld not in data:
+                raise ConfigError(fld, "required")
+        return cls(**data)
 
     # -- validation -------------------------------------------------------
 
     def validate(self) -> None:
+        """Check ranges and consistency; the types were settled at construction."""
         if self.kind not in KINDS:
             raise ConfigError("kind", f"must be one of {KINDS}, got {self.kind!r}")
         self._validate_state()
@@ -104,11 +149,8 @@ class ExperimentConfig:
         n_inputs = self._n_inputs()
         if not 0 <= self.x_star < n_inputs:
             raise ConfigError("x_star", f"must lie in [0, {n_inputs - 1}], got {self.x_star}")
-        if self.kind == "steering_global":
-            if self.bob_measurement is None:
-                raise ConfigError("bob_measurement", "required for steering_global")
-            if not isinstance(self.bob_measurement, dict) or self.bob_measurement.get("kind") not in BOB_KINDS:
-                raise ConfigError("bob_measurement", f"kind must be one of {BOB_KINDS}")
+        if self.kind == "steering_global" and self.bob_measurement is None:
+            raise ConfigError("bob_measurement", "required for steering_global")
         if self.sweep is not None:
             self._validate_sweep()
         if not self.seeds:
@@ -121,22 +163,13 @@ class ExperimentConfig:
             raise ConfigError("tol", "must be positive")
 
     def _validate_state(self) -> None:
-        if not isinstance(self.state, dict) or "kind" not in self.state:
-            raise ConfigError("state", "must be an object with a 'kind' key")
         kind = self.state["kind"]
-        if kind not in STATE_KINDS:
-            raise ConfigError("state.kind", f"must be one of {STATE_KINDS}, got {kind!r}")
-        if kind in ("werner", "isotropic"):
-            v = self.state.get("v")
-            if v is None or not 0.0 <= _coerced("state.v", v, float) <= 1.0:
-                raise ConfigError("state.v", f"visibility must lie in [0, 1], got {v}")
-        if kind == "isotropic":
-            d = self.state.get("d")
-            if d is None or _coerced("state.d", d, int) < 2:
-                raise ConfigError("state.d", f"local dimension must be >= 2, got {d}")
+        if kind != "schmidt" and not 0.0 <= self.state["v"] <= 1.0:
+            raise ConfigError("state.v", f"visibility must lie in [0, 1], got {self.state['v']}")
+        if kind == "isotropic" and self.state["d"] < 2:
+            raise ConfigError("state.d", f"local dimension must be >= 2, got {self.state['d']}")
         if kind == "schmidt":
-            lam = self.state.get("lambdas")
-            lam = [_coerced("state.lambdas", x, float) for x in lam] if isinstance(lam, (list, tuple)) else None
+            lam = self.state["lambdas"]
             if not lam or any(x < 0 for x in lam) or abs(sum(lam) - 1) > 1e-9:
                 raise ConfigError("state.lambdas", "must be a probability vector")
             if self.kind == "seesaw" and 0.0 in lam:
@@ -144,69 +177,42 @@ class ExperimentConfig:
 
     def _validate_measurements(self) -> None:
         m = self.measurements
-        if not isinstance(m, dict) or m.get("kind") not in MEASUREMENT_KINDS:
-            raise ConfigError("measurements.kind", f"must be one of {MEASUREMENT_KINDS}")
         if m["kind"] == "mub":
-            if "d" not in m or "count" not in m:
-                raise ConfigError("measurements", "mub needs 'd' and 'count'")
-            d = _coerced("measurements.d", m["d"], int)
             try:
-                n_bases = len(scen.mub_bases(d))
+                n_bases = len(scen.mub_bases(m["d"]))
             except ValueError as exc:
                 raise ConfigError("measurements.d", str(exc)) from None
-            if not 1 <= _coerced("measurements.count", m["count"], int) <= n_bases:
-                raise ConfigError("measurements.count", f"d = {d} has 1 to {n_bases} mub bases, got {m['count']}")
-        if m["kind"] == "fourier_and_computational" and "d" not in m:
-            raise ConfigError("measurements", "fourier_and_computational needs 'd'")
-        d_state = self._alice_dim()
-        d_meas = {"pauli_xz": 2}.get(m["kind"], m.get("d"))
-        if d_meas is not None and d_state is not None and _coerced("measurements.d", d_meas, int) != d_state:
-            raise ConfigError(
-                "measurements", f"act on dimension {d_meas} but the state needs {d_state}"
-            )
+            if not 1 <= m["count"] <= n_bases:
+                raise ConfigError("measurements.count", f"d = {m['d']} has 1 to {n_bases} mub bases, got {m['count']}")
+        d_meas, d_state = m.get("d", 2), self._alice_dim()
+        if d_meas != d_state:
+            raise ConfigError("measurements", f"act on dimension {d_meas} but the state needs {d_state}")
 
     def _validate_sweep(self) -> None:
         s = self.sweep
-        if not isinstance(s, dict):
-            raise ConfigError("sweep", "must be an object")
-        parameter = s.get("parameter")
-        if parameter not in SWEEP_PARAMETERS:
-            raise ConfigError("sweep.parameter", f"must be one of {SWEEP_PARAMETERS}")
-        if parameter == "v" and self.state["kind"] == "schmidt":
+        if s["parameter"] == "v" and self.state["kind"] == "schmidt":
             raise ConfigError("sweep.parameter", "schmidt states have no visibility to sweep")
-        try:
-            start, stop = float(s["start"]), float(s["stop"])
-            points = int(s["points"])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError("sweep", "needs numeric 'start', 'stop' and integer 'points'") from None
-        if points < 1:
+        if s["points"] < 1:
             raise ConfigError("sweep.points", "must be at least 1")
-        if not 0.0 <= start <= stop <= 1.0:
-            raise ConfigError("sweep", f"range [{start}, {stop}] must be increasing inside [0, 1]")
+        if not 0.0 <= s["start"] <= s["stop"] <= 1.0:
+            raise ConfigError("sweep", f"range [{s['start']}, {s['stop']}] must be increasing inside [0, 1]")
 
     # -- construction helpers --------------------------------------------
 
-    def _alice_dim(self) -> int | None:
-        kind = self.state.get("kind")
-        if kind == "werner":
-            return 2
-        if kind == "isotropic":
-            return int(self.state.get("d", 0)) or None
-        if kind == "schmidt":
-            return len(self.state.get("lambdas", ())) or None
-        return None
+    def _alice_dim(self) -> int:
+        if self.state["kind"] == "schmidt":
+            return len(self.state["lambdas"])
+        return self.state.get("d", 2)  # a werner state is a pair of qubits
 
     def _n_inputs(self) -> int:
-        if self.measurements is None:
-            return 2  # see-saw always optimizes two measurements here
-        if self.measurements.get("kind") == "mub":
-            return int(self.measurements.get("count", 2))
-        return 2
+        if self.measurements is not None and self.measurements["kind"] == "mub":
+            return self.measurements["count"]
+        return 2  # every other family, and the see-saw, has two measurements
 
     def sweep_values(self) -> list[float]:
         if self.sweep is None:
-            return [float(self.state.get("v", self.eta))]
-        return np.linspace(float(self.sweep["start"]), float(self.sweep["stop"]), int(self.sweep["points"])).tolist()
+            return [self.state.get("v", self.eta)]
+        return np.linspace(self.sweep["start"], self.sweep["stop"], self.sweep["points"]).tolist()
 
     def at_parameter(self, value: float) -> "ExperimentConfig":
         """Config specialized to one sweep point (sweep removed)."""
@@ -218,21 +224,17 @@ class ExperimentConfig:
         return replace(self, eta=value, sweep=None)
 
     def build_state(self) -> np.ndarray:
-        kind = self.state["kind"]
-        if kind == "werner":
-            return scen.werner_state(float(self.state["v"]))
-        if kind == "isotropic":
-            return scen.isotropic_state(int(self.state["d"]), float(self.state["v"]))
-        return scen.schmidt_state([float(x) for x in self.state["lambdas"]])
+        s = self.state
+        if s["kind"] == "werner":
+            return scen.werner_state(s["v"])
+        if s["kind"] == "isotropic":
+            return scen.isotropic_state(s["d"], s["v"])
+        return scen.schmidt_state(s["lambdas"])
 
     def build_measurements(self) -> tuple[Povm, ...]:
         """The named family (`scenario` builds each once), with this point's loss applied."""
         m = self.measurements
-        povms = scen.standard_povms(
-            m["kind"],
-            d=int(m["d"]) if "d" in m else None,
-            count=int(m["count"]) if "count" in m else None,
-        )
+        povms = scen.standard_povms(m["kind"], d=m.get("d"), count=m.get("count"))
         if self.eta < 1.0:
             povms = tuple(scen.apply_loss(p, self.eta) for p in povms)
         return povms
@@ -475,15 +477,9 @@ def _load_config(args) -> ExperimentConfig:
     if args.eta is not None:
         config = replace(config, eta=args.eta)
     if args.v is not None:
-        if config.state.get("kind") == "schmidt":
-            raise ConfigError("state.v", "schmidt states have no visibility to override")
         config = replace(config, state=dict(config.state, v=args.v))
     if args.seeds is not None:
-        try:
-            seeds = tuple(int(s) for s in args.seeds.split(","))
-        except ValueError:
-            raise ConfigError("seeds", f"expected comma-separated integers, got {args.seeds!r}") from None
-        config = replace(config, seeds=seeds)
+        config = replace(config, seeds=args.seeds.split(","))
     if args.out is not None:
         config = replace(config, out=args.out)
     config.validate()

@@ -9,7 +9,6 @@ from steercert.certify import (
     certify_global,
     certify_local,
     certify_pm,
-    dual_functional_direct,
     min_entropy,
 )
 from steercert.qlin import Povm, basis_povm, dagger, random_unitary
@@ -24,6 +23,7 @@ from steercert.scenario import (
     werner_state,
 )
 from steercert.sdp import SolverStatus
+from steercert.seesaw import _stepping_functional
 
 
 def random_density(d, rng, rank=None):
@@ -221,10 +221,15 @@ def test_dual_functional_uniform_upper_bound():
         assert bound >= np.max(other.outcome_probs(0)) - 1e-7
 
 
+# the see-saw's stepping inequality: globally valid, and sharp where the certification was
+# not reduced (the two names are kept from the function these tests were first written for)
+
+
 def test_dual_functional_direct_agrees_when_interior():
     asm = assemblage_from(werner_state(0.8), pauli_xz())
     res = certify_local(asm, 0)
-    f, value = dual_functional_direct(asm, 0)
+    f = _stepping_functional(asm, res, 0, 1e-4)
+    value = f.value_on(asm)
     assert value == pytest.approx(res.p_guess, abs=1e-7)
     assert f.feasibility_margin() >= -1e-9
 
@@ -237,7 +242,8 @@ def test_dual_functional_direct_on_degenerate_instance():
     res = certify_local(asm, 0)
     assert res.functional.supports is not None
     assert res.functional.value_on(asm) == pytest.approx(0.5, abs=1e-7)
-    f, value = dual_functional_direct(asm, 0)
+    f = _stepping_functional(asm, res, 0, 1e-4)
+    value = f.value_on(asm)
     assert f.feasibility_margin() >= -1e-9
     assert 0.5 - 1e-9 <= value <= 0.52
     rng = np.random.default_rng(7)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,13 @@ def test_presets_contents():
         ({"max_iters": "many"}, "max_iters"),
         ({"kind": "steering_global", "bob_measurement": "pauli_x"}, "bob_measurement"),
         ({"out": 5}, "out"),
+        # integers that are not integral, booleans as numbers, and nested objects of the wrong shape
+        ({"x_star": 1.7}, "x_star"),
+        ({"seeds": [1.9]}, "seeds"),
+        ({"max_iters": True}, "max_iters"),
+        ({"eta": True}, "eta"),
+        ({"state": [1]}, "state"),
+        ({"measurements": {"kind": "pauli_xz", "d": 2}}, "measurements.d"),
     ],
 )
 def test_invalid_configs_never_reach_the_solver(mutation, field):
@@ -97,6 +105,24 @@ def test_a_sweep_given_as_numeric_strings_runs_as_its_numbers():
     })
     config.validate()
     assert config.sweep_values() == [0.8, 0.9]
+
+
+def test_a_state_that_is_not_an_object_exits_2_under_a_visibility_override(tmp_path, capsys):
+    path = write_config(tmp_path, {"kind": "steering_local", "state": [1], "measurements": {"kind": "pauli_xz"}})
+    assert main(["certify", "--config", path, "--v", "0.5"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["exit_code"] == 2 and err["error"].startswith("state: ")
+
+
+@pytest.mark.parametrize("document,field", [({}, "kind"), ({"kind": "lhs"}, "state")])
+def test_a_missing_required_field_exits_2(tmp_path, capsys, document, field):
+    assert main(["certify", "--config", write_config(tmp_path, document)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": f"{field}: required", "exit_code": 2}
+
+
+def test_a_replaced_sweep_is_parsed_like_a_file():
+    config = replace(presets()["fig2"], sweep={"parameter": "v", "start": 0.8, "stop": 0.8, "points": "2"})
+    assert config.sweep["points"] == 2 and type(config.sweep["points"]) is int
 
 
 def test_unknown_field_rejected():
