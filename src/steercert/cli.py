@@ -6,6 +6,14 @@ Configurations are JSON documents (see `ExperimentConfig`); command-line
 flags override file fields. Named presets reproduce the standard curves.
 Types are settled once, when an `ExperimentConfig` is built, by one number
 coercer and one table of nested-object shapes (`SHAPES`).
+
+Every artifact is a library result's own report, never a restatement of its
+fields: a sweep row is the point's parameter, `CertificationResult.to_json`
+and the wall-clock time; the sidecar drops the time, `sweep --json` also the
+functional, and the CSV takes the columns of `CSV_COLUMNS`. A see-saw start's
+report is `SeesawTrace.to_json`. A field added to a result's `to_json` thus
+reaches every artifact, and the CSV too once it is given a column.
+
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 
@@ -42,6 +50,9 @@ SHAPES = {
 }
 STATE_KINDS, MEASUREMENT_KINDS, BOB_KINDS, SWEEP_PARAMETERS = (tuple(tags) for _, tags in SHAPES.values())
 NUMBERS = {"eta": float, "x_star": int, "max_iters": int, "tol": float}
+# a sweep CSV's columns, each with the format of its cells; every other key of a row is in the sidecar only
+CSV_COLUMNS = (("parameter", ".12g"), ("p_guess", ".12g"), ("h_min", ".12g"), ("gap", ".12g"),
+               ("status", ""), ("wall_ms", ".3f"))
 
 
 class ConfigError(ValueError):
@@ -324,39 +335,21 @@ def _sweep_worker(point: ExperimentConfig, value: float) -> dict:
     start = time.perf_counter()
     result = _certify_point(point)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return {
-        "parameter": value,
-        "p_guess": result.p_guess,
-        "h_min": result.h_min,
-        "gap": result.gap,
-        "status": str(result.status),
-        "wall_ms": wall_ms,
-        "functional": result.functional.to_json(),
-        "x_star": result.x_star,
-    }
+    return {"parameter": value, **result.to_json(), "wall_ms": wall_ms}
 
 
-def _write_rows(out: str, rows: list[dict]) -> str:
+def _sidecar_entry(row: dict) -> dict:
+    """A sweep row as its sidecar gives it: the point's report, without the wall-clock time."""
+    return {key: value for key, value in row.items() if key != "wall_ms"}
+
+
+def _write_rows(out: str, rows: list[dict]) -> None:
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["parameter", "p_guess", "h_min", "gap", "status", "wall_ms"])
-        for row in rows:
-            writer.writerow([
-                f"{row['parameter']:.12g}",
-                f"{row['p_guess']:.12g}",
-                f"{row['h_min']:.12g}",
-                f"{row['gap']:.12g}",
-                row["status"],
-                f"{row['wall_ms']:.3f}",
-            ])
-    sidecar = os.path.splitext(out)[0] + ".json"
-    with open(sidecar, "w") as fh:
-        json.dump(
-            [{k: row[k] for k in ("parameter", "p_guess", "h_min", "gap", "status", "x_star", "functional")}
-             for row in rows],
-            fh,
-        )
-    return sidecar
+        writer.writerow([key for key, _ in CSV_COLUMNS])
+        writer.writerows([format(row[key], spec) for key, spec in CSV_COLUMNS] for row in rows)
+    with open(os.path.splitext(out)[0] + ".json", "w") as fh:
+        json.dump([_sidecar_entry(row) for row in rows], fh)
 
 
 def run_sweep(config: ExperimentConfig, *, jobs: int = 1, out: str | None = None) -> tuple[list[dict], int]:
@@ -380,8 +373,9 @@ def run_sweep(config: ExperimentConfig, *, jobs: int = 1, out: str | None = None
 
 
 def run_seesaw(config: ExperimentConfig, *, out: str | None = None) -> tuple[dict, int]:
-    """Multi-seed see-saw restarts; keeps the best trace and writes its CSV
-    plus a JSON sidecar with one summary per seed."""
+    """Multi-seed see-saw restarts; keeps the best trace and writes its CSV plus a JSON
+    sidecar mapping each seed to its start's `SeesawTrace.to_json`. Returns the best
+    start's report with its seed, and the exit code."""
     _check_kind(config, "seesaw")
     config.validate()
     rho = config.build_state()
@@ -396,37 +390,15 @@ def run_seesaw(config: ExperimentConfig, *, out: str | None = None) -> tuple[dic
     best_seed = max(traces, key=lambda s: traces[s].final.h_min)
     best = traces[best_seed]
     target = out or config.out
-    sidecar = None
     if target:
         best.to_csv(target)
-        sidecar = os.path.splitext(target)[0] + ".json"
-        with open(sidecar, "w") as fh:
-            json.dump(
-                {
-                    "best_seed": best_seed,
-                    "seeds": {
-                        str(s): {
-                            "final_h_min": t.final.h_min,
-                            "iterations": len(t.iterations),
-                            "converged": t.converged,
-                            "stop_reason": str(t.stop_reason),
-                            "deltas": [it.delta for it in t.iterations],
-                            "steps": [it.step for it in t.iterations],
-                        }
-                        for s, t in traces.items()
-                    },
-                    "functional": best.final.functional.to_json(),
-                },
-                fh,
-            )
-    summary = {
-        "best_seed": best_seed,
-        "final_h_min": best.final.h_min,
-        "iterations": len(best.iterations),
-        "converged": best.converged,
-        "stop_reason": str(best.stop_reason),
-    }
-    return summary, 0
+        with open(os.path.splitext(target)[0] + ".json", "w") as fh:
+            json.dump({
+                "best_seed": best_seed,
+                "seeds": {str(s): t.to_json() for s, t in traces.items()},
+                "functional": best.final.functional.to_json(),
+            }, fh)
+    return {"best_seed": best_seed, **best.to_json()}, 0
 
 
 def run_lhs(config: ExperimentConfig, *, out: str | None = None) -> tuple[dict, int]:
@@ -543,7 +515,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             rows, code = run_sweep(config, jobs=max(1, args.jobs), out=args.out)
             if args.json:
-                print(json.dumps([{k: r[k] for k in ("parameter", "p_guess", "h_min", "gap", "status")} for r in rows]))
+                print(json.dumps([{k: v for k, v in _sidecar_entry(r).items() if k != "functional"} for r in rows]))
             return code
         if args.command == "seesaw":
             summary, code = run_seesaw(config, out=args.out)

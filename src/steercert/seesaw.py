@@ -106,6 +106,18 @@ class SeesawTrace:
     def final(self) -> SeesawIteration:
         return self.iterations[-1]
 
+    def to_json(self) -> dict:
+        """The start's report: its final min-entropy, round count and stop, and per round the
+        smoothing weight and geodesic step of `SeesawIteration`."""
+        return {
+            "final_h_min": self.final.h_min,
+            "iterations": len(self.iterations),
+            "converged": self.converged,
+            "stop_reason": str(self.stop_reason),
+            "deltas": [it.delta for it in self.iterations],
+            "steps": [it.step for it in self.iterations],
+        }
+
     def h_min_series(self) -> np.ndarray:
         return np.array([it.h_min for it in self.iterations])
 

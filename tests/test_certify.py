@@ -153,6 +153,27 @@ def test_pm_rejects_unnormalized_state():
         certify_pm(2.0 * werner_state(0.5), pauli_xz(), 0)
 
 
+_KET0 = np.diag([1.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize("x_star", [0, 1])
+@pytest.mark.parametrize("rho,povms", [
+    (np.kron(_KET0, _KET0), pauli_xz()),
+    (np.kron(np.eye(2) / 2, _KET0), pauli_xz()),
+    (np.eye(9, dtype=complex) / 9, mub_povms(3, 2)),
+], ids=["|00>", "I/2 x |0><0|", "I/9"])
+def test_pm_product_state_solves_uncompressed(monkeypatch, rho, povms, x_star):
+    # a product state's consistency map is not injective, so the operators Eve holds are not
+    # pinned to the given POVM elements and no support may be compressed away; her guess is certain
+    def no_supports(*args, **kwargs):
+        raise AssertionError("a non-injective consistency map compressed the supports")
+
+    monkeypatch.setattr("steercert.certify._supports", no_supports)
+    res = certify_pm(rho, povms, x_star)
+    assert res.status == SolverStatus.OPTIMAL
+    assert res.p_guess >= 1 - 1e-9
+
+
 def test_pm_at_most_local():
     rng = np.random.default_rng(8)
     for v in (0.6, 0.9):

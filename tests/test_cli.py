@@ -8,7 +8,7 @@ from steercert.certify import certify_global
 from steercert.cli import ConfigError, ExperimentConfig, main, presets, run_lhs, run_seesaw, run_sweep
 from steercert.qlin import basis_povm
 from steercert.scenario import assemblage_from, fourier_and_computational, isotropic_state
-from steercert.seesaw import _EXTRAPOLATION_STEPS
+from steercert.seesaw import _EXTRAPOLATION_STEPS, seesaw
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -256,6 +256,24 @@ def test_main_flag_overrides(tmp_path, capsys):
     assert payload["p_guess"] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("eta,p_guess", [(0.5, 1.0), (0.6, 0.9)])
+def test_main_eta_and_x_star_overrides_cross_the_threshold(capsys, eta, p_guess):
+    # the two sides of the 50% detection-efficiency threshold, reached through the flags
+    assert main(["certify", "--preset", "fig3_qubit", "--eta", str(eta), "--x-star", "1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["x_star"] == 1
+    assert payload["p_guess"] == pytest.approx(p_guess, abs=1e-8)
+    assert payload["h_min"] == pytest.approx(-np.log2(p_guess), abs=1e-8)
+
+
+def test_main_certify_out_writes_the_json_and_prints_nothing(tmp_path, capsys):
+    out = tmp_path / "point.json"
+    assert main(["certify", "--preset", "fig2", "--v", "0.8", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["certify", "--preset", "fig2", "--v", "0.8", "--json"]) == 0
+    assert json.loads(out.read_text()) == json.loads(capsys.readouterr().out)
+
+
 def test_main_config_errors_exit_2(tmp_path, capsys):
     assert main(["certify", "--preset", "nope"]) == 2
     err = json.loads(capsys.readouterr().err)
@@ -349,12 +367,22 @@ def _mub_config(tmp_path, d, count):
     })
 
 
+def _not_json(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"kind": "steering_local",')
+    return str(path)
+
+
 @pytest.mark.parametrize("argv,field", [
     (["certify", "--preset", "fig6_seesaw"], "kind"),
     (["lhs", "--preset", "fig6_seesaw"], "kind"),
     (lambda tmp_path: ["certify", "--config", _mub_config(tmp_path, 4, 2)], "measurements.d"),
     (lambda tmp_path: ["certify", "--config", _mub_config(tmp_path, 3, 7)], "measurements.count"),
-], ids=["certify a seesaw config", "lhs of a seesaw config", "mub at d = 4", "seven mubs at d = 3"])
+    (lambda tmp_path: ["certify", "--preset", "fig2", "--config", _mub_config(tmp_path, 3, 2)], "preset"),
+    (lambda tmp_path: ["certify", "--config", str(tmp_path / "missing.json")], "config"),
+    (lambda tmp_path: ["certify", "--config", _not_json(tmp_path)], "config"),
+], ids=["certify a seesaw config", "lhs of a seesaw config", "mub at d = 4", "seven mubs at d = 3",
+        "preset and config", "missing config file", "config not json"])
 def test_configuration_errors_exit_2_with_the_json_error(tmp_path, capsys, argv, field):
     assert main(argv(tmp_path) if callable(argv) else argv) == 2
     err = json.loads(capsys.readouterr().err)
@@ -390,3 +418,37 @@ def test_sweep_points_reuse_the_measurement_families(monkeypatch):
     assert built == []
     lossy = table["fig3_qubit"].at_parameter(0.7).build_measurements()  # loss is per point
     assert len(built) == len(lossy) == 2
+
+
+def test_sweep_artifacts_are_the_certification_report(tmp_path, capsys):
+    point = replace(presets()["fig2"], sweep={"parameter": "v", "start": 0.8, "stop": 0.8, "points": 1}, out=None)
+    path = write_config(tmp_path, point.to_json())
+    assert main(["certify", "--config", path, "--v", "0.8", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", path, "--out", str(out), "--json"]) == 0
+    [printed] = json.loads(capsys.readouterr().out)
+    [entry] = json.loads((tmp_path / "sweep.json").read_text())
+    assert entry["parameter"] == printed["parameter"] == 0.8
+    for key, value in report.items():
+        assert entry[key] == value, key
+        if key != "functional":
+            assert printed[key] == value, key
+    assert "functional" not in printed and "wall_ms" not in entry
+
+
+def test_seesaw_artifacts_are_each_starts_report(tmp_path, monkeypatch):
+    traces = []
+
+    def recorded(*args, **kwargs):
+        traces.append(seesaw(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr("steercert.cli._seesaw_loop", recorded)
+    config = ExperimentConfig(kind="seesaw", state={"kind": "schmidt", "lambdas": [0.75, 0.25]}, seeds=(0, 1),
+                              max_iters=3)
+    summary, _ = run_seesaw(config, out=str(tmp_path / "trace.csv"))
+    side = json.loads((tmp_path / "trace.json").read_text())
+    reports = [json.loads(json.dumps(trace.to_json())) for trace in traces]
+    assert [side["seeds"][str(seed)] for seed in config.seeds] == reports
+    assert summary == {"best_seed": side["best_seed"], **traces[config.seeds.index(side["best_seed"])].to_json()}
