@@ -13,19 +13,18 @@ semidefiniteness and doubles inner products. ``solve`` absorbs the factor
 and both primal residuals (of the iterate, and of inconsistent dropped
 rows) are halved coming out. The dual residual is reported unscaled.
 
-Blocks of equal dimension form a group: one ``(2 n_g, D, D)`` stack [X; Z]
-(D = 2d) with its constraint rows as one ``(n_g, m, D(D+1)/2)`` svec stack,
-worked on by batched numpy calls: one Cholesky of [X; Z], and one
-``eigvalsh`` that gives the primal and dual steps to the boundary together.
-The Schur complement takes each block on the rows it touches only, and one
-``np.bincount`` adds the blocks' products in the caller's block order, as the
-sum over all rows did, whose other terms were exact zeros. A(X) and A^T(y)
-use all rows, which keeps the BLAS kernels and inner dimensions of the dense
-products. Block sums run in the caller's order and triangular inverses one
-block at a time, so that the grouping does not change the rounding.
+Blocks of equal dimension form a group: one ``(2 n_g, D, D)`` stack [X; Z] (D = 2d), worked
+on by batched numpy calls: one Cholesky and one SVD for the NT scaling, and one ``eigvalsh``
+for both steps to the boundary, from the NT factors F (F X F^T = I), not triangular inverses.
+Rows enter the Newton loop in d*d coordinates per Hermitian block (``_coordinates``), whose
+reads average each entry's copies: the projection onto the realified image, which rounding
+leaves. The matrices stay realified, since complex step lengths and scaling let the iterates
+drift off that image, and numpy's batched complex matmul is slower. Right operands of
+batched matmuls are C-contiguous: numpy multiplies a transposed one without BLAS. The Schur
+complement takes each block on the rows it touches only; ``np.bincount`` adds the blocks'
+products, and every other sum over blocks runs, in the caller's order.
 
-Rewrites for speed keep every kernel's operands, layout and order of accumulation. The
-iteration's Cholesky, SVD and eigvalsh call the gufuncs ``numpy.linalg`` dispatches to
+The iteration's Cholesky, SVD and eigvalsh call the gufuncs ``numpy.linalg`` dispatches to
 (``cholesky_lo``, ``svd_f``, ``eigvalsh_lo``) without its wrappers, whose checks and
 per-call ``errstate`` cost more than factorising blocks of order 2 to 8; a failure fills
 the output with NaN, raised as ``LinAlgError`` as ``numpy.linalg`` would.
@@ -44,7 +43,8 @@ beats it by more than an optimal end's gap ends the solve, and is returned as
 it is with status BOUND_EXCEEDED (``solve`` derives the margin). A
 presolve pass removes linearly dependent constraint rows (the R factor of
 a pivoted QR, pivot threshold 1e-10, by LAPACK's dgeqp3 and dtrtrs called as
-``scipy.linalg.qr`` and ``solve_triangular`` call them) and checks, with
+``scipy.linalg.qr`` and ``solve_triangular`` call them, on the rows' D(D+1)/2 svec
+coordinates per block, which the kept rows' d*d coordinates are then computed from) and checks, with
 R11^-1 R12, that the removed rows are consistent; dual multipliers for removed rows
 are reported as zero, which keeps the returned ``dual`` vector a valid
 certificate in the original row order. Each iteration's gap and residuals
@@ -59,7 +59,7 @@ are made only when read; a hand-built list of ``LinearConstraint``s enters as 1 
 
 A solve has a structural half and a data half. The structural half, a ``Structure``, depends
 only on the block dimensions, the objective and the term stacks: the checked row matrix's
-presolve (kept rows, dropped rows and R11^-1 R12), the kept rows' norms, their svec stacks,
+presolve (kept rows, dropped rows and R11^-1 R12), the kept rows' norms, their coordinate stacks,
 the sparse Schur plan and the realified objective, all read-only arrays derived from the
 problem, none a caller's. The data half is the right-hand sides, the dropped rows' consistency
 check, the start point and the Newton loop. The problems ``SdpProblem.with_rhs`` makes share
@@ -80,6 +80,7 @@ import enum
 import functools
 import itertools
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -283,67 +284,75 @@ def derealify(m: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _svec_indices(dim: int):
-    """Lower-triangle entries (ii, jj), column by column, and their scales; read-only, cached."""
+    """Lower-triangle entries (ii, jj), column by column, their flat positions and scales; read-only, cached."""
     jj, ii = np.triu_indices(dim)
-    return tuple(np.broadcast_to(a, a.shape) for a in (ii, jj, np.where(ii == jj, 1.0, np.sqrt(2.0))))
-
-
-@functools.cache
-def _gathers(dim: int):
-    """The flat positions of the svec entries in a dim x dim matrix, and for each entry of the
-    matrix, the svec entry it is read from; read-only, cached."""
-    ii, jj, _ = _svec_indices(dim)
-    pos = np.empty((dim, dim), dtype=np.intp)
-    pos[ii, jj] = pos[jj, ii] = np.arange(len(ii))
-    return tuple(np.broadcast_to(a, a.shape) for a in (ii * dim + jj, pos.ravel()))
+    return tuple(np.broadcast_to(a, a.shape) for a in (ii, jj, ii * dim + jj, np.where(ii == jj, 1.0, np.sqrt(2.0))))
 
 
 def _svec(mats: np.ndarray, idx) -> np.ndarray:
     dim = mats.shape[-1]
-    return mats.reshape(mats.shape[:-2] + (dim * dim,)).take(_gathers(dim)[0], axis=-1) * idx[2]
+    return mats.reshape(mats.shape[:-2] + (dim * dim,)).take(idx[2], axis=-1) * idx[3]
 
 
-def _unsvec(vec: np.ndarray, dim: int, idx) -> np.ndarray:
-    return (vec / idx[2]).take(_gathers(dim)[1], axis=-1).reshape(vec.shape[:-1] + (dim, dim))
+@functools.cache
+def _coordinates(d: int):
+    """The coordinates of the realifications of d x d Hermitian matrices: the Frobenius products with
+    the orthonormal basis E_k = realify(B_k) / |realify(B_k)|_F, B_k the elements of ``hermitian_basis(d)``.
+    A coordinate is the sum of its 2 (diagonal) or 4 signed copies in a D x D matrix times 1/sqrt(copies):
+    reading averages the copies, the orthogonal projection onto the realifications, and dot products of
+    coordinates are Frobenius products of realified matrices. Returns the (D*D, d*d) signs of the copies
+    and their transpose, both C-contiguous, the scales and the (D(D+1)/2, d*d) map from svec; read-only."""
+    copies_t = np.sign(_realify(_basis(d))).reshape(d * d, -1)
+    scale = 1.0 / np.sqrt(np.abs(copies_t).sum(axis=1))
+    basis = (copies_t * scale[:, None]).reshape(d * d, 2 * d, 2 * d)
+    out = np.ascontiguousarray(copies_t.T), copies_t, scale, np.ascontiguousarray(_svec(basis, _svec_indices(2 * d)).T)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _coords(mats: np.ndarray, coordinates) -> np.ndarray:
+    """The coordinates of a stack of D x D matrices, by one GEMM."""
+    copies, _, scale, _ = coordinates
+    return (mats.reshape(-1, len(copies)) @ copies).reshape(mats.shape[:-2] + scale.shape) * scale
+
+
+def _matrices(coords: np.ndarray, coordinates) -> np.ndarray:
+    """The D x D matrices sum_k c_k E_k of a stack of coordinates, by one GEMM."""
+    _, copies_t, scale, _ = coordinates
+    dim = 2 * math.isqrt(len(scale))
+    return ((coords * scale).reshape(-1, len(scale)) @ copies_t).reshape(coords.shape[:-1] + (dim, dim))
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.mT)
 
 
-def _tril_inv(lower: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """Inverse of each lower-triangular matrix in a stack, by one LAPACK trtrs call each,
-    in place on identities in Fortran order (the transposes of a C-ordered stack)."""
-    out = np.empty_like(lower)
-    out[:] = eye
-    for q, x in zip(lower.mT, out.mT):
-        _dtrtrs(q, x, 0, 1, overwrite_b=1)
-    return np.ascontiguousarray(out.mT)
-
-
 def _nt_scaling(xz: np.ndarray, eye: np.ndarray):
-    """Nesterov-Todd scaling of a group's blocks, given as one stack [X; Z]:
-    G^-1 X G^-T = G^T Z G = diag(lam). Returns G, G^-1, lam, T = G G^T and the
-    inverse Cholesky factors as one stack [L_X^-1; L_Z^-1]."""
+    """Nesterov-Todd scaling of a group's blocks, given as one stack [X; Z]: G^-1 X G^-T = G^T Z G
+    = diag(lam) = W, with G = L_X V W^-1/2 and G^-T = L_Z U W^-1/2 from L_Z^T L_X = U W V^T. Returns
+    G, G^T, G^-T, lam, W, T = G G^T and [F_X^T; F_Z^T] = [G^-T; G] W^-1/2, all C-contiguous."""
     n = len(xz) // 2
     with np.errstate(invalid="ignore"):  # a failed factorisation is NaN, and so are its products
         chol = _cholesky(xz, signature="d->d")
         lx, lz = chol[:n], chol[n:]
-        _, lam, wt = _svd(lz.mT @ lx, signature="d->ddd")
+        u, lam, vt = _svd(lz.mT @ lx, signature="d->ddd")
     if np.isnan(lam).any():
         raise np.linalg.LinAlgError("[X; Z] is not positive definite, or its SVD did not converge")
-    linv = _tril_inv(chol, eye)
     lam = np.maximum(lam, 1e-300)
-    g = lx @ wt.mT * (lam[..., None, :] ** -0.5)
-    return g, (lam[..., :, None] ** 0.5) * (wt @ linv[:n]), lam, g @ g.mT, linv
+    scale = lam[..., None, :] ** -0.5
+    g = lx @ np.ascontiguousarray(vt.mT) * scale
+    ginv_t = lz @ u * scale
+    gt = np.ascontiguousarray(g.mT)
+    return g, gt, ginv_t, lam, lam[..., None] * eye, g @ gt, np.concatenate([ginv_t * scale, g * scale])
 
 
-def _max_steps(inv_factors: list[np.ndarray], deltas: list[np.ndarray]) -> tuple[float, float]:
-    """sup {alpha : M + alpha*Delta >= 0 in every block}, for X and for Z at once,
-    given per group the stacks [L_X^-1; L_Z^-1] (M = L L^T) and [dX; dZ]."""
+def _max_steps(factors: list[np.ndarray], deltas: list[np.ndarray]) -> tuple[float, float]:
+    """sup {alpha : M + alpha*Delta >= 0 in every block}, for X and for Z at once, given per
+    group [F_X^T; F_Z^T] (F M F^T = I, so M + alpha*Delta >= 0 iff I + alpha F Delta F^T >= 0)."""
     lam_p = lam_d = np.inf
-    for linv, delta in zip(inv_factors, deltas):
-        lam = _eigvalsh(_sym(linv @ delta @ linv.mT), signature="d->d")[:, 0]
+    for ft, delta in zip(factors, deltas):
+        lam = _eigvalsh(_sym(ft.mT @ delta @ ft), signature="d->d")[:, 0]
         n = len(lam) // 2
         lo_p, lo_d = lam[:n].min(), lam[n:].min()
         if lo_p != lo_p or lo_d != lo_d:  # NaN: eigvalsh did not converge
@@ -352,10 +361,10 @@ def _max_steps(inv_factors: list[np.ndarray], deltas: list[np.ndarray]) -> tuple
     return tuple(np.inf if lam >= 0.0 else -1.0 / lam for lam in (lam_p, lam_d))
 
 
-def _sparse_rows(a3: list[np.ndarray], order, dims: list[int], idx: list):
-    """Per group (svec stack (n_g, mr, s)), each block's coefficients on the rows it touches,
-    padded to the widest block with a dummy row mr: as an (n_g, r_g, s) stack, zero on the
-    padding, and laid out (n_g, D, r_g D); and the bincount plan of ``_schur``, given the
+def _sparse_rows(a3: list[np.ndarray], order, coordinates: list):
+    """Per group (coordinate stack (n_g, mr, q)), each block's coefficients on the rows it touches,
+    padded to the widest block with a dummy row mr, zero on the padding: as a C-contiguous (n_g, q, r_g)
+    stack and as matrices laid out (n_g, D, r_g D); and the bincount plan of ``_schur``, given the
     caller's order of the blocks of all groups (None: the groups' blocks are in it)."""
     mr = a3[0].shape[1]
     rows = []
@@ -366,8 +375,10 @@ def _sparse_rows(a3: list[np.ndarray], order, dims: list[int], idx: list):
         rows.append(np.sort(np.where(touched, np.arange(mr), mr), axis=1)[:, :max(width, min(2, mr, 2 * width))])
     a_sp = [np.concatenate([a, np.zeros((len(a), 1, a.shape[-1]))], 1)[np.arange(len(a))[:, None], r]
             for a, r in zip(a3, rows)]
-    amats = [_unsvec(a, d, ix).transpose(0, 2, 1, 3).reshape(len(a), d, -1) for a, d, ix in zip(a_sp, dims, idx)]
-    return a_sp, amats, (_joined([r[:, :, None] * (mr + 1) + r[:, None, :] for r in rows], order), order, mr)
+    amats = [(m := _matrices(a, c)).transpose(0, 2, 1, 3).reshape(len(a), m.shape[-1], -1)
+             for a, c in zip(a_sp, coordinates)]
+    a_t = [np.ascontiguousarray(a.mT) for a in a_sp]
+    return a_t, amats, (_joined([r[:, :, None] * (mr + 1) + r[:, None, :] for r in rows], order), order, mr)
 
 
 def _joined(stacks: list[np.ndarray], order) -> np.ndarray:
@@ -379,15 +390,16 @@ def _joined(stacks: list[np.ndarray], order) -> np.ndarray:
     return np.concatenate([flat[k] for k in order])
 
 
-def _schur(tmats: list[np.ndarray], amats: list[np.ndarray], a_sp: list[np.ndarray], idx: list, plan):
-    """S_ij = sum_k <A_ik, T_k A_jk T_k> from each block's own rows, three batched products per
-    group; np.bincount adds the blocks one after another in the caller's order, as the dense sum
-    over all rows did, whose other terms were exact zeros."""
+def _schur(tmats: list[np.ndarray], amats: list[np.ndarray], a_t: list[np.ndarray], coordinates: list, plan):
+    """S_ij = sum_k <A_ik, T_k A_jk T_k> from each block's own rows: per group, two batched products
+    make each T A_j T, one GEMM reads its coordinates and one batched product takes their dot
+    products with the rows'; np.bincount adds the blocks one after another in the caller's order,
+    as the dense sum over all rows did, whose other terms were exact zeros."""
     prods = []
-    for t, am, a, (ii, jj, scale) in zip(tmats, amats, a_sp, idx):
-        n, r, d = len(t), a.shape[1], t.shape[-1]
+    for t, am, at, c in zip(tmats, amats, a_t, coordinates):
+        n, r, d = len(t), at.shape[-1], t.shape[-1]
         tat = ((t @ am).reshape(n, d * r, d) @ t).reshape(n, d, r, d)
-        prods.append(np.ascontiguousarray((tat[:, ii, :, jj] * scale[:, None, None]).transpose(1, 2, 0)) @ a.mT)
+        prods.append(_coords(tat.transpose(0, 2, 1, 3), c) @ at)
     bins, order, mr = plan
     schur = np.bincount(bins, _joined(prods, order), (mr + 1) ** 2).reshape(mr + 1, -1)
     schur = schur[:mr, :mr]
@@ -501,7 +513,7 @@ def _checked_start(start, block_dims: tuple[int, ...], groups: list[np.ndarray])
 class Structure:
     """The half of ``solve`` that depends only on a problem's block dimensions, objective and term
     stacks, never on its right-hand sides: the checked row matrix's presolve (kept and dropped rows,
-    R11^-1 R12), the kept rows' norms, their svec stacks, the sparse Schur plan and the realified
+    R11^-1 R12), the kept rows' norms, their coordinate stacks, the sparse Schur plan and the realified
     objective; every array derived from the problem and read-only, none the caller's. ``solve``
     builds one per problem, except for the problems ``SdpProblem.with_rhs`` makes, which share one."""
 
@@ -511,7 +523,7 @@ class Structure:
         self.dims = [2 * c.shape[-1] for c in objectives]
         self.sizes = [len(blocks) for blocks in groups]
         self.eyes = [np.eye(d) for d in self.dims]
-        self.idx = [_svec_indices(d) for d in self.dims]
+        self.coordinates = [_coordinates(c.shape[-1]) for c in objectives]
         self.cmats = [_realify(c) for c in objectives]
         self.groups = groups
         flat = [k for blocks in groups for k in blocks.tolist()]
@@ -525,13 +537,14 @@ class Structure:
         sq = max(float((f[:, None, :] @ f[:, :, None]).max()) for f in (c.reshape(len(c), -1) for c in self.cmats))
         self.xi_d = max(1.0, np.sqrt(sq)) * np.sqrt(max(self.dims))
         self.z_start = [self.xi_d * eye[None].repeat(n, axis=0) for eye, n in zip(self.eyes, self.sizes)]
-        self.a3 = self.a_sp = self.amats = self.schur_plan = None
+        self.a3 = self.a_t = self.amats = self.schur_plan = None
         if rank:
-            # the kept rows in svec coordinates, one C-contiguous (n_g, mr, s) stack per group (BLAS rounds by layout)
-            self.a3 = [rows[self.keep[None, :, None], (offsets[blocks][:, None] + np.arange(len(ix[0])))[:, None, :]]
-                       for blocks, ix in zip(groups, self.idx)]
-            self.a_sp, self.amats, self.schur_plan = _sparse_rows(self.a3, self.order, self.dims, self.idx)
-        for value in vars(self).values():  # every array made here, also in a list or tuple (idx's are read-only)
+            # the kept rows in d*d coordinates, one C-contiguous (n_g, mr, q) stack per group
+            self.a3 = [(rows[self.keep[None, :, None], (offsets[blocks][:, None] + np.arange(len(f)))[:, None, :]]
+                        .reshape(-1, len(f)) @ f).reshape(len(blocks), rank, -1)
+                       for blocks, (*_, f) in zip(groups, self.coordinates)]
+            self.a_t, self.amats, self.schur_plan = _sparse_rows(self.a3, self.order, self.coordinates)
+        for value in vars(self).values():  # every array made here, also in a list or tuple (coordinates' are read-only)
             for array in value if isinstance(value, (list, tuple)) else (value,):
                 if isinstance(array, np.ndarray):
                     array.setflags(write=False)
@@ -555,13 +568,12 @@ class Structure:
     def objective(self, xzs):
         return 0.5 * self.block_sum([(c * xz[:n]).sum(axis=(-2, -1)) for c, xz, n in zip(self.cmats, xzs, self.sizes)])
 
-    # on all rows: on a block's own, dgemv's kernel (A) or the inner dimension (A^T) would change
     def op_a(self, mats):
-        return self.block_sum([np.matmul(a, _svec(x, ix)[..., None])[..., 0]
-                               for a, x, ix in zip(self.a3, mats, self.idx)])
+        return self.block_sum([np.matmul(a, _coords(x, c)[..., None])[..., 0]
+                               for a, x, c in zip(self.a3, mats, self.coordinates)])
 
     def op_at(self, y):
-        return [_unsvec(np.matmul(y, a), d, ix) for a, d, ix in zip(self.a3, self.dims, self.idx)]
+        return [_matrices(np.matmul(y, a), c) for a, c in zip(self.a3, self.coordinates)]
 
 
 def solve(
@@ -684,14 +696,14 @@ def solve(
             break
 
         try:
-            gmats, ginvs, lams, tmats, linvs = zip(*[_nt_scaling(xz, eye) for xz, eye in zip(xzs, eyes)])
+            gmats, gts, ginv_ts, lams, wmats, tmats, factors = zip(*[_nt_scaling(xz, eye) for xz, eye in zip(xzs, eyes)])
         except np.linalg.LinAlgError:
             status = SolverStatus.NUMERICAL_TROUBLE
             break
 
         mu = block_sum([np.matmul(lam[:, None, :], lam[:, :, None])[:, 0, 0] for lam in lams]) / n_total
 
-        schur = _schur(tmats, st.amats, st.a_sp, st.idx, st.schur_plan)
+        schur = _schur(tmats, st.amats, st.a_t, st.coordinates, st.schur_plan)
         diag_mean = max(float(schur.diagonal().sum()) / mr, 1e-300)
         for reg in (0.0, 1e-13, 1e-11, 1e-9, 1e-7):
             schur_chol, info = _dpotrf(schur + reg * diag_mean * eye_m, 1, 0)
@@ -716,7 +728,7 @@ def solve(
         def newton_step(dmats):
             """Solve for dy and, per group, the stack [dX; dZ], given the scaled
             complementarity target."""
-            gdg = [g @ dm @ g.mT for g, dm in zip(gmats, dmats)]
+            gdg = [g @ dm @ gt for g, gt, dm in zip(gmats, gts, dmats)]
             dy = _dpotrs(schur_chol, op_a(gdg) - a_trdt - rp, 1)[0]
             dz = [atdy + r for atdy, r in zip(op_at(dy), rd)]
             return [_sym(np.concatenate([v - t @ w @ t, w])) for v, t, w in zip(gdg, tmats, dz)], dy
@@ -726,23 +738,23 @@ def solve(
             return [xz + np.array((ap, ad)).repeat(n)[:, None, None] * dxz for xz, dxz, n in zip(xzs, dxzs, sizes)]
 
         # predictor: aim at the complementarity target 0
-        dxz_aff, _ = newton_step([-lam[..., None] * eye for lam, eye in zip(lams, eyes)])
-        ap, ad = (min(1.0, s) for s in _max_steps(linvs, dxz_aff))
+        dxz_aff, _ = newton_step([-w for w in wmats])
+        ap, ad = (min(1.0, s) for s in _max_steps(factors, dxz_aff))
         mu_aff = block_sum([(s[:n] * s[n:]).sum(axis=(-2, -1))
                             for s, n in zip(stepped(ap, ad, dxz_aff), sizes)]) / n_total
         sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector with Mehrotra second-order term, in the scaled space
         dmats = []
-        for g, ginv, lam, dxz, eye, n in zip(gmats, ginvs, lams, dxz_aff, eyes, sizes):
-            dxt = ginv @ dxz[:n] @ ginv.mT
-            dzt = g.mT @ dxz[n:] @ g
+        for g, gt, ginv_t, lam, w, dxz, eye, n in zip(gmats, gts, ginv_ts, lams, wmats, dxz_aff, eyes, sizes):
+            dxt = ginv_t.mT @ dxz[:n] @ ginv_t
+            dzt = gt @ dxz[n:] @ g
             cross = 0.5 * (dxt @ dzt + dzt @ dxt)
-            dmat = sigma * mu * eye - (lam**2)[..., None] * eye - cross
+            dmat = sigma * mu * eye - lam[..., None] * w - cross
             dmats.append(2.0 * dmat / (lam[..., :, None] + lam[..., None, :]))
         dxzs, dy = newton_step(dmats)
 
-        ap, ad = (min(1.0, _STEP_FRAC * s) for s in _max_steps(linvs, dxzs))
+        ap, ad = (min(1.0, _STEP_FRAC * s) for s in _max_steps(factors, dxzs))
         if ap < 1e-10 and ad < 1e-10:
             status = SolverStatus.NUMERICAL_TROUBLE
             break

@@ -13,14 +13,16 @@ from steercert.sdp import (
     SolverStatus,
     _STALL_ITERS,
     _STALL_REGULARISED,
+    _coordinates,
+    _coords,
+    _matrices,
     _max_steps,
+    _nt_scaling,
     _schur,
     _sparse_rows,
     _svec,
     _svec_indices,
     _sym,
-    _tril_inv,
-    _unsvec,
     derealify,
     expand,
     fold,
@@ -447,6 +449,11 @@ def _psd_stack(n, d, rng):
     return q @ q.mT + 0.1 * np.eye(d)
 
 
+def _step_factors(x, z):
+    """The stack [F_X^T; F_Z^T] of the NT scaling of [X; Z], F M F^T = I."""
+    return _nt_scaling(np.concatenate([x, z]), np.eye(x.shape[-1]))[-1]
+
+
 def test_joint_step_lengths_match_separate_stacks():
     rng = np.random.default_rng(12)
     groups = []  # (X, dX, Z, dZ) per block dimension
@@ -454,62 +461,73 @@ def test_joint_step_lengths_match_separate_stacks():
         x, z = _psd_stack(n, d, rng), _psd_stack(n, d, rng)
         groups.append((x, _sym(rng.standard_normal((n, d, d))), z, _sym(rng.standard_normal((n, d, d)))))
 
-    def separate(m, dm):
-        # the smallest eigenvalue of L^-1 dM L^-T over one stack alone
-        linv = _tril_inv(np.linalg.cholesky(m), np.eye(m.shape[-1]))
-        return float(np.min(np.linalg.eigvalsh(_sym(linv @ dm @ linv.mT))[:, 0]))
+    def separate(ft, dm):
+        # the smallest eigenvalue of F dM F^T over one stack alone
+        return float(np.min(np.linalg.eigvalsh(_sym(ft.mT @ dm @ ft))[:, 0]))
 
-    linvs = [_tril_inv(np.linalg.cholesky(np.concatenate([x, z])), np.eye(x.shape[-1])) for x, _, z, _ in groups]
-    ap, ad = _max_steps(linvs, [np.concatenate([dx, dz]) for _, dx, _, dz in groups])
-    expected = (-1.0 / min(separate(x, dx) for x, dx, _, _ in groups),
-                -1.0 / min(separate(z, dz) for _, _, z, dz in groups))
+    factors = [_step_factors(x, z) for x, _, z, _ in groups]
+    ap, ad = _max_steps(factors, [np.concatenate([dx, dz]) for _, dx, _, dz in groups])
+    expected = (-1.0 / min(separate(ft[:len(x)], dx) for ft, (x, dx, _, _) in zip(factors, groups)),
+                -1.0 / min(separate(ft[len(x):], dz) for ft, (x, _, _, dz) in zip(factors, groups)))
     assert np.array_equal((ap, ad), expected)
     # each step ends on the boundary of the PSD cone
     assert abs(min(np.min(np.linalg.eigvalsh(x + ap * dx)) for x, dx, _, _ in groups)) <= 1e-10
     assert abs(min(np.min(np.linalg.eigvalsh(z + ad * dz)) for _, _, z, dz in groups)) <= 1e-10
     psd = [np.concatenate([_psd_stack(len(x), x.shape[-1], rng) for _ in range(2)]) for x, *_ in groups]
-    assert _max_steps(linvs, psd) == (np.inf, np.inf)
+    assert _max_steps(factors, psd) == (np.inf, np.inf)
 
 
-def test_tril_inv_acts_per_matrix_on_stacks():
-    eye = np.eye(4)
-    lower = np.linalg.cholesky(_psd_stack(6, 4, np.random.default_rng(13)))
-    inv = _tril_inv(lower, eye)
-    assert np.array_equal(inv, np.stack([sla.lapack.dtrtrs(q.T, eye, lower=0, trans=1)[0] for q in lower]))
-    assert np.max(np.abs(lower @ inv - eye)) <= 1e-12
+@pytest.mark.parametrize("seed", range(4))
+def test_step_lengths_from_the_scaling_are_those_to_the_boundary(seed):
+    # sup {alpha : M + alpha dM >= 0} = -1 / lambda_min(M^-1/2 dM M^-1/2), by eigh, against the
+    # NT factors F (F M F^T = I) that _max_steps uses, for X and for Z
+    rng = np.random.default_rng(40 + seed)
+
+    def to_boundary(m, dm):
+        vals, vecs = np.linalg.eigh(m)
+        root = (vecs * vals[:, None, :] ** -0.5) @ vecs.mT
+        lam = np.linalg.eigvalsh(root @ dm @ root)[:, 0].min()
+        return np.inf if lam >= 0 else -1.0 / lam
+
+    n, d = int(rng.integers(1, 9)), 2 * int(rng.integers(1, 4))
+    x, z = _psd_stack(n, d, rng), _psd_stack(n, d, rng)
+    dx, dz = _sym(rng.standard_normal((n, d, d))), _sym(rng.standard_normal((n, d, d)))
+    steps = _max_steps([_step_factors(x, z)], [np.concatenate([dx, dz])])
+    assert steps == pytest.approx((to_boundary(x, dx), to_boundary(z, dz)), rel=1e-12)
 
 
 @pytest.mark.parametrize("lone_row", [[], [5]], ids=["untouched group", "group of width one"])
 def test_sparse_schur_matches_the_dense_build(lone_row):
-    # realified dims 4, 6, 4, 2, 6, 2, 4: groups {0, 2, 6}, {1, 4} and {3, 5}; the rows of blocks
+    # Hermitian dims 2, 3, 2, 1, 3, 1, 2: groups {0, 2, 6}, {1, 4} and {3, 5}; the rows of blocks
     # 0, 1 and 6 overlap, so that row 2 takes three terms in the caller's order, and block 2's
     # are disjoint from theirs; no row touches block 3 or block 4, and block 5 touches either
     # none (so no block of its group) or one
     rng = np.random.default_rng(14)
-    dims, blocks, mr = [4, 6, 2], [np.array([0, 2, 6]), np.array([1, 4]), np.array([3, 5])], 6
+    dims, blocks, mr = [2, 3, 1], [np.array([0, 2, 6]), np.array([1, 4]), np.array([3, 5])], 6
     touched = {0: [0, 1, 2], 1: [1, 2, 3], 2: [4, 5], 3: [], 4: [], 5: lone_row, 6: [0, 2, 3]}
-    idx = [_svec_indices(d) for d in dims]
-    assert _svec_indices(4) is idx[0] and not any(a.flags.writeable for a in idx[0])  # cached, read-only
-    a3 = [np.zeros((len(k), mr, len(ix[0]))) for k, ix in zip(blocks, idx)]
+    coordinates = [_coordinates(d) for d in dims]
+    assert _coordinates(2) is coordinates[0] and not any(a.flags.writeable for a in coordinates[0])  # cached, read-only
+    a3 = [np.zeros((len(k), mr, d * d)) for k, d in zip(blocks, dims)]
     for a, ks in zip(a3, blocks):
         for a_k, k in zip(a, ks):
             a_k[touched[k]] = rng.standard_normal((len(touched[k]), a.shape[-1]))
-    tmats = [_psd_stack(len(k), d, rng) for k, d in zip(blocks, dims)]
-    a_sp, amats, plan = _sparse_rows(a3, np.argsort(np.concatenate(blocks)), dims, idx)
-    assert [a.shape[1] for a in a_sp] == [3, 3, 2 if lone_row else 0]
+    tmats = [_psd_stack(len(k), 2 * d, rng) for k, d in zip(blocks, dims)]
+    a_t, amats, plan = _sparse_rows(a3, np.argsort(np.concatenate(blocks)), coordinates)
+    assert [a.shape[-1] for a in a_t] == [3, 3, 2 if lone_row else 0]
+    assert all(a.flags.c_contiguous for a in a_t)
 
     # the dense build: every block against every row, added block by block in the caller's order
     prods = []
-    for a, t, d, (ii, jj, scale) in zip(a3, tmats, dims, idx):
-        am = _unsvec(a, d, (ii, jj, scale)).transpose(0, 2, 1, 3).reshape(len(a), d, -1)
-        tat = ((t @ am).reshape(len(t), d * mr, d) @ t).reshape(len(t), d, mr, d)
-        prods.append(np.ascontiguousarray((tat[:, ii, :, jj] * scale[:, None, None]).transpose(1, 2, 0)))
+    for a, t, d, c in zip(a3, tmats, dims, coordinates):
+        am = _matrices(a, c).transpose(0, 2, 1, 3).reshape(len(a), 2 * d, -1)
+        tat = ((t @ am).reshape(len(t), 2 * d * mr, 2 * d) @ t).reshape(len(t), 2 * d, mr, 2 * d)
+        prods.append(_coords(tat.transpose(0, 2, 1, 3), c))
     schur = np.zeros((mr, mr))
     for k in range(7):
         g = next(g for g, ks in enumerate(blocks) if k in ks)
         j = list(blocks[g]).index(k)
         schur += prods[g][j] @ a3[g][j].T
-    assert np.array_equal(_schur(tmats, amats, a_sp, idx, plan), 0.5 * (schur + schur.T))
+    assert np.array_equal(_schur(tmats, amats, a_t, coordinates, plan), 0.5 * (schur + schur.T))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -525,32 +543,79 @@ def test_planted_fuzz_across_shapes(seed):
 
 
 def _svec_by_index(mats, dim):
-    ii, jj, scale = _svec_indices(dim)
+    ii, jj, _, scale = _svec_indices(dim)
     return mats[..., ii, jj] * scale
 
 
-def _unsvec_by_index(vec, dim):
-    ii, jj, scale = _svec_indices(dim)
+def _copies(dim):
+    """Each coordinate's copies in a dim x dim realified matrix: (sign, row, column) triples."""
+    signs = np.sign(realify(hermitian_basis(dim // 2)))
+    return [[(e[i, j], i, j) for i, j in zip(*np.nonzero(e))] for e in signs]
+
+
+def _coords_by_index(mats, dim):
+    scale = _coordinates(dim // 2)[2]
+    out = np.zeros(mats.shape[:-2] + scale.shape)
+    for k, copies in enumerate(_copies(dim)):
+        out[..., k] = sum(sign * mats[..., i, j] for sign, i, j in copies) * scale[k]
+    return out
+
+
+def _matrices_by_index(vec, dim):
+    scale = _coordinates(dim // 2)[2]
     out = np.zeros(vec.shape[:-1] + (dim, dim))
-    vals = vec / scale
-    out[..., ii, jj] = vals
-    out[..., jj, ii] = vals
+    for k, copies in enumerate(_copies(dim)):
+        for sign, i, j in copies:
+            out[..., i, j] = vec[..., k] * scale[k] * sign
     return out
 
 
 @pytest.mark.parametrize("dim", [2, 4, 6, 8])
 def test_svec_gathers_match_the_index_forms(dim):
+    # the svec of the assembly, and the coordinates' reads and writes; a read sums its copies exactly
+    # when the entries are integers, so that its rounding is the last product's in any order
     rng = np.random.default_rng(20 + dim)
-    idx = _svec_indices(dim)
+    idx, c = _svec_indices(dim), _coordinates(dim // 2)
     for lead in [(), (3,), (2, 5), (4, 0)]:
         mats = rng.standard_normal(lead + (dim, dim))
-        vec = rng.standard_normal(lead + (len(idx[0]),))
+        whole = rng.integers(-9, 10, lead + (dim, dim)).astype(float)
+        vec = rng.standard_normal(lead + (len(c[2]),))
         for got, want in [
             (_svec(mats, idx), _svec_by_index(mats, dim)),
             (_svec(mats.mT, idx), _svec_by_index(mats.mT, dim)),  # a strided stack
-            (_unsvec(vec, dim, idx), _unsvec_by_index(vec, dim)),
+            (_coords(whole, c), _coords_by_index(whole, dim)),
+            (_coords(whole.mT, c), _coords_by_index(whole.mT, dim)),
+            (_matrices(vec, c), _matrices_by_index(vec, dim)),
         ]:
             assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_coordinates_are_the_projection_onto_realifications(d):
+    rng = np.random.default_rng(50 + d)
+    c = _coordinates(d)
+    h, h2 = (np.array([random_herm(d, rng) for _ in range(5)]) for _ in range(2))
+
+    def off_image(n):
+        # [[S1 + K1, S2 + K], [S3 + K, -S1 + K2]] (S symmetric, K antisymmetric) is orthogonal to every
+        # realification [[S, -K'], [K', S]]; integer entries keep every sum exact
+        sym = [(q := rng.integers(-9, 10, (n, d, d))) + q.mT for _ in range(3)]
+        anti = [(q := rng.integers(-9, 10, (n, d, d))) - q.mT for _ in range(3)]
+        return np.block([[sym[0] + anti[0], sym[1] + anti[2]], [sym[2] + anti[2], -sym[0] + anti[1]]]).astype(float)
+
+    q = rng.integers(-9, 10, (5, d, d)) + 1j * rng.integers(-9, 10, (5, d, d))
+    whole = realify(q + dagger(q))
+    assert np.array_equal(_coords(whole + off_image(5), c), _coords(whole, c))
+    assert np.max(np.abs(_coords(realify(h) + off_image(5), c) - _coords(realify(h), c))) <= 1e-14
+    # sqrt(2) times the expansion on hermitian_basis; writing and reading back
+    want = np.sqrt(2.0) * np.einsum("kij,nji->nk", hermitian_basis(d), h).real
+    assert np.max(np.abs(_coords(realify(h), c) - want)) <= 1e-14
+    assert np.max(np.abs(_matrices(want, c) - realify(h))) <= 1e-14
+    vec = rng.standard_normal((5, d * d))
+    assert np.max(np.abs(_coords(_matrices(vec, c), c) - vec)) <= 1e-15 * np.abs(vec).max()
+    # dot products are the Frobenius products of the realified matrices, 2 Re Tr[H H2]
+    dots = (_coords(realify(h), c) * _coords(realify(h2), c)).sum(-1)
+    assert dots == pytest.approx(2.0 * np.einsum("nij,nji->n", h, h2).real, rel=1e-13, abs=1e-13)
 
 
 def test_factorisations_match_numpy_linalg():
@@ -674,7 +739,8 @@ def test_assembly_matches_the_row_by_row_build(monkeypatch):
         keep = [i for i in range(len(b)) if i not in sol.dropped_rows]
         starts = np.cumsum([0] + [d * (2 * d + 1) for d in dims])
         for g, a in zip(groups, stacks[0]):
-            want = np.stack([ref_rows[keep, starts[k]:starts[k + 1]] for k in g])
+            from_svec = _coordinates(dims[g[0]])[3]
+            want = np.stack([ref_rows[keep, starts[k]:starts[k + 1]] @ from_svec for k in g])
             assert a.flags.c_contiguous and _identical(a, want)
 
 

@@ -4,13 +4,17 @@ or compare the solves of this checkout with those of another.
     python3 tools/solve_fingerprints.py --workload qubit_sweeps > change.txt
     python3 tools/solve_fingerprints.py --workload all --against ../parent
     python3 tools/solve_fingerprints.py --workload all --against HEAD
+    python3 tools/solve_fingerprints.py --workload qutrit_sweeps --ignore-values --against HEAD
 
 Each hash covers the primal and dual iterates, the dual slacks, both values, the
 gap, the status, the iteration count, both residuals and the dropped rows, so equal
 lines mean bit-for-bit equal solves; `regularised_steps` is left out, so that
 checkouts from before it still compare. `--ignore-iterations` leaves the iteration
 count out too, so that equal lines mean the same returned solution, however many
-Newton steps it took: a change that only stops some solves sooner compares equal. `--root` names the checkout whose
+Newton steps it took: a change that only stops some solves sooner compares equal. `--ignore-values` hashes
+only the status, the iteration count and the dropped rows, so that equal lines mean
+solves that ended the same way after the same number of Newton steps: the check for a
+change that moves the iterates at rounding level only. `--root` names the checkout whose
 `perfbench/workloads.py` and `src/` are used (default: this one). Ops run once each,
 in `workloads.build` order, each after a `# <op key>` line. `--against ROOT` runs
 each workload at both checkouts in subprocesses and compares each op's hashes as
@@ -42,6 +46,8 @@ parser.add_argument("--workload", required=True, choices=WORKLOADS + ("all",))
 parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
 parser.add_argument("--against", help="another checkout, or a git revision of this one, to compare with")
 parser.add_argument("--ignore-iterations", action="store_true", help="leave the iteration count out of each hash")
+parser.add_argument("--ignore-values", action="store_true",
+                    help="hash only the status, the iteration count and the dropped rows")
 
 
 @contextlib.contextmanager
@@ -58,9 +64,8 @@ def checkout(root: Path, against: str):
         yield Path(tmp)
 
 
-def solves_by_op(root: Path, workload: str, ignore_iterations: bool) -> dict[str, list[str]]:
-    """The hashes of one pass at `root`, listed per op key."""
-    flags = ["--ignore-iterations"] if ignore_iterations else []
+def solves_by_op(root: Path, workload: str, flags: list[str]) -> dict[str, list[str]]:
+    """The hashes of one pass at `root`, listed per op key, with the hashing `flags`."""
     out = subprocess.run([sys.executable, __file__, "--workload", workload, "--root", str(root), *flags],
                          capture_output=True, text=True, check=True).stdout
     ops: dict[str, list[str]] = {}
@@ -72,10 +77,10 @@ def solves_by_op(root: Path, workload: str, ignore_iterations: bool) -> dict[str
     return ops
 
 
-def compare(root: Path, other: Path, workload: str, label: str, ignore_iterations: bool) -> bool:
+def compare(root: Path, other: Path, workload: str, label: str, flags: list[str]) -> bool:
     """Print how many of the workload's solves differ between the checkouts, and where;
     `label` names `other` in the output."""
-    mine, theirs = (solves_by_op(side, workload, ignore_iterations) for side in (root, other))
+    mine, theirs = (solves_by_op(side, workload, flags) for side in (root, other))
     only = {}  # op key -> (solves only here, solves only at `other`)
     for key in mine | theirs:
         here, there = Counter(mine.get(key, [])), Counter(theirs.get(key, []))
@@ -93,8 +98,9 @@ if __name__ == "__main__":
     args = parser.parse_args()
     workloads = list(WORKLOADS) if args.workload == "all" else [args.workload]
     if args.against:
+        flags = [f"--{name}" for name in ("ignore-iterations", "ignore-values") if vars(args)[name.replace("-", "_")]]
         with checkout(args.root, args.against) as other:
-            differ = [compare(args.root, other, name, args.against, args.ignore_iterations) for name in workloads]
+            differ = [compare(args.root, other, name, args.against, flags) for name in workloads]
         sys.exit(int(any(differ)))
     sys.path.insert(0, str(args.root.resolve() / "perfbench"))
     import numpy as np
@@ -104,9 +110,12 @@ if __name__ == "__main__":
 
     def fingerprint(sol) -> str:
         h = hashlib.sha256()
+        iterations = () if args.ignore_iterations else (sol.iterations,)
+        if args.ignore_values:
+            h.update(repr((sol.status.value, *iterations, sol.dropped_rows)).encode())
+            return h.hexdigest()
         for a in (*sol.primal, sol.dual, *sol.dual_slacks):
             h.update(repr(a.shape).encode() + np.ascontiguousarray(a).tobytes())
-        iterations = () if args.ignore_iterations else (sol.iterations,)
         h.update(repr((sol.primal_value, sol.dual_value, sol.gap, sol.status.value, *iterations,
                        sol.primal_residual, sol.dual_residual, sol.dropped_rows)).encode())
         return h.hexdigest()
