@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .qlin import Povm, dagger, freeze, matrix_to_json, partial_trace
+from .qlin import Povm, dagger, eigh, freeze, matrix_to_json, partial_trace
 from .scenario import Assemblage, Scenario, assemblage_from, steering_adjoint
 
 CONSISTENCY_TOL = 1e-8
@@ -211,7 +211,7 @@ def _supports(mats: np.ndarray) -> list[list[np.ndarray]]:
     of its Hermitian part (one batched ``eigh``) with eigenvalues above SUPPORT_CUTOFF times the largest of the
     grid, or the identity when all are, so that unreduced problems keep the plain, unrotated variables.
     Each is read-only: a cached steering parent's grid and a result's functional may hold the same one."""
-    vals, vecs = np.linalg.eigh(0.5 * (mats + dagger(mats)))
+    vals, vecs = eigh(0.5 * (mats + dagger(mats)))
     keep = vals > SUPPORT_CUTOFF * float(vals[..., -1].max())
     eye = np.eye(mats.shape[-1], dtype=complex)
     supports = [[eye if full else vecs[a, x][:, keep[a, x]] for x, full in enumerate(row)]

@@ -43,6 +43,23 @@ def is_hermitian(a: np.ndarray, tol: float = ALG_TOL) -> bool:
     return hermiticity_defect(a) <= tol
 
 
+def eigh(a: np.ndarray):
+    """``np.linalg.eigh(a)`` by the gufunc it calls, without the wrapper's checks and per-call ``errstate``,
+    which cost more than a small eigensystem; a failure (NaN) raises ``LinAlgError``."""
+    return _converged(*np.linalg._umath_linalg.eigh_lo(a, signature="D->dD" if np.iscomplexobj(a) else "d->dd"))
+
+
+def eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh(a)`` as ``eigh``."""
+    return _converged(np.linalg._umath_linalg.eigvalsh_lo(a, signature="D->d" if np.iscomplexobj(a) else "d->d"))[0]
+
+
+def _converged(vals, *vecs):
+    if np.isnan(vals).any():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return (vals, *vecs)
+
+
 def min_eig(a: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix.
 
@@ -68,7 +85,7 @@ def not_psd(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     h = 0.5 * (stack + adjoint)
     if not hermitian.all():
         h[~hermitian] = 0.0  # no eigvalsh of a NaN
-    return ~(hermitian & (np.linalg.eigvalsh(h)[..., 0] >= -tol))
+    return ~(hermitian & (eigvalsh(h)[..., 0] >= -tol))
 
 
 def kron(*ops: np.ndarray) -> np.ndarray:
@@ -207,7 +224,7 @@ def normalised(stack: np.ndarray) -> np.ndarray:
     whenever T has full rank. Applied to an ensemble it is the pretty-good
     measurement; applied to nearly complete POVM elements it restores
     completeness."""
-    vals, vecs = np.linalg.eigh(stack.sum(axis=0))
+    vals, vecs = eigh(stack.sum(axis=0))
     inv_sqrt = (vecs * np.maximum(vals, 1e-300) ** -0.5) @ dagger(vecs)
     return inv_sqrt @ stack @ inv_sqrt
 
@@ -216,7 +233,7 @@ def helstrom_pair(diff: np.ndarray) -> np.ndarray:
     """The stack [P, 1 - P], with P the projector onto the negative eigenspace of
     diff = W_0 - W_1: the two-outcome measurement minimising <W_0, M_0> + <W_1, M_1>
     (Helstrom's)."""
-    vals, vecs = np.linalg.eigh(diff)
+    vals, vecs = eigh(diff)
     neg = vecs[:, vals < 0.0]
     p = neg @ dagger(neg)
     return np.stack([p, np.eye(len(p), dtype=complex) - p])

@@ -14,20 +14,15 @@ and both primal residuals (of the iterate, and of inconsistent dropped
 rows) are halved coming out. The dual residual is reported unscaled.
 
 Blocks of equal dimension form a group: one ``(2 n_g, D, D)`` stack [X; Z] (D = 2d), worked
-on by batched numpy calls: one Cholesky and one SVD for the NT scaling, and one ``eigvalsh``
-for both steps to the boundary, from the NT factors F (F X F^T = I), not triangular inverses.
-Rows enter the Newton loop in d*d coordinates per Hermitian block (``_coordinates``), whose
-reads average each entry's copies: the projection onto the realified image, which rounding
-leaves. The matrices stay realified, since complex step lengths and scaling let the iterates
-drift off that image, and numpy's batched complex matmul is slower. Right operands of
-batched matmuls are C-contiguous: numpy multiplies a transposed one without BLAS. The Schur
-complement takes each block on the rows it touches only; ``np.bincount`` adds the blocks'
-products, and every other sum over blocks runs, in the caller's order.
-
-The iteration's Cholesky, SVD and eigvalsh call the gufuncs ``numpy.linalg`` dispatches to
-(``cholesky_lo``, ``svd_f``, ``eigvalsh_lo``) without its wrappers, whose checks and
-per-call ``errstate`` cost more than factorising blocks of order 2 to 8; a failure fills
-the output with NaN, raised as ``LinAlgError`` as ``numpy.linalg`` would.
+on by batched numpy calls: one Cholesky and one SVD for the NT scaling, and one ``eigvalsh`` for
+both steps to the boundary, from the NT factors F (F X F^T = I). Rows enter the Newton loop in
+d*d coordinates per Hermitian block (``_coordinates``), whose reads project onto the realified
+image that rounding leaves; the matrices stay realified, since complex steps and scaling drift
+off it. Right operands of batched matmuls are C-contiguous (numpy multiplies a transposed one
+without BLAS). The Schur complement takes each block on the rows it touches only; it and every
+sum over blocks add the blocks in the caller's order. Cholesky, SVD and eigvalsh call the gufuncs
+``numpy.linalg`` dispatches to, without its wrappers, whose checks and per-call ``errstate`` cost
+more than factorising blocks of order 2 to 8; a failure's NaN is raised as ``LinAlgError``.
 
 The algorithm is infeasible-start path following with Nesterov-Todd
 scaling and a Mehrotra-style predictor-corrector, solving the dense
@@ -87,7 +82,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .qlin import dagger, hermitian_basis, is_hermitian
+from .qlin import dagger, eigvalsh, hermitian_basis, is_hermitian
 
 _log = logging.getLogger("steercert")
 
@@ -296,12 +291,9 @@ def _svec(mats: np.ndarray, idx) -> np.ndarray:
 
 @functools.cache
 def _coordinates(d: int):
-    """The coordinates of the realifications of d x d Hermitian matrices: the Frobenius products with
-    the orthonormal basis E_k = realify(B_k) / |realify(B_k)|_F, B_k the elements of ``hermitian_basis(d)``.
-    A coordinate is the sum of its 2 (diagonal) or 4 signed copies in a D x D matrix times 1/sqrt(copies):
-    reading averages the copies, the orthogonal projection onto the realifications, and dot products of
-    coordinates are Frobenius products of realified matrices. Returns the (D*D, d*d) signs of the copies
-    and their transpose, both C-contiguous, the scales and the (D(D+1)/2, d*d) map from svec; read-only."""
+    """Frobenius products with the orthonormal basis realify(B_k) / |realify(B_k)|, B_k in ``hermitian_basis(d)``:
+    each the sum of its 2 or 4 signed copies in a D x D matrix times 1/sqrt(copies), so reading projects onto
+    the realifications. Returns the (D*D, d*d) signs, their transpose, the scales and the svec-to-these map."""
     copies_t = np.sign(_realify(_basis(d))).reshape(d * d, -1)
     scale = 1.0 / np.sqrt(np.abs(copies_t).sum(axis=1))
     basis = (copies_t * scale[:, None]).reshape(d * d, 2 * d, 2 * d)
@@ -339,8 +331,7 @@ def _nt_scaling(xz: np.ndarray, eye: np.ndarray):
         u, lam, vt = _svd(lz.mT @ lx, signature="d->ddd")
     if np.isnan(lam).any():
         raise np.linalg.LinAlgError("[X; Z] is not positive definite, or its SVD did not converge")
-    lam = np.maximum(lam, 1e-300)
-    scale = lam[..., None, :] ** -0.5
+    scale = (lam := np.maximum(lam, 1e-300))[..., None, :] ** -0.5
     g = lx @ np.ascontiguousarray(vt.mT) * scale
     ginv_t = lz @ u * scale
     gt = np.ascontiguousarray(g.mT)
@@ -501,7 +492,7 @@ def _checked_start(start, block_dims: tuple[int, ...], groups: list[np.ndarray])
         adjoint = dagger(x)
         defects[blocks] = np.abs(x - adjoint).max(axis=(-2, -1))
         stacks.append(h := 0.5 * (x + adjoint))
-        definite[blocks] = np.linalg.eigvalsh(h)[:, 0] > 0.0
+        definite[blocks] = eigvalsh(h)[:, 0] > 0.0
     if (bad := np.flatnonzero((defects > 1e-9) | ~definite)).size:
         k = bad[0]
         if defects[k] > 1e-9:

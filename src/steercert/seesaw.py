@@ -45,7 +45,7 @@ import numpy as np
 
 from . import sdp
 from .certify import CertificationResult, SteeringFunctional, _smoothed, certify_local
-from .qlin import Povm, dagger, helstrom_pair, normalised, random_unitary
+from .qlin import Povm, dagger, eigh, helstrom_pair, normalised, random_unitary
 from .scenario import Assemblage, Scenario, apply_loss, assemblage_from, steering_adjoint
 
 _log = logging.getLogger("steercert")
@@ -229,11 +229,11 @@ def _geodesic(old: list[Povm], new: list[Povm]):
         if any(np.max(np.abs(p @ p - p)) > _PROJECTOR_TOL for p in (p_old, p_new)):
             return None
         a = p_new @ p_old + (eye - p_new) @ (eye - p_old)
-        cos2, w = np.linalg.eigh(dagger(a) @ a)  # squared cosines of the principal angles
+        cos2, w = eigh(dagger(a) @ a)  # squared cosines of the principal angles
         if cos2[0] <= _PROJECTOR_TOL:
             return None
         u = a @ (w * cos2**-0.5) @ dagger(w)
-        sines, v = np.linalg.eigh((u - dagger(u)) / 2j)
+        sines, v = eigh((u - dagger(u)) / 2j)
         rotations.append((p_old, v, np.arcsin(np.clip(sines, -1.0, 1.0))))
 
     def at(t: float) -> list[Povm]:

@@ -5,6 +5,8 @@ from steercert.qlin import (
     Povm,
     basis_povm,
     dagger,
+    eigh,
+    eigvalsh,
     hermitian_basis,
     hermitian_inner,
     is_hermitian,
@@ -284,3 +286,19 @@ def test_matrix_json_round_trip():
     assert encoded[0][1] == [pytest.approx(a[0, 1].real), pytest.approx(a[0, 1].imag)]
     back = matrix_from_json(encoded)
     assert np.array_equal(back, a)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")  # the gufunc's, before the LinAlgError
+def test_eigh_and_eigvalsh_match_numpy_linalg_bit_for_bit():
+    # the gufuncs numpy.linalg.eigh and eigvalsh call, without their wrappers; a numpy that moves them fails here
+    rng = np.random.default_rng(36)
+    for stack in (np.stack([random_herm(d, rng) for _ in range(7)]) for d in (1, 2, 3, 4)):
+        for a in (stack, stack[0], stack.real.copy(), stack.mT):  # complex, one matrix, real, strided
+            got, want = eigh(a), np.linalg.eigh(a)
+            assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+            assert eigvalsh(a).dtype == want[0].dtype and np.array_equal(eigvalsh(a), np.linalg.eigvalsh(a))
+    bad = random_herm(3, rng)
+    bad[1, 1] = np.nan
+    for f in (eigh, eigvalsh, np.linalg.eigh):
+        with pytest.raises(np.linalg.LinAlgError):
+            f(bad)
