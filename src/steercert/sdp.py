@@ -279,21 +279,21 @@ def derealify(m: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _svec_indices(dim: int):
-    """Lower-triangle entries (ii, jj), column by column, their flat positions and scales; read-only, cached."""
+    """The flat positions of the lower-triangle entries, column by column, and their scales; read-only, cached."""
     jj, ii = np.triu_indices(dim)
-    return tuple(np.broadcast_to(a, a.shape) for a in (ii, jj, ii * dim + jj, np.where(ii == jj, 1.0, np.sqrt(2.0))))
+    return tuple(np.broadcast_to(a, a.shape) for a in (ii * dim + jj, np.where(ii == jj, 1.0, np.sqrt(2.0))))
 
 
 def _svec(mats: np.ndarray, idx) -> np.ndarray:
     dim = mats.shape[-1]
-    return mats.reshape(mats.shape[:-2] + (dim * dim,)).take(idx[2], axis=-1) * idx[3]
+    return mats.reshape(mats.shape[:-2] + (dim * dim,)).take(idx[0], axis=-1) * idx[1]
 
 
 @functools.cache
 def _coordinates(d: int):
-    """Frobenius products with the orthonormal basis realify(B_k) / |realify(B_k)|, B_k in ``hermitian_basis(d)``:
-    each the sum of its 2 or 4 signed copies in a D x D matrix times 1/sqrt(copies), so reading projects onto
-    the realifications. Returns the (D*D, d*d) signs, their transpose, the scales and the svec-to-these map."""
+    """The d*d coordinates of a realified Hermitian block, its Frobenius products with the basis realify(B_k) / norm,
+    B_k in ``hermitian_basis(d)``: the sum of each one's 2 or 4 signed copies times 1/sqrt(copies), the projection onto
+    realifications. Returns the (D*D, d*d) signs, their transpose, the scales and the svec-to-these map; read-only."""
     copies_t = np.sign(_realify(_basis(d))).reshape(d * d, -1)
     scale = 1.0 / np.sqrt(np.abs(copies_t).sum(axis=1))
     basis = (copies_t * scale[:, None]).reshape(d * d, 2 * d, 2 * d)

@@ -543,8 +543,8 @@ def test_planted_fuzz_across_shapes(seed):
 
 
 def _svec_by_index(mats, dim):
-    ii, jj, _, scale = _svec_indices(dim)
-    return mats[..., ii, jj] * scale
+    jj, ii = np.triu_indices(dim)
+    return mats[..., ii, jj] * _svec_indices(dim)[1]
 
 
 def _copies(dim):
