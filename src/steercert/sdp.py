@@ -19,10 +19,12 @@ both steps to the boundary, from the NT factors F (F X F^T = I). Rows enter the 
 d*d coordinates per Hermitian block (``_coordinates``), whose reads project onto the realified
 image that rounding leaves; the matrices stay realified, since complex steps and scaling drift
 off it. Right operands of batched matmuls are C-contiguous (numpy multiplies a transposed one
-without BLAS). The Schur complement takes each block on the rows it touches only; it and every
-sum over blocks add the blocks in the caller's order. Cholesky, SVD and eigvalsh call the gufuncs
-``numpy.linalg`` dispatches to, without its wrappers, whose checks and per-call ``errstate`` cost
-more than factorising blocks of order 2 to 8; a failure's NaN is raised as ``LinAlgError``.
+without BLAS). The Schur complement takes each block on the rows a it touches only, as a K a^T,
+where K holds the coordinates of T E_l T over the d*d basis matrices E_l (``_kernels``); it and
+every sum over blocks add the blocks in the caller's order. Cholesky, SVD and eigvalsh call
+the gufuncs ``numpy.linalg`` dispatches to, without its wrappers, whose checks and per-call
+``errstate`` cost more than factorising blocks of order 2 to 8; a failure's NaN is raised as
+``LinAlgError``.
 
 The algorithm is infeasible-start path following with Nesterov-Todd
 scaling and a Mehrotra-style predictor-corrector, solving the dense
@@ -293,11 +295,13 @@ def _svec(mats: np.ndarray, idx) -> np.ndarray:
 def _coordinates(d: int):
     """The d*d coordinates of a realified Hermitian block, its Frobenius products with the basis realify(B_k) / norm,
     B_k in ``hermitian_basis(d)``: the sum of each one's 2 or 4 signed copies times 1/sqrt(copies), the projection onto
-    realifications. Returns the (D*D, d*d) signs, their transpose, the scales and the svec-to-these map; read-only."""
+    realifications. Returns the (D*D, d*d) signs, their transpose, the scales, the svec-to-these map and the (d*d, D, D)
+    basis matrices E_l themselves; read-only."""
     copies_t = np.sign(_realify(_basis(d))).reshape(d * d, -1)
     scale = 1.0 / np.sqrt(np.abs(copies_t).sum(axis=1))
     basis = (copies_t * scale[:, None]).reshape(d * d, 2 * d, 2 * d)
-    out = np.ascontiguousarray(copies_t.T), copies_t, scale, np.ascontiguousarray(_svec(basis, _svec_indices(2 * d)).T)
+    from_svec = np.ascontiguousarray(_svec(basis, _svec_indices(2 * d)).T)
+    out = np.ascontiguousarray(copies_t.T), copies_t, scale, from_svec, basis
     for a in out:
         a.setflags(write=False)
     return out
@@ -305,13 +309,13 @@ def _coordinates(d: int):
 
 def _coords(mats: np.ndarray, coordinates) -> np.ndarray:
     """The coordinates of a stack of D x D matrices, by one GEMM."""
-    copies, _, scale, _ = coordinates
+    copies, _, scale, *_ = coordinates
     return (mats.reshape(-1, len(copies)) @ copies).reshape(mats.shape[:-2] + scale.shape) * scale
 
 
 def _matrices(coords: np.ndarray, coordinates) -> np.ndarray:
     """The D x D matrices sum_k c_k E_k of a stack of coordinates, by one GEMM."""
-    _, copies_t, scale, _ = coordinates
+    _, copies_t, scale, *_ = coordinates
     dim = 2 * math.isqrt(len(scale))
     return ((coords * scale).reshape(-1, len(scale)) @ copies_t).reshape(coords.shape[:-1] + (dim, dim))
 
@@ -352,11 +356,11 @@ def _max_steps(factors: list[np.ndarray], deltas: list[np.ndarray]) -> tuple[flo
     return tuple(np.inf if lam >= 0.0 else -1.0 / lam for lam in (lam_p, lam_d))
 
 
-def _sparse_rows(a3: list[np.ndarray], order, coordinates: list):
+def _sparse_rows(a3: list[np.ndarray], order):
     """Per group (coordinate stack (n_g, mr, q)), each block's coefficients on the rows it touches,
-    padded to the widest block with a dummy row mr, zero on the padding: as a C-contiguous (n_g, q, r_g)
-    stack and as matrices laid out (n_g, D, r_g D); and the bincount plan of ``_schur``, given the
-    caller's order of the blocks of all groups (None: the groups' blocks are in it)."""
+    padded to the widest block with a dummy row mr, zero on the padding: as C-contiguous (n_g, r_g, q)
+    and (n_g, q, r_g) stacks; and the bincount plan of ``_schur``, given the caller's order of the
+    blocks of all groups (None: the groups' blocks are in it)."""
     mr = a3[0].shape[1]
     rows = []
     for a in a3:
@@ -366,10 +370,8 @@ def _sparse_rows(a3: list[np.ndarray], order, coordinates: list):
         rows.append(np.sort(np.where(touched, np.arange(mr), mr), axis=1)[:, :max(width, min(2, mr, 2 * width))])
     a_sp = [np.concatenate([a, np.zeros((len(a), 1, a.shape[-1]))], 1)[np.arange(len(a))[:, None], r]
             for a, r in zip(a3, rows)]
-    amats = [(m := _matrices(a, c)).transpose(0, 2, 1, 3).reshape(len(a), m.shape[-1], -1)
-             for a, c in zip(a_sp, coordinates)]
     a_t = [np.ascontiguousarray(a.mT) for a in a_sp]
-    return a_t, amats, (_joined([r[:, :, None] * (mr + 1) + r[:, None, :] for r in rows], order), order, mr)
+    return a_sp, a_t, (_joined([r[:, :, None] * (mr + 1) + r[:, None, :] for r in rows], order), order, mr)
 
 
 def _joined(stacks: list[np.ndarray], order) -> np.ndarray:
@@ -381,16 +383,23 @@ def _joined(stacks: list[np.ndarray], order) -> np.ndarray:
     return np.concatenate([flat[k] for k in order])
 
 
-def _schur(tmats: list[np.ndarray], amats: list[np.ndarray], a_t: list[np.ndarray], coordinates: list, plan):
-    """S_ij = sum_k <A_ik, T_k A_jk T_k> from each block's own rows: per group, two batched products
-    make each T A_j T, one GEMM reads its coordinates and one batched product takes their dot
-    products with the rows'; np.bincount adds the blocks one after another in the caller's order,
-    as the dense sum over all rows did, whose other terms were exact zeros."""
+def _kernels(t: np.ndarray, coordinates) -> np.ndarray:
+    """K[k, l, m] = <E_m, T_k E_l T_k> over the d*d basis matrices E_l of ``_coordinates``, for a
+    group's stack T: two broadcast products make every T_k E_l T_k and one GEMM reads their coordinates."""
+    t = t[:, None]
+    return _coords(t @ coordinates[4] @ t, coordinates)
+
+
+def _schur(tmats: list[np.ndarray], a_sp: list[np.ndarray], a_t: list[np.ndarray], coordinates: list, plan):
+    """S_ij = sum_k <A_ik, T_k A_jk T_k> = sum_k a_ik K_k a_jk^T from each block's own rows a_k and
+    ``_kernels``' K_k, which costs d*d products where T A_j T for each row costs r; np.bincount adds
+    the blocks one after another in the caller's order, as the dense sum over all rows did, whose
+    other terms were exact zeros."""
     prods = []
-    for t, am, at, c in zip(tmats, amats, a_t, coordinates):
-        n, r, d = len(t), at.shape[-1], t.shape[-1]
-        tat = ((t @ am).reshape(n, d * r, d) @ t).reshape(n, d, r, d)
-        prods.append(_coords(tat.transpose(0, 2, 1, 3), c) @ at)
+    for t, a, at, c in zip(tmats, a_sp, a_t, coordinates):
+        k = _kernels(t, c)
+        # with one coordinate, a K a^T is an outer product, which a matmul makes without BLAS
+        prods.append(a * k * at if k.shape[-1] == 1 else a @ k @ at)
     bins, order, mr = plan
     schur = np.bincount(bins, _joined(prods, order), (mr + 1) ** 2).reshape(mr + 1, -1)
     schur = schur[:mr, :mr]
@@ -528,13 +537,13 @@ class Structure:
         sq = max(float((f[:, None, :] @ f[:, :, None]).max()) for f in (c.reshape(len(c), -1) for c in self.cmats))
         self.xi_d = max(1.0, np.sqrt(sq)) * np.sqrt(max(self.dims))
         self.z_start = [self.xi_d * eye[None].repeat(n, axis=0) for eye, n in zip(self.eyes, self.sizes)]
-        self.a3 = self.a_t = self.amats = self.schur_plan = None
+        self.a3 = self.a_sp = self.a_t = self.schur_plan = None
         if rank:
             # the kept rows in d*d coordinates, one C-contiguous (n_g, mr, q) stack per group
             self.a3 = [(rows[self.keep[None, :, None], (offsets[blocks][:, None] + np.arange(len(f)))[:, None, :]]
                         .reshape(-1, len(f)) @ f).reshape(len(blocks), rank, -1)
-                       for blocks, (*_, f) in zip(groups, self.coordinates)]
-            self.a_t, self.amats, self.schur_plan = _sparse_rows(self.a3, self.order, self.coordinates)
+                       for blocks, (*_, f, _) in zip(groups, self.coordinates)]
+            self.a_sp, self.a_t, self.schur_plan = _sparse_rows(self.a3, self.order)
         for value in vars(self).values():  # every array made here, also in a list or tuple (coordinates' are read-only)
             for array in value if isinstance(value, (list, tuple)) else (value,):
                 if isinstance(array, np.ndarray):
@@ -694,7 +703,7 @@ def solve(
 
         mu = block_sum([np.matmul(lam[:, None, :], lam[:, :, None])[:, 0, 0] for lam in lams]) / n_total
 
-        schur = _schur(tmats, st.amats, st.a_t, st.coordinates, st.schur_plan)
+        schur = _schur(tmats, st.a_sp, st.a_t, st.coordinates, st.schur_plan)
         diag_mean = max(float(schur.diagonal().sum()) / mr, 1e-300)
         for reg in (0.0, 1e-13, 1e-11, 1e-9, 1e-7):
             schur_chol, info = _dpotrf(schur + reg * diag_mean * eye_m, 1, 0)

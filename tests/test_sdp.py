@@ -15,6 +15,7 @@ from steercert.sdp import (
     _STALL_REGULARISED,
     _coordinates,
     _coords,
+    _kernels,
     _matrices,
     _max_steps,
     _nt_scaling,
@@ -512,22 +513,63 @@ def test_sparse_schur_matches_the_dense_build(lone_row):
         for a_k, k in zip(a, ks):
             a_k[touched[k]] = rng.standard_normal((len(touched[k]), a.shape[-1]))
     tmats = [_psd_stack(len(k), 2 * d, rng) for k, d in zip(blocks, dims)]
-    a_t, amats, plan = _sparse_rows(a3, np.argsort(np.concatenate(blocks)), coordinates)
-    assert [a.shape[-1] for a in a_t] == [3, 3, 2 if lone_row else 0]
-    assert all(a.flags.c_contiguous for a in a_t)
+    a_sp, a_t, plan = _sparse_rows(a3, np.argsort(np.concatenate(blocks)))
+    assert [a.shape[1] for a in a_sp] == [3, 3, 2 if lone_row else 0]
+    assert all(a.flags.c_contiguous for a in a_sp + a_t) and all(np.array_equal(a.mT, at) for a, at in zip(a_sp, a_t))
 
-    # the dense build: every block against every row, added block by block in the caller's order
-    prods = []
-    for a, t, d, c in zip(a3, tmats, dims, coordinates):
-        am = _matrices(a, c).transpose(0, 2, 1, 3).reshape(len(a), 2 * d, -1)
-        tat = ((t @ am).reshape(len(t), 2 * d * mr, 2 * d) @ t).reshape(len(t), 2 * d, mr, 2 * d)
-        prods.append(_coords(tat.transpose(0, 2, 1, 3), c))
+    # the dense build: every block's a K a^T over all rows, added block by block in the caller's order
+    kernels = [_kernels(t, c) for t, c in zip(tmats, coordinates)]
     schur = np.zeros((mr, mr))
     for k in range(7):
         g = next(g for g, ks in enumerate(blocks) if k in ks)
         j = list(blocks[g]).index(k)
-        schur += prods[g][j] @ a3[g][j].T
-    assert np.array_equal(_schur(tmats, amats, a_t, coordinates, plan), 0.5 * (schur + schur.T))
+        schur += a3[g][j] @ kernels[g][j] @ a3[g][j].T
+    assert np.array_equal(_schur(tmats, a_sp, a_t, coordinates, plan), 0.5 * (schur + schur.T))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_schur_complement_is_its_definition(seed):
+    # S_ij = sum_k <A_ik, T_k A_jk T_k> from full realified matrices, on a random layout of blocks
+    # of Hermitian dimensions 1 to 4, each touching random rows, a group's first block the most;
+    # in the group of dimension seed + 1, every block touches at most one row, so that the group
+    # has width one
+    rng = np.random.default_rng(60 + seed)
+    dims = rng.permutation(np.repeat([1, 2, 3, 4], rng.integers(1, 4, 4)))
+    mr = int(rng.integers(3, 12))
+    groups = [np.flatnonzero(dims == d) for d in dict.fromkeys(dims.tolist())]
+    coordinates = [_coordinates(dims[ks[0]]) for ks in groups]
+    a3 = [rng.standard_normal((len(ks), mr, dims[ks[0]] ** 2)) for ks in groups]
+    for a, ks in zip(a3, groups):
+        width = 1 if dims[ks[0]] == seed + 1 else mr
+        for j, a_k in enumerate(a):
+            a_k[rng.permutation(mr)[width if j == 0 else rng.integers(0, width + 1):]] = 0.0
+    tmats = [realify(np.array([(h := random_herm(dims[k], rng)) @ h + 0.1 * np.eye(dims[k]) for k in ks]))
+             for ks in groups]
+    a_sp, a_t, plan = _sparse_rows(a3, np.argsort(np.concatenate(groups)))
+    assert any(a.shape[1] == 2 for a in a_sp)  # the width-one group, padded to two rows
+
+    want = np.zeros((mr, mr))
+    for a, t, c in zip(a3, tmats, coordinates):
+        for a_k, t_k in zip(a, t):
+            full = _matrices(a_k, c)  # the realified A_ik of every row i
+            want += np.einsum("iab,jab->ij", full, t_k @ full @ t_k)
+    got = _schur(tmats, a_sp, a_t, coordinates, plan)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_kernels_are_the_coordinates_of_t_e_t(d):
+    # K[k, l, m] = <E_m, T_k E_l T_k> over the basis E_l that _coordinates holds
+    rng = np.random.default_rng(70 + d)
+    c = _coordinates(d)
+    basis = _matrices(np.eye(d * d), c)
+    assert np.array_equal(c[4], basis)
+    t = _psd_stack(5, 2 * d, rng)
+    k = _kernels(t, c)
+    want = np.einsum("mab,klab->klm", basis, t[:, None] @ basis @ t[:, None])
+    assert k.shape == (5, d * d, d * d)
+    assert np.abs(k - want).max() <= 1e-14 * np.abs(want).max()
+    assert np.abs(k - k.mT).max() <= 1e-14 * np.abs(k).max()
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -1,4 +1,4 @@
-"""Print one SHA-256 per `sdp.solve` result over one pass of a benchmark workload,
+"""Print one line per `sdp.solve` result over one pass of a benchmark workload,
 or compare the solves of this checkout with those of another.
 
     python3 tools/solve_fingerprints.py --workload qubit_sweeps > change.txt
@@ -6,22 +6,26 @@ or compare the solves of this checkout with those of another.
     python3 tools/solve_fingerprints.py --workload all --against HEAD
     python3 tools/solve_fingerprints.py --workload qutrit_sweeps --ignore-values --against HEAD
 
-Each hash covers the primal and dual iterates, the dual slacks, both values, the
-gap, the status, the iteration count, both residuals and the dropped rows, so equal
+A line is a SHA-256 over the primal and dual iterates, the dual slacks, both values,
+the gap, the status, the iteration count, both residuals and the dropped rows, so equal
 lines mean bit-for-bit equal solves; `regularised_steps` is left out, so that
 checkouts from before it still compare. `--ignore-iterations` leaves the iteration
 count out too, so that equal lines mean the same returned solution, however many
-Newton steps it took: a change that only stops some solves sooner compares equal. `--ignore-values` hashes
-only the status, the iteration count and the dropped rows, so that equal lines mean
-solves that ended the same way after the same number of Newton steps: the check for a
-change that moves the iterates at rounding level only. `--root` names the checkout whose
+Newton steps it took: a change that only stops some solves sooner compares equal.
+`--ignore-values` prints, in place of the hash, the tuple (status, iteration count,
+dropped rows) itself, such as `('optimal', 9, ())`, so that equal lines mean solves
+that ended the same way after the same number of Newton steps: the check for a change
+that moves the iterates at rounding level only. `--root` names the checkout whose
 `perfbench/workloads.py` and `src/` are used (default: this one). Ops run once each,
 in `workloads.build` order, each after a `# <op key>` line. `--against ROOT` runs
 each workload at both checkouts in subprocesses and compares each op's hashes as
 multisets, so a solve one checkout skips does not shift the others. It prints
 `<workload>: N solves differ (P only here, Q only at ROOT; M here, K at ROOT)`, where
 M and K are the solve counts of the `--root` checkout and of ROOT, then the key of each
-op whose solves differ with its own two counts, and exits 1 if any solve differs.
+op whose solves differ with its own two counts, and exits 1 if any solve differs. With
+`--ignore-values`, each such op is followed by its tuples only here and only at ROOT,
+`<here> / <there>`, each tuple with its count when it occurs more than once, so that
+`('optimal', 8, ()) / ('optimal', 9, ())` reads as one step fewer, not a new status.
 When ROOT is not a directory, it names a git revision of the `--root` checkout: that
 revision is exported with `git archive` into a temporary directory, which is removed
 after the comparison.
@@ -30,6 +34,7 @@ after the comparison.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -47,7 +52,7 @@ parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent
 parser.add_argument("--against", help="another checkout, or a git revision of this one, to compare with")
 parser.add_argument("--ignore-iterations", action="store_true", help="leave the iteration count out of each hash")
 parser.add_argument("--ignore-values", action="store_true",
-                    help="hash only the status, the iteration count and the dropped rows")
+                    help="print only the status, the iteration count and the dropped rows, unhashed")
 
 
 @contextlib.contextmanager
@@ -77,20 +82,31 @@ def solves_by_op(root: Path, workload: str, flags: list[str]) -> dict[str, list[
     return ops
 
 
+def listed(solves: Counter) -> str:
+    """The tuples of a multiset of unhashed lines in order, each with its count when more than one;
+    `-` when empty."""
+    ordered = sorted(solves.items(), key=lambda item: ast.literal_eval(item[0]))
+    return ", ".join(line if n == 1 else f"{n} x {line}" for line, n in ordered) or "-"
+
+
 def compare(root: Path, other: Path, workload: str, label: str, flags: list[str]) -> bool:
     """Print how many of the workload's solves differ between the checkouts, and where;
-    `label` names `other` in the output."""
+    `label` names `other` in the output. Unhashed lines are printed for each such op."""
     mine, theirs = (solves_by_op(side, workload, flags) for side in (root, other))
     only = {}  # op key -> (solves only here, solves only at `other`)
     for key in mine | theirs:
         here, there = Counter(mine.get(key, [])), Counter(theirs.get(key, []))
         if here != there:
-            only[key] = ((here - there).total(), (there - here).total())
-    n_here, n_there = (sum(counts[i] for counts in only.values()) for i in (0, 1))
+            only[key] = (here - there, there - here)
+    n_here, n_there = (sum(counts[i].total() for counts in only.values()) for i in (0, 1))
     n_mine, n_theirs = (sum(map(len, ops.values())) for ops in (mine, theirs))
+    lines = []
+    for key, (a, b) in only.items():
+        lines.append(f"{key}: {a.total()} only here, {b.total()} only there")
+        if "--ignore-values" in flags:
+            lines.append(f"  {listed(a)} / {listed(b)}")
     print(f"{workload}: {n_here + n_there} solves differ ({n_here} only here, {n_there} only at {label}; "
-          f"{n_mine} here, {n_theirs} at {label})",
-          *(f"{key}: {a} only here, {b} only there" for key, (a, b) in only.items()), sep="\n  ", flush=True)
+          f"{n_mine} here, {n_theirs} at {label})", *lines, sep="\n  ", flush=True)
     return bool(only)
 
 
@@ -109,11 +125,10 @@ if __name__ == "__main__":
     from steercert import sdp
 
     def fingerprint(sol) -> str:
-        h = hashlib.sha256()
         iterations = () if args.ignore_iterations else (sol.iterations,)
         if args.ignore_values:
-            h.update(repr((sol.status.value, *iterations, sol.dropped_rows)).encode())
-            return h.hexdigest()
+            return repr((sol.status.value, *iterations, sol.dropped_rows))
+        h = hashlib.sha256()
         for a in (*sol.primal, sol.dual, *sol.dual_slacks):
             h.update(repr(a.shape).encode() + np.ascontiguousarray(a).tobytes())
         h.update(repr((sol.primal_value, sol.dual_value, sol.gap, sol.status.value, *iterations,
