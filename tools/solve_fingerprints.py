@@ -34,7 +34,6 @@ after the comparison.
 from __future__ import annotations
 
 import argparse
-import ast
 import contextlib
 import hashlib
 import io
@@ -83,10 +82,8 @@ def solves_by_op(root: Path, workload: str, flags: list[str]) -> dict[str, list[
 
 
 def listed(solves: Counter) -> str:
-    """The tuples of a multiset of unhashed lines in order, each with its count when more than one;
-    `-` when empty."""
-    ordered = sorted(solves.items(), key=lambda item: ast.literal_eval(item[0]))
-    return ", ".join(line if n == 1 else f"{n} x {line}" for line, n in ordered) or "-"
+    """The lines of a multiset, sorted, each with its count when more than one; `-` when empty."""
+    return ", ".join(line if n == 1 else f"{n} x {line}" for line, n in sorted(solves.items())) or "-"
 
 
 def compare(root: Path, other: Path, workload: str, label: str, flags: list[str]) -> bool:
