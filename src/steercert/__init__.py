@@ -15,7 +15,6 @@ from .qlin import Povm, basis_povm, is_hermitian, is_psd, kron, min_eig, partial
 from .scenario import (
     Assemblage,
     LhsResult,
-    Scenario,
     apply_loss,
     assemblage_from,
     bell_state,
@@ -28,7 +27,7 @@ from .scenario import (
     standard_povms,
     werner_state,
 )
-from .sdp import LinearConstraint, SdpProblem, SdpSolution, SolverStatus, solve
+from .sdp import SdpProblem, SdpSolution, SolverStatus, solve
 from .seesaw import SeesawError, SeesawTrace, StopReason, optimize_measurements, random_povms, seesaw
 
 __version__ = "0.1.0"

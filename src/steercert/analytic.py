@@ -109,9 +109,7 @@ class EveStrategy:
 def eve_strategy(rho: np.ndarray, povms: list[Povm], eve_povm: Povm) -> EveStrategy:
     """Joint assemblage induced by Eve measuring the purification of rho."""
     obs = assemblage_from(rho, povms)
-    sc = obs.scenario
-    d_a = povms[0].dim
-    d_b = sc.bob_dim
+    d_a, d_b = povms[0].dim, obs.sigma.shape[-1]
     psi = purify(rho)  # (d_a*d_b, d_e)
     d_e = psi.shape[1]
     if eve_povm.dim != d_e:
@@ -121,7 +119,7 @@ def eve_strategy(rho: np.ndarray, povms: list[Povm], eve_povm: Povm) -> EveStrat
     sigma_e = np.einsum(
         "axij,ekl,jbl,ick->eaxbc", grid, eve_povm.elements, psi_t, psi_t.conj(), optimize=True
     )
-    joint = JointAssemblage(sc, eve_povm.n_outcomes, sigma_e)
+    joint = JointAssemblage(sigma_e)
     joint.validate(obs, tol=1e-8)  # a violation here means the purification is wrong
     return EveStrategy(eve_povm=eve_povm, induced=joint)
 

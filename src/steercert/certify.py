@@ -42,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .qlin import Povm, dagger, eigh, freeze, matrix_to_json, partial_trace
-from .scenario import Assemblage, Scenario, assemblage_from, steering_adjoint
+from .qlin import Povm, dagger, eigh, freeze, matrix_to_json, partial_trace, square_grid
+from .scenario import Assemblage, assemblage_from, steering_adjoint
 
 CONSISTENCY_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-11  # relative eigenvalue threshold for facial reduction
@@ -58,22 +58,17 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class JointAssemblage:
-    """Eve-resolved grid sigma_e[e, a, x]; the primal variable of the
-    steering certification problems."""
+    """Eve-resolved grid sigma_e[e, a, x] of shape (eve_alphabet, n_outcomes, n_inputs, d, d);
+    the primal variable of the steering certification problems."""
 
-    scenario: Scenario
-    eve_alphabet: int
     sigma_e: np.ndarray
 
-    def __init__(self, scenario: Scenario, eve_alphabet: int, sigma_e):
-        sigma_e = freeze(np.asarray(sigma_e, dtype=complex))
-        d = scenario.bob_dim
-        expected = (eve_alphabet, scenario.n_outcomes, scenario.n_inputs, d, d)
-        if sigma_e.shape != expected:
-            raise ValueError(f"sigma_e has shape {sigma_e.shape}, expected {expected}")
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "eve_alphabet", eve_alphabet)
-        object.__setattr__(self, "sigma_e", sigma_e)
+    def __init__(self, sigma_e):
+        object.__setattr__(self, "sigma_e", square_grid("sigma_e", sigma_e, 5))
+
+    @property
+    def eve_alphabet(self) -> int:
+        return self.sigma_e.shape[0]
 
     def min_block_eig(self) -> float:
         return float(np.min(np.linalg.eigvalsh(0.5 * (self.sigma_e + dagger(self.sigma_e)))[..., 0]))
@@ -170,17 +165,27 @@ class SteeringFunctional:
 
 @dataclass(frozen=True)
 class CertificationResult:
-    """Guessing probability, min-entropy and the dual witness of one solve."""
+    """Guessing probability and the dual witness of one solve; the min-entropy, the
+    duality gap and the target input are read from them."""
 
     p_guess: float
-    h_min: float
-    gap: float
+    dual_value: float
     status: sdp.SolverStatus
     functional: SteeringFunctional
-    x_star: int
-    dual_value: float
     joint: JointAssemblage | None = None
     pm_measurements: np.ndarray | None = None
+
+    @property
+    def h_min(self) -> float:
+        return min_entropy(self.p_guess)
+
+    @property
+    def gap(self) -> float:
+        return abs(self.p_guess - self.dual_value)
+
+    @property
+    def x_star(self) -> int:
+        return self.functional.x_star
 
     def to_json(self) -> dict:
         return {
@@ -353,22 +358,10 @@ def _gridded(values: dict, shape: tuple[int, ...], d: int) -> np.ndarray:
     return out
 
 
-def _result(
-    sol: sdp.SdpSolution, functional: SteeringFunctional, x_star: int, **unpacked
-) -> CertificationResult:
+def _result(sol: sdp.SdpSolution, functional: SteeringFunctional, **unpacked) -> CertificationResult:
     """The result of a certification solve, whose primal value is the reported p_guess;
     ``unpacked`` holds Eve's strategy (``joint`` or ``pm_measurements``)."""
-    p_guess = sol.primal_value
-    return CertificationResult(
-        p_guess=p_guess,
-        h_min=min_entropy(p_guess),
-        gap=abs(p_guess - sol.dual_value),
-        status=sol.status,
-        functional=functional,
-        x_star=x_star,
-        dual_value=sol.dual_value,
-        **unpacked,
-    )
+    return CertificationResult(sol.primal_value, sol.dual_value, sol.status, functional, **unpacked)
 
 
 def _solve_steering(
@@ -381,9 +374,8 @@ def _solve_steering(
     """Shared engine for the local and global steering certifications. The solve starts from
     Eve's trivial strategy X[e, a, x] = V^dag sigma_{a|x} V / n_guess, which is consistent,
     no-signalling and positive definite on every face kept."""
-    sc = asm.scenario
-    _check_x_star(sc.n_inputs, x_star)
-    n_a, m, d = sc.n_outcomes, sc.n_inputs, sc.bob_dim
+    n_a, m, d = asm.sigma.shape[:3]
+    _check_x_star(m, x_star)
     n_guess = len(guess_outcome)
 
     supports = _supports(asm.sigma)
@@ -404,7 +396,7 @@ def _solve_steering(
         guess_target=freeze(np.asarray(guess_target)),
         supports=tuple(map(tuple, supports)) if any(v.shape[1] < d for row in supports for v in row) else None,
     )
-    return _result(sol, functional, x_star, joint=JointAssemblage(sc, n_guess, grid.unpack(sol.primal)))
+    return _result(sol, functional, joint=JointAssemblage(grid.unpack(sol.primal)))
 
 
 def certify_local(asm: Assemblage, x_star: int = 0, *, solver_opts: dict | None = None) -> CertificationResult:
@@ -420,7 +412,7 @@ def certify_local(asm: Assemblage, x_star: int = 0, *, solver_opts: dict | None 
     sets ``stop_above``, a solve cut short ends at a strategy of hers that
     guesses better than the bar: an explicit attack.
     """
-    n_a, d = asm.scenario.n_outcomes, asm.scenario.bob_dim
+    n_a, d = asm.sigma.shape[0], asm.sigma.shape[-1]
     targets = np.eye(d, dtype=complex)[None].repeat(n_a, axis=0)
     return _solve_steering(asm, x_star, np.arange(n_a), targets, solver_opts)
 
@@ -432,11 +424,11 @@ def certify_global(asm: Assemblage, x_star: int, bob_povm: Povm) -> Certificatio
     pair-resolved assemblage sigma^{ee'}_{a|x} and the objective collects
     Tr[M_{b=e'} sigma^{ee'}_{a=e|x*}] for the fixed trusted measurement.
     """
-    sc = asm.scenario
-    if bob_povm.dim != sc.bob_dim:
+    n_a, d = asm.sigma.shape[0], asm.sigma.shape[-1]
+    if bob_povm.dim != d:
         raise ValueError("trusted measurement dimension does not match the assemblage")
-    guess_outcome = np.repeat(np.arange(sc.n_outcomes), bob_povm.n_outcomes)
-    guess_target = np.tile(bob_povm.elements, (sc.n_outcomes, 1, 1))
+    guess_outcome = np.repeat(np.arange(n_a), bob_povm.n_outcomes)
+    guess_target = np.tile(bob_povm.elements, (n_a, 1, 1))
     return _solve_steering(asm, x_star, guess_outcome, guess_target)
 
 
@@ -452,12 +444,11 @@ def certify_pm(rho: np.ndarray, povms: list[Povm], x_star: int = 0) -> Certifica
     if abs(np.trace(rho) - 1.0) > 1e-9:
         raise ValueError("trusted state must have unit trace")
     obs = assemblage_from(rho, povms)
-    sc = obs.scenario
-    _check_x_star(sc.n_inputs, x_star)
-    d_a, d_b = povms[0].dim, sc.bob_dim
-    n_a, m = sc.n_outcomes, sc.n_inputs
+    n_a, m, d_b = obs.sigma.shape[:3]
+    _check_x_star(m, x_star)
+    d_a = povms[0].dim
     eye_a = np.eye(d_a, dtype=complex)
-    coef = sdp.term_stack(d_b, lambda basis: steering_adjoint(rho, basis, d_a))
+    coef = sdp.term_stack(d_b, lambda basis: steering_adjoint(rho, basis))
     # The aggregates sum_e M^e_{a|x} are pinned to the given POVM elements
     # exactly when the consistency map is injective, that is when its adjoint
     # stack spans d_a^2 dimensions; only then is per-block support compression sound.
@@ -489,13 +480,11 @@ def certify_pm(rho: np.ndarray, povms: list[Povm], x_star: int = 0) -> Certifica
     # the completeness multipliers Y_x enter the dual value as sum_x <Y_x, 1>
     offset = float(sum(np.trace(y).real for y in complete.values()))
     functional = SteeringFunctional(F=_gridded(f, (n_a, m), d_b), x_star=x_star, offset=offset)
-    return _result(sol, functional, x_star, pm_measurements=freeze(grid.unpack(sol.primal)))
+    return _result(sol, functional, pm_measurements=freeze(grid.unpack(sol.primal)))
 
 
 def _smoothed(asm: Assemblage, delta: float) -> Assemblage:
     """Assemblage mixed with a weight-delta uniform-noise assemblage."""
-    sc = asm.scenario
-    noise = np.broadcast_to(
-        np.eye(sc.bob_dim, dtype=complex) / (sc.bob_dim * sc.n_outcomes), asm.sigma.shape
-    )
-    return Assemblage(sc, (1.0 - delta) * asm.sigma + delta * noise)
+    n_a, d = asm.sigma.shape[0], asm.sigma.shape[-1]
+    noise = np.broadcast_to(np.eye(d, dtype=complex) / (d * n_a), asm.sigma.shape)
+    return Assemblage((1.0 - delta) * asm.sigma + delta * noise)

@@ -328,7 +328,7 @@ def _certify_point(config: ExperimentConfig) -> certify_mod.CertificationResult:
     asm = scen.assemblage_from(rho, povms)
     if config.kind == "steering_local":
         return certify_mod.certify_local(asm, config.x_star)
-    return certify_mod.certify_global(asm, config.x_star, config.build_bob_povm(asm.scenario.bob_dim))
+    return certify_mod.certify_global(asm, config.x_star, config.build_bob_povm(asm.sigma.shape[-1]))
 
 
 def _sweep_worker(point: ExperimentConfig, value: float) -> dict:

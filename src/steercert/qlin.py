@@ -175,6 +175,15 @@ def freeze(a) -> np.ndarray:
     return out
 
 
+def square_grid(name: str, a, ndim: int) -> np.ndarray:
+    """``freeze(a)``, checked to be a nonempty grid of d x d blocks: ``ndim`` axes, none of
+    length 0, the last two of equal length. The grid's shape is then all its sizes."""
+    grid = freeze(a)
+    if grid.ndim != ndim or 0 in grid.shape or grid.shape[-1] != grid.shape[-2]:
+        raise ValueError(f"{name} has shape {grid.shape}, expected {ndim} nonempty axes, the last two equal")
+    return grid
+
+
 @dataclass(frozen=True)
 class Povm:
     """Measurement as a read-only (n_outcomes, d, d) stack of PSD elements

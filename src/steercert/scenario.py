@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import sdp
-from .qlin import Povm, basis_povm, dagger, freeze, matrix_from_json, matrix_to_json, not_psd, partial_trace
+from .qlin import Povm, basis_povm, dagger, matrix_from_json, matrix_to_json, not_psd, partial_trace, square_grid
 
 ASSEMBLAGE_TOL = 1e-9
 LHS_TOL = 1e-8
@@ -32,32 +33,14 @@ MEASUREMENT_FAMILIES = 16
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """Shape of a steering experiment: inputs/outcomes for the untrusted
-    side (including any loss outcome) and the trusted Hilbert dimension."""
-
-    n_inputs: int
-    n_outcomes: int
-    bob_dim: int
-
-    def __post_init__(self):
-        for name in ("n_inputs", "n_outcomes", "bob_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-
-@dataclass(frozen=True)
 class Assemblage:
-    """Validated grid sigma[a, x] of unnormalized conditional states."""
+    """Validated grid sigma[a, x] of unnormalized conditional states, whose shape
+    (n_outcomes, n_inputs, d, d) is the experiment's."""
 
-    scenario: Scenario
     sigma: np.ndarray
 
-    def __init__(self, scenario: Scenario, sigma, *, tol: float = ASSEMBLAGE_TOL):
-        sigma = freeze(np.asarray(sigma, dtype=complex))
-        expected = (scenario.n_outcomes, scenario.n_inputs, scenario.bob_dim, scenario.bob_dim)
-        if sigma.shape != expected:
-            raise ValueError(f"sigma has shape {sigma.shape}, expected {expected}")
+    def __init__(self, sigma, *, tol: float = ASSEMBLAGE_TOL):
+        sigma = square_grid("sigma", sigma, 4)
         if (bad := not_psd(sigma, tol)).any():
             a, x = np.argwhere(bad)[0]
             raise ValueError(f"sigma[{a}|{x}] is not PSD within {tol:g}")
@@ -66,7 +49,6 @@ class Assemblage:
             raise ValueError("assemblage signals: sum_a sigma[a|x] depends on x")
         if abs(reduced[0].trace().real - 1.0) > tol:
             raise ValueError(f"assemblage is not normalized: Tr = {reduced[0].trace().real}")
-        object.__setattr__(self, "scenario", scenario)
         object.__setattr__(self, "sigma", sigma)
 
     def reduced_state(self) -> np.ndarray:
@@ -77,17 +59,25 @@ class Assemblage:
         return np.real(np.trace(self.sigma[:, x], axis1=1, axis2=2))
 
     def to_json(self) -> dict:
-        return {
-            "m_A": self.scenario.n_inputs,
-            "n_A": self.scenario.n_outcomes,
-            "d_B": self.scenario.bob_dim,
-            "sigma": matrix_to_json(self.sigma),
-        }
+        n_a, m, d = self.sigma.shape[:3]
+        return {"m_A": m, "n_A": n_a, "d_B": d, "sigma": matrix_to_json(self.sigma)}
 
     @classmethod
     def from_json(cls, data: dict) -> "Assemblage":
-        scenario = Scenario(int(data["m_A"]), int(data["n_A"]), int(data["d_B"]))
-        return cls(scenario, matrix_from_json(data["sigma"]))
+        """The assemblage of a `to_json` document, whose declared sizes must be sigma's shape;
+        a missing or malformed key (a size that is not an integer) raises ValueError naming it."""
+
+        def read(key: str, parse):
+            try:
+                return parse(data[key])
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"assemblage document: {key!r} missing or malformed") from None
+
+        n_a, m, d = (read(key, operator.index) for key in ("n_A", "m_A", "d_B"))
+        sigma = read("sigma", matrix_from_json)
+        if sigma.shape != (n_a, m, d, d):
+            raise ValueError(f"sigma has shape {sigma.shape}, but the document declares n_A={n_a}, m_A={m}, d_B={d}")
+        return cls(sigma)
 
 
 @dataclass(frozen=True)
@@ -205,12 +195,14 @@ def apply_loss(povm: Povm, eta: float) -> Povm:
     return Povm(np.concatenate([eta * povm.elements, no_click[None]]))
 
 
-def _contract(rho: np.ndarray, mats: np.ndarray, d_a: int, on_alice: bool) -> np.ndarray:
+def _contract(rho: np.ndarray, mats: np.ndarray, on_alice: bool) -> np.ndarray:
     """Tr_A[(M (x) 1) rho] for each M of a stack when ``on_alice``, else Tr_B[(1 (x) M) rho]:
     one Kronecker product (the products ``np.kron`` forms, by one broadcast multiply), one
     product with rho and one partial trace for the whole stack, whose products and order of
-    accumulation are those of each matrix taken alone."""
-    d_b = rho.shape[0] // d_a
+    accumulation are those of each matrix taken alone. The stack's matrices act on A when
+    ``on_alice``, else on B, and rho's dimension is d_A d_B."""
+    d_m = mats.shape[-1]
+    d_a, d_b = (d_m, rho.shape[0] // d_m) if on_alice else (rho.shape[0] // d_m, d_m)
     if on_alice:
         lifted = mats[..., :, None, :, None] * np.eye(d_b, dtype=complex)[:, None, :]
     else:
@@ -233,14 +225,14 @@ def assemblage_from(rho: np.ndarray, povms: list[Povm]) -> Assemblage:
         raise ValueError(f"state dimension {total} incompatible with Alice dimension {d_a}")
     d_b = total // d_a
     grid = np.stack([p.elements for p in povms], axis=1)  # (n_outcomes, m, d_a, d_a)
-    sigma = _contract(rho, grid.reshape(-1, d_a, d_a), d_a, on_alice=True)
-    return Assemblage(Scenario(len(povms), n_outcomes, d_b), sigma.reshape(n_outcomes, len(povms), d_b, d_b))
+    sigma = _contract(rho, grid.reshape(-1, d_a, d_a), on_alice=True)
+    return Assemblage(sigma.reshape(n_outcomes, len(povms), d_b, d_b))
 
 
-def steering_adjoint(rho: np.ndarray, mats: np.ndarray, d_a: int) -> np.ndarray:
-    """Herm Tr_B[(1 (x) F) rho] for each F of a stack: the adjoint of
+def steering_adjoint(rho: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Herm Tr_B[(1 (x) F) rho] for each F of a stack of d_B x d_B matrices: the adjoint of
     M -> Tr_A[(M (x) 1) rho], so that Tr[(M (x) F) rho] = <result, M>."""
-    c = _contract(rho, mats, d_a, on_alice=False)
+    c = _contract(rho, mats, on_alice=False)
     return 0.5 * (c + dagger(c))
 
 
@@ -282,15 +274,15 @@ def lhs_test(asm: Assemblage, *, tol: float = LHS_TOL) -> LhsResult:
     weight t for which (asm + t * noise) / (1 + t) admits a decomposition.
     t <= tol means the assemblage itself is unsteerable.
     """
-    sc = asm.scenario
-    n_strat = sc.n_outcomes**sc.n_inputs
+    n_outcomes, n_inputs, d = asm.sigma.shape[:3]
+    n_strat = n_outcomes**n_inputs
     if n_strat > MAX_DETERMINISTIC_STRATEGIES:
         raise ValueError(
-            f"{sc.n_outcomes}^{sc.n_inputs} = {n_strat} deterministic strategies "
+            f"{n_outcomes}^{n_inputs} = {n_strat} deterministic strategies "
             f"exceeds the supported limit {MAX_DETERMINISTIC_STRATEGIES}"
         )
-    parent = _lhs_problem(sc.n_outcomes, sc.n_inputs, sc.bob_dim)
-    solution = sdp.solve(parent.with_rhs(asm.sigma.reshape(-1, sc.bob_dim, sc.bob_dim)))
+    parent = _lhs_problem(n_outcomes, n_inputs, d)
+    solution = sdp.solve(parent.with_rhs(asm.sigma.reshape(-1, d, d)))
     if solution.status is not sdp.SolverStatus.OPTIMAL:
         raise RuntimeError(f"LHS membership solve failed with status {solution.status}")
     robustness = max(0.0, -solution.primal_value)

@@ -247,13 +247,17 @@ class SdpSolution:
     dual_slacks: list[np.ndarray]
     primal_value: float
     dual_value: float
-    gap: float
     status: SolverStatus
     iterations: int
     primal_residual: float = np.inf
     dual_residual: float = np.inf
     dropped_rows: tuple[int, ...] = field(default_factory=tuple)
     regularised_steps: int = 0
+
+    @property
+    def gap(self) -> float:
+        """The relative duality gap |p - d| / (1 + |p|)."""
+        return abs(self.primal_value - self.dual_value) / (1.0 + abs(self.primal_value))
 
 
 def realify(a: np.ndarray) -> np.ndarray:
@@ -620,11 +624,10 @@ def solve(
             y[keep] = y_red
         pval = st.objective(xzs) if pval is None else pval
         dval = 0.5 * float(b @ y)
-        gap = abs(pval - dval) / (1.0 + abs(pval))
         herms = [derealify(xz) for xz in xzs]
         primal = st.in_order([h[:n] for h, n in zip(herms, sizes)])
         slacks = st.in_order([h[n:] for h, n in zip(herms, sizes)])
-        return SdpSolution(primal, y, slacks, float(pval), dval, float(gap), status, iters, pres, dres,
+        return SdpSolution(primal, y, slacks, float(pval), dval, status, iters, pres, dres,
                            tuple(int(i) for i in st.drop), shifted)
 
     b_scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))

@@ -26,11 +26,11 @@ channel is applied after each measurement update: the loss is a device
 property, not something the optimization can redesign.
 
 Every certification starts from Eve's trivial strategy, a strictly
-feasible point (`certify_local`), which saves about two fifths of the
-loop's Newton steps against the solver's scaled identity. The
-certifications whose bound is recorded, and the measurement SDP, are
-solved to tight targets; the smoothed stepping certifications, which only
-propose an update, to the solver's defaults.
+feasible point (`certify_local`), which takes the loop fewer Newton steps
+than the solver's scaled identity does. The certifications whose bound is
+recorded, and the measurement SDP, are solved to tight targets; the
+smoothed stepping certifications, which only propose an update, to the
+solver's defaults.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .certify import CertificationResult, SteeringFunctional, _smoothed, certify_local
+from .certify import CertificationResult, SteeringFunctional, _smoothed, certify_local, min_entropy
 from .qlin import Povm, dagger, eigh, helstrom_pair, normalised, random_unitary
-from .scenario import Assemblage, Scenario, apply_loss, assemblage_from, steering_adjoint
+from .scenario import Assemblage, apply_loss, assemblage_from, steering_adjoint
 
 _log = logging.getLogger("steercert")
 
@@ -88,12 +88,15 @@ class SeesawIteration:
     geodesic step it was taken at: 1 for the plain update, one of
     `_EXTRAPOLATION_STEPS` (3 to 729) for an extrapolation, 0 for the start."""
 
-    h_min: float
     p_guess: float
     functional: SteeringFunctional
     povms: tuple[Povm, ...]
     delta: float | None
     step: int
+
+    @property
+    def h_min(self) -> float:
+        return min_entropy(self.p_guess)
 
 
 @dataclass(frozen=True)
@@ -153,8 +156,9 @@ def _restore_povm(elements: np.ndarray) -> Povm:
     return Povm(normalised(0.5 * (elements + dagger(elements))))
 
 
-def optimize_measurements(rho: np.ndarray, functional: SteeringFunctional, shape: Scenario) -> list[Povm]:
-    """Measurements minimizing the witnessed bound sum Tr[(M_ax (x) F_ax) rho].
+def optimize_measurements(rho: np.ndarray, functional: SteeringFunctional) -> list[Povm]:
+    """Measurements minimizing the witnessed bound sum Tr[(M_ax (x) F_ax) rho], with
+    as many outcomes and inputs as the functional's grid F[a, x].
 
     The bound is sum_ax <W_ax, M_ax> with W_ax = Herm Tr_B[(1 (x) F_ax) rho],
     minimized per input over complete sets of PSD elements. With two outcomes
@@ -162,26 +166,21 @@ def optimize_measurements(rho: np.ndarray, functional: SteeringFunctional, shape
     W_0x - W_1x and M_1 = 1 - M_0. With more outcomes an SDP finds it, solved
     to the see-saw's targets (relative gap 1e-11, residuals 1e-10).
     """
-    weights = _alice_weights(rho, functional, shape)
-    if shape.n_outcomes != 2:
+    weights = _alice_weights(rho, functional)
+    if len(weights) != 2:
         return _measurements_sdp(weights)
     return [_restore_povm(helstrom_pair(diff)) for diff in weights[0] - weights[1]]
 
 
-def _alice_weights(rho: np.ndarray, functional: SteeringFunctional, shape: Scenario) -> np.ndarray:
+def _alice_weights(rho: np.ndarray, functional: SteeringFunctional) -> np.ndarray:
     """The (n_a, m, d_a, d_a) stack W_ax = Herm Tr_B[(1 (x) F_ax) rho], so that
     Tr[(M (x) F_ax) rho] = <W_ax, M>."""
     rho = np.asarray(rho, dtype=complex)
-    d_b = shape.bob_dim
+    n_a, m, d_b = functional.F.shape[:3]
     if rho.shape[0] % d_b != 0:
         raise ValueError("state dimension incompatible with the trusted dimension")
     d_a = rho.shape[0] // d_b
-    n_a, m = shape.n_outcomes, shape.n_inputs
-    if functional.F.shape[:2] != (n_a, m):
-        raise ValueError(
-            f"functional grid {functional.F.shape[:2]} does not match shape ({n_a}, {m})"
-        )
-    return steering_adjoint(rho, functional.F.reshape(n_a * m, d_b, d_b), d_a).reshape(n_a, m, d_a, d_a)
+    return steering_adjoint(rho, functional.F.reshape(n_a * m, d_b, d_b)).reshape(n_a, m, d_a, d_a)
 
 
 def _measurements_sdp(weights: np.ndarray) -> list[Povm]:
@@ -264,9 +263,8 @@ def _stepping_functional(
     only logged: its inequality merely proposes an update, which is
     accepted only on an optimal re-certification. At the smallest delta
     most of them end `numerical_trouble`, yet their updates still climb.
-    Treating them as rejected updates instead converged 5 of `fig6_seesaw`
-    starts 0-29 in place of 22, and lowered the mean final h_min from
-    0.9999966 to 0.9988359.
+    Treating them as rejected updates instead left most starts short of
+    the ceiling.
 
     For the same reason the smoothed certification is solved to the
     solver's default targets, not the see-saw's tight ones: the update it
@@ -315,21 +313,18 @@ def seesaw(
     end's gap, is an explicit attack that rejects the candidate; the solve
     stops there with BOUND_EXCEEDED. An accepted candidate's certification
     never reaches its bar, so the bar changes no recorded value, only the
-    Newton steps of the rejected candidates. Those cheap rejections pay for
-    the steps beyond 27: on the five `fig6_seesaw` starts, 166 solves and
-    1,527 Newton steps per pass with steps to 27 and no bar, 157 and 1,242
-    with both (1,162 with `sdp`'s stall stop), and start 4 converges.
+    Newton steps of the rejected candidates. Those cheap rejections are what
+    pay for the geodesic steps beyond 27, which are mostly rejected.
 
     Eve always guesses with probability at least 1/n (n outcomes, a
     no-click outcome included), so the guessing probability can fall by at
     most its excess e = p_guess - 1/n over that floor; a stepping
     inequality smoothed by more than e is mostly smoothing, and its update
-    is mostly rejected (in one `fig6_seesaw` pass, rungs with delta > e
-    accepted 4 of 16 updates, rungs with delta <= e 30 of 40). Let k_e be
-    the first rung with delta <= e, or the floor when none is. A round tries
-    each rung at most once: from rung max(own, k_e) down to the floor
-    (3e-7), then up, nearest first, to rung k_e - 1, one rung coarser than
-    the excess, and stops at the first accepted update. The next round's
+    is mostly rejected, where a rung with delta <= e mostly has its update
+    accepted. Let k_e be the first rung with delta <= e, or the floor when
+    none is. A round tries each rung at most once: from rung max(own, k_e)
+    down to the floor (3e-7), then up, nearest first, to rung k_e - 1, one
+    rung coarser than the excess, and stops at the first accepted update. The next round's
     own rung is the accepting one, or one rung lower when the gain was
     below 1e-3. A round that accepts nothing ends the start: short of the
     ceiling that is Stall. Resuming from such a start's measurements tries
@@ -352,7 +347,6 @@ def seesaw(
         raise ValueError("need at least one starting measurement")
     povms = list(initial)
     n_ideal = povms[0].n_outcomes
-    ideal_shape = Scenario(len(povms), n_ideal, rho.shape[0] // povms[0].dim)
     floor = len(_SMOOTHING_LADDER) - 1
 
     def certified(candidate: list[Povm], bar: float | None = None):
@@ -365,7 +359,7 @@ def seesaw(
     def update(rung: int):
         """The round's accepted (povms, assemblage, result, step) at `rung`, or None."""
         functional = _stepping_functional(asm, res, x_star, _SMOOTHING_LADDER[rung])
-        candidate = optimize_measurements(rho, _strip_loss(functional, n_ideal), ideal_shape)
+        candidate = optimize_measurements(rho, _strip_loss(functional, n_ideal))
         cand_asm, cand_res = certified(candidate, res.p_guess + 1e-10)
         if cand_res.status is not sdp.SolverStatus.OPTIMAL or cand_res.p_guess > res.p_guess + 1e-10:
             return None
@@ -380,9 +374,7 @@ def seesaw(
         return accepted
 
     asm, res = certified(povms)
-    iterations = [
-        SeesawIteration(res.h_min, res.p_guess, res.functional, tuple(povms), None, 0)
-    ]
+    iterations = [SeesawIteration(res.p_guess, res.functional, tuple(povms), None, 0)]
     rung = 0
     while True:
         if ceiling is not None and res.h_min >= ceiling - tol:
@@ -390,7 +382,7 @@ def seesaw(
         if len(iterations) >= max_iters:
             return SeesawTrace(tuple(iterations), False, StopReason.MAX_ITERATIONS)
         # no rung coarser than the guessing probability left to gain, bar one on the way back
-        excess = res.p_guess - 1.0 / asm.scenario.n_outcomes
+        excess = res.p_guess - 1.0 / len(asm.sigma)
         k_e = next((k for k, delta in enumerate(_SMOOTHING_LADDER) if delta <= excess), floor)
         first = max(rung, k_e)
         accepted = None
@@ -408,7 +400,7 @@ def seesaw(
             return SeesawTrace(tuple(iterations), ceiling is None, stop_reason)
         povms, asm, res, step = accepted
         iterations.append(
-            SeesawIteration(res.h_min, res.p_guess, res.functional, tuple(povms), _SMOOTHING_LADDER[rung], step)
+            SeesawIteration(res.p_guess, res.functional, tuple(povms), _SMOOTHING_LADDER[rung], step)
         )
         gain = iterations[-1].h_min - iterations[-2].h_min
         if ceiling is None and abs(gain) < tol:

@@ -37,7 +37,7 @@ def test_pure_qubit_pg_values():
 def test_pure_qubit_pg_witnesses_purity():
     bound = pure_qubit_pg(np.pi / 7)
     assert np.max(bound.purity_defects) <= 1e-10
-    assert bound.assemblage.scenario.n_outcomes == 2
+    assert len(bound.assemblage.sigma) == 2
 
 
 def test_pure_qudit_pg_values():

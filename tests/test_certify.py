@@ -13,7 +13,6 @@ from steercert.certify import (
 )
 from steercert.qlin import Povm, basis_povm, dagger, random_unitary
 from steercert.scenario import (
-    Scenario,
     apply_loss,
     assemblage_from,
     isotropic_state,
@@ -99,7 +98,7 @@ def test_uniform_strategy_lower_bound():
     for _ in range(3):
         asm = random_assemblage(rng)
         res = certify_local(asm, 0)
-        assert res.p_guess >= 1.0 / asm.scenario.n_outcomes - 1e-9
+        assert res.p_guess >= 1.0 / len(asm.sigma) - 1e-9
         assert res.p_guess <= 1.0 + 1e-9
 
 
@@ -214,8 +213,7 @@ def test_dual_functional_trivial_feasible_point():
     # F = alpha*I, G = 0 is dual feasible for alpha > 1 with value alpha*m
     asm = assemblage_from(werner_state(0.8), pauli_xz())
     alpha = 1.5
-    d = asm.scenario.bob_dim
-    n_a, m = asm.scenario.n_outcomes, asm.scenario.n_inputs
+    n_a, m, d = asm.sigma.shape[:3]
     f = SteeringFunctional(
         F=np.broadcast_to(alpha * np.eye(d, dtype=complex), (n_a, m, d, d)).copy(),
         x_star=0,
@@ -312,13 +310,29 @@ def test_result_json_round_trip_fields():
 
 
 def test_joint_assemblage_validation_rejects_garbage():
-    sc = Scenario(2, 2, 2)
     bad = np.zeros((2, 2, 2, 2, 2), dtype=complex)
     bad[0, 0, 0] = np.eye(2)
-    ja = JointAssemblage(sc, 2, bad)
+    ja = JointAssemblage(bad)
     asm = assemblage_from(werner_state(0.5), pauli_xz())
     with pytest.raises(ValueError):
         ja.validate(asm)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2, 2, 2, 2, 3), (0, 2, 2, 2, 2)])
+def test_joint_assemblage_rejects_what_is_not_a_grid_of_square_blocks(shape):
+    with pytest.raises(ValueError, match=r"^sigma_e has shape"):
+        JointAssemblage(np.zeros(shape, dtype=complex))
+
+
+def test_derived_numbers_are_computed_from_the_solve():
+    res = certify_local(assemblage_from(werner_state(0.8), pauli_xz()), 0)
+    data = res.to_json()
+    h = min_entropy(res.p_guess)
+    assert h > 0.1
+    assert res.h_min == data["h_min"] == h
+    assert res.gap == data["gap"] == abs(res.p_guess - res.dual_value)
+    assert res.x_star == data["x_star"] == res.functional.x_star == 0
+    assert res.joint.eve_alphabet == 2
 
 
 def test_qutrit_endpoint_independent_of_target_basis():
@@ -526,10 +540,10 @@ def test_the_trivial_start_is_strictly_feasible(monkeypatch, rho, povms, reduced
     assert len(start) == len(problem.block_dims)
     assert min(float(np.linalg.eigvalsh(x)[0]) for x in start) > 1e-3
     # every row is a consistency or a no-signalling row: 4 per (a, x), and 4 per guess
-    sc, n_guess = asm.scenario, res.joint.eve_alphabet
-    assert n_guess == (sc.n_outcomes if bob is None else 4)
+    (n_a, m), n_guess = asm.sigma.shape[:2], res.joint.eve_alphabet
+    assert n_guess == (n_a if bob is None else 4)
     residuals = [sum(np.vdot(a, start[k]).real for k, a in row.coeffs.items()) - row.rhs for row in problem.constraints]
-    assert len(residuals) == 4 * (sc.n_outcomes * sc.n_inputs + n_guess)
+    assert len(residuals) == 4 * (n_a * m + n_guess)
     assert np.max(np.abs(residuals)) <= 1e-12
 
 
@@ -541,7 +555,7 @@ def test_the_trivial_start_reaches_the_same_optimum(rho, povms, reduced):
 
     asm = assemblage_from(rho, povms)
     started = certify_local(asm, 0)
-    n_a, d = asm.scenario.n_outcomes, asm.scenario.bob_dim
+    n_a, d = asm.sigma.shape[0], asm.sigma.shape[-1]
     targets = np.eye(d, dtype=complex)[None].repeat(n_a, axis=0)
     _, parent, kept = _steering_parent(_supports(asm.sigma), 0, np.arange(n_a), targets)
     plain = sdp.solve(parent.with_rhs([*(asm.sigma[key] for key in kept[0]), *(eq.rhs for eq in kept[1].values())]))
@@ -555,7 +569,7 @@ def test_a_bar_below_the_optimum_ends_at_a_strategy_that_beats_it(rho, povms, re
     asm = assemblage_from(rho, povms)
     full = certify_local(asm, 0)
     # the trivial start guesses with 1/n, so this bar lies between the start and the optimum
-    bar = 0.5 * (full.p_guess + 1.0 / asm.scenario.n_outcomes)
+    bar = 0.5 * (full.p_guess + 1.0 / len(asm.sigma))
     cut = certify_local(asm, 0, solver_opts={"stop_above": bar})
     assert full.status is SolverStatus.OPTIMAL and cut.status is SolverStatus.BOUND_EXCEEDED
     cut.joint.validate(asm)  # an explicit attack: a feasible strategy of Eve's

@@ -1,10 +1,11 @@
+import csv
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from steercert.certify import certify_global
+from steercert.certify import certify_global, min_entropy
 from steercert.cli import ConfigError, ExperimentConfig, main, presets, run_lhs, run_seesaw, run_sweep
 from steercert.qlin import basis_povm
 from steercert.scenario import assemblage_from, fourier_and_computational, isotropic_state
@@ -160,6 +161,17 @@ def test_sweep_rows_and_sidecar(tmp_path):
     sidecar = json.loads((tmp_path / "curve.json").read_text())
     assert len(sidecar) == 3
     assert "F" in sidecar[0]["functional"]
+
+
+def test_sweep_h_min_is_the_min_entropy_of_p_guess(tmp_path):
+    point = replace(presets()["fig2"], sweep={"parameter": "v", "start": 0.8, "stop": 0.8, "points": 1})
+    [row], code = run_sweep(point, out=str(tmp_path / "fig2.csv"))
+    assert code == 0 and row["h_min"] > 0.1
+    assert row["h_min"] == min_entropy(row["p_guess"])
+    [entry] = json.loads((tmp_path / "fig2.json").read_text())
+    assert entry["h_min"] == min_entropy(entry["p_guess"])
+    [cells] = list(csv.DictReader((tmp_path / "fig2.csv").open()))
+    assert cells["h_min"] == format(min_entropy(row["p_guess"]), ".12g")
 
 
 def test_sweep_deterministic_modulo_wall_time(tmp_path):

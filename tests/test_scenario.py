@@ -4,7 +4,6 @@ import pytest
 from steercert.qlin import basis_povm, dagger, kron, partial_trace, random_unitary
 from steercert.scenario import (
     Assemblage,
-    Scenario,
     apply_loss,
     assemblage_from,
     bell_state,
@@ -189,7 +188,7 @@ def test_steering_adjoint_matches_the_per_element_map(d_a, d_b):
     g = rng.standard_normal((7, d_b, d_b)) + 1j * rng.standard_normal((7, d_b, d_b))
     mats = g + dagger(g)
     c = np.stack([partial_trace(np.kron(np.eye(d_a, dtype=complex), f) @ rho, (d_a, d_b), keep="A") for f in mats])
-    assert np.array_equal(steering_adjoint(rho, mats, d_a), 0.5 * (c + dagger(c)))
+    assert np.array_equal(steering_adjoint(rho, mats), 0.5 * (c + dagger(c)))
 
 
 def test_assemblage_from_bell_xz():
@@ -227,7 +226,7 @@ def test_assemblage_validation_random_inputs():
         from steercert.qlin import basis_povm
 
         asm = assemblage_from(rho, [basis_povm(u1), basis_povm(u2)])
-        assert asm.scenario == Scenario(2, 2, 2)
+        assert asm.sigma.shape == (2, 2, 2, 2)
         assert abs(np.trace(asm.reduced_state()).real - 1.0) <= 1e-9
 
 
@@ -238,7 +237,7 @@ def test_assemblage_rejects_signalling():
     sig[0, 1] = 0.9 * proj(KET0)
     sig[1, 1] = 0.1 * proj(KET1)
     with pytest.raises(ValueError):
-        Assemblage(Scenario(2, 2, 2), sig)
+        Assemblage(sig)
 
 
 def test_assemblage_errors_name_the_first_failing_element():
@@ -246,14 +245,14 @@ def test_assemblage_errors_name_the_first_failing_element():
     sig = np.zeros((3, 2, 2, 2), dtype=complex)
     sig[:, 0] = [0.5 * proj(KET0), 0.5 * proj(KET1), 0.0 * proj(KET0)]
     sig[:, 1] = [0.5 * proj(KET0), 0.5 * proj(KET1), 0.0 * proj(KET0)]
-    Assemblage(Scenario(2, 3, 2), sig)
+    Assemblage(sig)
     sig[2, 0, 1, 1] = -1e-8
     with pytest.raises(ValueError, match=r"^sigma\[2\|0\] is not PSD within 1e-09$"):
-        Assemblage(Scenario(2, 3, 2), sig)
+        Assemblage(sig)
     sig[0, 1, 0, 1] = 1e-3
     with pytest.raises(ValueError, match=r"^sigma\[0\|1\] is not PSD within 1e-09$"):
-        Assemblage(Scenario(2, 3, 2), sig)
-    Assemblage(Scenario(2, 3, 2), sig, tol=1e-2)  # within a looser tolerance, both pass
+        Assemblage(sig)
+    Assemblage(sig, tol=1e-2)  # within a looser tolerance, both pass
 
 
 def test_assemblage_json_round_trip():
@@ -262,6 +261,37 @@ def test_assemblage_json_round_trip():
     assert data["m_A"] == 2 and data["n_A"] == 2 and data["d_B"] == 2
     back = Assemblage.from_json(data)
     assert np.max(np.abs(back.sigma - asm.sigma)) <= 1e-15
+
+
+@pytest.mark.parametrize("key", ["m_A", "n_A", "d_B", "sigma"])
+def test_assemblage_from_json_names_a_missing_key(key):
+    data = assemblage_from(werner_state(0.8), pauli_xz()).to_json()
+    del data[key]
+    with pytest.raises(ValueError, match=f"^assemblage document: '{key}' missing or malformed$"):
+        Assemblage.from_json(data)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("m_A", "two"), ("n_A", None), ("d_B", [2]), ("d_B", 2.5), ("sigma", [[1.0, 2.0]])]
+)
+def test_assemblage_from_json_names_a_malformed_key(key, value):
+    data = {**assemblage_from(werner_state(0.8), pauli_xz()).to_json(), key: value}
+    with pytest.raises(ValueError, match=f"^assemblage document: '{key}' missing or malformed$"):
+        Assemblage.from_json(data)
+
+
+@pytest.mark.parametrize("key", ["m_A", "n_A", "d_B"])
+def test_assemblage_from_json_rejects_sizes_that_contradict_sigma(key):
+    data = assemblage_from(werner_state(0.8), pauli_xz()).to_json()
+    data[key] += 1
+    with pytest.raises(ValueError, match=r"^sigma has shape \(2, 2, 2, 2\), but the document declares"):
+        Assemblage.from_json(data)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 3), (2, 2, 2), (0, 2, 2, 2), (2, 0, 2, 2), (2, 2, 2, 2, 2)])
+def test_assemblage_rejects_what_is_not_a_grid_of_square_blocks(shape):
+    with pytest.raises(ValueError, match=r"^sigma has shape"):
+        Assemblage(np.zeros(shape, dtype=complex))
 
 
 def test_deterministic_strategies_enumeration():
@@ -319,7 +349,7 @@ def test_lhs_monotone_and_threshold_location():
 def test_lhs_refuses_oversized_scenarios():
     sigma = np.zeros((10, 6, 2, 2), dtype=complex)
     sigma[0, :, :, :] = np.eye(2) / 2
-    asm = Assemblage(Scenario(6, 10, 2), sigma)
+    asm = Assemblage(sigma)
     with pytest.raises(ValueError):
         lhs_test(asm)
 

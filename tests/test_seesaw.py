@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from steercert.certify import SteeringFunctional, certify_local
+from steercert.certify import SteeringFunctional, certify_local, min_entropy
 from steercert.scenario import (
-    Scenario,
     apply_loss,
     assemblage_from,
     isotropic_state,
@@ -69,11 +68,10 @@ def test_random_povms_fewer_outcomes_than_dimension():
 def test_optimize_measurements_constant_functional():
     # F = c*I makes the objective measurement independent: value c * n_inputs
     c = 0.7
-    shape = Scenario(2, 2, 2)
     f = SteeringFunctional(
         F=np.broadcast_to(c * np.eye(2, dtype=complex), (2, 2, 2, 2)).copy(), x_star=0
     )
-    povms = optimize_measurements(werner_state(0.9), f, shape)
+    povms = optimize_measurements(werner_state(0.9), f)
     assert len(povms) == 2 and all(p.n_outcomes == 2 for p in povms)
     value = f.value_on(assemblage_from(werner_state(0.9), povms))
     assert value == pytest.approx(c * 2, abs=1e-8)
@@ -82,7 +80,7 @@ def test_optimize_measurements_constant_functional():
 def test_optimize_measurements_cannot_beat_feasible_start():
     rho = werner_state(1.0)
     f = certify_local(assemblage_from(rho, pauli_xz()), 0).functional
-    povms = optimize_measurements(rho, f, Scenario(2, 2, 2))
+    povms = optimize_measurements(rho, f)
     value = f.value_on(assemblage_from(rho, povms))
     assert value <= 0.5 + 1e-6  # pauli_xz already achieves 0.5
 
@@ -96,7 +94,7 @@ def test_optimize_measurements_rank_deficient_state():
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         f_grid[a, x] = (h + h.conj().T) / 2
     f = SteeringFunctional(F=f_grid, x_star=0)
-    povms = optimize_measurements(rho, f, Scenario(2, 2, 2))
+    povms = optimize_measurements(rho, f)
     value = f.value_on(assemblage_from(rho, povms))
     expected = sum(min(f_grid[a, x, 0, 0].real for a in range(2)) for x in range(2))
     assert value == pytest.approx(expected, abs=1e-7)
@@ -111,11 +109,10 @@ def random_functional(n_a, m, d, rng):
 @pytest.mark.parametrize("seed", range(3))
 def test_two_outcome_closed_form_matches_the_sdp(eta, seed):
     rng = np.random.default_rng(seed)
-    shape = Scenario(2, 2, 2)
     measured = random_functional(2 if eta == 1.0 else 3, 2, 2, rng)  # 3 rows: no-click last
     f = _strip_loss(measured, 2)
-    closed = optimize_measurements(RHO_PI7, f, shape)
-    reference = _measurements_sdp(_alice_weights(RHO_PI7, f, shape))
+    closed = optimize_measurements(RHO_PI7, f)
+    reference = _measurements_sdp(_alice_weights(RHO_PI7, f))
     values = [
         measured.value_on(assemblage_from(RHO_PI7, povms if eta == 1.0 else [apply_loss(p, eta) for p in povms]))
         for povms in (closed, reference)
@@ -125,10 +122,10 @@ def test_two_outcome_closed_form_matches_the_sdp(eta, seed):
 
 def test_two_outcome_closed_form_matches_the_sdp_on_qutrits():
     rng = np.random.default_rng(5)
-    rho, shape = isotropic_state(3, 0.9), Scenario(3, 2, 3)
+    rho = isotropic_state(3, 0.9)
     f = random_functional(2, 3, 3, rng)
-    closed = optimize_measurements(rho, f, shape)
-    reference = _measurements_sdp(_alice_weights(rho, f, shape))
+    closed = optimize_measurements(rho, f)
+    reference = _measurements_sdp(_alice_weights(rho, f))
     values = [f.value_on(assemblage_from(rho, p)) for p in (closed, reference)]
     assert values[0] == pytest.approx(values[1], abs=1e-8)
 
@@ -138,7 +135,7 @@ def test_two_outcome_closed_form_with_equal_weights():
     rng = np.random.default_rng(2)
     f = random_functional(1, 2, 2, rng)
     f = SteeringFunctional(F=np.concatenate([f.F, f.F]), x_star=0)
-    povms = optimize_measurements(RHO_PI7, f, Scenario(2, 2, 2))
+    povms = optimize_measurements(RHO_PI7, f)
     for povm in povms:
         assert povm.n_outcomes == 2
         assert np.max(np.abs(sum(povm.elements) - np.eye(2))) <= 1e-12
@@ -148,19 +145,18 @@ def test_two_outcome_closed_form_with_equal_weights():
 
 def test_three_outcome_qutrit_measurements_by_sdp():
     rng = np.random.default_rng(4)
-    shape = Scenario(2, 3, 3)
     f = random_functional(3, 2, 3, rng)
     # product state |00>: the weights are F_ax[0, 0] |0><0|, so the optimum
     # puts the outcome with the least F_ax[0, 0] on |0>
     product = np.zeros((9, 9), dtype=complex)
     product[0, 0] = 1.0
-    povms = optimize_measurements(product, f, shape)
+    povms = optimize_measurements(product, f)
     assert [p.n_outcomes for p in povms] == [3, 3]
     expected = sum(min(f.F[a, x, 0, 0].real for a in range(3)) for x in range(2))
     assert f.value_on(assemblage_from(product, povms)) == pytest.approx(expected, abs=1e-7)
     # entangled state: no random projective measurement does better
     rho = isotropic_state(3, 0.8)
-    value = f.value_on(assemblage_from(rho, optimize_measurements(rho, f, shape)))
+    value = f.value_on(assemblage_from(rho, optimize_measurements(rho, f)))
     for s in range(20):
         assert value <= f.value_on(assemblage_from(rho, random_povms(3, 2, 3, seed=s))) + 1e-8
 
@@ -221,6 +217,18 @@ def test_trace_csv_export(tmp_path):
     assert float(first[2]) == pytest.approx(1.0, abs=1e-6)
 
 
+def test_trace_h_min_is_the_min_entropy_of_p_guess(tmp_path):
+    trace = seesaw(RHO_PI7, random_povms(2, 2, 2, seed=0), 0, max_iters=3)
+    assert len(trace.iterations) > 1
+    for it in trace.iterations:
+        assert it.h_min == min_entropy(it.p_guess)
+    assert trace.to_json()["final_h_min"] == min_entropy(trace.final.p_guess)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    rows = path.read_text().strip().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == [f"{min_entropy(it.p_guess):.12g}" for it in trace.iterations]
+
+
 def test_seesaw_validates_arguments():
     with pytest.raises(ValueError):
         seesaw(werner_state(1.0), pauli_xz(), 0, max_iters=0)
@@ -252,7 +260,6 @@ def test_seesaw_records_only_optimal_certifications(monkeypatch):
     import dataclasses
     import sys
 
-    from steercert.certify import min_entropy
     from steercert.sdp import SolverStatus
 
     mod = sys.modules["steercert.seesaw"]
@@ -266,10 +273,7 @@ def test_seesaw_records_only_optimal_certifications(monkeypatch):
         calls["n"] += 1
         if calls["n"] == 1:
             return res
-        p_guess = res.p_guess - 0.05
-        return dataclasses.replace(
-            res, p_guess=p_guess, h_min=min_entropy(p_guess), status=SolverStatus.NUMERICAL_TROUBLE
-        )
+        return dataclasses.replace(res, p_guess=res.p_guess - 0.05, status=SolverStatus.NUMERICAL_TROUBLE)
 
     monkeypatch.setattr(mod, "certify_local", troubled)
     trace = seesaw(RHO_PI7, random_povms(2, 2, 2, seed=0), 0, max_iters=5)
@@ -508,7 +512,7 @@ def test_no_round_smooths_coarser_than_the_excess(monkeypatch):
 
     def recorded(asm, res, x_star, delta):
         if not rounds or rounds[-1][0] is not res:
-            rounds.append((res, asm.scenario.n_outcomes, []))
+            rounds.append((res, len(asm.sigma), []))
         rounds[-1][2].append(ladder.index(delta))
         return original(asm, res, x_star, delta)
 
