@@ -24,7 +24,6 @@ from .scenario import (
     mub_povms,
     pauli_xz,
     schmidt_state,
-    standard_povms,
     werner_state,
 )
 from .sdp import SdpProblem, SdpSolution, SolverStatus, solve

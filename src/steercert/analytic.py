@@ -138,24 +138,14 @@ def _guess_value(w: np.ndarray, elements: np.ndarray) -> float:
     return float(np.real(np.einsum("eij,eji->", elements, w)))
 
 
-def eve_lower_bound(
-    rho: np.ndarray,
-    povms: list[Povm],
-    x_star: int = 0,
-    *,
-    eve_povm: Povm | None = None,
-) -> float:
+def eve_lower_bound(rho: np.ndarray, povms: list[Povm], x_star: int = 0) -> float:
     """Lower bound on the guessing probability from an explicit strategy on
-    the purification.
-
-    With `eve_povm` given, evaluates that single strategy (verifying the
-    induced assemblage is feasible). Otherwise returns the better of two
-    discriminators of Eve's conditional states: the pretty-good measurement
-    and, for two outcomes, Helstrom's, which is optimal among all two-outcome
-    measurements.
+    the purification: the better of two discriminators of Eve's conditional
+    states, the pretty-good measurement and, for two outcomes, Helstrom's,
+    which is optimal among all two-outcome measurements. A given measurement
+    of Eve's is evaluated by `eve_strategy(rho, povms, eve_povm).value(x_star)`,
+    which also verifies that the assemblage it induces is feasible.
     """
-    if eve_povm is not None:
-        return eve_strategy(rho, povms, eve_povm).value(x_star)
     w = _conditional_eve_states(rho, povms, x_star)
     best = _guess_value(w, normalised(w))
     if w.shape[0] == 2:

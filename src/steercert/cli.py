@@ -4,8 +4,9 @@ tests, with CSV/JSON artifacts suitable for plotting.
 
 Configurations are JSON documents (see `ExperimentConfig`); command-line
 flags override file fields. Named presets reproduce the standard curves.
-Types are settled once, when an `ExperimentConfig` is built, by one number
-coercer and one table of nested-object shapes (`SHAPES`).
+A configuration is checked once, when an `ExperimentConfig` is built: its
+types by one number coercer and one table of nested-object shapes (`SHAPES`),
+then its ranges and consistency.
 
 Every artifact is a library result's own report, never a restatement of its
 fields: a sweep row is the point's parameter, `CertificationResult.to_json`
@@ -14,6 +15,10 @@ functional, and the CSV takes the columns of `CSV_COLUMNS`. A see-saw start's
 report is `SeesawTrace.to_json`. A field added to a result's `to_json` thus
 reaches every artifact, and the CSV too once it is given a column.
 
+One rule routes every command's output (`_target`): a command writes to
+``--out``, else to the configuration's ``out`` when that names its artifact,
+and prints its report when ``--json`` is given or when it wrote no file.
+
 Exit codes: 0 success, 2 configuration error, 3 solver failure.
 """
 
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -50,6 +56,14 @@ SHAPES = {
 }
 STATE_KINDS, MEASUREMENT_KINDS, BOB_KINDS, SWEEP_PARAMETERS = (tuple(tags) for _, tags in SHAPES.values())
 NUMBERS = {"eta": float, "x_star": int, "max_iters": int, "tol": float}
+# each measurement family by its kind, built from the parsed `measurements` object
+FAMILIES = {
+    "pauli_xz": lambda m: scen.pauli_xz(),
+    "mub": lambda m: scen.mub_povms(m["d"], m["count"]),
+    "fourier_and_computational": lambda m: scen.fourier_and_computational(m["d"]),
+}
+# the see-saw's starting measurements: this many random bases of Alice's dimension
+SEESAW_INPUTS = 2
 # a sweep CSV's columns, each with the format of its cells; every other key of a row is in the sidecar only
 CSV_COLUMNS = (("parameter", ".12g"), ("p_guess", ".12g"), ("h_min", ".12g"), ("gap", ".12g"),
                ("status", ""), ("wall_ms", ".3f"))
@@ -98,9 +112,9 @@ def _parsed(name: str, value) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment (see module docstring). Every field's type is settled
-    once, at construction, so `from_json`, the presets, the command-line overrides and every `replace`
-    share one parse (`_number`, `_parsed`); `validate` then checks ranges and consistency only."""
+    """Declarative description of one experiment (see module docstring). It is checked once, at
+    construction, so `from_json`, the presets, the command-line overrides and every `replace` share
+    one parse (`_number`, `_parsed`) and one check of ranges and consistency."""
 
     kind: str
     state: dict
@@ -125,6 +139,31 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(_number("seeds", s, int) for s in self.seeds))
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out", f"must be a path, got {self.out!r}")
+        # ranges and consistency, once the types are settled
+        if self.kind not in KINDS:
+            raise ConfigError("kind", f"must be one of {KINDS}, got {self.kind!r}")
+        self._validate_state()
+        if self.kind != "seesaw" and self.measurements is None:
+            raise ConfigError("measurements", "required for this experiment kind")
+        if self.measurements is not None:
+            self._validate_measurements()
+        if not 0.0 <= self.eta <= 1.0:
+            raise ConfigError("eta", f"detection efficiency must lie in [0, 1], got {self.eta}")
+        n_inputs = SEESAW_INPUTS if self.kind == "seesaw" else len(self._family())
+        if not 0 <= self.x_star < n_inputs:
+            raise ConfigError("x_star", f"must lie in [0, {n_inputs - 1}], got {self.x_star}")
+        if self.kind == "steering_global" and self.bob_measurement is None:
+            raise ConfigError("bob_measurement", "required for steering_global")
+        if self.sweep is not None:
+            self._validate_sweep()
+        if not self.seeds:
+            raise ConfigError("seeds", "must not be empty")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError("seeds", "seeds must be non-negative integers")
+        if self.max_iters < 1:
+            raise ConfigError("max_iters", "must be at least 1")
+        if not self.tol > 0:
+            raise ConfigError("tol", "must be positive")
 
     def to_json(self) -> dict:
         data = asdict(self)
@@ -145,33 +184,6 @@ class ExperimentConfig:
         return cls(**data)
 
     # -- validation -------------------------------------------------------
-
-    def validate(self) -> None:
-        """Check ranges and consistency; the types were settled at construction."""
-        if self.kind not in KINDS:
-            raise ConfigError("kind", f"must be one of {KINDS}, got {self.kind!r}")
-        self._validate_state()
-        if self.kind != "seesaw" and self.measurements is None:
-            raise ConfigError("measurements", "required for this experiment kind")
-        if self.measurements is not None:
-            self._validate_measurements()
-        if not 0.0 <= self.eta <= 1.0:
-            raise ConfigError("eta", f"detection efficiency must lie in [0, 1], got {self.eta}")
-        n_inputs = self._n_inputs()
-        if not 0 <= self.x_star < n_inputs:
-            raise ConfigError("x_star", f"must lie in [0, {n_inputs - 1}], got {self.x_star}")
-        if self.kind == "steering_global" and self.bob_measurement is None:
-            raise ConfigError("bob_measurement", "required for steering_global")
-        if self.sweep is not None:
-            self._validate_sweep()
-        if not self.seeds:
-            raise ConfigError("seeds", "must not be empty")
-        if any(s < 0 for s in self.seeds):
-            raise ConfigError("seeds", "seeds must be non-negative integers")
-        if self.max_iters < 1:
-            raise ConfigError("max_iters", "must be at least 1")
-        if not self.tol > 0:
-            raise ConfigError("tol", "must be positive")
 
     def _validate_state(self) -> None:
         kind = self.state["kind"]
@@ -215,11 +227,6 @@ class ExperimentConfig:
             return len(self.state["lambdas"])
         return self.state.get("d", 2)  # a werner state is a pair of qubits
 
-    def _n_inputs(self) -> int:
-        if self.measurements is not None and self.measurements["kind"] == "mub":
-            return self.measurements["count"]
-        return 2  # every other family, and the see-saw, has two measurements
-
     def sweep_values(self) -> list[float]:
         if self.sweep is None:
             return [self.state.get("v", self.eta)]
@@ -242,10 +249,13 @@ class ExperimentConfig:
             return scen.isotropic_state(s["d"], s["v"])
         return scen.schmidt_state(s["lambdas"])
 
+    def _family(self) -> tuple[Povm, ...]:
+        """The named family, which `scenario` builds once."""
+        return FAMILIES[self.measurements["kind"]](self.measurements)
+
     def build_measurements(self) -> tuple[Povm, ...]:
-        """The named family (`scenario` builds each once), with this point's loss applied."""
-        m = self.measurements
-        povms = scen.standard_povms(m["kind"], d=m.get("d"), count=m.get("count"))
+        """The named family with this point's loss applied."""
+        povms = self._family()
         if self.eta < 1.0:
             povms = tuple(scen.apply_loss(p, self.eta) for p in povms)
         return povms
@@ -331,6 +341,28 @@ def _certify_point(config: ExperimentConfig) -> certify_mod.CertificationResult:
     return certify_mod.certify_global(asm, config.x_star, config.build_bob_povm(asm.sigma.shape[-1]))
 
 
+def _target(command: str, config: ExperimentConfig, out: str | None) -> str | None:
+    """The file ``command`` writes: ``out``, else the configuration's ``out`` when it names this
+    command's artifact, which for a certification kind is its sweep's, so `certify` has none."""
+    own = "sweep" if config.kind in CERTIFICATION_KINDS else config.kind
+    return out or (config.out if command == own else None)
+
+
+def _dump(path: str, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+
+
+def run_certify(config: ExperimentConfig, *, out: str | None = None) -> tuple[dict, int]:
+    """Certify the configured point, a sweep's left out; returns (report, exit_code) and
+    writes the report when an output path is given."""
+    payload = _certify_point(replace(config, sweep=None)).to_json()
+    target = _target("certify", config, out)
+    if target:
+        _dump(target, payload)
+    return payload, 0 if payload["status"] == "optimal" else 3
+
+
 def _sweep_worker(point: ExperimentConfig, value: float) -> dict:
     start = time.perf_counter()
     result = _certify_point(point)
@@ -338,25 +370,19 @@ def _sweep_worker(point: ExperimentConfig, value: float) -> dict:
     return {"parameter": value, **result.to_json(), "wall_ms": wall_ms}
 
 
-def _sidecar_entry(row: dict) -> dict:
-    """A sweep row as its sidecar gives it: the point's report, without the wall-clock time."""
-    return {key: value for key, value in row.items() if key != "wall_ms"}
-
-
 def _write_rows(out: str, rows: list[dict]) -> None:
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([key for key, _ in CSV_COLUMNS])
         writer.writerows([format(row[key], spec) for key, spec in CSV_COLUMNS] for row in rows)
-    with open(os.path.splitext(out)[0] + ".json", "w") as fh:
-        json.dump([_sidecar_entry(row) for row in rows], fh)
+    # the sidecar gives each point's report, without the wall-clock time
+    _dump(os.path.splitext(out)[0] + ".json", [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows])
 
 
 def run_sweep(config: ExperimentConfig, *, jobs: int = 1, out: str | None = None) -> tuple[list[dict], int]:
     """Execute every sweep point; returns (rows, exit_code) and writes the
     CSV and its JSON sidecar when an output path is configured."""
     _check_kind(config, "sweep")
-    config.validate()
     values = config.sweep_values()
     points = [config.at_parameter(v) for v in values]
     if jobs > 1:
@@ -365,7 +391,7 @@ def run_sweep(config: ExperimentConfig, *, jobs: int = 1, out: str | None = None
     else:
         rows = list(map(_sweep_worker, points, values))
     rows.sort(key=lambda r: r["parameter"])
-    target = out or config.out
+    target = _target("sweep", config, out)
     if target:
         _write_rows(target, rows)
     code = 0 if all(r["status"] == "optimal" for r in rows) else 3
@@ -377,43 +403,38 @@ def run_seesaw(config: ExperimentConfig, *, out: str | None = None) -> tuple[dic
     sidecar mapping each seed to its start's `SeesawTrace.to_json`. Returns the best
     start's report with its seed, and the exit code."""
     _check_kind(config, "seesaw")
-    config.validate()
     rho = config.build_state()
     d = int(np.sqrt(rho.shape[0]))
     ceiling = float(np.log2(d)) if config.state["kind"] == "schmidt" else None
     traces = {}
     for seed in config.seeds:
-        initial = _random_povms(d, 2, d, seed)
+        initial = _random_povms(d, SEESAW_INPUTS, d, seed)
         traces[seed] = _seesaw_loop(
             rho, initial, config.x_star, eta=config.eta, max_iters=config.max_iters, tol=config.tol, ceiling=ceiling
         )
     best_seed = max(traces, key=lambda s: traces[s].final.h_min)
     best = traces[best_seed]
-    target = out or config.out
+    target = _target("seesaw", config, out)
     if target:
         best.to_csv(target)
-        with open(os.path.splitext(target)[0] + ".json", "w") as fh:
-            json.dump({
-                "best_seed": best_seed,
-                "seeds": {str(s): t.to_json() for s, t in traces.items()},
-                "functional": best.final.functional.to_json(),
-            }, fh)
+        _dump(os.path.splitext(target)[0] + ".json", {
+            "best_seed": best_seed,
+            "seeds": {str(s): t.to_json() for s, t in traces.items()},
+            "functional": best.final.functional.to_json(),
+        })
     return {"best_seed": best_seed, **best.to_json()}, 0
 
 
 def run_lhs(config: ExperimentConfig, *, out: str | None = None) -> tuple[dict, int]:
-    """Test the configured assemblage for a local-hidden-state model; writes the payload
-    to ``out``, or to the config's ``out`` only when its kind is lhs, since another kind's
-    ``out`` names that experiment's artifact."""
+    """Test the configured assemblage for a local-hidden-state model; returns (payload,
+    exit_code) and writes the payload when an output path is given (`_target`)."""
     _check_kind(config, "lhs")
-    config.validate()
     asm = scen.assemblage_from(config.build_state(), config.build_measurements())
     result = scen.lhs_test(asm)
     payload = {"is_lhs": bool(result.is_lhs), "robustness": float(result.robustness)}
-    target = out or (config.out if config.kind == "lhs" else None)
+    target = _target("lhs", config, out)
     if target:
-        with open(target, "w") as fh:
-            json.dump(payload, fh)
+        _dump(target, payload)
     return payload, 0
 
 
@@ -426,17 +447,19 @@ def _error_json(code: int, message: str) -> int:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The configuration of the preset or file with the flags' fields put in its document,
+    built, and so checked, once."""
     if args.preset and args.config:
         raise ConfigError("preset", "give either --preset or --config, not both")
     if args.preset:
         table = presets()
         if args.preset not in table:
             raise ConfigError("preset", f"unknown preset {args.preset!r}; have {sorted(table)}")
-        config = table[args.preset]
+        data = table[args.preset].to_json()
     elif args.config:
         try:
             with open(args.config) as fh:
-                config = ExperimentConfig.from_json(json.load(fh))
+                data = json.load(fh)
         except FileNotFoundError:
             raise ConfigError("config", f"no such file: {args.config}") from None
         except json.JSONDecodeError as exc:
@@ -444,18 +467,13 @@ def _load_config(args) -> ExperimentConfig:
     else:
         raise ConfigError("config", "need --preset NAME or --config PATH")
 
-    if args.x_star is not None:
-        config = replace(config, x_star=args.x_star)
-    if args.eta is not None:
-        config = replace(config, eta=args.eta)
-    if args.v is not None:
-        config = replace(config, state=dict(config.state, v=args.v))
-    if args.seeds is not None:
-        config = replace(config, seeds=args.seeds.split(","))
-    if args.out is not None:
-        config = replace(config, out=args.out)
-    config.validate()
-    return config
+    flags = {"x_star": args.x_star, "eta": args.eta, "out": args.out,
+             "seeds": None if args.seeds is None else args.seeds.split(",")}
+    if isinstance(data, dict):  # from_json names what is wrong with any other document
+        data.update((fld, value) for fld, value in flags.items() if value is not None)
+        if args.v is not None and isinstance(data.get("state"), dict):
+            data["state"] = dict(data["state"], v=args.v)
+    return ExperimentConfig.from_json(data)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -497,41 +515,21 @@ def main(argv=None) -> int:
                 print(name)
         return 0
 
+    # looked up at each call, so that a runner replaced in this module is the one run
+    runners = {"certify": run_certify, "sweep": functools.partial(run_sweep, jobs=max(1, args.jobs)),
+               "seesaw": run_seesaw, "lhs": run_lhs}
     try:
         config = _load_config(args)
-    except ConfigError as exc:
-        return _error_json(2, str(exc))
-
-    try:
-        if args.command == "certify":
-            result = _certify_point(replace(config, sweep=None))
-            payload = result.to_json()
-            if args.out:
-                with open(args.out, "w") as fh:
-                    json.dump(payload, fh)
-            if args.json or not args.out:
-                print(json.dumps(payload))
-            return 0 if payload["status"] == "optimal" else 3
-        if args.command == "sweep":
-            rows, code = run_sweep(config, jobs=max(1, args.jobs), out=args.out)
-            if args.json:
-                print(json.dumps([{k: v for k, v in _sidecar_entry(r).items() if k != "functional"} for r in rows]))
-            return code
-        if args.command == "seesaw":
-            summary, code = run_seesaw(config, out=args.out)
-            if args.json:
-                print(json.dumps(summary))
-            return code
-        if args.command == "lhs":
-            payload, code = run_lhs(config, out=args.out)
-            if args.json or not (args.out or (config.kind == "lhs" and config.out)):
-                print(json.dumps(payload))
-            return code
+        report, code = runners[args.command](config, out=args.out)
     except ConfigError as exc:
         return _error_json(2, str(exc))
     except (certify_mod.CertificationError, RuntimeError) as exc:
         return _error_json(3, str(exc))
-    raise AssertionError("unreachable command dispatch")
+    if args.command == "sweep":  # a printed row leaves out the functional and the wall-clock time
+        report = [{k: v for k, v in row.items() if k not in ("functional", "wall_ms")} for row in report]
+    if args.json or not _target(args.command, config, args.out):
+        print(json.dumps(report))
+    return code
 
 
 def entrypoint() -> None:  # console script

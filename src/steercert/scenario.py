@@ -171,21 +171,6 @@ def mub_povms(d: int, count: int) -> tuple[Povm, ...]:
     return tuple(basis_povm(b) for b in bases[:count])
 
 
-def standard_povms(kind: str, *, d: int | None = None, count: int | None = None) -> tuple[Povm, ...]:
-    """Dispatcher over the named measurement families (used by the CLI)."""
-    if kind == "pauli_xz":
-        return pauli_xz()
-    if kind == "mub":
-        if d is None or count is None:
-            raise ValueError("mub needs d and count")
-        return mub_povms(d, count)
-    if kind == "fourier_and_computational":
-        if d is None:
-            raise ValueError("fourier_and_computational needs d")
-        return fourier_and_computational(d)
-    raise ValueError(f"unknown measurement family {kind!r}")
-
-
 def apply_loss(povm: Povm, eta: float) -> Povm:
     """Detector with efficiency eta: elements scaled by eta plus a no-click
     outcome (1 - eta) * I appended as the last outcome."""

@@ -64,11 +64,6 @@ the structure its first call builds from their parent, and ``solve`` runs their 
 only: it reads a child's right-hand sides and that structure, nothing else, so a write to the
 parent after that call changes no child's solve, which is bit for bit the solve of the same
 problem built afresh. Every other problem, the parent included, gets a structure of its own.
-Builders keep parents keyed by what they are built from: ``scenario.lhs_test`` its last
-(outcomes, inputs, d); steering certifications, facially reduced or not, up to 8 keyed by
-(shape, x*, guess outcomes, guess-target bytes, face ranks), each holding the face isometries
-it was built for and rebuilt when a call's differ in any byte (README, "Numerical notes", says
-why not keyed by those bytes or by content); ``certify_pm`` keeps none.
 """
 
 from __future__ import annotations

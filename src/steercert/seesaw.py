@@ -102,8 +102,11 @@ class SeesawIteration:
 @dataclass(frozen=True)
 class SeesawTrace:
     iterations: tuple[SeesawIteration, ...]
-    converged: bool
     stop_reason: StopReason
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason is StopReason.TOLERANCE
 
     @property
     def final(self) -> SeesawIteration:
@@ -156,9 +159,9 @@ def _restore_povm(elements: np.ndarray) -> Povm:
     return Povm(normalised(0.5 * (elements + dagger(elements))))
 
 
-def optimize_measurements(rho: np.ndarray, functional: SteeringFunctional) -> list[Povm]:
+def optimize_measurements(rho: np.ndarray, F: np.ndarray) -> list[Povm]:
     """Measurements minimizing the witnessed bound sum Tr[(M_ax (x) F_ax) rho], with
-    as many outcomes and inputs as the functional's grid F[a, x].
+    as many outcomes and inputs as the inequality's grid F[a, x].
 
     The bound is sum_ax <W_ax, M_ax> with W_ax = Herm Tr_B[(1 (x) F_ax) rho],
     minimized per input over complete sets of PSD elements. With two outcomes
@@ -166,21 +169,21 @@ def optimize_measurements(rho: np.ndarray, functional: SteeringFunctional) -> li
     W_0x - W_1x and M_1 = 1 - M_0. With more outcomes an SDP finds it, solved
     to the see-saw's targets (relative gap 1e-11, residuals 1e-10).
     """
-    weights = _alice_weights(rho, functional)
+    weights = _alice_weights(rho, F)
     if len(weights) != 2:
         return _measurements_sdp(weights)
     return [_restore_povm(helstrom_pair(diff)) for diff in weights[0] - weights[1]]
 
 
-def _alice_weights(rho: np.ndarray, functional: SteeringFunctional) -> np.ndarray:
+def _alice_weights(rho: np.ndarray, F: np.ndarray) -> np.ndarray:
     """The (n_a, m, d_a, d_a) stack W_ax = Herm Tr_B[(1 (x) F_ax) rho], so that
     Tr[(M (x) F_ax) rho] = <W_ax, M>."""
     rho = np.asarray(rho, dtype=complex)
-    n_a, m, d_b = functional.F.shape[:3]
+    n_a, m, d_b = F.shape[:3]
     if rho.shape[0] % d_b != 0:
         raise ValueError("state dimension incompatible with the trusted dimension")
     d_a = rho.shape[0] // d_b
-    return steering_adjoint(rho, functional.F.reshape(n_a * m, d_b, d_b)).reshape(n_a, m, d_a, d_a)
+    return steering_adjoint(rho, F.reshape(n_a * m, d_b, d_b)).reshape(n_a, m, d_a, d_a)
 
 
 def _measurements_sdp(weights: np.ndarray) -> list[Povm]:
@@ -195,12 +198,6 @@ def _measurements_sdp(weights: np.ndarray) -> list[Povm]:
     if sol.status is not sdp.SolverStatus.OPTIMAL:
         raise RuntimeError(f"measurement optimization failed with status {sol.status}")
     return [_restore_povm(np.stack(sol.primal[x::m])) for x in range(m)]
-
-
-def _strip_loss(functional: SteeringFunctional, n_ideal: int) -> SteeringFunctional:
-    """Functional restricted to the conclusive outcomes; the no-click row
-    contributes a measurement-independent constant under fixed loss."""
-    return SteeringFunctional(F=functional.F[:n_ideal], x_star=functional.x_star)
 
 
 def _geodesic(old: list[Povm], new: list[Povm]):
@@ -359,7 +356,8 @@ def seesaw(
     def update(rung: int):
         """The round's accepted (povms, assemblage, result, step) at `rung`, or None."""
         functional = _stepping_functional(asm, res, x_star, _SMOOTHING_LADDER[rung])
-        candidate = optimize_measurements(rho, _strip_loss(functional, n_ideal))
+        # the conclusive outcomes' rows: under fixed loss the no-click row adds a constant
+        candidate = optimize_measurements(rho, functional.F[:n_ideal])
         cand_asm, cand_res = certified(candidate, res.p_guess + 1e-10)
         if cand_res.status is not sdp.SolverStatus.OPTIMAL or cand_res.p_guess > res.p_guess + 1e-10:
             return None
@@ -378,9 +376,9 @@ def seesaw(
     rung = 0
     while True:
         if ceiling is not None and res.h_min >= ceiling - tol:
-            return SeesawTrace(tuple(iterations), True, StopReason.TOLERANCE)
+            return SeesawTrace(tuple(iterations), StopReason.TOLERANCE)
         if len(iterations) >= max_iters:
-            return SeesawTrace(tuple(iterations), False, StopReason.MAX_ITERATIONS)
+            return SeesawTrace(tuple(iterations), StopReason.MAX_ITERATIONS)
         # no rung coarser than the guessing probability left to gain, bar one on the way back
         excess = res.p_guess - 1.0 / len(asm.sigma)
         k_e = next((k for k, delta in enumerate(_SMOOTHING_LADDER) if delta <= excess), floor)
@@ -390,20 +388,19 @@ def seesaw(
             try:
                 accepted = update(k)
             except (RuntimeError, ValueError) as exc:
-                partial = SeesawTrace(tuple(iterations), False, StopReason.MAX_ITERATIONS)
+                partial = SeesawTrace(tuple(iterations), StopReason.MAX_ITERATIONS)
                 raise SeesawError(f"solver failed mid-loop: {exc}", partial) from exc
             if accepted is not None:
                 rung = k
                 break
         if accepted is None:  # a full pass accepted nothing: a fixed point
-            stop_reason = StopReason.STALL if ceiling is not None else StopReason.TOLERANCE
-            return SeesawTrace(tuple(iterations), ceiling is None, stop_reason)
+            return SeesawTrace(tuple(iterations), StopReason.STALL if ceiling is not None else StopReason.TOLERANCE)
         povms, asm, res, step = accepted
         iterations.append(
             SeesawIteration(res.p_guess, res.functional, tuple(povms), _SMOOTHING_LADDER[rung], step)
         )
         gain = iterations[-1].h_min - iterations[-2].h_min
         if ceiling is None and abs(gain) < tol:
-            return SeesawTrace(tuple(iterations), True, StopReason.TOLERANCE)
+            return SeesawTrace(tuple(iterations), StopReason.TOLERANCE)
         if gain < 1e-3 and rung < floor:
             rung += 1  # slowing climb: tighten the stepping inequality

@@ -84,7 +84,7 @@ def test_uninformative_eve_gives_best_constant_guess():
     rho = werner_state(0.8)
     povms = pauli_xz()
     trivial = Povm([np.eye(4, dtype=complex)])
-    value = eve_lower_bound(rho, povms, 0, eve_povm=trivial)
+    value = eve_strategy(rho, povms, trivial).value(0)
     obs = assemblage_from(rho, povms)
     assert value == pytest.approx(np.max(obs.outcome_probs(0)), abs=1e-10)
 

@@ -587,3 +587,47 @@ def test_a_bar_at_the_optimum_changes_nothing(rho, povms, reduced):
     assert (barred.p_guess, barred.dual_value, barred.gap, barred.status) == (
         plain.p_guess, plain.dual_value, plain.gap, plain.status)
     assert np.array_equal(barred.functional.F, plain.functional.F)
+
+
+def _signalling_joint(asm):
+    """Eve's grid that reproduces asm with guess 0 at input 0 and guess 1 at input 1: consistent and
+    PSD, but each guess's marginal depends on the input."""
+    sigma_e = np.zeros((2,) + asm.sigma.shape, dtype=complex)
+    sigma_e[0, :, 0], sigma_e[1, :, 1] = asm.sigma[:, 0], asm.sigma[:, 1]
+    return JointAssemblage(sigma_e)
+
+
+@pytest.mark.parametrize("joint, message", [
+    (lambda asm: JointAssemblage(np.stack([asm.sigma, -1e-3 * np.broadcast_to(np.eye(2), asm.sigma.shape)])),
+     r"^joint assemblage block eigenvalue below -1e-08$"),
+    (_signalling_joint, r"^joint assemblage signals by 5\.000e-01$"),
+], ids=["negative block", "signalling"])
+def test_joint_assemblage_validation_names_the_failing_property(joint, message):
+    asm = assemblage_from(werner_state(0.5), pauli_xz())
+    with pytest.raises(ValueError, match=message):
+        joint(asm).validate(asm)
+
+
+def test_functional_refusals():
+    functional = certify_pm(werner_state(0.8), pauli_xz(), 0).functional
+    with pytest.raises(ValueError, match=r"^assemblage grid \(2, 3, 2, 2\) does not match F \(2, 2, 2, 2\)$"):
+        functional.value_on(np.zeros((2, 3, 2, 2)))
+    with pytest.raises(ValueError, match="^no dual multipliers stored for this functional$"):
+        functional.feasibility_margin()  # a prepare-and-measure functional has no G
+
+
+def test_an_infeasible_certification_solve_is_refused(monkeypatch):
+    import steercert.sdp as sdp_module
+    from steercert.certify import CertificationError
+
+    solve = sdp_module.solve
+    monkeypatch.setattr(sdp_module, "solve",
+                        lambda p, **kw: dataclasses.replace(solve(p, **kw), status=SolverStatus.INFEASIBLE))
+    with pytest.raises(CertificationError, match="^certification problem infeasible: inputs malformed$"):
+        certify_local(assemblage_from(werner_state(0.8), pauli_xz()), 0)
+
+
+def test_global_refuses_a_trusted_measurement_of_another_dimension():
+    asm = assemblage_from(werner_state(0.8), pauli_xz())
+    with pytest.raises(ValueError, match="^trusted measurement dimension does not match the assemblage$"):
+        certify_global(asm, 0, basis_povm(np.eye(3, dtype=complex)))

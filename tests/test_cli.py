@@ -22,7 +22,6 @@ def test_presets_round_trip():
     for name, config in presets().items():
         back = ExperimentConfig.from_json(config.to_json())
         assert back == config, name
-        back.validate()
 
 
 def test_presets_contents():
@@ -78,6 +77,13 @@ def test_presets_contents():
         ({"eta": True}, "eta"),
         ({"state": [1]}, "state"),
         ({"measurements": {"kind": "pauli_xz", "d": 2}}, "measurements.d"),
+        # consistency between fields
+        ({"measurements": None}, "measurements"),
+        ({"kind": "seesaw", "state": {"kind": "schmidt", "lambdas": [1.0, 0.0]}}, "state.lambdas"),
+        ({"state": {"kind": "schmidt", "lambdas": [0.5, 0.5]},
+          "sweep": {"parameter": "v", "start": 0.5, "stop": 1.0, "points": 2}}, "sweep.parameter"),
+        # the see-saw has two inputs, whatever measurements are given
+        ({"kind": "seesaw", "measurements": {"kind": "mub", "d": 2, "count": 3}, "x_star": 2}, "x_star"),
     ],
 )
 def test_invalid_configs_never_reach_the_solver(mutation, field):
@@ -88,7 +94,7 @@ def test_invalid_configs_never_reach_the_solver(mutation, field):
     }
     base.update(mutation)
     with pytest.raises(ConfigError) as err:
-        ExperimentConfig.from_json(base).validate()
+        ExperimentConfig.from_json(base)
     assert err.value.field == field
 
 
@@ -104,7 +110,6 @@ def test_a_sweep_given_as_numeric_strings_runs_as_its_numbers():
         "kind": "steering_local", "state": {"kind": "werner", "v": 0.8}, "measurements": {"kind": "pauli_xz"},
         "sweep": {"parameter": "v", "start": "0.8", "stop": "0.9", "points": "2"},
     })
-    config.validate()
     assert config.sweep_values() == [0.8, 0.9]
 
 
@@ -121,6 +126,13 @@ def test_a_missing_required_field_exits_2(tmp_path, capsys, document, field):
     assert json.loads(capsys.readouterr().err) == {"error": f"{field}: required", "exit_code": 2}
 
 
+def test_flags_replace_file_fields_before_the_configuration_is_checked(tmp_path, capsys):
+    path = write_config(tmp_path, {"kind": "steering_local", "state": {"kind": "werner", "v": 2.0},
+                                   "measurements": {"kind": "pauli_xz"}, "x_star": 7})
+    assert main(["certify", "--config", path, "--v", "0.8", "--x-star", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["x_star"] == 1
+
+
 def test_a_replaced_sweep_is_parsed_like_a_file():
     config = replace(presets()["fig2"], sweep={"parameter": "v", "start": 0.8, "stop": 0.8, "points": "2"})
     assert config.sweep["points"] == 2 and type(config.sweep["points"]) is int
@@ -132,13 +144,12 @@ def test_unknown_field_rejected():
 
 
 def test_global_requires_bob_measurement():
-    config = ExperimentConfig(
-        kind="steering_global",
-        state={"kind": "werner", "v": 0.9},
-        measurements={"kind": "pauli_xz"},
-    )
     with pytest.raises(ConfigError) as err:
-        config.validate()
+        ExperimentConfig(
+            kind="steering_global",
+            state={"kind": "werner", "v": 0.9},
+            measurements={"kind": "pauli_xz"},
+        )
     assert err.value.field == "bob_measurement"
 
 
@@ -371,6 +382,11 @@ def test_main_lhs_leaves_a_sweeps_csv_alone(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "fig2.csv").exists()
 
 
+# a see-saw configuration naming three bases, which the see-saw does not use: it starts from two
+SEESAW_THREE_BASES = {"kind": "seesaw", "state": {"kind": "schmidt", "lambdas": [0.75, 0.25]},
+                      "measurements": {"kind": "mub", "d": 2, "count": 3}, "x_star": 2}
+
+
 def _mub_config(tmp_path, d, count):
     return write_config(tmp_path, {
         "kind": "steering_local",
@@ -393,8 +409,11 @@ def _not_json(tmp_path):
     (lambda tmp_path: ["certify", "--preset", "fig2", "--config", _mub_config(tmp_path, 3, 2)], "preset"),
     (lambda tmp_path: ["certify", "--config", str(tmp_path / "missing.json")], "config"),
     (lambda tmp_path: ["certify", "--config", _not_json(tmp_path)], "config"),
+    (["certify"], "config"),
+    (lambda tmp_path: ["seesaw", "--config", write_config(tmp_path, SEESAW_THREE_BASES)], "x_star"),
 ], ids=["certify a seesaw config", "lhs of a seesaw config", "mub at d = 4", "seven mubs at d = 3",
-        "preset and config", "missing config file", "config not json"])
+        "preset and config", "missing config file", "config not json", "neither preset nor config",
+        "seesaw x_star past its two inputs"])
 def test_configuration_errors_exit_2_with_the_json_error(tmp_path, capsys, argv, field):
     assert main(argv(tmp_path) if callable(argv) else argv) == 2
     err = json.loads(capsys.readouterr().err)
@@ -464,3 +483,34 @@ def test_seesaw_artifacts_are_each_starts_report(tmp_path, monkeypatch):
     reports = [json.loads(json.dumps(trace.to_json())) for trace in traces]
     assert [side["seeds"][str(seed)] for seed in config.seeds] == reports
     assert summary == {"best_seed": side["best_seed"], **traces[config.seeds.index(side["best_seed"])].to_json()}
+
+
+@pytest.mark.parametrize("command, config", [
+    ("sweep", {"kind": "steering_local", "state": {"kind": "werner", "v": 1.0}, "measurements": {"kind": "pauli_xz"},
+               "sweep": {"parameter": "v", "start": 0.8, "stop": 0.9, "points": 2}}),
+    ("seesaw", {"kind": "seesaw", "state": {"kind": "schmidt", "lambdas": [0.75, 0.25]}, "max_iters": 2}),
+])
+def test_a_command_that_writes_no_file_prints_its_report(tmp_path, monkeypatch, capsys, command, config):
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path, config)
+    assert main([command, "--config", path]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert main([command, "--config", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == printed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    if command == "sweep":
+        assert [row["parameter"] for row in printed] == [0.8, 0.9]
+    else:
+        assert printed["best_seed"] == 0 and printed["iterations"] == 2
+
+
+def test_a_runner_failing_to_certify_exits_3_with_the_json_error(monkeypatch, capsys):
+    from steercert.certify import CertificationError
+
+    def failing(config, **kwargs):
+        raise CertificationError("certification problem infeasible: inputs malformed")
+
+    monkeypatch.setattr("steercert.cli.run_sweep", failing)
+    assert main(["sweep", "--preset", "fig2"]) == 3
+    assert json.loads(capsys.readouterr().err) == {"error": "certification problem infeasible: inputs malformed",
+                                                   "exit_code": 3}

@@ -16,7 +16,7 @@ def test_package_exports():
         "Povm", "basis_povm", "is_hermitian", "is_psd", "kron", "min_eig", "partial_trace",
         # scenario
         "Assemblage", "LhsResult", "apply_loss", "assemblage_from", "bell_state", "fourier_and_computational",
-        "isotropic_state", "lhs_test", "mub_povms", "pauli_xz", "schmidt_state", "standard_povms", "werner_state",
+        "isotropic_state", "lhs_test", "mub_povms", "pauli_xz", "schmidt_state", "werner_state",
         # sdp
         "SdpProblem", "SdpSolution", "SolverStatus", "solve",
         # seesaw

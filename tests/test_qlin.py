@@ -131,6 +131,20 @@ def test_partial_trace_dimension_mismatch():
         partial_trace(np.eye(5), (2, 2), keep="A")
 
 
+def test_kron_needs_an_operator():
+    with pytest.raises(ValueError, match="^kron needs at least one operator$"):
+        kron()
+
+
+def test_partial_trace_keeps_a_subsystem_given_by_its_index():
+    rho = kron(np.diag([0.25, 0.75]), np.diag([0.4, 0.6]))
+    assert np.array_equal(partial_trace(rho, (2, 2), keep=1), partial_trace(rho, (2, 2), keep="B"))
+    assert np.array_equal(partial_trace(rho, (2, 2), keep=np.int64(0)), partial_trace(rho, (2, 2), keep="A"))
+    for keep in (2, -1, (0, 2)):
+        with pytest.raises(ValueError, match=r"out of range for 2 subsystems$"):
+            partial_trace(rho, (2, 2), keep=keep)
+
+
 def test_min_eig_examples():
     assert min_eig(np.eye(2)) == pytest.approx(1.0, abs=1e-10)
     assert min_eig(np.diag([3.0, -2.0])) == pytest.approx(-2.0, abs=1e-10)
@@ -209,6 +223,7 @@ def test_povm_errors_name_the_first_failing_element():
         ([half, np.full((2, 2), np.nan)], r"element 1 is not PSD within 1e-10"),
         ([half, np.eye(3)], r"element 1 has shape \(3, 3\), expected \(2, 2\)"),
         ([half, np.diag([0.5, 0.4])], r"elements sum to identity only within 1\.000e-01"),
+        ([], r"a POVM needs at least one element"),
     ]
     for elements, message in cases:
         with pytest.raises(ValueError, match=f"^{message}$"):

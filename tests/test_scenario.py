@@ -14,7 +14,6 @@ from steercert.scenario import (
     mub_povms,
     pauli_xz,
     schmidt_state,
-    standard_povms,
     steering_adjoint,
     werner_state,
 )
@@ -108,14 +107,6 @@ def test_fourier_and_computational():
     for got, want in zip(fc, xz):
         for ge, we in zip(got.elements, want.elements):
             assert np.max(np.abs(ge - we)) <= 1e-12
-
-
-def test_standard_povms_dispatch():
-    assert len(standard_povms("pauli_xz")) == 2
-    assert len(standard_povms("mub", d=3, count=4)) == 4
-    assert len(standard_povms("fourier_and_computational", d=3)) == 2
-    with pytest.raises(ValueError):
-        standard_povms("bogus")
 
 
 def test_apply_loss_limits():
@@ -354,6 +345,40 @@ def test_lhs_refuses_oversized_scenarios():
         lhs_test(asm)
 
 
+def test_lhs_refuses_a_solve_that_does_not_end_optimal(monkeypatch):
+    import dataclasses
+
+    import steercert.sdp as sdp_module
+
+    solve = sdp_module.solve
+    monkeypatch.setattr(sdp_module, "solve", lambda p, **kw: dataclasses.replace(
+        solve(p, **kw), status=sdp_module.SolverStatus.NUMERICAL_TROUBLE))
+    with pytest.raises(RuntimeError, match="^LHS membership solve failed with status numerical_trouble$"):
+        lhs_test(assemblage_from(werner_state(0.5), pauli_xz()))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Assemblage(np.broadcast_to(np.eye(2) / 8, (2, 2, 2, 2))),
+     r"^assemblage is not normalized: Tr = 0\.5$"),
+    (lambda: isotropic_state(1, 0.5), "^isotropic states need d >= 2$"),
+    (lambda: isotropic_state(3, 1.2), r"^visibility v must lie in \[0, 1\], got 1\.2$"),
+    (lambda: isotropic_state(3, -0.1), r"^visibility v must lie in \[0, 1\], got -0\.1$"),
+    (lambda: fourier_and_computational(1), "^need d >= 2$"),
+    (lambda: assemblage_from(werner_state(0.8), []), "^need at least one measurement$"),
+    (lambda: assemblage_from(werner_state(0.8), [pauli_xz()[0], mub_povms(3, 2)[0]]),
+     "^all measurements must share dimension and outcome count$"),
+    (lambda: assemblage_from(werner_state(0.8), [pauli_xz()[0], apply_loss(pauli_xz()[1], 0.9)]),
+     "^all measurements must share dimension and outcome count$"),
+    (lambda: assemblage_from(werner_state(0.8), mub_povms(3, 2)),
+     "^state dimension 4 incompatible with Alice dimension 3$"),
+], ids=["unnormalised assemblage", "isotropic d = 1", "isotropic v > 1", "isotropic v < 0",
+        "fourier_and_computational(1)", "no measurement", "dimensions differ", "outcome counts differ",
+        "state dimension not a multiple"])
+def test_malformed_inputs_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_lhs_handles_loss_outcomes():
     povms = [apply_loss(p, 0.4) for p in pauli_xz()]
     res = lhs_test(assemblage_from(werner_state(1.0), povms))
@@ -410,7 +435,7 @@ def test_lhs_tests_keep_one_parent():
 
 def test_measurement_families_are_built_once():
     for family in (pauli_xz, lambda: mub_povms(3, 4), lambda: fourier_and_computational(5),
-                   lambda: standard_povms("mub", d=2, count=3)):
+                   lambda: mub_povms(2, 3)):
         first = family()
         assert isinstance(first, tuple) and family() is first
         assert not any(p.elements.flags.writeable for p in first)

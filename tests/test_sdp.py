@@ -706,6 +706,36 @@ def test_a_step_out_of_the_cone_ends_in_numerical_trouble(monkeypatch):
     assert sol.iterations == 2
 
 
+@pytest.mark.parametrize("name, calls_per_iteration, failure", [
+    ("_dpotrf", 1, lambda schur, *args: (schur, 1)),
+    ("_max_steps", 2, lambda factors, deltas: (0.0, 0.0)),
+], ids=["every Schur shift fails", "both step lengths below 1e-10"])
+def test_a_solve_that_cannot_step_returns_its_best_merit_iterate(monkeypatch, name, calls_per_iteration, failure):
+    # a Werner point whose Schur complement factorises unshifted at every iteration; from
+    # iteration 3 on, sdp.<name> fails: Cholesky at every shift, or both steps to the boundary are 0
+    import steercert.sdp as sdp_module
+    from steercert.certify import certify_local
+    from steercert.scenario import assemblage_from, pauli_xz, werner_state
+
+    problem = captured_problem(monkeypatch, certify_local, assemblage_from(werner_state(0.9), pauli_xz()), 0)
+    stop, original, calls = 3, getattr(sdp_module, name), iter(range(10**6))
+    monkeypatch.setattr(sdp_module, name,
+                        lambda *args: original(*args) if next(calls) < calls_per_iteration * stop else failure(*args))
+    sol = solve(problem)
+    monkeypatch.undo()
+    assert sol.status is SolverStatus.NUMERICAL_TROUBLE
+    assert sol.iterations == stop
+    # the best merit of the iterates 0 to 3, which a solve capped after iteration 3 returns too
+    capped = solve(problem, max_iters=stop + 1)
+    assert capped.status is SolverStatus.MAX_ITERATIONS
+    assert sol.primal_value == capped.primal_value and np.array_equal(sol.dual, capped.dual)
+    assert all(np.array_equal(a, b) for a, b in zip(sol.primal, capped.primal))
+    merit = max(sol.gap, sol.primal_residual, sol.dual_residual)
+    for iters in range(1, stop + 1):
+        earlier = solve(problem, max_iters=iters)
+        assert merit <= max(earlier.gap, earlier.primal_residual, earlier.dual_residual)
+
+
 def test_regularised_steps_count_the_shifted_schur_complements(monkeypatch, caplog):
     import steercert.sdp as sdp_module
     from steercert.certify import certify_local

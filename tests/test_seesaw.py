@@ -18,7 +18,6 @@ from steercert.seesaw import (
     _alice_weights,
     _geodesic,
     _measurements_sdp,
-    _strip_loss,
     optimize_measurements,
     random_povms,
     seesaw,
@@ -71,7 +70,7 @@ def test_optimize_measurements_constant_functional():
     f = SteeringFunctional(
         F=np.broadcast_to(c * np.eye(2, dtype=complex), (2, 2, 2, 2)).copy(), x_star=0
     )
-    povms = optimize_measurements(werner_state(0.9), f)
+    povms = optimize_measurements(werner_state(0.9), f.F)
     assert len(povms) == 2 and all(p.n_outcomes == 2 for p in povms)
     value = f.value_on(assemblage_from(werner_state(0.9), povms))
     assert value == pytest.approx(c * 2, abs=1e-8)
@@ -80,7 +79,7 @@ def test_optimize_measurements_constant_functional():
 def test_optimize_measurements_cannot_beat_feasible_start():
     rho = werner_state(1.0)
     f = certify_local(assemblage_from(rho, pauli_xz()), 0).functional
-    povms = optimize_measurements(rho, f)
+    povms = optimize_measurements(rho, f.F)
     value = f.value_on(assemblage_from(rho, povms))
     assert value <= 0.5 + 1e-6  # pauli_xz already achieves 0.5
 
@@ -94,7 +93,7 @@ def test_optimize_measurements_rank_deficient_state():
         h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         f_grid[a, x] = (h + h.conj().T) / 2
     f = SteeringFunctional(F=f_grid, x_star=0)
-    povms = optimize_measurements(rho, f)
+    povms = optimize_measurements(rho, f.F)
     value = f.value_on(assemblage_from(rho, povms))
     expected = sum(min(f_grid[a, x, 0, 0].real for a in range(2)) for x in range(2))
     assert value == pytest.approx(expected, abs=1e-7)
@@ -110,7 +109,7 @@ def random_functional(n_a, m, d, rng):
 def test_two_outcome_closed_form_matches_the_sdp(eta, seed):
     rng = np.random.default_rng(seed)
     measured = random_functional(2 if eta == 1.0 else 3, 2, 2, rng)  # 3 rows: no-click last
-    f = _strip_loss(measured, 2)
+    f = measured.F[:2]  # the conclusive outcomes' rows
     closed = optimize_measurements(RHO_PI7, f)
     reference = _measurements_sdp(_alice_weights(RHO_PI7, f))
     values = [
@@ -124,8 +123,8 @@ def test_two_outcome_closed_form_matches_the_sdp_on_qutrits():
     rng = np.random.default_rng(5)
     rho = isotropic_state(3, 0.9)
     f = random_functional(2, 3, 3, rng)
-    closed = optimize_measurements(rho, f)
-    reference = _measurements_sdp(_alice_weights(rho, f))
+    closed = optimize_measurements(rho, f.F)
+    reference = _measurements_sdp(_alice_weights(rho, f.F))
     values = [f.value_on(assemblage_from(rho, p)) for p in (closed, reference)]
     assert values[0] == pytest.approx(values[1], abs=1e-8)
 
@@ -135,7 +134,7 @@ def test_two_outcome_closed_form_with_equal_weights():
     rng = np.random.default_rng(2)
     f = random_functional(1, 2, 2, rng)
     f = SteeringFunctional(F=np.concatenate([f.F, f.F]), x_star=0)
-    povms = optimize_measurements(RHO_PI7, f)
+    povms = optimize_measurements(RHO_PI7, f.F)
     for povm in povms:
         assert povm.n_outcomes == 2
         assert np.max(np.abs(sum(povm.elements) - np.eye(2))) <= 1e-12
@@ -150,15 +149,33 @@ def test_three_outcome_qutrit_measurements_by_sdp():
     # puts the outcome with the least F_ax[0, 0] on |0>
     product = np.zeros((9, 9), dtype=complex)
     product[0, 0] = 1.0
-    povms = optimize_measurements(product, f)
+    povms = optimize_measurements(product, f.F)
     assert [p.n_outcomes for p in povms] == [3, 3]
     expected = sum(min(f.F[a, x, 0, 0].real for a in range(3)) for x in range(2))
     assert f.value_on(assemblage_from(product, povms)) == pytest.approx(expected, abs=1e-7)
     # entangled state: no random projective measurement does better
     rho = isotropic_state(3, 0.8)
-    value = f.value_on(assemblage_from(rho, optimize_measurements(rho, f)))
+    value = f.value_on(assemblage_from(rho, optimize_measurements(rho, f.F)))
     for s in range(20):
         assert value <= f.value_on(assemblage_from(rho, random_povms(3, 2, 3, seed=s))) + 1e-8
+
+
+def test_measurement_weights_refuse_a_state_of_another_dimension():
+    with pytest.raises(ValueError, match="^state dimension incompatible with the trusted dimension$"):
+        optimize_measurements(werner_state(0.9), np.zeros((2, 2, 3, 3), dtype=complex))
+
+
+def test_measurement_sdp_refuses_a_solve_that_does_not_end_optimal(monkeypatch):
+    import dataclasses
+
+    import steercert.sdp as sdp_module
+
+    solve = sdp_module.solve
+    monkeypatch.setattr(sdp_module, "solve", lambda p, **kw: dataclasses.replace(
+        solve(p, **kw), status=sdp_module.SolverStatus.NUMERICAL_TROUBLE))
+    weights = _alice_weights(isotropic_state(3, 0.8), random_functional(3, 2, 3, np.random.default_rng(4)).F)
+    with pytest.raises(RuntimeError, match="^measurement optimization failed with status numerical_trouble$"):
+        _measurements_sdp(weights)
 
 
 def test_seesaw_product_state_stays_flat():
