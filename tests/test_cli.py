@@ -82,8 +82,6 @@ def test_presets_contents():
         ({"kind": "seesaw", "state": {"kind": "schmidt", "lambdas": [1.0, 0.0]}}, "state.lambdas"),
         ({"state": {"kind": "schmidt", "lambdas": [0.5, 0.5]},
           "sweep": {"parameter": "v", "start": 0.5, "stop": 1.0, "points": 2}}, "sweep.parameter"),
-        # the see-saw has two inputs, whatever measurements are given
-        ({"kind": "seesaw", "measurements": {"kind": "mub", "d": 2, "count": 3}, "x_star": 2}, "x_star"),
     ],
 )
 def test_invalid_configs_never_reach_the_solver(mutation, field):
