@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .qlin import Povm, dagger, eigh, freeze, matrix_to_json, partial_trace, square_grid
+from .qlin import Povm, dagger, eigh, freeze, hermitian_basis, matrix_to_json, partial_trace, square_grid
 from .scenario import Assemblage, assemblage_from, steering_adjoint
 
 CONSISTENCY_TOL = 1e-8
@@ -226,10 +226,12 @@ def _supports(mats: np.ndarray) -> list[list[np.ndarray]]:
     return supports
 
 
-def _check_left_out(equalities) -> None:
-    """Each equality naming no block must hold at X = 0: every row's right-hand side within CONSISTENCY_TOL."""
-    for eq in equalities:
-        if not eq.terms and max(abs(row.rhs) for row in sdp.expand([eq])) > CONSISTENCY_TOL:
+def _check_left_out(supports: list[list[np.ndarray]], observed: np.ndarray) -> None:
+    """The data observed[a, x] of each face of rank 0, which no block reproduces, must vanish: each of its
+    coefficients on ``hermitian_basis`` within CONSISTENCY_TOL."""
+    for a, x in ((a, x) for a, row in enumerate(supports) for x, v in enumerate(row) if not v.shape[1]):
+        coefficients = (np.conj(hermitian_basis(observed.shape[-1])) * observed[a, x]).sum(axis=(-2, -1)).real
+        if np.abs(coefficients).max() > CONSISTENCY_TOL:
             raise CertificationError("observed data outside the supports the blocks were compressed onto")
 
 
@@ -292,8 +294,7 @@ class _EveGrid:
     def problem(self, targets: dict, groups: list[dict]) -> tuple[sdp.SdpProblem, list[dict]]:
         """The problem of maximising sum <targets[key], V X[key] V^dag> subject to the equalities
         of each group, a dict keyed by the caller, and those groups' equalities kept. An equality
-        naming no block is left out, after ``_check_left_out``."""
-        _check_left_out(eq for group in groups for eq in group.values())
+        naming no block is left out: its data are checked by ``_check_left_out``."""
         kept = [{key: eq for key, eq in group.items() if eq.terms} for group in groups]
         objective: list[np.ndarray | None] = [None] * len(self.dims)
         for (e, a, x), target in targets.items():
@@ -380,9 +381,7 @@ def _solve_steering(
 
     supports = _supports(asm.sigma)
     grid, parent, kept = _steering_parent(supports, x_star, guess_outcome, guess_target)
-    # a face of rank 0 leaves its consistency equality without terms: its data must vanish
-    _check_left_out(sdp.MatrixEquality({}, asm.sigma[key])
-                    for key in itertools.product(range(n_a), range(m)) if key not in kept[0])
+    _check_left_out(supports, asm.sigma)
     # the observed blocks on the faces of rank > 0, then the no-signalling equalities' zeros
     problem = parent.with_rhs([*(asm.sigma[key] for key in kept[0]), *(eq.rhs for eq in kept[1].values())])
     # one compression per face of rank > 0, shared by Eve's guesses
@@ -471,6 +470,7 @@ def certify_pm(rho: np.ndarray, povms: list[Povm], x_star: int = 0) -> Certifica
         )
         for x in range(m)
     }
+    _check_left_out(supports, obs.sigma)
     rho_a = partial_trace(rho, (d_a, d_b), keep="A")
     problem, kept = grid.problem(
         {(e, e, x_star): rho_a for e in range(n_a)},

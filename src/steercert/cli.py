@@ -26,12 +26,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -154,6 +152,9 @@ class ExperimentConfig:
             raise ConfigError("x_star", f"must lie in [0, {n_inputs - 1}], got {self.x_star}")
         if self.kind == "steering_global" and self.bob_measurement is None:
             raise ConfigError("bob_measurement", "required for steering_global")
+        bob = self.bob_measurement and self.bob_measurement["kind"]
+        if bob in ("pauli_x", "pauli_z") and self._alice_dim() != 2:  # Bob's dimension is Alice's for every state
+            raise ConfigError("bob_measurement", f"{bob} needs a qubit on the trusted side")
         if self.sweep is not None:
             self._validate_sweep()
         if not self.seeds:
@@ -207,6 +208,8 @@ class ExperimentConfig:
                 raise ConfigError("measurements.d", str(exc)) from None
             if not 1 <= m["count"] <= n_bases:
                 raise ConfigError("measurements.count", f"d = {m['d']} has 1 to {n_bases} mub bases, got {m['count']}")
+        if m["kind"] == "fourier_and_computational" and m["d"] < 2:
+            raise ConfigError("measurements.d", f"local dimension must be >= 2, got {m['d']}")
         d_meas, d_state = m.get("d", 2), self._alice_dim()
         if d_meas != d_state:
             raise ConfigError("measurements", f"act on dimension {d_meas} but the state needs {d_state}")
@@ -264,8 +267,6 @@ class ExperimentConfig:
         """The trusted measurement, on Bob's dimension d."""
         kind = self.bob_measurement["kind"]
         if kind in ("pauli_x", "pauli_z"):
-            if d != 2:
-                raise ConfigError("bob_measurement", f"{kind} needs a qubit on the trusted side")
             return scen.pauli_xz()[0 if kind == "pauli_x" else 1]
         if kind == "computational":
             return basis_povm(np.eye(d, dtype=complex))
@@ -363,13 +364,6 @@ def run_certify(config: ExperimentConfig, *, out: str | None = None) -> tuple[di
     return payload, 0 if payload["status"] == "optimal" else 3
 
 
-def _sweep_worker(point: ExperimentConfig, value: float) -> dict:
-    start = time.perf_counter()
-    result = _certify_point(point)
-    wall_ms = (time.perf_counter() - start) * 1000.0
-    return {"parameter": value, **result.to_json(), "wall_ms": wall_ms}
-
-
 def _write_rows(out: str, rows: list[dict]) -> None:
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -379,18 +373,16 @@ def _write_rows(out: str, rows: list[dict]) -> None:
     _dump(os.path.splitext(out)[0] + ".json", [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows])
 
 
-def run_sweep(config: ExperimentConfig, *, jobs: int = 1, out: str | None = None) -> tuple[list[dict], int]:
-    """Execute every sweep point; returns (rows, exit_code) and writes the
-    CSV and its JSON sidecar when an output path is configured."""
+def run_sweep(config: ExperimentConfig, *, out: str | None = None) -> tuple[list[dict], int]:
+    """Certify every sweep point in turn, in this process; returns (rows, exit_code) and
+    writes the CSV and its JSON sidecar when an output path is configured."""
     _check_kind(config, "sweep")
-    values = config.sweep_values()
-    points = [config.at_parameter(v) for v in values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_worker, points, values))
-    else:
-        rows = list(map(_sweep_worker, points, values))
-    rows.sort(key=lambda r: r["parameter"])
+    rows = []
+    for value in config.sweep_values():
+        point, start = config.at_parameter(value), time.perf_counter()
+        result = _certify_point(point)
+        wall_ms = (time.perf_counter() - start) * 1000.0
+        rows.append({"parameter": value, **result.to_json(), "wall_ms": wall_ms})
     target = _target("sweep", config, out)
     if target:
         _write_rows(target, rows)
@@ -483,8 +475,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eta", type=float, default=None, help="detection efficiency override")
     parser.add_argument("--v", type=float, default=None, help="visibility override")
     parser.add_argument("--seeds", default=None, help="comma-separated seeds (see-saw restarts)")
-    parser.add_argument("--jobs", type=int, default=1, help="sweep worker processes (default 1); more "
-                        "pay only with single-threaded BLAS, e.g. OPENBLAS_NUM_THREADS=1")
     parser.add_argument("--out", default=None, help="output path override")
     parser.add_argument("--json", action="store_true", help="print results as JSON to stdout")
 
@@ -516,8 +506,7 @@ def main(argv=None) -> int:
         return 0
 
     # looked up at each call, so that a runner replaced in this module is the one run
-    runners = {"certify": run_certify, "sweep": functools.partial(run_sweep, jobs=max(1, args.jobs)),
-               "seesaw": run_seesaw, "lhs": run_lhs}
+    runners = {"certify": run_certify, "sweep": run_sweep, "seesaw": run_seesaw, "lhs": run_lhs}
     try:
         config = _load_config(args)
         report, code = runners[args.command](config, out=args.out)

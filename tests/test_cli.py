@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,12 @@ from steercert.cli import ConfigError, ExperimentConfig, main, presets, run_lhs,
 from steercert.qlin import basis_povm
 from steercert.scenario import assemblage_from, fourier_and_computational, isotropic_state
 from steercert.seesaw import _EXTRAPOLATION_STEPS, seesaw
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# a global steering configuration whose trusted Pauli measurement needs a qubit, on qutrits
+QUTRIT_PAULI_X = {"kind": "steering_global", "state": {"kind": "isotropic", "d": 3, "v": 0.9},
+                  "measurements": {"kind": "mub", "d": 3, "count": 2}, "bob_measurement": {"kind": "pauli_x"}}
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -82,6 +92,9 @@ def test_presets_contents():
         ({"kind": "seesaw", "state": {"kind": "schmidt", "lambdas": [1.0, 0.0]}}, "state.lambdas"),
         ({"state": {"kind": "schmidt", "lambdas": [0.5, 0.5]},
           "sweep": {"parameter": "v", "start": 0.5, "stop": 1.0, "points": 2}}, "sweep.parameter"),
+        ({"state": {"kind": "schmidt", "lambdas": [1.0]},
+          "measurements": {"kind": "fourier_and_computational", "d": 1}}, "measurements.d"),
+        (QUTRIT_PAULI_X, "bob_measurement"),
     ],
 )
 def test_invalid_configs_never_reach_the_solver(mutation, field):
@@ -159,7 +172,7 @@ def test_sweep_rows_and_sidecar(tmp_path):
         sweep={"parameter": "v", "start": 0.6, "stop": 1.0, "points": 3},
     )
     out = str(tmp_path / "curve.csv")
-    rows, code = run_sweep(config, jobs=1, out=out)
+    rows, code = run_sweep(config, out=out)
     assert code == 0
     assert [r["parameter"] for r in rows] == [0.6, 0.8, 1.0]
     assert rows[0]["h_min"] == pytest.approx(0.0, abs=1e-7)
@@ -191,8 +204,8 @@ def test_sweep_deterministic_modulo_wall_time(tmp_path):
         sweep={"parameter": "v", "start": 0.7, "stop": 0.9, "points": 3},
     )
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    run_sweep(config, jobs=1, out=out1)
-    run_sweep(config, jobs=2, out=out2)
+    run_sweep(config, out=out1)
+    run_sweep(config, out=out2)
 
     def stable(path):
         lines = open(path).read().strip().splitlines()
@@ -327,7 +340,7 @@ def test_main_sweep_writes_artifacts(tmp_path, capsys):
         },
     )
     out = str(tmp_path / "sweep.csv")
-    code = main(["sweep", "--config", path, "--jobs", "1", "--out", out, "--json"])
+    code = main(["sweep", "--config", path, "--out", out, "--json"])
     assert code == 0
     rows = json.loads(capsys.readouterr().out)
     assert len(rows) == 2
@@ -409,27 +422,24 @@ def _not_json(tmp_path):
     (lambda tmp_path: ["certify", "--config", _not_json(tmp_path)], "config"),
     (["certify"], "config"),
     (lambda tmp_path: ["seesaw", "--config", write_config(tmp_path, SEESAW_THREE_BASES)], "x_star"),
+    (lambda tmp_path: ["certify", "--config", write_config(tmp_path, {
+        "kind": "steering_local", "state": {"kind": "schmidt", "lambdas": [1.0]},
+        "measurements": {"kind": "fourier_and_computational", "d": 1}})], "measurements.d"),
+    (lambda tmp_path: ["sweep", "--config", write_config(tmp_path, {
+        **QUTRIT_PAULI_X, "sweep": {"parameter": "v", "start": 0.8, "stop": 0.9, "points": 2}})], "bob_measurement"),
 ], ids=["certify a seesaw config", "lhs of a seesaw config", "mub at d = 4", "seven mubs at d = 3",
         "preset and config", "missing config file", "config not json", "neither preset nor config",
-        "seesaw x_star past its two inputs"])
+        "seesaw x_star past its two inputs", "fourier at d = 1", "pauli_x sweep on qutrits"])
 def test_configuration_errors_exit_2_with_the_json_error(tmp_path, capsys, argv, field):
     assert main(argv(tmp_path) if callable(argv) else argv) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["exit_code"] == 2 and err["error"].startswith(f"{field}: ")
 
 
-def test_sweep_runs_in_process_without_jobs(tmp_path, monkeypatch, capsys):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a sweep without --jobs built a process pool")
-
-    monkeypatch.setattr("steercert.cli.ProcessPoolExecutor", no_pool)
-    path = write_config(tmp_path, {
-        "kind": "steering_local",
-        "state": {"kind": "werner", "v": 1.0},
-        "measurements": {"kind": "pauli_xz"},
-        "sweep": {"parameter": "v", "start": 0.8, "stop": 0.9, "points": 2},
-    })
-    assert main(["sweep", "--config", path, "--out", str(tmp_path / "sweep.csv")]) == 0
+def test_importing_the_command_line_starts_no_process_machinery():
+    code = "import sys, steercert.cli; sys.exit('multiprocessing' in sys.modules)"
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}).returncode == 0
 
 
 def test_sweep_points_reuse_the_measurement_families(monkeypatch):
