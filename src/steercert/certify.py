@@ -23,7 +23,10 @@ reach certification-grade accuracy; dropped rank-0 blocks reappear as
 explicit zero matrices in the reported strategy. The dual witness is read
 off the primal solve's consistency multipliers either way; on reduced
 instances it certifies the bound on the observed faces (where the reduced
-pair attains strong duality). Where a full-space witness is wanted, the
+pair attains strong duality). Where every face kept has rank 1 (pure states
+measured projectively), `_closed_form` gives the optimum exactly, with a dual
+whose feasibility margin is checked, and no SDP is solved; such a result
+ignores `stop_above`. Where a full-space witness is wanted, the
 see-saw's `_stepping_functional` takes it from the certification of the
 assemblage smoothed by uniform noise (`_smoothed`), which is not reduced; its
 value exceeds the optimum by an amount that shrinks as sqrt(delta).
@@ -365,6 +368,50 @@ def _result(sol: sdp.SdpSolution, functional: SteeringFunctional, **unpacked) ->
     return CertificationResult(sol.primal_value, sol.dual_value, sol.status, functional, **unpacked)
 
 
+def _steering_functional(F, G, x_star: int, guess_outcome, guess_target, supports) -> SteeringFunctional:
+    """The functional of a steering certification on the faces ``supports``, kept only when some face is reduced."""
+    reduced = any(v.shape[1] < F.shape[-1] for row in supports for v in row)
+    return SteeringFunctional(F, x_star, G, np.asarray(guess_outcome, dtype=int), freeze(np.asarray(guess_target)),
+                              supports=tuple(map(tuple, supports)) if reduced else None)
+
+
+def _closed_form(asm: Assemblage, supports, x_star: int, guess_outcome, guess_target) -> CertificationResult | None:
+    """The certification of data whose kept faces all have rank 1 (pure states measured projectively),
+    in closed form, or None. With w_e = Tr[T_e sigma_{o_e|x*}] for Eve's guess e of outcome o_e and
+    target T_e, the guess e* maximising w_e holding all the data, X[e*] = sigma, is consistent,
+    no-signalling and PSD, and guesses with p* = max_e w_e. The dual is F = (p*/m) 1 with the
+    multipliers G from one least-squares solve that gives the operator of guess e, compressed onto
+    each face, the slack (p* - w_e)/m. It is kept only with a feasibility margin of at least -1e-12,
+    which by weak duality certifies p*: where no-signalling does not decouple Eve (a product state),
+    the least-squares residual shows in the margin, and the caller solves the SDP."""
+    if any(v.shape[1] > 1 for row in supports for v in row):
+        return None
+    n_a, m, d = asm.sigma.shape[:3]
+    faces = np.array([(a, x) for a, row in enumerate(supports) for x, v in enumerate(row) if v.shape[1]])
+    vs = np.array([supports[a][x][:, 0] for a, x in faces])
+    target, outcome = np.asarray(guess_target, dtype=complex), np.asarray(guess_outcome, dtype=int)
+    w = np.einsum("eij,eji->e", target, asm.sigma[outcome, x_star]).real
+    p_star, n_guess, basis = float(w.max()), len(w), hermitian_basis(d)
+    # row (a, x) reads <P_ax, G_ex> for x != x*, and -sum_x' <P_ax*, G_ex'> at x*, off the coefficients of G_ex'
+    others = [x for x in range(m) if x != x_star]
+    sign = (faces[:, 1:] == others) * 1.0 - (faces[:, 1:] == x_star)
+    lhs = (sign[:, :, None] * np.einsum("ni,kij,nj->nk", vs.conj(), basis, vs).real[:, None]).reshape(len(vs), -1)
+    # p*/m - delta_{a, o_e} delta_{x, x*} v^dag T_e v - (p* - w_e)/m, one column per guess e; p*/m cancels
+    at_guess = (faces[:, :1] == outcome) & (faces[:, 1:] == x_star)
+    rhs = w / m - at_guess * np.einsum("ni,eij,nj->ne", vs.conj(), target, vs).real
+    g = np.linalg.lstsq(lhs, rhs)[0].T.reshape(n_guess, m - 1, d * d)
+    G = np.zeros((n_guess, m, d, d), dtype=complex)
+    G[:, others] = (g @ basis.reshape(d * d, -1)).reshape(n_guess, m - 1, d, d)
+    F = freeze(np.broadcast_to(p_star / m * np.eye(d), (n_a, m, d, d)))
+    functional = _steering_functional(F, freeze(G), x_star, outcome, target, supports)
+    if not functional.feasibility_margin() >= -1e-12:
+        return None
+    joint = np.zeros((n_guess,) + asm.sigma.shape, dtype=complex)
+    joint[np.argmax(w)] = asm.sigma
+    return CertificationResult(p_star, functional.value_on(asm), sdp.SolverStatus.OPTIMAL, functional,
+                               JointAssemblage(joint))
+
+
 def _solve_steering(
     asm: Assemblage,
     x_star: int,
@@ -372,29 +419,27 @@ def _solve_steering(
     guess_target: np.ndarray,
     solver_opts: dict | None = None,
 ) -> CertificationResult:
-    """Shared engine for the local and global steering certifications. The solve starts from
-    Eve's trivial strategy X[e, a, x] = V^dag sigma_{a|x} V / n_guess, which is consistent,
-    no-signalling and positive definite on every face kept."""
+    """Shared engine for the local and global steering certifications: ``_closed_form`` where it
+    applies, else the SDP. The solve starts from Eve's trivial strategy X[e, a, x] =
+    V^dag sigma_{a|x} V / n_guess, which is consistent, no-signalling and positive definite on
+    every face kept."""
     n_a, m, d = asm.sigma.shape[:3]
     _check_x_star(m, x_star)
     n_guess = len(guess_outcome)
 
     supports = _supports(asm.sigma)
-    grid, parent, kept = _steering_parent(supports, x_star, guess_outcome, guess_target)
     _check_left_out(supports, asm.sigma)
+    exact = _closed_form(asm, supports, x_star, guess_outcome, guess_target)
+    if exact is not None:
+        return exact
+    grid, parent, kept = _steering_parent(supports, x_star, guess_outcome, guess_target)
     # the observed blocks on the faces of rank > 0, then the no-signalling equalities' zeros
     problem = parent.with_rhs([*(asm.sigma[key] for key in kept[0]), *(eq.rhs for eq in kept[1].values())])
     # one compression per face of rank > 0, shared by Eve's guesses
     faces = {(a, x): grid.compressed(a, x, asm.sigma[a, x]) / n_guess for a, x in kept[0]}
     sol, (f, g) = _solve(problem, kept, solver_opts, [faces[a, x] for _, a, x in grid.ids])
-    functional = SteeringFunctional(
-        F=_gridded(f, (n_a, m), d),
-        x_star=x_star,
-        G=_gridded({key: -y for key, y in g.items()}, (n_guess, m), d),
-        guess_outcome=np.asarray(guess_outcome, dtype=int),
-        guess_target=freeze(np.asarray(guess_target)),
-        supports=tuple(map(tuple, supports)) if any(v.shape[1] < d for row in supports for v in row) else None,
-    )
+    functional = _steering_functional(_gridded(f, (n_a, m), d), _gridded({key: -y for key, y in g.items()},
+                                      (n_guess, m), d), x_star, guess_outcome, guess_target, supports)
     return _result(sol, functional, joint=JointAssemblage(grid.unpack(sol.primal)))
 
 
@@ -409,7 +454,8 @@ def certify_local(asm: Assemblage, x_star: int = 0, *, solver_opts: dict | None 
     The solve starts from Eve's trivial strategy, sigma_{a|x} split evenly
     over her guesses, a strictly feasible point. So when ``solver_opts``
     sets ``stop_above``, a solve cut short ends at a strategy of hers that
-    guesses better than the bar: an explicit attack.
+    guesses better than the bar: an explicit attack. A result in closed form,
+    for data whose faces all have rank 1, is exact and ignores ``stop_above``.
     """
     n_a, d = asm.sigma.shape[0], asm.sigma.shape[-1]
     targets = np.eye(d, dtype=complex)[None].repeat(n_a, axis=0)

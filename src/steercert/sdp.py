@@ -568,8 +568,12 @@ class Structure:
         return 0.5 * self.block_sum([(c * xz[:n]).sum(axis=(-2, -1)) for c, xz, n in zip(self.cmats, xzs, self.sizes)])
 
     def op_a(self, mats):
-        return self.block_sum([np.matmul(a, _coords(x, c)[..., None])[..., 0]
-                               for a, x, c in zip(self.a3, mats, self.coordinates)])
+        parts = []
+        for a, x, c in zip(self.a3, mats, self.coordinates):
+            v = _coords(x, c)
+            # with one coordinate, one product per entry, which a matmul with inner dimension 1 makes without BLAS
+            parts.append(a[..., 0] * v if a.shape[-1] == 1 else np.matmul(a, v[..., None])[..., 0])
+        return self.block_sum(parts)
 
     def op_at(self, y):
         return [_matrices(np.matmul(y, a), c) for a, c in zip(self.a3, self.coordinates)]

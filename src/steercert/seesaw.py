@@ -16,7 +16,9 @@ tries longer steps along the geodesic through the old and new
 measurements, up to t = 729. A candidate, an update or a geodesic trial,
 need only be decided: its certification stops as soon as an iterate, a
 feasible strategy of Eve's, guesses better than the candidate may, so a
-rejected candidate costs a few Newton steps. Facially reduced
+rejected candidate costs a few Newton steps. The bar acts only on the
+certifications that reach the SDP: a pure state under lossless projective
+measurements is certified exactly, in closed form. Facially reduced
 certifications steer through the inequality of the assemblage smoothed
 by noise of weight delta; a round passes over a fixed ladder of deltas
 at most once, never coarser than the guessing probability left to gain,

@@ -22,7 +22,7 @@ from steercert.scenario import (
     werner_state,
 )
 from steercert.sdp import SolverStatus
-from steercert.seesaw import _stepping_functional
+from steercert.seesaw import _stepping_functional, random_povms
 
 
 def random_density(d, rng, rank=None):
@@ -484,11 +484,10 @@ def test_data_off_a_face_of_rank_0_is_refused_on_every_call(monkeypatch):
     _steering_parents.clear()
     with pytest.raises(CertificationError, match="observed data outside the supports"):
         certify_local(_lossy(0.8), 0)
-    ((key, entry),) = _steering_parents.items()  # the call built the parent
-    assert key[-1] == (1, 1, 1, 1, 0, 0)
+    assert not _steering_parents  # the data are checked before a parent is built
     with pytest.raises(CertificationError, match="observed data outside the supports"):
         certify_local(_lossy(0.8), 0)
-    assert len(_steering_parents) == 1 and _steering_parents[key] is entry  # and the next reused it
+    assert not _steering_parents  # on every call
 
 
 def test_a_certification_leaves_its_shared_structure_unchanged():
@@ -631,3 +630,81 @@ def test_global_refuses_a_trusted_measurement_of_another_dimension():
     asm = assemblage_from(werner_state(0.8), pauli_xz())
     with pytest.raises(ValueError, match="^trusted measurement dimension does not match the assemblage$"):
         certify_global(asm, 0, basis_povm(np.eye(3, dtype=complex)))
+
+
+def _guesses(asm, bob):
+    """Eve's guessed outcomes and targets in certify_local (bob None) or certify_global."""
+    n_a, d = asm.sigma.shape[0], asm.sigma.shape[-1]
+    if bob is None:
+        return np.arange(n_a), np.eye(d, dtype=complex)[None].repeat(n_a, axis=0)
+    return np.repeat(np.arange(n_a), bob.n_outcomes), np.tile(bob.elements, (n_a, 1, 1))
+
+
+def _sdp_optimum(asm, x_star, bob):
+    """The optimum of the facially reduced SDP of a steering certification, at the see-saw's targets."""
+    from steercert import sdp
+    from steercert.certify import _steering_parent, _supports
+
+    _, parent, kept = _steering_parent(_supports(asm.sigma), x_star, *_guesses(asm, bob))
+    sol = sdp.solve(parent.with_rhs([*(asm.sigma[key] for key in kept[0]), *(eq.rhs for eq in kept[1].values())]),
+                    gap_tol=1e-11, feas_tol=1e-10)
+    assert sol.status is SolverStatus.OPTIMAL
+    return sol.primal_value
+
+
+def _preset_endpoint(name):
+    """The assemblage and trusted measurement of a preset's sweep point at 1.0, pure and lossless."""
+    from steercert.cli import presets
+
+    config = presets()[name].at_parameter(1.0)
+    asm = assemblage_from(config.build_state(), config.build_measurements())
+    return asm, config.build_bob_povm(asm.sigma.shape[-1]) if config.kind == "steering_global" else None
+
+
+def _random_starts(d, n_starts):
+    """See-saw starts: a pure state with d Schmidt coefficients under random projective measurements with
+    d outcomes, both inputs targeted."""
+    rho = schmidt_state(np.arange(d, 0, -1) ** 2 / np.sum(np.arange(d, 0, -1) ** 2))
+    return [pytest.param(lambda: (assemblage_from(rho, random_povms(d, 2, d, seed)), None), x_star,
+                         id=f"d{d}-seed{seed}-x{x_star}")
+            for seed in range(n_starts) for x_star in (0, 1)]
+
+
+@pytest.mark.parametrize("case, x_star", [
+    *_random_starts(2, 10),
+    *_random_starts(3, 5),
+    *(pytest.param(lambda name=name: _preset_endpoint(name), 0, id=f"{name}@1.0")
+      for name in ("fig2", "fig3_qubit", "fig4_qutrit_loss", "fig_global")),
+])
+def test_pure_data_are_certified_in_closed_form(monkeypatch, case, x_star):
+    import steercert.sdp as sdp_module
+
+    asm, bob = case()
+    optimum = _sdp_optimum(asm, x_star, bob)
+    monkeypatch.setattr(sdp_module, "solve", lambda *args, **kwargs: pytest.fail("the SDP was solved"))
+    res = certify_local(asm, x_star) if bob is None else certify_global(asm, x_star, bob)
+    assert res.status is SolverStatus.OPTIMAL
+    assert abs(res.p_guess - optimum) <= 1e-9
+    res.joint.validate(asm, tol=1e-12)  # Eve's strategy attains p_guess
+    outcomes, targets = _guesses(asm, bob)
+    blocks = res.joint.sigma_e[np.arange(len(outcomes)), outcomes, x_star]
+    assert np.einsum("eij,eji->", targets, blocks).real == pytest.approx(res.p_guess, abs=1e-15)
+    assert res.functional.feasibility_margin() >= -1e-12  # and the dual certifies it
+    assert abs(res.dual_value - res.p_guess) <= 1e-12
+
+
+def test_a_product_state_leaves_the_closed_form_to_the_sdp(monkeypatch):
+    # |00> under X and Z: every face has rank 1, but Eve knows X's outcome, which a product state
+    # leaves local, so she guesses it with probability 1, not with max_a p(a|X) = 1/2; only the margin
+    # of the closed form's dual shows it, and the point goes to the SDP
+    import steercert.sdp as sdp_module
+    from steercert.certify import _closed_form, _supports
+
+    asm = assemblage_from(schmidt_state([1.0, 0.0]), pauli_xz())
+    assert all(v.shape[1] <= 1 for row in _supports(asm.sigma) for v in row)
+    assert _closed_form(asm, _supports(asm.sigma), 0, *_guesses(asm, None)) is None
+    solves, solve = [], sdp_module.solve
+    monkeypatch.setattr(sdp_module, "solve", lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    res = certify_local(asm, 0)
+    assert len(solves) == 1 and res.status is SolverStatus.OPTIMAL
+    assert res.p_guess == pytest.approx(1.0, abs=1e-8)

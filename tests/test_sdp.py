@@ -1096,10 +1096,12 @@ def test_a_bar_below_the_optimum_stops_at_a_feasible_iterate_above_it():
 
 
 @pytest.mark.parametrize("lossy", [True, False])
-def test_presolve_matches_scipy_qr_bit_for_bit(monkeypatch, lossy):
+def test_presolve_matches_scipy_qr_bit_for_bit(lossy):
     # _presolve calls LAPACK's dgeqp3 and dtrtrs itself, with dgeqp3's queried workspace (a smaller one
     # takes its unblocked path, which rounds the large problem differently); scipy is the reference
-    from steercert.certify import certify_local
+    # the rows of the steering parent certify_local solves on these faces; pure data reach no solve,
+    # being certified in closed form, but their parent's rows are those of the facially reduced SDP
+    from steercert.certify import _steering_parent, _supports
     from steercert.sdp import _assemble, _presolve
     from steercert.scenario import apply_loss, assemblage_from, isotropic_state, mub_povms, pauli_xz, schmidt_state
 
@@ -1107,7 +1109,9 @@ def test_presolve_matches_scipy_qr_bit_for_bit(monkeypatch, lossy):
         asm, shape = assemblage_from(isotropic_state(3, 1.0), [apply_loss(p, 0.5) for p in mub_povms(3, 4)]), (252, 480)
     else:  # a see-saw round's rank-1 faces: a pure qubit state under X and Z
         asm, shape = assemblage_from(schmidt_state([0.7, 0.3]), pauli_xz()), (24, 24)
-    rows = _assemble(captured_problem(monkeypatch, certify_local, asm, 0))[0]
+    n_a, d = asm.sigma.shape[0], asm.sigma.shape[-1]
+    targets = np.eye(d, dtype=complex)[None].repeat(n_a, axis=0)
+    rows = _assemble(_steering_parent(_supports(asm.sigma), 0, np.arange(n_a), targets)[1])[0]
     assert rows.shape == shape
     piv, rank, coef = _presolve(rows, pivot_tol=1e-10)
     r, want_piv = sla.qr(rows.T, mode="r", pivoting=True)

@@ -464,7 +464,9 @@ def test_resuming_a_stalled_start_gains_nothing():
 
 def test_the_bar_cuts_short_only_rejected_candidates(monkeypatch):
     # an accepted certification never beats its bar, so without the bar every trace is the
-    # same, bit for bit; only the candidates it rejects stop early, and save Newton steps
+    # same, bit for bit; only the candidates it rejects stop early, and save Newton steps.
+    # The starts are lossy: pure data under lossless measurements are certified in closed
+    # form, which no bar cuts short
     import sys
 
     import steercert.sdp as sdp_module
@@ -485,8 +487,8 @@ def test_the_bar_cuts_short_only_rejected_candidates(monkeypatch):
 
     def traces():
         counts.update(steps=0, cut=0)
-        runs = [seesaw(RHO_PI7, random_povms(2, 2, 2, seed), 0, max_iters=50, tol=1e-6, ceiling=1.0)
-                for seed in range(5)]  # the fig6_seesaw starts
+        runs = [seesaw(RHO_PI7, random_povms(2, 2, 2, seed), 0, eta=0.9, max_iters=50, tol=1e-6)
+                for seed in range(5)]  # the fig6_seesaw starts, at efficiency 0.9
         return [[(it.p_guess.hex(), it.delta, it.step) for it in run.iterations] for run in runs], dict(counts)
 
     monkeypatch.setattr(sdp_module, "solve", counted)
