@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .qlin import Povm, dagger, eigh, freeze, hermitian_basis, matrix_to_json, partial_trace, square_grid
+from .qlin import Povm, dagger, eigh, eigvalsh, freeze, hermitian_basis, matrix_to_json, partial_trace, square_grid
 from .scenario import Assemblage, assemblage_from, steering_adjoint
 
 CONSISTENCY_TOL = 1e-8
@@ -148,12 +148,13 @@ class SteeringFunctional:
         h = self.F[None] - self.G[:, None]  # the (n_guess, n_a, m, d, d) grid of operators
         h[:, :, self.x_star] += self.G.sum(axis=1)[:, None]
         h[np.arange(len(h)), self.guess_outcome, self.x_star] -= self.guess_target
-        # compressed onto each face, leaving out faces of rank 0
-        blocks = [h] if self.supports is None else [
-            dagger(v) @ h[:, a, x] @ v
-            for a, row in enumerate(self.supports) for x, v in enumerate(row) if v.shape[1]
-        ]
-        return min(float(np.min(np.linalg.eigvalsh(0.5 * (b + dagger(b))))) for b in blocks)
+        # compressed onto the faces of each rank at once, leaving out faces of rank 0
+        faces = [(a, x, v) for a, row in enumerate(self.supports or ()) for x, v in enumerate(row) if v.shape[1]]
+        blocks = [h] if self.supports is None else []
+        for rank in dict.fromkeys(v.shape[1] for *_, v in faces):
+            a, x, vs = map(np.array, zip(*(face for face in faces if face[2].shape[1] == rank)))
+            blocks.append(vs.conj().mT @ h[:, a, x] @ vs)
+        return min(float(np.min(eigvalsh(0.5 * (b + dagger(b))))) for b in blocks)
 
     def to_json(self) -> dict:
         data = {

@@ -39,8 +39,7 @@ the first iterate that is primal feasible within ``feas_tol`` and whose value
 beats it by more than an optimal end's gap ends the solve, and is returned as
 it is with status BOUND_EXCEEDED (``solve`` derives the margin). A
 presolve pass removes linearly dependent constraint rows (the R factor of
-a pivoted QR, pivot threshold 1e-10, by LAPACK's dgeqp3 and dtrtrs called as
-``scipy.linalg.qr`` and ``solve_triangular`` call them, on the rows' D(D+1)/2 svec
+a pivoted QR, pivot threshold 1e-10, by LAPACK's dgeqp3 and dtrtrs, on the rows' D(D+1)/2 svec
 coordinates per block, which the kept rows' d*d coordinates are then computed from) and checks, with
 R11^-1 R12, that the removed rows are consistent; dual multipliers for removed rows
 are reported as zero, which keeps the returned ``dual`` vector a valid
@@ -53,6 +52,10 @@ as a Hermitian matrix. ``solve`` builds its (m x N) row matrix from the term sta
 one pass: the distinct stacks of one shape are checked, realified and svec'd as one
 stack and scattered into the rows of every equality that uses them. ``expand``'s rows
 are made only when read; a hand-built list of ``LinearConstraint``s enters as 1 x 1 equalities.
+
+dgeqp3, dtrtrs, dpotrf and dpotrs, with the workspace and layouts ``scipy.linalg`` gives them, are scipy's
+``linalg/_flapack`` extension, loaded from its file so that ``scipy/linalg/__init__.py`` never runs and kept in
+``sys.modules`` as ``scipy.linalg._flapack`` for a later ``import scipy.linalg``; else ``scipy.linalg.lapack``'s.
 
 A solve has a structural half and a data half. The structural half, a ``Structure``, depends
 only on the block dimensions, the objective and the term stacks: the checked row matrix's
@@ -70,14 +73,17 @@ from __future__ import annotations
 
 import enum
 import functools
+import importlib.util
 import itertools
 import logging
 import math
+import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-import scipy.linalg as sla
 
 from .qlin import dagger, eigvalsh, hermitian_basis, is_hermitian
 
@@ -95,7 +101,25 @@ _STEP_FRAC = 0.98  # the fraction of the step to the PSD boundary taken
 _cholesky = np.linalg._umath_linalg.cholesky_lo
 _svd = np.linalg._umath_linalg.svd_f
 _eigvalsh = np.linalg._umath_linalg.eigvalsh_lo
-_dtrtrs, _dpotrf, _dpotrs, _dgeqp3 = sla.lapack.dtrtrs, sla.lapack.dpotrf, sla.lapack.dpotrs, sla.lapack.dgeqp3
+
+
+def _lapack():
+    """scipy's ``_flapack``, loaded as the module docstring says, or ``scipy.linalg.lapack``."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        where = importlib.util.find_spec("scipy.linalg").submodule_search_locations[0]
+        spec = importlib.util.spec_from_file_location(name, os.path.join(where, "_flapack" + EXTENSION_SUFFIXES[0]))
+        spec.loader.exec_module(module := importlib.util.module_from_spec(spec))
+    except (ImportError, OSError) as exc:
+        _log.debug("scipy's _flapack did not load from its file (%s); importing scipy.linalg.lapack", exc)
+        return importlib.import_module("scipy.linalg.lapack")
+    sys.modules[name] = module
+    return module
+
+
+_dtrtrs, _dpotrf, _dpotrs, _dgeqp3 = (getattr(_lapack(), f) for f in ("dtrtrs", "dpotrf", "dpotrs", "dgeqp3"))
 
 
 class SolverStatus(enum.Enum):

@@ -1,5 +1,10 @@
+import functools
 import logging
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1121,3 +1126,60 @@ def test_presolve_matches_scipy_qr_bit_for_bit(lossy):
     assert rank == want_rank < len(rows)
     assert piv.dtype == want_piv.dtype and np.array_equal(piv, want_piv)
     assert coef.shape == want_coef.shape and coef.tobytes() == want_coef.tobytes()
+
+
+# a fig2 point that reaches the SDP, certified in a fresh interpreter, optionally with scipy's _flapack
+# file missing; it prints whether scipy.linalg was imported, the certification's status and bytes, and,
+# after importing scipy.linalg, whether scipy.linalg.lapack took the _flapack module already imported and
+# its four routines are the ones sdp calls
+_FIG2_POINT = """
+import hashlib, logging, sys
+logging.basicConfig(level=logging.DEBUG, format="%(message)s")
+if {missing}:
+    import importlib.util
+    load = importlib.util.spec_from_file_location
+    importlib.util.spec_from_file_location = lambda name, path: load(name, path.replace("_flapack", "_missing"))
+import steercert.cli
+from steercert import sdp
+from steercert.certify import certify_local
+from steercert.scenario import assemblage_from
+config = steercert.cli.presets()["fig2"].at_parameter(0.8)
+res = certify_local(assemblage_from(config.build_state(), config.build_measurements()))
+f = res.functional
+print("scipy.linalg" in sys.modules, res.status, res.p_guess.hex(), res.dual_value.hex(),
+      hashlib.sha256(f.F.tobytes() + f.G.tobytes() + res.joint.sigma_e.tobytes()).hexdigest())
+flapack = sys.modules.get("scipy.linalg._flapack")
+import scipy.linalg
+print(scipy.linalg.lapack._flapack is flapack is not None
+      and all(getattr(scipy.linalg.lapack, name) is getattr(sdp, "_" + name) for name in ("dtrtrs", "dpotrf", "dpotrs", "dgeqp3")))
+"""
+
+
+@functools.cache
+def _fig2_point(missing: bool) -> tuple[list[str], str]:
+    """The lines _FIG2_POINT prints, and its log."""
+    path = os.pathsep.join(filter(None, (str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", _FIG2_POINT.format(missing=missing)], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines(), out.stderr
+
+
+def test_a_certification_runs_without_importing_scipy_linalg():
+    lines, log = _fig2_point(False)
+    imported, status = lines[0].split()[:2]
+    assert imported == "False" and status == "optimal"
+    assert "did not load" not in log
+
+
+def test_a_missing_flapack_falls_back_to_scipy_linalg_lapack_bit_for_bit():
+    lines, log = _fig2_point(True)
+    assert lines[0].split()[0] == "True"  # the fallback imported scipy.linalg
+    assert lines[1] == "True"  # and sdp calls its routines
+    assert "scipy's _flapack did not load from its file" in log and "_missing" in log
+    assert lines[0].split()[1:] == _fig2_point(False)[0][0].split()[1:]
+
+
+def test_scipy_linalg_imported_later_reuses_the_loaded_flapack():
+    assert _fig2_point(False)[0][1] == "True"
+
