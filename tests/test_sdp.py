@@ -1182,4 +1182,3 @@ def test_a_missing_flapack_falls_back_to_scipy_linalg_lapack_bit_for_bit():
 
 def test_scipy_linalg_imported_later_reuses_the_loaded_flapack():
     assert _fig2_point(False)[0][1] == "True"
-
