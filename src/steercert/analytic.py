@@ -5,12 +5,12 @@ Two independent oracles live here, used to sandwich the SDP results:
 * exact guessing probabilities for pure Schmidt-form states measured in
   the Fourier and computational bases (1/d, independent of the Schmidt
   coefficients as long as none vanish);
-* an explicit-strategy lower bound: purify the shared state, hand the
-  purifying system to Eve, and let her discriminate her conditional states
-  in closed form (the better of the pretty-good measurement and, for two
-  outcomes, Helstrom's). Every strategy built this way induces a feasible
-  Eve-resolved assemblage, so its guessing probability can never exceed
-  the SDP optimum.
+* an explicit-strategy lower bound: purify the shared state, hand the purifying
+  system to Eve, and let her discriminate her conditional states in closed form
+  (the better of the pretty-good measurement and, for two outcomes, Helstrom's),
+  or guess with certainty where `loss_attack` or `lhs_attack` validates. Every
+  such strategy induces a feasible Eve-resolved assemblage, so its guessing
+  probability can never exceed the SDP optimum.
 
 Neither path touches the SDP machinery, which keeps the cross-checks
 honest.
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import JointAssemblage
+from .certify import JointAssemblage, lhs_attack, loss_attack
 from .qlin import Povm, dagger, helstrom_pair, normalised
 from .scenario import Assemblage, assemblage_from, pauli_xz, schmidt_state
 
@@ -139,11 +139,11 @@ def _guess_value(w: np.ndarray, elements: np.ndarray) -> float:
 
 
 def eve_lower_bound(rho: np.ndarray, povms: list[Povm], x_star: int = 0) -> float:
-    """Lower bound on the guessing probability from an explicit strategy on
-    the purification: the better of two discriminators of Eve's conditional
-    states, the pretty-good measurement and, for two outcomes, Helstrom's,
-    which is optimal among all two-outcome measurements. A given measurement
-    of Eve's is evaluated by `eve_strategy(rho, povms, eve_povm).value(x_star)`,
+    """Lower bound on the guessing probability from an explicit strategy: the best of
+    `loss_attack` and `lhs_attack`, which guess with certainty where they validate, and two
+    discriminators of Eve's conditional states on the purification, the pretty-good measurement
+    and, for two outcomes, Helstrom's, which is optimal among all two-outcome measurements. A given
+    measurement of Eve's is evaluated by `eve_strategy(rho, povms, eve_povm).value(x_star)`,
     which also verifies that the assemblage it induces is feasible.
     """
     w = _conditional_eve_states(rho, povms, x_star)
@@ -151,4 +151,5 @@ def eve_lower_bound(rho: np.ndarray, povms: list[Povm], x_star: int = 0) -> floa
     if w.shape[0] == 2:
         # Helstrom's M_0 projects onto the positive eigenspace of W_0 - W_1
         best = max(best, _guess_value(w, helstrom_pair(w[1] - w[0])))
-    return best
+    asm = assemblage_from(rho, povms)
+    return max([best, *(j.guess_probability(x_star) for j in (loss_attack(asm, x_star), lhs_attack(asm, x_star)) if j)])

@@ -23,10 +23,12 @@ reach certification-grade accuracy; dropped rank-0 blocks reappear as
 explicit zero matrices in the reported strategy. The dual witness is read
 off the primal solve's consistency multipliers either way; on reduced
 instances it certifies the bound on the observed faces (where the reduced
-pair attains strong duality). Where every face kept has rank 1 (pure states
-measured projectively), `_closed_form` gives the optimum exactly, with a dual
-whose feasibility margin is checked, and no SDP is solved; such a result
-ignores `stop_above`. Where a full-space witness is wanted, the
+pair attains strong duality). No SDP is solved where the data decide the
+optimum: where every face kept has rank 1 (pure states measured projectively),
+`_closed_form` gives it with a dual whose feasibility margin is checked; where
+`loss_attack` or `lhs_attack` lets Eve guess Alice's outcome with certainty,
+`_zero_bits` gives p = 1 with the trivial inequality. Such a result ignores
+`stop_above`. Where a full-space witness is wanted, the
 see-saw's `_stepping_functional` takes it from the certification of the
 assemblage smoothed by uniform noise (`_smoothed`), which is not reduced; its
 value exceeds the optimum by an amount that shrinks as sqrt(delta).
@@ -207,7 +209,7 @@ def min_entropy(p_guess: float) -> float:
     """Extractable uniform bits per run, -log2 of the guessing probability."""
     if p_guess <= 0.0:
         raise ValueError(f"guessing probability must be positive, got {p_guess}")
-    return float(-np.log2(p_guess))
+    return float(0.0 - np.log2(p_guess))  # +0.0, not -0.0, at p = 1
 
 
 def _check_x_star(n_inputs: int, x_star: int) -> None:
@@ -413,6 +415,62 @@ def _closed_form(asm: Assemblage, supports, x_star: int, guess_outcome, guess_ta
                                JointAssemblage(joint))
 
 
+def _certain(joint: np.ndarray, asm: Assemblage, x_star: int) -> JointAssemblage | None:
+    """Eve's ``joint`` if it passes ``validate`` at tol 1e-12 and guesses x_star's outcome within 1e-12 of 1."""
+    strategy = JointAssemblage(joint)
+    try:
+        strategy.validate(asm, tol=1e-12)
+    except ValueError:
+        return None
+    return strategy if abs(strategy.guess_probability(x_star) - 1.0) <= 1e-12 else None
+
+
+def loss_attack(asm: Assemblage, x_star: int) -> JointAssemblage | None:
+    """Eve's certain guess of the outcome at x_star through an outcome c, a detector's no-click, or None.
+    Guess e != c holds sigma_{e|x*}, announced as c at every other input. Guess c holds sigma_{c|x*} and,
+    at every other x, sigma_{b|x} for b != c and sigma_{c|x} + sigma_{c|x*} - rho_B, which one eigvalsh
+    stack tests first; under uniform loss it is PSD exactly when eta <= 1/2, and with one input always."""
+    sigma, (n_a, m) = asm.sigma, asm.sigma.shape[:2]
+    others = [x for x in range(m) if x != x_star]
+    slack = sigma[:, others] + sigma[:, x_star, None] - asm.reduced_state()
+    lowest = eigvalsh(slack).min(axis=(1, 2), initial=np.inf)
+    if lowest[c := int(np.argmax(lowest))] < -1e-12:
+        return None
+    joint = np.zeros((n_a,) + sigma.shape, dtype=complex)
+    joint[:, c, others] = sigma[:, x_star, None]
+    joint[c][:, others] = sigma[:, others]
+    joint[c, c, others] = slack[c]
+    joint[range(n_a), range(n_a), x_star] = sigma[:, x_star]
+    return _certain(joint, asm, x_star)
+
+
+def lhs_attack(asm: Assemblage, x_star: int) -> JointAssemblage | None:
+    """Eve's certain guess of the outcome at x_star on two inputs with two outcomes each, or None. She
+    holds (a0, a1) with the hidden states (sigma_{a0|0} + sigma_{a1|1})/2 - rho_B/4, which one eigvalsh
+    stack tests first, and guesses a_{x*}; on Werner data under X/Z they are PSD exactly when v sqrt(2) <= 1."""
+    sigma = asm.sigma
+    hidden = (sigma[:, :1] + sigma[None, :, 1]) / 2 - asm.reduced_state() / 4 if sigma.shape[:2] == (2, 2) else None
+    if hidden is None or eigvalsh(hidden).min() < -1e-12:
+        return None
+    joint = np.zeros((2,) + sigma.shape, dtype=complex)
+    joint[[0, 1], [0, 1], x_star] = sigma[:, x_star]
+    joint[:, :, 1 - x_star] = hidden if x_star == 0 else hidden.swapaxes(0, 1)
+    return _certain(joint, asm, x_star)
+
+
+def _zero_bits(asm: Assemblage, supports, x_star: int, guess_outcome, guess_target) -> CertificationResult | None:
+    """p_guess = 1 exactly where Eve, guessing Alice's outcome with identity targets (``certify_local``),
+    is certain by ``loss_attack`` or ``lhs_attack``, or None. The dual is the trivial inequality
+    F[a, x] = delta_{x, x*} 1 with G = 0, whose operators are 0 or 1, of value sum_a Tr sigma_{a|x*} = 1."""
+    n_a, m, d = asm.sigma.shape[:3]
+    local = np.array_equal(guess_outcome, np.arange(n_a)) and (np.asarray(guess_target) == np.eye(d)).all()
+    if not (joint := local and (loss_attack(asm, x_star) or lhs_attack(asm, x_star))):
+        return None
+    F = np.broadcast_to((np.arange(m) == x_star)[:, None, None] * np.eye(d), asm.sigma.shape)
+    functional = _steering_functional(freeze(F), freeze(0 * F), x_star, guess_outcome, guess_target, supports)
+    return CertificationResult(1.0, functional.value_on(asm), sdp.SolverStatus.OPTIMAL, functional, joint)
+
+
 def _solve_steering(
     asm: Assemblage,
     x_star: int,
@@ -420,17 +478,18 @@ def _solve_steering(
     guess_target: np.ndarray,
     solver_opts: dict | None = None,
 ) -> CertificationResult:
-    """Shared engine for the local and global steering certifications: ``_closed_form`` where it
-    applies, else the SDP. The solve starts from Eve's trivial strategy X[e, a, x] =
-    V^dag sigma_{a|x} V / n_guess, which is consistent, no-signalling and positive definite on
-    every face kept."""
+    """Shared engine for the local and global steering certifications: ``_closed_form`` or
+    ``_zero_bits`` where either applies, else the SDP. The solve starts from Eve's trivial strategy
+    X[e, a, x] = V^dag sigma_{a|x} V / n_guess, which is consistent, no-signalling and positive
+    definite on every face kept."""
     n_a, m, d = asm.sigma.shape[:3]
     _check_x_star(m, x_star)
     n_guess = len(guess_outcome)
 
     supports = _supports(asm.sigma)
     _check_left_out(supports, asm.sigma)
-    exact = _closed_form(asm, supports, x_star, guess_outcome, guess_target)
+    exact = (_closed_form(asm, supports, x_star, guess_outcome, guess_target)
+             or _zero_bits(asm, supports, x_star, guess_outcome, guess_target))
     if exact is not None:
         return exact
     grid, parent, kept = _steering_parent(supports, x_star, guess_outcome, guess_target)
@@ -455,8 +514,8 @@ def certify_local(asm: Assemblage, x_star: int = 0, *, solver_opts: dict | None 
     The solve starts from Eve's trivial strategy, sigma_{a|x} split evenly
     over her guesses, a strictly feasible point. So when ``solver_opts``
     sets ``stop_above``, a solve cut short ends at a strategy of hers that
-    guesses better than the bar: an explicit attack. A result in closed form,
-    for data whose faces all have rank 1, is exact and ignores ``stop_above``.
+    guesses better than the bar: an explicit attack. A closed-form result (faces
+    all of rank 1, or Eve certain by an attack) is exact and ignores ``stop_above``.
     """
     n_a, d = asm.sigma.shape[0], asm.sigma.shape[-1]
     targets = np.eye(d, dtype=complex)[None].repeat(n_a, axis=0)

@@ -37,6 +37,15 @@ def _record(label, result, asm=None):
     return result
 
 
+def _solves(monkeypatch) -> list:
+    """A list that gains an entry at every SDP solve from here on."""
+    import steercert.sdp as sdp_module
+
+    solves, solve = [], sdp_module.solve
+    monkeypatch.setattr(sdp_module, "solve", lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    return solves
+
+
 def _report(criterion: str, checks: list[tuple[str, bool]]):
     failed = [name for name, ok in checks if not ok]
     if failed:
@@ -73,35 +82,41 @@ def test_criterion_2_steering_threshold():
     )
 
 
-def test_criterion_3_detection_efficiency_threshold():
-    results = {}
+def test_criterion_3_detection_efficiency_threshold(monkeypatch):
+    results, solves, made = {}, {}, _solves(monkeypatch)
     for eta in (0.49, 0.51, 1.0):
         povms = [apply_loss(p, eta) for p in pauli_xz()]
         asm = assemblage_from(werner_state(1.0), povms)
+        before = len(made)
         results[eta] = _record(f"werner v=1 eta={eta}", certify_local(asm, 0), asm)
+        solves[eta] = len(made) - before
     _report(
         "criterion 3 (50% detection-efficiency threshold, qubits)",
         [
             ("H_min(eta=0.51) >= 1e-3", results[0.51].h_min >= 1e-3),
             ("H_min(eta=0.49) <= 1e-6", results[0.49].h_min <= 1e-6),
+            ("H_min(eta=0.49) = 0 exactly, with no SDP solved", results[0.49].h_min == 0.0 and not solves[0.49]),
             ("H_min(eta=1) = 1 +- 1e-6", abs(results[1.0].h_min - 1.0) <= 1e-6),
         ],
     )
 
 
-def test_criterion_4_qutrit_endpoint():
+def test_criterion_4_qutrit_endpoint(monkeypatch):
     base = mub_povms(3, 4)
-    results = {}
+    results, solves, made = {}, {}, _solves(monkeypatch)
     for eta in (0.49, 0.51, 1.0):
         povms = base if eta == 1.0 else [apply_loss(p, eta) for p in base]
         asm = assemblage_from(isotropic_state(3, 1.0), povms)
+        before = len(made)
         results[eta] = _record(f"qutrit 4mub eta={eta}", certify_local(asm, 0), asm)
+        solves[eta] = len(made) - before
     _report(
         "criterion 4 (qutrit endpoint log2(3) and 50% threshold)",
         [
             ("H_min(eta=1) = log2(3) +- 1e-5", abs(results[1.0].h_min - LOG2_3) <= 1e-5),
             ("H_min(eta=0.51) >= 1e-3", results[0.51].h_min >= 1e-3),
             ("H_min(eta=0.49) <= 1e-6", results[0.49].h_min <= 1e-6),
+            ("H_min(eta=0.49) = 0 exactly, with no SDP solved", results[0.49].h_min == 0.0 and not solves[0.49]),
         ],
     )
 

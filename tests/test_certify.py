@@ -1,20 +1,26 @@
+import contextlib
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from steercert.analytic import eve_lower_bound
 from steercert.certify import (
     JointAssemblage,
     SteeringFunctional,
     certify_global,
     certify_local,
     certify_pm,
+    lhs_attack,
+    loss_attack,
     min_entropy,
 )
 from steercert.qlin import Povm, basis_povm, dagger, random_unitary
 from steercert.scenario import (
     apply_loss,
     assemblage_from,
+    fourier_and_computational,
     isotropic_state,
     mub_povms,
     pauli_xz,
@@ -38,7 +44,9 @@ def random_assemblage(rng, d_a=2, d_b=2, m=2):
 
 
 def test_min_entropy_values():
-    assert min_entropy(1.0) == 0.0
+    assert min_entropy(1.0) == 0.0 and math.copysign(1.0, min_entropy(1.0)) == 1.0  # +0.0, not -0.0
+    for p in (0.5, 1 / 3, 0.9999999999, 1.0 + 1e-12):
+        assert min_entropy(p) == -np.log2(p)
     assert min_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
     assert min_entropy(1 / 3) == pytest.approx(np.log2(3), abs=1e-12)
     with pytest.raises(ValueError):
@@ -283,8 +291,10 @@ def test_dual_functional_direct_on_degenerate_instance():
 )
 def test_reduced_certificate_is_feasible_on_its_faces(rho, povms, unreduced_below):
     # the multipliers of a facially reduced solve are dual feasible only once
-    # compressed onto the observed faces, which is what feasibility_margin checks
-    f = certify_local(assemblage_from(rho, povms), 0).functional
+    # compressed onto the observed faces, which is what feasibility_margin checks;
+    # an attack decides the product state, so it reaches the SDP only with _zero_bits left out
+    with _through_the_sdp():
+        f = certify_local(assemblage_from(rho, povms), 0).functional
     assert f.supports is not None
     assert f.feasibility_margin() >= -1e-8
     if unreduced_below is not None:
@@ -390,6 +400,17 @@ def test_supports_match_one_eigh_per_block():
         assert got[a][x].tobytes() == want.tobytes()
 
 
+@contextlib.contextmanager
+def _through_the_sdp():
+    """Certifications in which ``_zero_bits`` decides nothing, so that data an attack decides,
+    unsteerable or with half the clicks lost, reach the SDP they reached before it."""
+    import steercert.certify as certify_module
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certify_module, "_zero_bits", lambda *args: None)
+        yield
+
+
 def _afresh_and_shared(monkeypatch, certification, *args):
     """The result of a certification, and the problem it solved, twice: once as the builder made
     it, and once with the same problem built afresh inside solve (without a shared structure)."""
@@ -425,7 +446,8 @@ def test_unreduced_certifications_share_a_structure_bit_for_bit(monkeypatch, v):
     certify_local(assemblage_from(werner_state(0.8), pauli_xz()), 0)  # the structure exists
     entries = {id(entry) for entry in _steering_parents.values()}
     asm = assemblage_from(werner_state(v), pauli_xz())
-    (fresh, fresh_problem), (shared, problem) = _afresh_and_shared(monkeypatch, certify_local, asm, 0)
+    with _through_the_sdp():  # v = 0.7 is unsteerable, which the LHS attack decides
+        (fresh, fresh_problem), (shared, problem) = _afresh_and_shared(monkeypatch, certify_local, asm, 0)
     assert {id(entry) for entry in _steering_parents.values()} == entries  # no parent built or replaced
     assert problem._shared is fresh_problem._shared is not None
     _results_identical(shared, fresh)
@@ -693,10 +715,10 @@ def test_pure_data_are_certified_in_closed_form(monkeypatch, case, x_star):
     assert abs(res.dual_value - res.p_guess) <= 1e-12
 
 
-def test_a_product_state_leaves_the_closed_form_to_the_sdp(monkeypatch):
+def test_a_product_state_leaves_the_closed_form_to_the_loss_attack(monkeypatch):
     # |00> under X and Z: every face has rank 1, but Eve knows X's outcome, which a product state
     # leaves local, so she guesses it with probability 1, not with max_a p(a|X) = 1/2; only the margin
-    # of the closed form's dual shows it, and the point goes to the SDP
+    # of the closed form's dual shows it, and the loss attack (through Z's outcome 0) decides the point
     import steercert.sdp as sdp_module
     from steercert.certify import _closed_form, _supports
 
@@ -706,5 +728,97 @@ def test_a_product_state_leaves_the_closed_form_to_the_sdp(monkeypatch):
     solves, solve = [], sdp_module.solve
     monkeypatch.setattr(sdp_module, "solve", lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
     res = certify_local(asm, 0)
-    assert len(solves) == 1 and res.status is SolverStatus.OPTIMAL
+    assert len(solves) == 0 and res.status is SolverStatus.OPTIMAL
     assert res.p_guess == pytest.approx(1.0, abs=1e-8)
+    assert res.p_guess == 1.0 and res.h_min == 0.0
+    assert res.joint.sigma_e.tobytes() == loss_attack(asm, 0).sigma_e.tobytes()
+
+
+def _lossy_qudits(d, eta):
+    """The maximally entangled pair of qudits under the Fourier and computational bases, each with
+    detection efficiency eta and the no-click outcome last."""
+    return assemblage_from(isotropic_state(d, 1.0), [apply_loss(p, eta) for p in fourier_and_computational(d)])
+
+
+def _is_certain(joint, asm, x_star):
+    joint.validate(asm, tol=1e-12)
+    return abs(joint.guess_probability(x_star) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("eta", [0.3, 0.49, 0.5, 0.51])
+@pytest.mark.parametrize("x_star", [0, 1])
+def test_the_loss_attack_gives_eve_certainty_up_to_half_the_clicks(d, eta, x_star):
+    # sigma_{no-click|x} + sigma_{no-click|x*} - rho_B = (1 - 2 eta) rho_B, PSD exactly when eta <= 1/2
+    asm = _lossy_qudits(d, eta)
+    joint = loss_attack(asm, x_star)
+    if eta > 0.5:
+        assert joint is None
+        return
+    assert _is_certain(joint, asm, x_star)
+    # guess e != c holds sigma_{e|x*}, announced as the no-click outcome c at the other input
+    c, other = d, 1 - x_star
+    assert np.array_equal(joint.sigma_e[:c, c, other], asm.sigma[:c, x_star])
+    assert lhs_attack(asm, x_star) is None  # three outcomes or more
+
+
+def test_the_loss_attack_is_certain_on_one_input_whatever_the_data():
+    asm = assemblage_from(werner_state(1.0), pauli_xz()[:1])
+    assert _is_certain(loss_attack(asm, 0), asm, 0)
+
+
+@pytest.mark.parametrize("v", [0.6, 0.7071, 0.71])
+@pytest.mark.parametrize("x_star", [0, 1])
+def test_the_lhs_attack_gives_eve_certainty_on_unsteerable_werner_data(v, x_star):
+    # the hidden states I/8 + v(+-X +-Z)/8 are PSD exactly when v sqrt(2) <= 1
+    asm = assemblage_from(werner_state(v), pauli_xz())
+    joint = lhs_attack(asm, x_star)
+    assert (joint is None) == (v * np.sqrt(2) > 1)
+    assert joint is None or _is_certain(joint, asm, x_star)
+    assert loss_attack(asm, x_star) is None
+
+
+def _zero_bit_points():
+    """The 20 preset sweep points at which an attack gives Eve certainty: fig2 at v <= 0.70 (the LHS
+    attack), fig3_qubit and fig4_qutrit_loss at eta <= 0.5 (the loss attack)."""
+    from steercert.cli import presets
+
+    return [pytest.param(presets()[name].at_parameter(value), id=f"{name}@{value:.2f}")
+            for name, last in (("fig2", 0.705), ("fig3_qubit", 0.505), ("fig4_qutrit_loss", 0.505))
+            for value in presets()[name].sweep_values() if value <= last]
+
+
+def test_the_zero_bit_points_are_twenty():
+    assert len(_zero_bit_points()) == 20
+
+
+@pytest.mark.parametrize("config", _zero_bit_points())
+def test_zero_bits_are_exact_with_the_trivial_inequality_and_no_sdp(monkeypatch, config):
+    import steercert.sdp as sdp_module
+    from steercert.cli import _certify_point
+
+    monkeypatch.setattr(sdp_module, "solve", lambda *args, **kwargs: pytest.fail("the SDP was solved"))
+    res = _certify_point(config)
+    asm = assemblage_from(config.build_state(), config.build_measurements())
+    assert res.status is SolverStatus.OPTIMAL
+    assert res.p_guess == 1.0 and res.h_min == 0.0 and math.copysign(1.0, res.h_min) == 1.0
+    assert res.gap <= 1e-15 and res.dual_value == res.functional.value_on(asm)
+    assert _is_certain(res.joint, asm, 0)
+    # F[a, x] = delta_{x, x*} 1 and G = 0, whose dual operators are each 0 or 1
+    f = res.functional
+    n_a, m, d = asm.sigma.shape[:3]
+    assert np.array_equal(f.F, np.broadcast_to((np.arange(m) == 0)[:, None, None] * np.eye(d), (n_a, m, d, d)))
+    assert not f.G.any() and f.feasibility_margin() == 0.0
+    assert dataclasses.replace(f, supports=None).feasibility_margin() == 0.0
+    # the explicit-strategy lower bound finds the same certainty
+    assert abs(eve_lower_bound(config.build_state(), config.build_measurements(), 0) - 1.0) <= 1e-15
+
+
+def test_global_certification_leaves_zero_bit_data_to_the_sdp(monkeypatch):
+    # certify_global's guesses are pairs, so no attack applies to them
+    import steercert.sdp as sdp_module
+
+    solves, solve = [], sdp_module.solve
+    monkeypatch.setattr(sdp_module, "solve", lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+    certify_global(assemblage_from(werner_state(0.6), pauli_xz()), 0, pauli_xz()[0])
+    assert len(solves) == 1

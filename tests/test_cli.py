@@ -196,6 +196,21 @@ def test_sweep_h_min_is_the_min_entropy_of_p_guess(tmp_path):
     assert cells["h_min"] == format(min_entropy(row["p_guess"]), ".12g")
 
 
+def test_zero_bits_print_as_plus_zero(tmp_path, capsys):
+    # min_entropy(1.0) is +0.0, so a zero-bit row's CSV cell reads 0, not -0, and its JSON field 0.0, not -0.0
+    point = replace(presets()["fig3_qubit"], sweep={"parameter": "eta", "start": 0.5, "stop": 0.5, "points": 1})
+    [row], code = run_sweep(point, out=str(tmp_path / "fig3.csv"))
+    assert code == 0 and row["p_guess"] == 1.0
+    [cells] = list(csv.DictReader((tmp_path / "fig3.csv").open()))
+    assert cells["p_guess"] == "1" and cells["h_min"] == "0"
+    [entry] = json.loads((tmp_path / "fig3.json").read_text())
+    assert entry["h_min"] == 0.0 and np.copysign(1.0, entry["h_min"]) == 1.0
+    assert main(["certify", "--preset", "fig2", "--v", "0.65", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["p_guess"] == 1.0 and payload["gap"] <= 1e-15
+    assert payload["h_min"] == 0.0 and np.copysign(1.0, payload["h_min"]) == 1.0
+
+
 def test_sweep_deterministic_modulo_wall_time(tmp_path):
     config = ExperimentConfig(
         kind="steering_local",

@@ -695,14 +695,18 @@ def test_a_block_that_is_not_positive_definite_fails_the_scaling():
 
 
 def test_a_step_out_of_the_cone_ends_in_numerical_trouble(monkeypatch):
-    # the first fig2 point; with steps past the boundary, [X; Z] leaves the PSD cone at iteration 2
+    # the SDP of the first fig2 point; with steps past the boundary, [X; Z] leaves the PSD cone at
+    # iteration 2. certify_local decides that unsteerable point by an attack, so the problem it
+    # solved before is built here from its steering parent, as certify_local builds it
     import warnings
 
     import steercert.sdp as sdp_module
-    from steercert.certify import certify_local
+    from steercert.certify import _steering_parent, _supports
     from steercert.scenario import assemblage_from, pauli_xz, werner_state
 
-    problem = captured_problem(monkeypatch, certify_local, assemblage_from(werner_state(0.6), pauli_xz()), 0)
+    asm = assemblage_from(werner_state(0.6), pauli_xz())
+    _, parent, kept = _steering_parent(_supports(asm.sigma), 0, np.arange(2), np.eye(2, dtype=complex)[None].repeat(2, 0))
+    problem = parent.with_rhs([*(asm.sigma[key] for key in kept[0]), *(eq.rhs for eq in kept[1].values())])
     monkeypatch.setattr(sdp_module, "_STEP_FRAC", 1.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
