@@ -421,8 +421,12 @@ def _schur(tmats: list[np.ndarray], a_sp: list[np.ndarray], a_t: list[np.ndarray
     prods = []
     for t, a, at, c in zip(tmats, a_sp, a_t, coordinates):
         k = _kernels(t, c)
-        # with one coordinate, a K a^T is an outer product, which a matmul makes without BLAS
-        prods.append(a * k * at if k.shape[-1] == 1 else a @ k @ at)
+        if k.shape[-1] == 1:
+            # one coordinate makes a K a^T an outer product, which numpy's matmul makes without BLAS;
+            # padded by a zero coordinate, BLAS makes it, adding only exact zeros
+            prods.append(np.concatenate((a * k, np.zeros_like(a)), -1) @ np.concatenate((at, np.zeros_like(at)), -2))
+        else:
+            prods.append(a @ k @ at)
     bins, order, mr = plan
     schur = np.bincount(bins, _joined(prods, order), (mr + 1) ** 2).reshape(mr + 1, -1)
     schur = schur[:mr, :mr]
