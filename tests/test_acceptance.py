@@ -77,6 +77,7 @@ def test_criterion_2_steering_threshold():
         "criterion 2 (steering threshold at v = 1/sqrt(2))",
         [
             ("H_min(0.705) <= 1e-6", below.h_min <= 1e-6),
+            ("H_min(0.705) = 0 exactly", below.h_min == 0.0),
             ("H_min(0.715) >= 1e-3", above.h_min >= 1e-3),
         ],
     )
