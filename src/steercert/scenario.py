@@ -226,29 +226,83 @@ def deterministic_strategies(n_inputs: int, n_outcomes: int) -> np.ndarray:
     return np.array(list(itertools.product(range(n_outcomes), repeat=n_inputs)), dtype=int)
 
 
-# one parent: its structure grows as outcomes^inputs (12 MB for qutrits under 4 MUBs with a
-# no-click outcome, 256 strategies), so it is kept only while tests stay in one scenario
+@functools.cache
+def _weyl_heisenberg(d: int) -> np.ndarray:
+    """The d*d Weyl-Heisenberg operators X^j Z^k, phases dropped, in Bob's computational basis as
+    one read-only stack, element j*d + k: X|k> = |k+1 mod d> and Z|k> = exp(2 pi i k / d)|k>."""
+    shift, clock = np.roll(np.eye(d), 1, axis=0), np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    ops = np.array([np.linalg.matrix_power(shift, j) @ np.linalg.matrix_power(clock, k)
+                    for j in range(d) for k in range(d)])
+    ops.setflags(write=False)
+    return ops
+
+
+def _symmetry(sigma: np.ndarray) -> tuple:
+    """The permutations table[g][x][a] = b with U_g sigma[a, x] U_g^dag = sigma[b, x] of each
+    Weyl-Heisenberg operator U_g, composed from those of X and Z. Each generator must send every
+    block onto exactly one block, and onto distinct blocks, within 1e-12 in every entry; if not,
+    the trivial group's table, whose one element is the identity."""
+    n_outcomes, n_inputs, d = sigma.shape[:3]
+    identity = np.broadcast_to(np.arange(n_outcomes), (n_inputs, n_outcomes))
+    trivial = (tuple(map(tuple, identity)),)
+    powers = []
+    for u in _weyl_heisenberg(d)[[d, 1] if d > 1 else [0, 0]]:  # X, then Z
+        match = np.abs((u @ sigma @ dagger(u))[:, None] - sigma).max(axis=(-2, -1)) <= 1e-12  # [a, b, x]
+        if (match.sum(axis=0) != 1).any() or (match.sum(axis=1) != 1).any():
+            return trivial
+        perm = match.argmax(axis=1).T  # [x, a]
+        powers.append(list(itertools.accumulate(
+            range(d - 1), lambda p, _: np.take_along_axis(perm, p, axis=1), initial=identity)))
+    # X^j Z^k sends a to pi_X^j(pi_Z^k(a))
+    return tuple(tuple(map(tuple, np.take_along_axis(px, pz, axis=1))) for px in powers[0] for pz in powers[1])
+
+
+# one parent, kept only while tests stay in one scenario and symmetry: the full problem, built only
+# for data with no symmetry, grows as outcomes^inputs (12 MB for lossy qutrits under 4 MUBs)
 @functools.lru_cache(maxsize=1)
-def _lhs_problem(n_outcomes: int, n_inputs: int, d: int) -> sdp.SdpProblem:
-    """The parent problem of `lhs_test`'s SDPs, whose only data are the right-hand sides
-    sigma[a, x] of its equalities, in (a, x) order."""
-    n_strat = n_outcomes**n_inputs
+def _lhs_problem(n_outcomes: int, n_inputs: int, d: int, table: tuple) -> tuple[sdp.SdpProblem, list, list]:
+    """The parent problem of `lhs_test`'s SDPs on data with the outcome permutations ``table``
+    (see `_symmetry`), the flat (a, x) index of sigma on each of its equalities, and each
+    strategy's member as (its block, the operators U_h it is averaged over).
+
+    One block X_r per orbit representative r of the strategies, in the order of
+    `deterministic_strategies`, then t; one equality per orbit of (a, x):
+    sum_r sum_{h: (h.r)(x) = a} U_h X_r U_h^dag / |S_r| - t * noise = sigma[a, x], where S_r is
+    r's stabiliser. The member of h.r is the average of U_k X_r U_k^dag over k in h S_r, so that
+    no equality is needed for S_r. The trivial group gives the problem over every strategy."""
+    ops = _weyl_heisenberg(d)[:len(table)]
+    table = np.array(table)  # [g, x, a]
     strategies = deterministic_strategies(n_inputs, n_outcomes)
+    acted = table[:, np.arange(n_inputs), strategies] @ n_outcomes ** np.arange(n_inputs)[::-1]  # [g, lam]: g.lam
+    first = acted.min(axis=0)  # the first strategy of each one's orbit
+    reps = np.flatnonzero(first == np.arange(len(strategies)))
+    block, stabiliser = np.searchsorted(reps, first), (acted[:, reps] == reps).sum(axis=0).tolist()
+    expansion = [(block[lam], ops[acted[:, first[lam]] == lam]) for lam in range(len(strategies))]
     noise = np.eye(d) / (n_outcomes * d)
-    block_dims = (d,) * n_strat + (1,)
-    t_block = n_strat
-    objective: list[np.ndarray | None] = [None] * n_strat + [-np.eye(1, dtype=complex)]
-    identity = sdp.term_stack(d)
+    t_block = len(reps)
+    block_dims = (d,) * t_block + (1,)
+    objective: list[np.ndarray | None] = [None] * t_block + [-np.eye(1, dtype=complex)]
     # the term t -> -t * noise, whose adjoint is E -> -<E, noise>
     t_term = sdp.term_stack(
         d, lambda e: -np.real(np.sum(np.conj(e) * noise, axis=(-2, -1)))[:, None, None]
         * np.eye(1, dtype=complex)
     )
-    equalities = []
+
+    @functools.cache
+    def term(hs: tuple, n: int) -> np.ndarray:  # X -> sum_{h in hs} U_h X U_h^dag / n; X -> X the shared identity
+        u = ops[list(hs)]
+        return sdp.term_stack(d) if (hs, n) == ((0,), 1) else \
+            sdp.term_stack(d, lambda e: (dagger(u) @ e[:, None] @ u).sum(axis=1) / n)
+
+    equalities, rhs_index = [], []
     for a, x in np.ndindex(n_outcomes, n_inputs):
-        terms = {lam: identity for lam in range(n_strat) if strategies[lam, x] == a}
+        if a > table[:, x, a].min():  # not the first (a, x) of its orbit
+            continue
+        hs = [tuple(np.flatnonzero(table[:, x, strategies[r, x]] == a).tolist()) for r in reps]
+        terms = {i: term(h, n) for i, (h, n) in enumerate(zip(hs, stabiliser)) if h}
         equalities.append(sdp.MatrixEquality({**terms, t_block: t_term}, np.zeros((d, d), dtype=complex)))
-    return sdp.SdpProblem(block_dims, objective, sdp.expand(equalities))
+        rhs_index.append(a * n_inputs + x)
+    return sdp.SdpProblem(block_dims, objective, sdp.expand(equalities)), rhs_index, expansion
 
 
 def lhs_test(asm: Assemblage, *, tol: float = LHS_TOL) -> LhsResult:
@@ -257,7 +311,10 @@ def lhs_test(asm: Assemblage, *, tol: float = LHS_TOL) -> LhsResult:
     Solves the feasibility problem over hidden states indexed by the
     deterministic response functions, reporting the minimal uniform-noise
     weight t for which (asm + t * noise) / (1 + t) admits a decomposition.
-    t <= tol means the assemblage itself is unsteerable.
+    t <= tol means the assemblage itself is unsteerable. Data covariant under
+    the Weyl-Heisenberg group (`_symmetry`) are solved over one block per orbit
+    of strategies, which loses nothing; the members are expanded from them, one
+    per strategy in the order of `deterministic_strategies`.
     """
     n_outcomes, n_inputs, d = asm.sigma.shape[:3]
     n_strat = n_outcomes**n_inputs
@@ -266,13 +323,13 @@ def lhs_test(asm: Assemblage, *, tol: float = LHS_TOL) -> LhsResult:
             f"{n_outcomes}^{n_inputs} = {n_strat} deterministic strategies "
             f"exceeds the supported limit {MAX_DETERMINISTIC_STRATEGIES}"
         )
-    parent = _lhs_problem(n_outcomes, n_inputs, d)
-    solution = sdp.solve(parent.with_rhs(asm.sigma.reshape(-1, d, d)))
+    parent, rhs_index, expansion = _lhs_problem(n_outcomes, n_inputs, d, _symmetry(asm.sigma))
+    solution = sdp.solve(parent.with_rhs(asm.sigma.reshape(-1, d, d)[rhs_index]))
     if solution.status is not sdp.SolverStatus.OPTIMAL:
         raise RuntimeError(f"LHS membership solve failed with status {solution.status}")
     robustness = max(0.0, -solution.primal_value)
     is_lhs = robustness <= tol
     members = None
     if is_lhs:
-        members = np.stack([solution.primal[lam] for lam in range(n_strat)])
+        members = np.stack([(u @ solution.primal[i] @ dagger(u)).mean(axis=0) for i, u in expansion])
     return LhsResult(is_lhs=is_lhs, robustness=robustness, members=members)

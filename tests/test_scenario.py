@@ -391,13 +391,14 @@ def test_lhs_tests_share_a_structure_bit_for_bit(monkeypatch):
     import dataclasses
 
     import steercert.sdp as sdp_module
-    from steercert.scenario import _lhs_problem
+    from steercert.scenario import _lhs_problem, _symmetry
 
     solve = sdp_module.solve
     povms = mub_povms(3, 4)
-    lhs_test(assemblage_from(isotropic_state(3, 0.3), povms))  # the parent and its structure exist
+    first = assemblage_from(isotropic_state(3, 0.3), povms)
+    lhs_test(first)  # the parent and its structure exist
     misses = _lhs_problem.cache_info().misses
-    structure = _lhs_problem(3, 4, 3)._children_structure
+    structure = _lhs_problem(3, 4, 3, _symmetry(first.sigma))[0]._children_structure
     arrays = [a for value in vars(structure).values() for a in (value if isinstance(value, list) else [value])
               if isinstance(a, np.ndarray)]
     assert not any(a.flags.writeable for a in arrays)
@@ -423,14 +424,107 @@ def test_lhs_tests_share_a_structure_bit_for_bit(monkeypatch):
 
 
 def test_lhs_tests_keep_one_parent():
-    from steercert.scenario import _lhs_problem
+    from steercert.scenario import _lhs_problem, _symmetry
 
     lhs_test(assemblage_from(werner_state(0.3), pauli_xz()))
-    lhs_test(assemblage_from(isotropic_state(3, 0.3), mub_povms(3, 2)))
+    last = assemblage_from(isotropic_state(3, 0.3), mub_povms(3, 2))
+    lhs_test(last)
     info = _lhs_problem.cache_info()
     assert info.currsize == 1
-    _lhs_problem(3, 2, 3)  # the last scenario's is the one kept
+    _lhs_problem(3, 2, 3, _symmetry(last.sigma))  # the last scenario's is the one kept
     assert _lhs_problem.cache_info().misses == info.misses
+
+
+def _trivial_group(sigma):
+    """The outcome-permutation table of the trivial group, which makes `lhs_test` solve the full problem."""
+    n_outcomes, n_inputs = sigma.shape[:2]
+    return (tuple(tuple(range(n_outcomes)) for _ in range(n_inputs)),)
+
+
+def _reconstruction_error(asm, members):
+    """The largest entry of sum_{lam: lam(x) = a} members[lam] - sigma[a, x] over every (a, x)."""
+    n_outcomes, n_inputs = asm.sigma.shape[:2]
+    rebuilt = np.zeros_like(asm.sigma)
+    for lam, strategy in enumerate(deterministic_strategies(n_inputs, n_outcomes)):
+        rebuilt[strategy, np.arange(n_inputs)] += members[lam]
+    return np.abs(rebuilt - asm.sigma).max()
+
+
+@pytest.mark.parametrize("rho, povms", [
+    *((isotropic_state(3, round(0.1 * k, 1)), mub_povms(3, 4)) for k in range(1, 11)),
+    *((werner_state(v), family) for v in (0.5, 0.9) for family in (pauli_xz(), mub_povms(2, 3))),
+    *((werner_state(1.0), [apply_loss(p, eta) for p in pauli_xz()]) for eta in (0.4, 0.95)),
+    *((isotropic_state(5, v), fourier_and_computational(5)) for v in (0.3, 0.9)),
+], ids=[*(f"isotropic qutrits, 4 MUBs, v = {0.1 * k:.1f}" for k in range(1, 11)),
+        *(f"Werner v = {v} under {name}" for v in (0.5, 0.9) for name in ("X, Z", "X, Z, Y")),
+        *(f"Werner under lossy X, Z at eta = {eta}" for eta in (0.4, 0.95)),
+        *(f"isotropic d = 5, Fourier and computational, v = {v}" for v in (0.3, 0.9))])
+def test_the_covariant_lhs_test_agrees_with_the_full_problem(monkeypatch, rho, povms):
+    from steercert import scenario
+    from steercert.scenario import _lhs_problem, _symmetry
+
+    asm = assemblage_from(rho, povms)
+    n_outcomes, n_inputs, d = asm.sigma.shape[:3]
+    table = _symmetry(asm.sigma)
+    assert len(table) == d * d  # the whole Weyl-Heisenberg group
+    reduced = lhs_test(asm)
+    assert len(_lhs_problem(n_outcomes, n_inputs, d, table)[0].block_dims) < n_outcomes**n_inputs + 1
+    monkeypatch.setattr(scenario, "_symmetry", _trivial_group)
+    full = lhs_test(asm)
+    full_parent = _lhs_problem(n_outcomes, n_inputs, d, _trivial_group(asm.sigma))[0]
+    assert full_parent.block_dims == (d,) * n_outcomes**n_inputs + (1,)
+    assert abs(reduced.robustness - full.robustness) <= 1e-9
+    assert reduced.is_lhs == full.is_lhs
+    for result in (reduced, full):
+        assert result.members is None or _reconstruction_error(asm, result.members) <= 1e-9
+
+
+def test_data_covariant_only_to_rounding_take_the_trivial_group():
+    from steercert.scenario import _symmetry
+
+    asm = assemblage_from(isotropic_state(3, 0.7), mub_povms(3, 4))
+    assert len(_symmetry(asm.sigma)) == 9
+    rng = np.random.default_rng(7)
+    h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    vals, vecs = np.linalg.eigh(h + dagger(h))
+    u = vecs @ np.diag(np.exp(1e-10j * vals)) @ dagger(vecs)  # exp(i eps H), eps = 1e-10
+    rotated = Assemblage(u @ asm.sigma @ dagger(u))  # still an assemblage, covariant to about 1e-10
+    assert 1e-12 < np.abs(rotated.sigma - asm.sigma).max() < 1e-9
+    assert _symmetry(rotated.sigma) == _trivial_group(rotated.sigma)
+    # with v = 0 every block is I / 9, so no outcome permutation is singled out
+    blank = assemblage_from(isotropic_state(3, 0.0), mub_povms(3, 4))
+    assert _symmetry(blank.sigma) == _trivial_group(blank.sigma)
+
+
+def test_non_covariant_data_solve_the_full_problem_bit_for_bit():
+    from steercert import sdp
+    from steercert.scenario import _symmetry
+
+    rng = np.random.default_rng(44)  # the product state of test_lhs_product_state_zero_robustness
+    asm = assemblage_from(kron(random_density(2, rng), random_density(2, rng)), pauli_xz())
+    assert _symmetry(asm.sigma) == _trivial_group(asm.sigma)
+    # the full problem, built as it was before the reduction: one identity term per strategy
+    strategies, noise = deterministic_strategies(2, 2), np.eye(2) / 4
+    t_term = sdp.term_stack(2, lambda e: -np.real(np.sum(np.conj(e) * noise, axis=(-2, -1)))[:, None, None]
+                            * np.eye(1, dtype=complex))
+    equalities = [sdp.MatrixEquality({**{lam: sdp.term_stack(2) for lam in range(4) if strategies[lam, x] == a},
+                                      4: t_term}, asm.sigma[a, x]) for a, x in np.ndindex(2, 2)]
+    full = sdp.solve(sdp.SdpProblem((2,) * 4 + (1,), [None] * 4 + [-np.eye(1, dtype=complex)],
+                                    sdp.expand(equalities)))
+    result = lhs_test(asm)
+    assert result.robustness == max(0.0, -full.primal_value)
+    assert np.array_equal(result.members, np.stack(full.primal[:4]))
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_lossy_isotropic_data_lose_their_lhs_model_above_half_efficiency(d):
+    # the paper's threshold on the LHS side: a model exists at eta = 1/2 and none just above it
+    def lhs(eta):
+        return lhs_test(assemblage_from(isotropic_state(d, 1.0),
+                                        [apply_loss(p, eta) for p in fourier_and_computational(d)]))
+
+    assert lhs(0.5).is_lhs
+    assert lhs(0.51).robustness > 1e-3
 
 
 def test_measurement_families_are_built_once():
