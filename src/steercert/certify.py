@@ -52,8 +52,8 @@ from .scenario import Assemblage, assemblage_from, steering_adjoint
 
 CONSISTENCY_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-11  # relative eigenvalue threshold for facial reduction
-# the steering parents kept, least recently used dropped first; keyed by face ranks, not isometry bytes
-# (see _steering_parent), so a sweep whose faces turn point by point keeps one parent, not eight
+# the steering parents kept, least recently used dropped first; keyed by face ranks, not isometries, and
+# rebuilt in place only when a face leaves its subspace (see _steering_parent): one parent per sweep, not eight
 SHARED_STRUCTURES = 8
 
 
@@ -336,15 +336,21 @@ _steering_parents: OrderedDict = OrderedDict()
 def _steering_parent(supports: list[list[np.ndarray]], x_star: int, guess_outcome, guess_target: np.ndarray):
     """The grid, parent problem and kept equalities of the steering certification on the faces
     ``supports``, whose consistency right-hand sides are the only data. An unreduced problem's
-    faces are identities. Parents are keyed by all they are built from but the face isometries,
-    whose bytes each entry holds: a call on other isometries of the same ranks rebuilds its entry."""
+    faces are identities. Parents are keyed by all they are built from but the face isometries.
+    An entry serves a call each of whose faces v spans the subspace of the face w it was built
+    for, max|v - w w^dag v| <= 1e-12 (equal bytes are tested first), and returns its own grid,
+    on whose ``supports`` the caller compresses the data and reads the functional; a call on
+    other subspaces rebuilds the entry in place. So a shared point's result can depend, at the
+    rounding level, on which point built the entry."""
     n_a, m, d = len(supports), len(supports[0]), supports[0][0].shape[0]
     target = np.ascontiguousarray(guess_target, dtype=complex)
     key = (n_a, m, d, x_star, tuple(int(a) for a in guess_outcome), target.tobytes(),
            tuple(v.shape[1] for row in supports for v in row))
     faces = b"".join(v.tobytes() for row in supports for v in row)
     entry = _steering_parents.pop(key, None)
-    if entry is None or entry[0] != faces:
+    if entry is None or entry[0] != faces and any(np.abs(v - w @ (w.conj().T @ v)).max(initial=0.0) > 1e-12
+                                                  for row, built in zip(supports, entry[1].supports)
+                                                  for v, w in zip(row, built)):
         grid = _EveGrid(len(guess_outcome), supports)
         targets = {(e, int(a), x_star): target[e] for e, a in enumerate(guess_outcome)}
         unobserved = np.zeros((n_a, m, d, d), dtype=complex)
@@ -499,7 +505,7 @@ def _solve_steering(
     faces = {(a, x): grid.compressed(a, x, asm.sigma[a, x]) / n_guess for a, x in kept[0]}
     sol, (f, g) = _solve(problem, kept, solver_opts, [faces[a, x] for _, a, x in grid.ids])
     functional = _steering_functional(_gridded(f, (n_a, m), d), _gridded({key: -y for key, y in g.items()},
-                                      (n_guess, m), d), x_star, guess_outcome, guess_target, supports)
+                                      (n_guess, m), d), x_star, guess_outcome, guess_target, grid.supports)
     return _result(sol, functional, joint=JointAssemblage(grid.unpack(sol.primal)))
 
 

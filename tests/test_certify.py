@@ -488,13 +488,63 @@ def test_face_reduced_certifications_share_a_parent_bit_for_bit(monkeypatch):
     assert res.functional.supports is not None and again._shared is problem._shared
     assert len(_steering_parents) == 1 and _steering_parents[key] is entry
     _results_identical(res, fresh)
-    # the same face ranks on other isometries: the entry is rebuilt in place, not added
+    # the same face ranks on other subspaces: the entry is rebuilt in place, not added
     u = random_unitary(2, np.random.default_rng(5))
     rotated = [Povm(u @ p.elements @ dagger(u)) for p in pauli_xz()]
     (fresh, _), (res, other) = _afresh_and_shared(monkeypatch, certify_local, _lossy(0.8, rotated), 0)
     assert other._shared is not None and other._shared is not problem._shared
     assert len(_steering_parents) == 1 and _steering_parents[key] is not entry
     _results_identical(res, fresh)
+
+
+def _fig4_sdp_points():
+    """The 9 fig4_qutrit_loss points an SDP decides, eta = 0.55 to 0.95, in sweep order: eta <= 0.5 is
+    decided by the loss attack, and the pure data at eta = 1 in closed form."""
+    from steercert.cli import presets
+
+    config = presets()["fig4_qutrit_loss"]
+    return [config.at_parameter(eta) for eta in config.sweep_values() if 0.505 < eta < 0.995]
+
+
+def test_the_lossy_qutrit_sweep_shares_one_parent_and_one_structure(monkeypatch):
+    # its click faces have rank 1, and eigh returns their eigenvectors a few 1e-16 apart from one eta
+    # to the next: the same subspaces in other bytes
+    import steercert.sdp as sdp_module
+    from steercert.certify import _steering_parents
+    from steercert.cli import _certify_point
+
+    builds, solutions, init, solve = [], [], sdp_module.Structure.__init__, sdp_module.solve
+    monkeypatch.setattr(sdp_module.Structure, "__init__", lambda self, *a: builds.append(1) or init(self, *a))
+    monkeypatch.setattr(sdp_module, "solve", lambda *a, **kw: solutions.append(solve(*a, **kw)) or solutions[-1])
+    points = _fig4_sdp_points()
+    _steering_parents.clear()
+    warm = [(_certify_point(point), solutions[-1]) for point in points]
+    assert len(points) == len(solutions) == 9
+    assert len(_steering_parents) == 1 and len(builds) == 1
+    for point, (res, sol) in zip(points, warm):
+        _steering_parents.clear()
+        cold, cold_sol = _certify_point(point), solutions[-1]
+        assert res.status is cold.status is SolverStatus.OPTIMAL and sol.iterations == cold_sol.iterations
+        assert abs(res.p_guess - cold.p_guess) <= 1e-12 and abs(res.dual_value - cold.dual_value) <= 1e-12
+        assert res.functional.feasibility_margin() >= -1e-12  # on the faces the structure was built for
+    assert len(builds) == 10
+
+
+def test_a_parent_is_shared_by_isometries_of_its_subspaces_only():
+    from steercert.certify import _steering_parent, _steering_parents, _supports
+
+    _steering_parents.clear()
+    supports, targets = _supports(_lossy(0.8).sigma), np.eye(2, dtype=complex)[None].repeat(3, axis=0)
+    grid, parent, _ = _steering_parent(supports, 0, np.arange(3), targets)
+    # v -> -v spans the same subspace: the entry built for v serves, with its own faces
+    flipped = [[-v for v in row] for row in supports]
+    again, shared, _ = _steering_parent(flipped, 0, np.arange(3), targets)
+    assert shared is parent and again.supports is supports and len(_steering_parents) == 1
+    # exp(i eps Y) with eps = 1e-8 keeps every rank but turns each rank-1 face, an eigenvector of X or Z, by eps
+    u = np.cos(1e-8) * np.eye(2) + np.sin(1e-8) * np.array([[0, 1], [-1, 0]])
+    rotated = [[u @ v for v in row] for row in supports]
+    other, rebuilt, _ = _steering_parent(rotated, 0, np.arange(3), targets)
+    assert rebuilt is not parent and other.supports is rotated and len(_steering_parents) == 1
 
 
 def test_data_off_a_face_of_rank_0_is_refused_on_every_call(monkeypatch):
