@@ -52,8 +52,8 @@ from .scenario import Assemblage, assemblage_from, steering_adjoint
 
 CONSISTENCY_TOL = 1e-8
 SUPPORT_CUTOFF = 1e-11  # relative eigenvalue threshold for facial reduction
-# the steering parents kept, least recently used dropped first; keyed by face ranks, not isometries, and
-# rebuilt in place only when a face leaves its subspace (see _steering_parent): one parent per sweep, not eight
+# the steering parents kept, least recently used dropped first; keyed by face ranks, not isometries, and rebuilt
+# in place only when a face leaves its subspace by more than 1e-12 (see _steering_parent): one per sweep, not eight
 SHARED_STRUCTURES = 8
 
 
