@@ -329,7 +329,7 @@ def _solve(problem: sdp.SdpProblem, kept: list[dict], solver_opts: dict | None =
     return sol, [{key: next(multipliers) for key in group} for group in kept]
 
 
-# (n_a, m, d, x*, guess outcomes, guess-target bytes, face ranks) -> (isometry bytes, grid, parent, kept)
+# (n_a, m, d, x*, guess outcomes, guess-target bytes, face ranks) -> (grid, parent, kept)
 _steering_parents: OrderedDict = OrderedDict()
 
 
@@ -338,28 +338,26 @@ def _steering_parent(supports: list[list[np.ndarray]], x_star: int, guess_outcom
     ``supports``, whose consistency right-hand sides are the only data. An unreduced problem's
     faces are identities. Parents are keyed by all they are built from but the face isometries.
     An entry serves a call each of whose faces v spans the subspace of the face w it was built
-    for, max|v - w w^dag v| <= 1e-12 (equal bytes are tested first), and returns its own grid,
-    on whose ``supports`` the caller compresses the data and reads the functional; a call on
-    other subspaces rebuilds the entry in place. So a shared point's result can depend, at the
-    rounding level, on which point built the entry."""
+    for, max|v - w w^dag v| <= 1e-12, and returns its own grid, on whose ``supports`` the caller
+    compresses the data and reads the functional; a call on other subspaces rebuilds the entry
+    in place. So a shared point's result can depend, at the rounding level, on which point
+    built the entry."""
     n_a, m, d = len(supports), len(supports[0]), supports[0][0].shape[0]
     target = np.ascontiguousarray(guess_target, dtype=complex)
     key = (n_a, m, d, x_star, tuple(int(a) for a in guess_outcome), target.tobytes(),
            tuple(v.shape[1] for row in supports for v in row))
-    faces = b"".join(v.tobytes() for row in supports for v in row)
     entry = _steering_parents.pop(key, None)
-    if entry is None or entry[0] != faces and any(np.abs(v - w @ (w.conj().T @ v)).max(initial=0.0) > 1e-12
-                                                  for row, built in zip(supports, entry[1].supports)
-                                                  for v, w in zip(row, built)):
+    if entry is None or any(np.abs(v - w @ (w.conj().T @ v)).max(initial=0.0) > 1e-12
+                            for row, built in zip(supports, entry[0].supports) for v, w in zip(row, built)):
         grid = _EveGrid(len(guess_outcome), supports)
         targets = {(e, int(a), x_star): target[e] for e, a in enumerate(guess_outcome)}
         unobserved = np.zeros((n_a, m, d, d), dtype=complex)
-        entry = (faces, grid, *grid.problem(
+        entry = (grid, *grid.problem(
             targets, [grid.consistency(grid.embedded, unobserved), grid.no_signalling(x_star)]))
     _steering_parents[key] = entry
     if len(_steering_parents) > SHARED_STRUCTURES:
         _steering_parents.popitem(last=False)
-    return entry[1:]
+    return entry
 
 
 def _gridded(values: dict, shape: tuple[int, ...], d: int) -> np.ndarray:
