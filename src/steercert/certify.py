@@ -187,6 +187,8 @@ class CertificationResult:
 
     @property
     def gap(self) -> float:
+        """|p_guess - dual_value|. An optimal solve bounds the relative gap |p - d| / (1 + |p|) by its gap_tol
+        (1e-9 by default) or, ended short of it, by 1e-8: so where p_guess is near 1 this can reach twice that."""
         return abs(self.p_guess - self.dual_value)
 
     @property

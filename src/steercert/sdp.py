@@ -15,7 +15,10 @@ rows) are halved coming out. The dual residual is reported unscaled.
 
 Blocks of equal dimension form a group: one ``(2 n_g, D, D)`` stack [X; Z] (D = 2d), worked
 on by batched numpy calls: one Cholesky and one SVD for the NT scaling, and one ``eigvalsh`` for
-both steps to the boundary, from the NT factors F (F X F^T = I). Rows enter the Newton loop in
+both steps to the boundary, from the NT factors F (F X F^T = I). A group of d = 1 holds scalars a,
+not a I_2 (D = 1, ``_scalar_coordinates``): its Cholesky is sqrt, its SVD a product and its step f delta f,
+with no LAPACK call, and the objective, xi_d, mu and mu_aff count each a twice, as a I_2 did; so it solves
+as a I_2 bit for bit, and reads a 1 x 1 objective by its real part. Rows enter the Newton loop in
 d*d coordinates per Hermitian block (``_coordinates``), whose reads project onto the realified
 image that rounding leaves; the matrices stay realified, since complex steps and scaling drift
 off it. Right operands of batched matmuls are C-contiguous (numpy multiplies a transposed one
@@ -23,7 +26,7 @@ without BLAS). The Schur complement takes each block on the rows a it touches on
 where K holds the coordinates of T E_l T over the d*d basis matrices E_l (``_kernels``); it and
 every sum over blocks add the blocks in the caller's order. Cholesky, SVD and eigvalsh call
 the gufuncs ``numpy.linalg`` dispatches to, without its wrappers, whose checks and per-call
-``errstate`` cost more than factorising blocks of order 2 to 8; a failure's NaN is raised as
+``errstate`` cost more than factorising blocks of order 4 to 8; a failure's NaN is raised as
 ``LinAlgError``.
 
 The algorithm is infeasible-start path following with Nesterov-Todd
@@ -336,10 +339,18 @@ def _coords(mats: np.ndarray, coordinates) -> np.ndarray:
     return (mats.reshape(-1, len(copies)) @ copies).reshape(mats.shape[:-2] + scale.shape) * scale
 
 
+@functools.cache
+def _scalar_coordinates():
+    """``_coordinates(1)`` for scalars a, not a I_2: one copy of weight 2, the basis [[scale]]; read-only."""
+    copies, copies_t, scale, from_svec, basis = _coordinates(1)
+    (two := copies.sum(0, keepdims=True)).setflags(write=False)
+    return two, copies_t[:, :1], scale, from_svec, basis[:, :1, :1]
+
+
 def _matrices(coords: np.ndarray, coordinates) -> np.ndarray:
     """The D x D matrices sum_k c_k E_k of a stack of coordinates, by one GEMM."""
     _, copies_t, scale, *_ = coordinates
-    dim = 2 * math.isqrt(len(scale))
+    dim = math.isqrt(copies_t.shape[-1])
     return ((coords * scale).reshape(-1, len(scale)) @ copies_t).reshape(coords.shape[:-1] + (dim, dim))
 
 
@@ -352,6 +363,13 @@ def _nt_scaling(xz: np.ndarray, eye: np.ndarray):
     = diag(lam) = W, with G = L_X V W^-1/2 and G^-T = L_Z U W^-1/2 from L_Z^T L_X = U W V^T. Returns
     G, G^T, G^-T, lam, W, T = G G^T and [F_X^T; F_Z^T] = [G^-T; G] W^-1/2, all C-contiguous."""
     n = len(xz) // 2
+    if xz.shape[-1] == 1:  # L = sqrt, the SVD a product; a block outside (0, inf) raises, as potrf's NaN does
+        if not ((xz > 0.0) & (xz < np.inf)).all():
+            raise np.linalg.LinAlgError("[X; Z] is not positive definite")
+        lx, lz = (root := np.sqrt(xz))[:n], root[n:]
+        scale = (lam := np.maximum((lz * lx)[..., 0], 1e-300))[..., None] ** -0.5
+        g, ginv_t = lx * scale, lz * scale
+        return g, g, ginv_t, lam, lam[..., None] * eye, g * g, np.concatenate([ginv_t * scale, g * scale])
     with np.errstate(invalid="ignore"):  # a failed factorisation is NaN, and so are its products
         chol = _cholesky(xz, signature="d->d")
         lx, lz = chol[:n], chol[n:]
@@ -370,7 +388,8 @@ def _max_steps(factors: list[np.ndarray], deltas: list[np.ndarray]) -> tuple[flo
     group [F_X^T; F_Z^T] (F M F^T = I, so M + alpha*Delta >= 0 iff I + alpha F Delta F^T >= 0)."""
     lam_p = lam_d = np.inf
     for ft, delta in zip(factors, deltas):
-        lam = _eigvalsh(_sym(ft.mT @ delta @ ft), signature="d->d")[:, 0]
+        lam = ((ft * delta * ft)[:, 0] if ft.shape[-1] == 1 else
+               _eigvalsh(_sym(ft.mT @ delta @ ft), signature="d->d"))[:, 0]
         n = len(lam) // 2
         lo_p, lo_d = lam[:n].min(), lam[n:].min()
         if lo_p != lo_p or lo_d != lo_d:  # NaN: eigvalsh did not converge
@@ -549,9 +568,11 @@ class Structure:
         self.block_dims, self.m = tuple(problem.block_dims), len(rows)
         self.dims = [2 * c.shape[-1] for c in objectives]
         self.sizes = [len(blocks) for blocks in groups]
-        self.eyes = [np.eye(d) for d in self.dims]
-        self.coordinates = [_coordinates(c.shape[-1]) for c in objectives]
-        self.cmats = [_realify(c) for c in objectives]
+        self.scalar = [c.shape[-1] == 1 for c in objectives]  # groups of 1 x 1 blocks, kept as scalars
+        self.coordinates = [_scalar_coordinates() if s else _coordinates(len(c[0]))
+                            for c, s in zip(objectives, self.scalar)]
+        self.cmats = [np.ascontiguousarray(c.real) if s else _realify(c) for c, s in zip(objectives, self.scalar)]
+        self.eyes = [np.eye(c.shape[-1]) for c in self.cmats]
         self.groups = groups
         flat = [k for blocks in groups for k in blocks.tolist()]
         self.order = None if flat == sorted(flat) else np.argsort(flat)  # None: already in it
@@ -561,7 +582,8 @@ class Structure:
         kept = rows[self.keep]
         self.row_norms = np.sqrt(np.add.reduce(kept * kept, axis=1))  # np.linalg.norm's, for the start point
         # the largest Frobenius norm of a realified objective block, each by one ddot as in np.linalg.norm
-        sq = max(float((f[:, None, :] @ f[:, :, None]).max()) for f in (c.reshape(len(c), -1) for c in self.cmats))
+        sq = max(float(f.max()) for f in self.doubled([(f[:, None, :] @ f[:, :, None])
+                                                        for f in (c.reshape(len(c), -1) for c in self.cmats)]))
         self.xi_d = max(1.0, np.sqrt(sq)) * np.sqrt(max(self.dims))
         self.z_start = [self.xi_d * eye[None].repeat(n, axis=0) for eye, n in zip(self.eyes, self.sizes)]
         self.a3 = self.a_sp = self.a_t = self.schur_plan = None
@@ -592,8 +614,13 @@ class Structure:
         blocks = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return np.add.accumulate(blocks if self.order is None else blocks[self.order])[-1]
 
+    def doubled(self, parts):
+        """Per-group parts, a scalar group's doubled, as its realified a I_2 counted each a twice."""
+        return [2.0 * p if s else p for p, s in zip(parts, self.scalar)]
+
     def objective(self, xzs):
-        return 0.5 * self.block_sum([(c * xz[:n]).sum(axis=(-2, -1)) for c, xz, n in zip(self.cmats, xzs, self.sizes)])
+        return 0.5 * self.block_sum(self.doubled([(c * xz[:n]).sum(axis=(-2, -1))
+                                                  for c, xz, n in zip(self.cmats, xzs, self.sizes)]))
 
     def op_a(self, mats):
         parts = []
@@ -651,7 +678,7 @@ def solve(
             y[keep] = y_red
         pval = st.objective(xzs) if pval is None else pval
         dval = 0.5 * float(b @ y)
-        herms = [derealify(xz) for xz in xzs]
+        herms = [xz + 0j if s else derealify(xz) for xz, s in zip(xzs, st.scalar)]
         primal = st.in_order([h[:n] for h, n in zip(herms, sizes)])
         slacks = st.in_order([h[n:] for h, n in zip(herms, sizes)])
         return SdpSolution(primal, y, slacks, float(pval), dval, status, iters, pres, dres,
@@ -667,14 +694,14 @@ def solve(
     mr = len(keep)
     if mr == 0:
         raise ValueError("a well-formed problem needs at least one linearly independent constraint")
-    op_a, op_at, block_sum, objective = st.op_a, st.op_at, st.block_sum, st.objective
+    op_a, op_at, block_sum, objective, doubled = st.op_a, st.op_at, st.block_sum, st.objective, st.doubled
 
     # infeasible start: scaled identities sized from the data, or the caller's primal blocks
     if start is None:
         xi_p = max(1.0, float(np.max(np.abs(b_red) / (1.0 + st.row_norms)))) * np.sqrt(max(st.dims))
         xs = [xi_p * eye[None].repeat(n, axis=0) for eye, n in zip(eyes, sizes)]
     else:
-        xs = [_realify(stack) for stack in start]
+        xs = [stack.real if s else _realify(stack) for stack, s in zip(start, st.scalar)]
     # each group's X and Z blocks as one stack [X; Z]
     xzs = [np.concatenate([x, z]) for x, z in zip(xs, st.z_start)]
     y = np.zeros(mr)
@@ -731,7 +758,7 @@ def solve(
             status = SolverStatus.NUMERICAL_TROUBLE
             break
 
-        mu = block_sum([np.matmul(lam[:, None, :], lam[:, :, None])[:, 0, 0] for lam in lams]) / n_total
+        mu = block_sum(doubled([np.matmul(lam[:, None, :], lam[:, :, None])[:, 0, 0] for lam in lams])) / n_total
 
         schur = _schur(tmats, st.a_sp, st.a_t, st.coordinates, st.schur_plan)
         diag_mean = max(float(schur.diagonal().sum()) / mr, 1e-300)
@@ -770,8 +797,8 @@ def solve(
         # predictor: aim at the complementarity target 0
         dxz_aff, _ = newton_step([-w for w in wmats])
         ap, ad = (min(1.0, s) for s in _max_steps(factors, dxz_aff))
-        mu_aff = block_sum([(s[:n] * s[n:]).sum(axis=(-2, -1))
-                            for s, n in zip(stepped(ap, ad, dxz_aff), sizes)]) / n_total
+        mu_aff = block_sum(doubled([(s[:n] * s[n:]).sum(axis=(-2, -1))
+                                    for s, n in zip(stepped(ap, ad, dxz_aff), sizes)])) / n_total
         sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
 
         # corrector with Mehrotra second-order term, in the scaled space

@@ -506,6 +506,25 @@ def _fig4_sdp_points():
     return [config.at_parameter(eta) for eta in config.sweep_values() if 0.505 < eta < 0.995]
 
 
+def test_every_sdp_point_of_the_preset_sweeps_has_a_relative_gap_within_gap_tol(monkeypatch):
+    # an optimal solve bounds |p - d| / (1 + |p|) by gap_tol = 1e-9, so the printed gap |p_guess - dual_value|
+    # may exceed 1e-9 where p_guess is near 1: fig2 at v = 0.73 prints 1.92e-9, fig4_qutrit_loss at eta = 0.6 1.29e-9
+    import steercert.sdp as sdp_module
+    from steercert.cli import _certify_point, presets
+
+    solves, solve = [], sdp_module.solve
+    monkeypatch.setattr(sdp_module, "solve", lambda *a, **kw: solves.append(1) or solve(*a, **kw))
+    relative = {}  # (preset, sweep value) -> gap / (1 + p_guess), at the points an SDP decides
+    for name, config in presets().items():
+        for value in config.sweep_values() if config.kind != "seesaw" else ():
+            before, result = len(solves), _certify_point(config.at_parameter(value))
+            if len(solves) > before:
+                assert result.status is SolverStatus.OPTIMAL
+                relative[name, value] = result.gap / (1.0 + result.p_guess)
+    assert {name for name, _ in relative} == {"fig2", "fig3_qubit", "fig4_qutrit_loss", "fig_global", "fig_pm"}
+    assert max(relative.values()) <= 1e-9
+
+
 def test_the_lossy_qutrit_sweep_shares_one_parent_and_one_structure(monkeypatch):
     # its click faces have rank 1, and eigh returns their eigenvectors a few 1e-16 apart from one eta
     # to the next: the same subspaces in other bytes

@@ -694,6 +694,92 @@ def test_a_block_that_is_not_positive_definite_fails_the_scaling():
             _nt_scaling(xz, np.eye(4))
 
 
+def _realified_scalars(a):
+    """The stack a I_2 of a stack of 1 x 1 blocks, its off-diagonal entries exact zeros."""
+    return np.where(np.eye(2, dtype=bool), a, 0.0)
+
+
+def _diagonals(got):
+    """The diagonals of a stack of matrices; lam, a stack of vectors, as it is."""
+    return got if got.ndim == 2 else np.diagonal(got, axis1=-2, axis2=-1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scalar_blocks_scale_and_step_as_their_realification_bit_for_bit(seed):
+    # 1 x 1 blocks are kept as scalars a; the engine used to realify them to a I_2 and call LAPACK
+    rng = np.random.default_rng(70 + seed)
+    n = int(rng.integers(1, 60))
+    xz = 10.0 ** rng.uniform(-12, 4, (2 * n, 1, 1))
+    scalar, realified = _nt_scaling(xz, np.eye(1)), _nt_scaling(_realified_scalars(xz), np.eye(2))
+    for got, want in zip(scalar, realified):
+        assert got.shape[-1] == 1 and _identical(_diagonals(want), _diagonals(got).repeat(2, -1))
+        if want.ndim == 3:
+            assert np.array_equal(want, _realified_scalars(got))  # nothing off the diagonal
+    delta = rng.choice([-1.0, 1.0], (2 * n, 1, 1)) * 10.0 ** rng.uniform(-12, 4, (2 * n, 1, 1))
+    delta[[0, n]] = -1.0  # a step to the boundary for X and for Z
+    for d in (delta, np.abs(delta)):
+        assert _max_steps([scalar[-1]], [d]) == _max_steps([realified[-1]], [_realified_scalars(d)])
+    assert np.isfinite(_max_steps([scalar[-1]], [delta])).all()
+    assert _max_steps([scalar[-1]], [np.abs(delta)]) == (np.inf, np.inf)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+def test_a_scalar_block_that_is_not_positive_fails_the_scaling_as_its_realification(bad):
+    import warnings
+
+    xz = 10.0 ** np.random.default_rng(75).uniform(-12, 4, (8, 1, 1))
+    xz[5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack, eye in ((xz, np.eye(1)), (_realified_scalars(xz), np.eye(2))):
+            with pytest.raises(np.linalg.LinAlgError):
+                _nt_scaling(stack, eye)
+
+
+def _lapack_calls(monkeypatch):
+    """The shapes of the stacks sdp's Cholesky, SVD and eigvalsh gufuncs are called on from here on."""
+    import steercert.sdp as sdp_module
+
+    shapes = []
+    for name in ("_cholesky", "_svd", "_eigvalsh"):
+        monkeypatch.setattr(sdp_module, name, lambda a, *args, f=getattr(sdp_module, name), **kw:
+                            shapes.append(a.shape) or f(a, *args, **kw))
+    return shapes
+
+
+@pytest.mark.parametrize("preset, value, lapack_dims", [("fig_pm", 0.7, set()), ("fig4_qutrit_loss", 0.8, {6})])
+def test_scalar_blocks_call_no_lapack(monkeypatch, preset, value, lapack_dims):
+    # fig_pm's blocks are all 1 x 1; fig4_qutrit_loss has 48 of them next to 16 qutrit blocks
+    import steercert.sdp as sdp_module
+    from steercert.cli import _certify_point, presets
+
+    solves, solve = [], sdp_module.solve
+    monkeypatch.setattr(sdp_module, "solve", lambda p, **kw: solves.append((p.block_dims, s := solve(p, **kw))) or s)
+    shapes = _lapack_calls(monkeypatch)
+    result = _certify_point(presets()[preset].at_parameter(value))
+    assert result.status is SolverStatus.OPTIMAL
+    (dims, sol), = solves
+    assert 1 in dims and sol.iterations > 0
+    assert {2 * d for d in dims} - {2} == lapack_dims
+    assert {shape[1:] for shape in shapes} == {(d, d) for d in lapack_dims}
+
+
+def test_a_scalar_objective_is_read_by_its_real_part():
+    # its imaginary part, within the 1e-10 of the Hermiticity check, went into the realified
+    # objective's off-diagonal entries; a 1 x 1 block is no longer realified
+    rng = np.random.default_rng(77)
+    dims = (1, 2, 3, 2, 2)
+    objective = [np.array([[0.7]]), random_herm(2, rng), None, random_herm(2, rng), -np.eye(2)]
+    equalities = _mixed_equalities(rng)
+    rows = expand([MatrixEquality(eq.terms, r) for eq, r in zip(equalities, _met_by(equalities, dims, rng))])
+    want = solve(SdpProblem(dims, objective, rows))
+    assert want.status is SolverStatus.OPTIMAL
+    for imag in (4e-11, -4e-11):
+        _solutions_identical(solve(SdpProblem(dims, [objective[0] + 1j * imag, *objective[1:]], rows)), want)
+    with pytest.raises(ValueError, match="objective block 0 is not Hermitian"):
+        solve(SdpProblem(dims, [objective[0] + 1e-10j, *objective[1:]], rows))
+
+
 def test_a_step_out_of_the_cone_ends_in_numerical_trouble(monkeypatch):
     # the SDP of the first fig2 point; with steps past the boundary, [X; Z] leaves the PSD cone at
     # iteration 2. certify_local decides that unsteerable point by an attack, so the problem it
