@@ -63,7 +63,7 @@ dgeqp3, dtrtrs, dpotrf and dpotrs, with the workspace and layouts ``scipy.linalg
 A solve has a structural half and a data half. The structural half, a ``Structure``, depends
 only on the block dimensions, the objective and the term stacks: the checked row matrix's
 presolve (kept rows, dropped rows and R11^-1 R12), the kept rows' norms, their coordinate stacks,
-the sparse Schur plan and the realified objective, all read-only arrays derived from the
+the sparse Schur plan and the objective stacks, all read-only arrays derived from the
 problem, none a caller's. The data half is the right-hand sides, the dropped rows' consistency
 check, the start point and the Newton loop. The problems ``SdpProblem.with_rhs`` makes share
 the structure its first call builds from their parent, and ``solve`` runs their data half
@@ -559,8 +559,8 @@ def _checked_start(start, block_dims: tuple[int, ...], groups: list[np.ndarray])
 class Structure:
     """The half of ``solve`` that depends only on a problem's block dimensions, objective and term
     stacks, never on its right-hand sides: the checked row matrix's presolve (kept and dropped rows,
-    R11^-1 R12), the kept rows' norms, their coordinate stacks, the sparse Schur plan and the realified
-    objective; every array derived from the problem and read-only, none the caller's. ``solve``
+    R11^-1 R12), the kept rows' norms, their coordinate stacks, the sparse Schur plan and the objective
+    stacks; every array derived from the problem and read-only, none the caller's. ``solve``
     builds one per problem, except for the problems ``SdpProblem.with_rhs`` makes, which share one."""
 
     def __init__(self, problem: SdpProblem):
