@@ -11,7 +11,7 @@ from .certify import (
     certify_pm,
     min_entropy,
 )
-from .qlin import Povm, basis_povm, is_hermitian, is_psd, kron, min_eig, partial_trace
+from .qlin import Povm, basis_povm, is_hermitian, partial_trace
 from .scenario import (
     Assemblage,
     LhsResult,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import JointAssemblage, lhs_attack, loss_attack
-from .qlin import Povm, dagger, helstrom_pair, normalised
+from .qlin import Povm, dagger, eigh, eigvalsh, helstrom_pair, normalised
 from .scenario import Assemblage, assemblage_from, pauli_xz, schmidt_state
 
 
@@ -48,7 +48,7 @@ class PureQubitBound:
 
 def _purity_defects(asm: Assemblage) -> np.ndarray:
     traces = np.real(np.trace(asm.sigma, axis1=-2, axis2=-1))
-    tops = np.linalg.eigvalsh(asm.sigma)[..., -1]
+    tops = eigvalsh(asm.sigma)[..., -1]
     return np.where(traces > 1e-14, 1.0 - tops / np.maximum(traces, 1e-14), 0.0)
 
 
@@ -78,14 +78,15 @@ def pure_qudit_pg(lambdas) -> float:
     return 1.0 / lam.size
 
 
-def purify(rho: np.ndarray, *, tol: float = 1e-12) -> np.ndarray:
+def purify(rho: np.ndarray) -> np.ndarray:
     """Purification of rho as a tensor of shape (dim(rho), rank), built from
-    the eigendecomposition with eigenvalues sorted descending."""
+    the eigendecomposition with eigenvalues sorted descending; eigenvalues
+    at most 1e-12 of the largest are left out."""
     rho = np.asarray(rho, dtype=complex)
-    vals, vecs = np.linalg.eigh(0.5 * (rho + rho.conj().T))
+    vals, vecs = eigh(0.5 * (rho + rho.conj().T))
     order = np.argsort(vals)[::-1]
     vals, vecs = vals[order], vecs[:, order]
-    keep = vals > tol * max(vals[0], 1e-300)
+    keep = vals > 1e-12 * max(vals[0], 1e-300)
     vals, vecs = vals[keep], vecs[:, keep]
     return vecs * np.sqrt(vals)
 

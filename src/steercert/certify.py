@@ -33,9 +33,9 @@ see-saw's `_stepping_functional` takes it from the certification of the
 assemblage smoothed by uniform noise (`_smoothed`), which is not reduced; its
 value exceeds the optimum by an amount that shrinks as sqrt(delta).
 
-Every constraint is an equality between Hermitian matrices over a grid of
-Eve's compressed blocks (`_EveGrid`), expanded into rows and folded back into
-matrix multipliers by `sdp.MatrixEquality`, `sdp.expand` and `sdp.fold`.
+Every constraint is an `sdp.MatrixEquality` between Hermitian matrices over a grid
+of Eve's compressed blocks (`_EveGrid`); the problem's `constraints` are their rows,
+d*d per equality in basis order, and `sdp.fold` returns their matrix multipliers.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .qlin import Povm, dagger, eigh, eigvalsh, freeze, hermitian_basis, matrix_to_json, partial_trace, square_grid
+from .qlin import Povm, dagger, eigh, eigvalsh, freeze, matrix_to_json, partial_trace, square_grid
 from .scenario import Assemblage, assemblage_from, steering_adjoint
 
 CONSISTENCY_TOL = 1e-8
@@ -76,7 +76,7 @@ class JointAssemblage:
         return self.sigma_e.shape[0]
 
     def min_block_eig(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(0.5 * (self.sigma_e + dagger(self.sigma_e)))[..., 0]))
+        return float(np.min(eigvalsh(0.5 * (self.sigma_e + dagger(self.sigma_e)))[..., 0]))
 
     def consistency_defect(self, asm: Assemblage) -> float:
         return float(np.max(np.abs(self.sigma_e.sum(axis=0) - asm.sigma)))
@@ -236,9 +236,9 @@ def _supports(mats: np.ndarray) -> list[list[np.ndarray]]:
 
 def _check_left_out(supports: list[list[np.ndarray]], observed: np.ndarray) -> None:
     """The data observed[a, x] of each face of rank 0, which no block reproduces, must vanish: each of its
-    coefficients on ``hermitian_basis`` within CONSISTENCY_TOL."""
+    coefficients on the basis ``sdp.term_stack`` holds within CONSISTENCY_TOL."""
     for a, x in ((a, x) for a, row in enumerate(supports) for x, v in enumerate(row) if not v.shape[1]):
-        coefficients = (np.conj(hermitian_basis(observed.shape[-1])) * observed[a, x]).sum(axis=(-2, -1)).real
+        coefficients = (np.conj(sdp.term_stack(observed.shape[-1])) * observed[a, x]).sum(axis=(-2, -1)).real
         if np.abs(coefficients).max() > CONSISTENCY_TOL:
             raise CertificationError("observed data outside the supports the blocks were compressed onto")
 
@@ -309,7 +309,7 @@ class _EveGrid:
             if (e, a, x) in self.ids:
                 objective[self.ids[e, a, x]] = self.compressed(a, x, target)
         equalities = [eq for group in kept for eq in group.values()]
-        return sdp.SdpProblem(self.dims, objective, sdp.expand(equalities)), kept
+        return sdp.SdpProblem(self.dims, objective, equalities), kept
 
     def unpack(self, primal: list[np.ndarray]) -> np.ndarray:
         """Eve's operators V X V^dag as an (n_e, n_a, m, dim, dim) grid, zero on left-out blocks."""
@@ -400,7 +400,7 @@ def _closed_form(asm: Assemblage, supports, x_star: int, guess_outcome, guess_ta
     vs = np.array([supports[a][x][:, 0] for a, x in faces])
     target, outcome = np.asarray(guess_target, dtype=complex), np.asarray(guess_outcome, dtype=int)
     w = np.einsum("eij,eji->e", target, asm.sigma[outcome, x_star]).real
-    p_star, n_guess, basis = float(w.max()), len(w), hermitian_basis(d)
+    p_star, n_guess, basis = float(w.max()), len(w), sdp.term_stack(d)
     # row (a, x) reads <P_ax, G_ex> for x != x*, and -sum_x' <P_ax*, G_ex'> at x*, off the coefficients of G_ex'
     others = [x for x in range(m) if x != x_star]
     sign = (faces[:, 1:] == others) * 1.0 - (faces[:, 1:] == x_star)

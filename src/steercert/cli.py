@@ -52,7 +52,6 @@ SHAPES = {
     "bob_measurement": ("kind", dict.fromkeys(("pauli_x", "pauli_z", "computational", "fourier"), {})),
     "sweep": ("parameter", dict.fromkeys(("v", "eta"), {"start": float, "stop": float, "points": int})),
 }
-STATE_KINDS, MEASUREMENT_KINDS, BOB_KINDS, SWEEP_PARAMETERS = (tuple(tags) for _, tags in SHAPES.values())
 NUMBERS = {"eta": float, "x_star": int, "max_iters": int, "tol": float}
 # each measurement family by its kind, built from the parsed `measurements` object
 FAMILIES = {

@@ -2,7 +2,7 @@
 
 Matrices are dense ``numpy`` arrays with ``complex128`` entries. One global
 convention is used everywhere: tensor factors are ordered Alice-major, i.e.
-``kron(A, B)`` puts ``A`` on the slow (leftmost) index and composite
+``np.kron(A, B)`` puts ``A`` on the slow (leftmost) index and composite
 dimensions are written ``(d_A, d_B, ...)``.
 
 A measurement (`Povm`) holds its elements as one read-only ``(n, d, d)``
@@ -60,42 +60,15 @@ def _converged(vals, *vecs):
     return (vals, *vecs)
 
 
-def min_eig(a: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    Uses the symmetric (Hermitian) LAPACK path, which is deterministic and
-    accurate enough for PSD decisions at the 1e-10 scale.
-    """
-    a = np.asarray(a, dtype=complex)
-    if not is_hermitian(a, tol=1e-9):
-        raise ValueError(f"min_eig requires a Hermitian matrix (defect {hermiticity_defect(a):.3e})")
-    return float(np.linalg.eigvalsh(a)[0])
-
-
-def is_psd(a: np.ndarray, tol: float = PSD_TOL) -> bool:
-    """Whether ``a`` is Hermitian (within ``tol``) with spectrum >= -tol."""
-    return not not_psd(np.asarray(a)[None], tol)[0]
-
-
 def not_psd(stack: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
-    """Which matrices of a stack ``is_psd`` rejects, by one Hermiticity test and one
-    ``eigvalsh`` of the whole stack."""
+    """Which matrices of a stack are not Hermitian within ``tol`` with spectrum >= -tol,
+    by one Hermiticity test and one ``eigvalsh`` of the whole stack."""
     adjoint = dagger(stack)
     hermitian = np.abs(stack - adjoint).max(axis=(-2, -1)) <= max(tol, ALG_TOL)
     h = 0.5 * (stack + adjoint)
     if not hermitian.all():
         h[~hermitian] = 0.0  # no eigvalsh of a NaN
     return ~(hermitian & (eigvalsh(h)[..., 0] >= -tol))
-
-
-def kron(*ops: np.ndarray) -> np.ndarray:
-    """Tensor product with the first factor on the slow index (Alice-major)."""
-    if not ops:
-        raise ValueError("kron needs at least one operator")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
-    return out
 
 
 def partial_trace(m: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:

@@ -97,10 +97,8 @@ def bell_state(d: int = 2) -> np.ndarray:
 
 
 def werner_state(v: float) -> np.ndarray:
-    """Two-qubit mixture v |Phi+><Phi+| + (1 - v) I/4."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility v must lie in [0, 1], got {v}")
-    return v * bell_state(2) + (1.0 - v) * np.eye(4) / 4.0
+    """Two-qubit mixture v |Phi+><Phi+| + (1 - v) I/4: ``isotropic_state(2, v)``."""
+    return isotropic_state(2, v)
 
 
 def isotropic_state(d: int, v: float) -> np.ndarray:
@@ -302,16 +300,16 @@ def _lhs_problem(n_outcomes: int, n_inputs: int, d: int, table: tuple) -> tuple[
         terms = {i: term(h, n) for i, (h, n) in enumerate(zip(hs, stabiliser)) if h}
         equalities.append(sdp.MatrixEquality({**terms, t_block: t_term}, np.zeros((d, d), dtype=complex)))
         rhs_index.append(a * n_inputs + x)
-    return sdp.SdpProblem(block_dims, objective, sdp.expand(equalities)), rhs_index, expansion
+    return sdp.SdpProblem(block_dims, objective, equalities), rhs_index, expansion
 
 
-def lhs_test(asm: Assemblage, *, tol: float = LHS_TOL) -> LhsResult:
+def lhs_test(asm: Assemblage) -> LhsResult:
     """Decide membership in the local-hidden-state set.
 
     Solves the feasibility problem over hidden states indexed by the
     deterministic response functions, reporting the minimal uniform-noise
     weight t for which (asm + t * noise) / (1 + t) admits a decomposition.
-    t <= tol means the assemblage itself is unsteerable. Data covariant under
+    t <= LHS_TOL means the assemblage itself is unsteerable. Data covariant under
     the Weyl-Heisenberg group (`_symmetry`) are solved over one block per orbit
     of strategies, which loses nothing; the members are expanded from them, one
     per strategy in the order of `deterministic_strategies`.
@@ -328,7 +326,7 @@ def lhs_test(asm: Assemblage, *, tol: float = LHS_TOL) -> LhsResult:
     if solution.status is not sdp.SolverStatus.OPTIMAL:
         raise RuntimeError(f"LHS membership solve failed with status {solution.status}")
     robustness = max(0.0, -solution.primal_value)
-    is_lhs = robustness <= tol
+    is_lhs = robustness <= LHS_TOL
     members = None
     if is_lhs:
         members = np.stack([(u @ solution.primal[i] @ dagger(u)).mean(axis=0) for i, u in expansion])

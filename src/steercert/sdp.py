@@ -49,12 +49,12 @@ are reported as zero, which keeps the returned ``dual`` vector a valid
 certificate in the original row order. Each iteration's gap and residuals
 are logged at DEBUG level on the ``steercert`` logger.
 
-Callers state their constraints as ``MatrixEquality``s between Hermitian matrices,
-with one row per element of ``hermitian_basis``; ``fold`` returns each one's multiplier
-as a Hermitian matrix. ``solve`` builds its (m x N) row matrix from the term stacks in
-one pass: the distinct stacks of one shape are checked, realified and svec'd as one
-stack and scattered into the rows of every equality that uses them. ``expand``'s rows
-are made only when read; a hand-built list of ``LinearConstraint``s enters as 1 x 1 equalities.
+Constraints are one type: an ``SdpProblem`` takes a list of ``MatrixEquality``s between
+Hermitian matrices, and its ``constraints`` are their rows, d*d per equality in the order
+of ``hermitian_basis``; ``fold`` returns each one's multiplier as a Hermitian matrix.
+``solve`` builds its (m x N) row matrix from the term stacks in one pass: the distinct
+stacks of one shape are checked, realified and svec'd as one stack and scattered into the
+rows of every equality that uses them.
 
 dgeqp3, dtrtrs, dpotrf and dpotrs, with the workspace and layouts ``scipy.linalg`` gives them, are scipy's
 ``linalg/_flapack`` extension, loaded from its file so that ``scipy/linalg/__init__.py`` never runs and kept in
@@ -136,14 +136,6 @@ class SolverStatus(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
-    """One scalar equality sum_k <coeffs[k], X_k> = rhs (coeffs Hermitian)."""
-
-    coeffs: dict[int, np.ndarray]
-    rhs: float
-
-
 @functools.cache
 def _basis(d: int) -> np.ndarray:
     """``hermitian_basis(d)``, read-only and cached."""
@@ -172,8 +164,13 @@ def term_stack(d: int, adjoint=None) -> np.ndarray:
     return _basis(d) if adjoint is None else adjoint(_basis(d))
 
 
+def LinearConstraint(coeffs: dict[int, np.ndarray], rhs: float) -> MatrixEquality:
+    """The scalar equality sum_k <coeffs[k], X_k> = rhs (coeffs Hermitian), as a 1 x 1 ``MatrixEquality``."""
+    return MatrixEquality({k: np.asarray(a)[None] for k, a in coeffs.items()}, np.full((1, 1), rhs))
+
+
 @dataclass(eq=False)
-class _Rows(Sequence):  # the rows ``expand`` makes of ``equalities``
+class _Rows(Sequence):  # an ``SdpProblem``'s equalities, read as their rows
     equalities: list[MatrixEquality]
 
     def __len__(self) -> int:
@@ -183,7 +180,7 @@ class _Rows(Sequence):  # the rows ``expand`` makes of ``equalities``
         return self._rows[i]
 
     @functools.cached_property
-    def _rows(self) -> list[LinearConstraint]:
+    def _rows(self) -> list[MatrixEquality]:
         rhs = iter(_rhs_rows(self.equalities))
         return [LinearConstraint({k: t[r] for k, t in eq.terms.items()}, next(rhs))
                 for eq in self.equalities for r in range(eq.rhs.shape[-1] ** 2)]
@@ -209,12 +206,6 @@ def _rhs_rows(equalities: list[MatrixEquality]) -> np.ndarray:
     return out
 
 
-def expand(equalities: list[MatrixEquality]) -> Sequence[LinearConstraint]:
-    """The rows of each equality in turn, d*d of them in basis order, with every coefficient kept,
-    zero or not; made only when read, since ``solve`` reads the equalities themselves."""
-    return _Rows(list(equalities))
-
-
 def fold(equalities: list[MatrixEquality], y: np.ndarray) -> list[np.ndarray]:
     """Each equality's multiplier Y = sum_r y_r E_r, as a Hermitian matrix, from the multipliers
     ``y`` of its rows: the terms y_r E_r added one after another to a zero, in basis order, for all
@@ -234,9 +225,14 @@ class SdpProblem:
 
     block_dims: tuple[int, ...]
     objective: list[np.ndarray | None]
-    constraints: Sequence[LinearConstraint]  # a list, or the rows ``expand`` makes
+    # given as a list of equalities, kept as their rows: d*d per equality in basis order, each a 1 x 1
+    # equality with every coefficient kept, zero or not, made only when read (``solve`` reads the equalities)
+    constraints: Sequence[MatrixEquality]
     # the structure of the parent whose ``with_rhs`` made this problem, shared with its siblings
     _shared: Structure | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):  # a problem's own rows, as ``dataclasses.replace`` passes them, give their equalities
+        self.constraints = _Rows(list(getattr(self.constraints, "equalities", self.constraints)))
 
     @functools.cached_property
     def _children_structure(self) -> Structure:
@@ -245,7 +241,7 @@ class SdpProblem:
     def with_rhs(self, rhs) -> SdpProblem:
         """This problem with the right-hand side rhs[q] on equality q. Every problem made here
         shares one structure, built from this one at its first call: ``solve`` runs their data half only."""
-        equalities = _equalities(self.constraints)
+        equalities = self.constraints.equalities
         rhs = [np.asarray(r, dtype=complex) for r in rhs]
         if len(rhs) != len(equalities):
             raise ValueError(f"{len(rhs)} right-hand sides for {len(equalities)} equalities")
@@ -253,7 +249,7 @@ class SdpProblem:
             if r.shape != eq.rhs.shape:
                 raise ValueError(f"right-hand side {q} has shape {r.shape}, not {eq.rhs.shape}")
         child = SdpProblem(self.block_dims, list(self.objective),
-                           _Rows([MatrixEquality(eq.terms, r) for eq, r in zip(equalities, rhs)]))
+                           [MatrixEquality(eq.terms, r) for eq, r in zip(equalities, rhs)])
         child._shared = self._children_structure
         return child
 
@@ -483,16 +479,9 @@ def _check_hermitian(stack: np.ndarray, where, tol: float = 1e-10) -> None:
         raise ValueError(f"{where(*bad)} is not Hermitian (defect {defect[tuple(bad)]:.2e})")
 
 
-def _equalities(constraints) -> list[MatrixEquality]:
-    """The equalities behind ``expand``'s rows; hand-built rows as 1 x 1 equalities."""
-    return constraints.equalities if isinstance(constraints, _Rows) else [
-        MatrixEquality({k: np.asarray(a)[None] for k, a in con.coeffs.items()}, np.full((1, 1), con.rhs))
-        for con in constraints]
-
-
-def _rhs(constraints) -> np.ndarray:
+def _rhs(constraints: _Rows) -> np.ndarray:
     """b: the right-hand side of each row, doubled as realification doubles the rows."""
-    return 2.0 * _rhs_rows(_equalities(constraints))
+    return 2.0 * _rhs_rows(constraints.equalities)
 
 
 def _assemble(problem: SdpProblem):
@@ -502,7 +491,7 @@ def _assemble(problem: SdpProblem):
     dims = problem.block_dims
     if len(problem.objective) != len(dims):
         raise ValueError("objective must provide one entry per block (None for zero)")
-    equalities = _equalities(problem.constraints)
+    equalities = problem.constraints.equalities
     offsets = np.cumsum([0] + [d * (2 * d + 1) for d in dims])  # svec length of a realified block
     starts = list(itertools.accumulate((eq.rhs.shape[-1] ** 2 for eq in equalities), initial=0))
     uses = {}  # shape -> {id of a term stack of that shape: (the stack, [(first row, block) of each use])}
@@ -745,7 +734,7 @@ def solve(
         y_norm = float(abs(y).max())
         if y_norm > 1e8 * b_scale:
             ray = y / y_norm
-            ray_psd = all(np.min(np.linalg.eigvalsh(_sym(s))[..., 0]) >= -1e-6 for s in op_at(ray))
+            ray_psd = all(np.min(eigvalsh(_sym(s))[..., 0]) >= -1e-6 for s in op_at(ray))
             if ray_psd and float(b_red @ ray) < -1e-6:
                 status = SolverStatus.INFEASIBLE
                 break

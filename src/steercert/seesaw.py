@@ -195,7 +195,7 @@ def _measurements_sdp(weights: np.ndarray) -> list[Povm]:
     identity, eye_a = sdp.term_stack(d_a), np.eye(d_a, dtype=complex)
     completeness = [sdp.MatrixEquality({a * m + x: identity for a in range(n_a)}, eye_a) for x in range(m)]
     objective = list(-weights.reshape(n_a * m, d_a, d_a))
-    problem = sdp.SdpProblem((d_a,) * (n_a * m), objective, sdp.expand(completeness))
+    problem = sdp.SdpProblem((d_a,) * (n_a * m), objective, completeness)
     sol = sdp.solve(problem, **_SEESAW_SOLVER_OPTS)
     if sol.status is not sdp.SolverStatus.OPTIMAL:
         raise RuntimeError(f"measurement optimization failed with status {sol.status}")

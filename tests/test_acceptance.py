@@ -11,7 +11,7 @@ import numpy as np
 from steercert.analytic import eve_lower_bound, pure_qudit_pg
 from steercert.certify import certify_global, certify_local, certify_pm
 from steercert.cli import _certify_point, presets
-from steercert.qlin import basis_povm, dagger, kron, random_unitary
+from steercert.qlin import basis_povm, dagger, random_unitary
 from steercert.scenario import (
     apply_loss,
     assemblage_from,
@@ -246,7 +246,7 @@ def test_criterion_11_sandwich_oracle():
     worst_violation = -np.inf
     for k in range(20):
         lam = 0.05 + 0.4 * rng.random()
-        u = kron(random_unitary(2, rng), random_unitary(2, rng))
+        u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
         rho = u @ schmidt_state([1 - lam, lam]) @ dagger(u)
         povms = [basis_povm(random_unitary(2, rng)) for _ in range(2)]
         lower = eve_lower_bound(rho, povms, 0)

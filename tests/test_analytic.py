@@ -10,7 +10,7 @@ from steercert.analytic import (
     purify,
 )
 from steercert.certify import certify_local
-from steercert.qlin import Povm, basis_povm, dagger, kron, random_unitary
+from steercert.qlin import Povm, basis_povm, dagger, random_unitary
 from steercert.scenario import (
     assemblage_from,
     fourier_and_computational,
@@ -22,7 +22,7 @@ from steercert.scenario import (
 
 def random_pure_two_qubit(rng):
     lam = 0.05 + 0.4 * rng.random()
-    u = kron(random_unitary(2, rng), random_unitary(2, rng))
+    u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
     return u @ schmidt_state([1 - lam, lam]) @ dagger(u)
 
 

@@ -632,7 +632,8 @@ def test_the_trivial_start_is_strictly_feasible(monkeypatch, rho, povms, reduced
     # every row is a consistency or a no-signalling row: 4 per (a, x), and 4 per guess
     (n_a, m), n_guess = asm.sigma.shape[:2], res.joint.eve_alphabet
     assert n_guess == (n_a if bob is None else 4)
-    residuals = [sum(np.vdot(a, start[k]).real for k, a in row.coeffs.items()) - row.rhs for row in problem.constraints]
+    residuals = [sum(np.vdot(t[0], start[k]).real for k, t in row.terms.items()) - row.rhs[0, 0].real
+                 for row in problem.constraints]
     assert len(residuals) == 4 * (n_a * m + n_guess)
     assert np.max(np.abs(residuals)) <= 1e-12
 

@@ -13,7 +13,7 @@ def test_package_exports():
         "CertificationResult", "JointAssemblage", "SteeringFunctional", "certify_global", "certify_local",
         "certify_pm", "min_entropy",
         # qlin
-        "Povm", "basis_povm", "is_hermitian", "is_psd", "kron", "min_eig", "partial_trace",
+        "Povm", "basis_povm", "is_hermitian", "partial_trace",
         # scenario
         "Assemblage", "LhsResult", "apply_loss", "assemblage_from", "bell_state", "fourier_and_computational",
         "isotropic_state", "lhs_test", "mub_povms", "pauli_xz", "schmidt_state", "werner_state",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from steercert.qlin import basis_povm, dagger, kron, partial_trace, random_unitary
+from steercert.qlin import basis_povm, dagger, partial_trace, random_unitary
 from steercert.scenario import (
     Assemblage,
     apply_loss,
@@ -167,7 +167,7 @@ def test_assemblage_from_matches_the_per_element_map(case):
     d_b = rho.shape[0] // d_a
     # the reference: one kron, one product and one partial trace per element
     want = np.array([
-        [partial_trace(kron(m, np.eye(d_b)) @ rho, (d_a, d_b), keep="B") for m in povm] for povm in povms
+        [partial_trace(np.kron(m, np.eye(d_b, dtype=complex)) @ rho, (d_a, d_b), keep="B") for m in povm] for povm in povms
     ]).swapaxes(0, 1)
     assert np.array_equal(assemblage_from(rho, povms).sigma, want)
 
@@ -203,7 +203,7 @@ def test_assemblage_from_product_state():
     rng = np.random.default_rng(12)
     rho_a = random_density(2, rng)
     rho_b = random_density(2, rng)
-    asm = assemblage_from(kron(rho_a, rho_b), pauli_xz())
+    asm = assemblage_from(np.kron(rho_a, rho_b), pauli_xz())
     for a, x in np.ndindex(2, 2):
         p = np.trace(pauli_xz()[x][a] @ rho_a).real
         assert np.max(np.abs(asm.sigma[a, x] - p * rho_b)) <= 1e-12
@@ -312,7 +312,7 @@ def test_lhs_werner_above_threshold():
 
 def test_lhs_product_state_zero_robustness():
     rng = np.random.default_rng(44)
-    rho = kron(random_density(2, rng), random_density(2, rng))
+    rho = np.kron(random_density(2, rng), random_density(2, rng))
     res = lhs_test(assemblage_from(rho, pauli_xz()))
     assert res.is_lhs
     assert res.robustness <= 1e-8
@@ -501,7 +501,7 @@ def test_non_covariant_data_solve_the_full_problem_bit_for_bit():
     from steercert.scenario import _symmetry
 
     rng = np.random.default_rng(44)  # the product state of test_lhs_product_state_zero_robustness
-    asm = assemblage_from(kron(random_density(2, rng), random_density(2, rng)), pauli_xz())
+    asm = assemblage_from(np.kron(random_density(2, rng), random_density(2, rng)), pauli_xz())
     assert _symmetry(asm.sigma) == _trivial_group(asm.sigma)
     # the full problem, built as it was before the reduction: one identity term per strategy
     strategies, noise = deterministic_strategies(2, 2), np.eye(2) / 4
@@ -509,8 +509,7 @@ def test_non_covariant_data_solve_the_full_problem_bit_for_bit():
                             * np.eye(1, dtype=complex))
     equalities = [sdp.MatrixEquality({**{lam: sdp.term_stack(2) for lam in range(4) if strategies[lam, x] == a},
                                       4: t_term}, asm.sigma[a, x]) for a, x in np.ndindex(2, 2)]
-    full = sdp.solve(sdp.SdpProblem((2,) * 4 + (1,), [None] * 4 + [-np.eye(1, dtype=complex)],
-                                    sdp.expand(equalities)))
+    full = sdp.solve(sdp.SdpProblem((2,) * 4 + (1,), [None] * 4 + [-np.eye(1, dtype=complex)], equalities))
     result = lhs_test(asm)
     assert result.robustness == max(0.0, -full.primal_value)
     assert np.array_equal(result.members, np.stack(full.primal[:4]))

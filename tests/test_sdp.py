@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from steercert.qlin import dagger, hermitian_basis, hermitian_inner, min_eig, partial_trace
+from steercert.qlin import dagger, eigvalsh, hermitian_basis, hermitian_inner, partial_trace
 from steercert.sdp import (
     LinearConstraint,
     MatrixEquality,
@@ -30,7 +30,6 @@ from steercert.sdp import (
     _svec_indices,
     _sym,
     derealify,
-    expand,
     fold,
     realify,
     solve,
@@ -38,6 +37,16 @@ from steercert.sdp import (
 )
 
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+
+def _coeffs(row):
+    """A row's coefficient on each block it touches: the 1 x 1 equality's terms, as matrices."""
+    return {k: t[0] for k, t in row.terms.items()}
+
+
+def _rhs_of(row):
+    """A row's right-hand side: the real entry of the 1 x 1 equality's."""
+    return row.rhs[0, 0].real
 
 
 def random_herm(d, rng):
@@ -166,7 +175,7 @@ def test_realify_preserves_spectrum_floor():
     rng = np.random.default_rng(21)
     for _ in range(10):
         a = random_herm(4, rng)
-        assert min_eig(realify(a)) == pytest.approx(min_eig(a), abs=1e-10)
+        assert eigvalsh(realify(a))[0] == pytest.approx(eigvalsh(a)[0], abs=1e-10)
         assert np.trace(realify(a)).real == pytest.approx(2 * np.trace(a).real, abs=1e-10)
 
 
@@ -327,7 +336,7 @@ def test_matrix_equality_rows_and_multipliers():
         MatrixEquality({2: term_stack(2)}, random_herm(2, rng)),
     ]
     xs = {0: random_herm(2, rng), 1: random_herm(d_a, rng), 2: random_herm(2, rng)}
-    rows = expand(equalities)
+    rows = SdpProblem((2, d_a, 2), [None] * 3, equalities).constraints
     assert len(rows) == d * d + 4
     y = rng.standard_normal(len(rows))
     start = 0
@@ -336,9 +345,9 @@ def test_matrix_equality_rows_and_multipliers():
         basis = hermitian_basis(len(eq.rhs))
         values = []
         for e, row in zip(basis, rows[start:start + len(basis)]):
-            values.append(sum(hermitian_inner(c, xs[k]) for k, c in row.coeffs.items()))
+            values.append(sum(hermitian_inner(c, xs[k]) for k, c in _coeffs(row).items()))
             assert values[-1] == pytest.approx(hermitian_inner(e, image), abs=1e-12)
-            assert row.rhs == pytest.approx(hermitian_inner(e, eq.rhs), abs=1e-12)
+            assert _rhs_of(row) == pytest.approx(hermitian_inner(e, eq.rhs), abs=1e-12)
         assert np.max(np.abs(big_y - dagger(big_y))) == 0.0
         assert y[start:start + len(basis)] @ values == pytest.approx(hermitian_inner(big_y, image), abs=1e-12)
         start += len(basis)
@@ -351,7 +360,7 @@ def test_solution_residuals_small():
     assert sol.primal_residual <= 1e-8
     assert sol.dual_residual <= 1e-8
     for x in sol.primal:
-        assert min_eig(x) >= -1e-9
+        assert eigvalsh(x)[0] >= -1e-9
 
 
 def recomputed_residuals(problem, sol):
@@ -359,16 +368,16 @@ def recomputed_residuals(problem, sol):
     computed from the returned iterate."""
     kept = [i for i in range(len(problem.constraints)) if i not in sol.dropped_rows]
     pres = max(
-        abs(problem.constraints[i].rhs - sum(hermitian_inner(a, sol.primal[k])
-                                             for k, a in problem.constraints[i].coeffs.items()))
+        abs(_rhs_of(problem.constraints[i]) - sum(hermitian_inner(a, sol.primal[k])
+                                                  for k, a in _coeffs(problem.constraints[i]).items()))
         for i in kept
     )
     dres = 0.0
     for k, (c, z) in enumerate(zip(problem.objective, sol.dual_slacks)):
         r = -z if c is None else -c - z
         for y, con in zip(sol.dual, problem.constraints):
-            if k in con.coeffs:
-                r = r + y * con.coeffs[k]
+            if k in con.terms:
+                r = r + y * con.terms[k][0]
         dres = max(dres, np.max(np.abs(r.real)), np.max(np.abs(r.imag)))
     return pres, dres
 
@@ -771,13 +780,13 @@ def test_a_scalar_objective_is_read_by_its_real_part():
     dims = (1, 2, 3, 2, 2)
     objective = [np.array([[0.7]]), random_herm(2, rng), None, random_herm(2, rng), -np.eye(2)]
     equalities = _mixed_equalities(rng)
-    rows = expand([MatrixEquality(eq.terms, r) for eq, r in zip(equalities, _met_by(equalities, dims, rng))])
-    want = solve(SdpProblem(dims, objective, rows))
+    met = [MatrixEquality(eq.terms, r) for eq, r in zip(equalities, _met_by(equalities, dims, rng))]
+    want = solve(SdpProblem(dims, objective, met))
     assert want.status is SolverStatus.OPTIMAL
     for imag in (4e-11, -4e-11):
-        _solutions_identical(solve(SdpProblem(dims, [objective[0] + 1j * imag, *objective[1:]], rows)), want)
+        _solutions_identical(solve(SdpProblem(dims, [objective[0] + 1j * imag, *objective[1:]], met)), want)
     with pytest.raises(ValueError, match="objective block 0 is not Hermitian"):
-        solve(SdpProblem(dims, [objective[0] + 1e-10j, *objective[1:]], rows))
+        solve(SdpProblem(dims, [objective[0] + 1e-10j, *objective[1:]], met))
 
 
 def test_a_step_out_of_the_cone_ends_in_numerical_trouble(monkeypatch):
@@ -853,9 +862,9 @@ def _row_by_row(problem):
     columns = []
     for k, d in enumerate(problem.block_dims):
         idx = _svec_indices(2 * d)
-        columns.append(np.array([_svec(realify(con.coeffs[k]), idx) if k in con.coeffs else np.zeros(len(idx[0]))
+        columns.append(np.array([_svec(realify(con.terms[k][0]), idx) if k in con.terms else np.zeros(len(idx[0]))
                                  for con in cons]).reshape(len(cons), len(idx[0])))
-    return np.hstack(columns), np.array([2.0 * con.rhs for con in cons], dtype=float)
+    return np.hstack(columns), np.array([2.0 * _rhs_of(con) for con in cons], dtype=float)
 
 
 def _identical(a, b):
@@ -888,7 +897,7 @@ def test_assembly_matches_the_row_by_row_build(monkeypatch):
     objective = [np.eye(1), random_herm(2, rng), None, random_herm(2, rng), -np.eye(2)]
     hand_built = [LinearConstraint({0: np.eye(1)}, 0.5), LinearConstraint({1: random_herm(2, rng), 2: np.eye(3)}, 1.0),
                   LinearConstraint({}, 0.0), LinearConstraint({3: np.diag([1.0, 0.0]), 1: np.eye(2)}, 0.25)]
-    for constraints in (expand(_mixed_equalities(rng)), hand_built):
+    for constraints in (_mixed_equalities(rng), hand_built):
         problem = SdpProblem(dims, objective, constraints)
         rows, groups, objectives, _ = _assemble(problem)
         b = _rhs(problem.constraints)
@@ -914,17 +923,66 @@ def test_assembly_matches_the_row_by_row_build(monkeypatch):
 def test_expanded_rows_are_a_sequence_of_the_rows():
     rng = np.random.default_rng(32)
     equalities = _mixed_equalities(rng)
-    rows = expand(equalities)
-    assert len(rows) == 4 + 9 + 9 + 4 + 1
+    rows = SdpProblem((1, 2, 3, 2, 2), [None] * 5, equalities).constraints
+    assert rows.equalities == equalities and len(rows) == 4 + 9 + 9 + 4 + 1
+    assert SdpProblem((1, 2, 3, 2, 2), [None] * 5, rows).constraints.equalities == equalities
     listed = list(rows)
     assert len(listed) == len(rows) and rows[-1] is listed[-1] and rows[4:13] == listed[4:13]
-    assert all(con.coeffs == {} and con.rhs == 0.0 for con in rows[4:13])  # the term-less equality
+    # each row a 1 x 1 equality
+    assert all(con.rhs.shape == (1, 1) and all(t.shape[0] == 1 for t in con.terms.values()) for con in listed)
+    assert all(con.terms == {} and _rhs_of(con) == 0.0 for con in rows[4:13])  # the term-less equality
     for i, con in enumerate(listed[13:22]):
-        assert list(con.coeffs) == [2, 0]
-        assert np.array_equal(con.coeffs[2], hermitian_basis(3)[i])
-        assert con.rhs == hermitian_inner(hermitian_basis(3)[i], equalities[2].rhs)
+        assert list(con.terms) == [2, 0]
+        assert np.array_equal(con.terms[2][0], hermitian_basis(3)[i])
+        assert _rhs_of(con) == hermitian_inner(hermitian_basis(3)[i], equalities[2].rhs)
     with pytest.raises(IndexError):
         rows[len(rows)]
+
+
+def test_equalities_and_their_rows_mix_in_one_list_bit_for_bit():
+    # one constraint type: a row, hand-built or read off a problem, is a 1 x 1 equality
+    rng = np.random.default_rng(42)
+    dims = (1, 2, 3, 2, 2)
+    objective = [np.eye(1), random_herm(2, rng), None, random_herm(2, rng), -np.eye(2)]
+    base = _mixed_equalities(rng)
+    equalities = [MatrixEquality(eq.terms, r) for eq, r in zip(base, _met_by(base, dims, rng))]
+    whole = SdpProblem(dims, objective, equalities)
+    rows = list(whole.constraints)
+    starts = np.cumsum([0] + [eq.rhs.size for eq in equalities])
+    by_hand = [LinearConstraint(_coeffs(row), _rhs_of(row)) for row in rows[starts[3]:starts[4]]]  # equality 3
+    mixed = [equalities[0], *rows[starts[1]:starts[3]], *by_hand, equalities[4]]
+    want = solve(whole)
+    assert want.status is SolverStatus.OPTIMAL and len(want.dual) == len(rows) == 27
+    for constraints in (rows, mixed):
+        problem = SdpProblem(dims, objective, constraints)
+        assert len(problem.constraints) == len(rows)
+        _solutions_identical(solve(problem), want)
+
+
+def test_every_builder_gives_one_dual_entry_per_row(monkeypatch):
+    # len(problem.constraints) counts rows, d*d per equality, and the dual holds one multiplier per row,
+    # dropped rows included: the row count perfbench's tracer reads
+    import steercert.sdp as sdp_module
+    from steercert.cli import _certify_point, presets
+    from steercert.scenario import assemblage_from, isotropic_state, lhs_test, mub_povms
+    from steercert.seesaw import optimize_measurements
+
+    seen, solve_ = [], sdp_module.solve
+    monkeypatch.setattr(sdp_module, "solve", lambda p, **kw: seen.append((p, solve_(p, **kw))) or seen[-1][1])
+    rng = np.random.default_rng(43)
+    runs = [lambda name=name, value=value: _certify_point(presets()[name].at_parameter(value))
+            for name, value in (("fig2", 0.9), ("fig_global", 0.9), ("fig3_qubit", 0.8),
+                                ("fig4_qutrit_loss", 0.8), ("fig_pm", 0.7))]
+    runs.append(lambda: lhs_test(assemblage_from(isotropic_state(3, 0.5), mub_povms(3, 4))))
+    runs.append(lambda: optimize_measurements(isotropic_state(3, 0.9), np.stack(
+        [[random_herm(3, rng) for _ in range(2)] for _ in range(3)])))  # three outcomes: an SDP
+    for run in runs:
+        before = len(seen)
+        run()
+        assert len(seen) > before
+    for problem, sol in seen:
+        assert len(problem.constraints) == sum(eq.rhs.size for eq in problem.constraints.equalities)
+        assert len(sol.dual) == len(problem.constraints) > 0
 
 
 def test_a_non_hermitian_term_names_its_constraint_and_block():
@@ -936,7 +994,7 @@ def test_a_non_hermitian_term_names_its_constraint_and_block():
                                    equalities[2].rhs)
     objective = [None] * 5
     with pytest.raises(ValueError, match=r"^constraint 18 block 3 is not Hermitian \(defect 1\.00e-03\)$"):
-        solve(SdpProblem((1, 2, 3, 2, 2), objective, expand(equalities)))
+        solve(SdpProblem((1, 2, 3, 2, 2), objective, equalities))
     skew = np.array([[0.0, 1.0], [0.0, 0.0]])
     hand_built = [LinearConstraint({0: np.eye(2)}, 1.0), LinearConstraint({1: np.eye(2), 0: skew}, 0.0)]
     with pytest.raises(ValueError, match=r"^constraint 1 block 0 is not Hermitian \(defect 1\.00e\+00\)$"):
@@ -951,7 +1009,7 @@ def test_a_non_hermitian_term_names_its_constraint_and_block():
 def test_fold_adds_the_terms_as_a_python_sum_does():
     rng = np.random.default_rng(34)
     equalities = _mixed_equalities(rng)
-    mixed = rng.standard_normal(len(expand(equalities)))
+    mixed = rng.standard_normal(sum(eq.rhs.size for eq in equalities))
     mixed[[0, 5, 14]] = 0.0, -0.0, -0.0
     # all terms negative: an entry that only -0.0 terms reach is +0.0 after the sum's zero start
     negative = -np.abs(mixed)
@@ -1006,14 +1064,14 @@ def test_a_child_solves_as_the_same_problem_built_afresh():
     dims = (1, 2, 3, 2, 2)
     objective = [np.eye(1), random_herm(2, rng), None, random_herm(2, rng), -np.eye(2)]
     equalities = _mixed_equalities(rng)
-    parent = SdpProblem(dims, objective, expand(equalities))
+    parent = SdpProblem(dims, objective, equalities)
     met = _met_by(equalities, dims, rng)
     optimal, infeasible = SolverStatus.OPTIMAL, SolverStatus.INFEASIBLE
     for rhs, status in ((met, optimal), ([0.5 * r for r in met], optimal), ([eq.rhs for eq in equalities], infeasible)):
-        fresh = SdpProblem(dims, objective, expand([MatrixEquality(eq.terms, r) for eq, r in zip(equalities, rhs)]))
+        fresh = SdpProblem(dims, objective, [MatrixEquality(eq.terms, r) for eq, r in zip(equalities, rhs)])
         child = parent.with_rhs(rhs)
         assert child.block_dims == dims and child._shared is not None and fresh._shared is None
-        assert [row.rhs for row in child.constraints] == [row.rhs for row in fresh.constraints]
+        assert [_rhs_of(row) for row in child.constraints] == [_rhs_of(row) for row in fresh.constraints]
         _solutions_identical(got := solve(child), solve(fresh))
         assert got.status is status
 
@@ -1027,7 +1085,7 @@ def test_one_parent_builds_its_structure_once(monkeypatch):
     monkeypatch.setattr(sdp_module, "Structure", lambda problem: built.append(problem) or make(problem))
     rng = np.random.default_rng(39)
     equalities = _mixed_equalities(rng)
-    parent = SdpProblem((1, 2, 3, 2, 2), [np.eye(1), None, None, None, -np.eye(2)], expand(equalities))
+    parent = SdpProblem((1, 2, 3, 2, 2), [np.eye(1), None, None, None, -np.eye(2)], equalities)
     met = _met_by(equalities, parent.block_dims, rng)
     children = [parent.with_rhs([scale * r for r in met]) for scale in (1.0, 0.5, 0.25)]
     assert len(built) == 1 and built[0] is parent
@@ -1043,13 +1101,13 @@ def test_an_inconsistent_rhs_on_a_child_is_infeasible():
     rng = np.random.default_rng(36)
     identity = term_stack(2)
     zeros = [MatrixEquality({0: identity}, np.zeros((2, 2))), MatrixEquality({0: identity}, np.zeros((2, 2)))]
-    parent = SdpProblem((2,), [np.eye(2)], expand(zeros))
+    parent = SdpProblem((2,), [np.eye(2)], zeros)
     a = random_herm(2, rng) @ random_herm(2, rng)
     a = a @ dagger(a) + np.eye(2)  # X = a is the one feasible point
     consistent = solve(parent.with_rhs([a, a]))
     assert consistent.status is SolverStatus.OPTIMAL and len(consistent.dropped_rows) == 4
     rhs = [a, a + 1e-3 * np.diag([1.0, -1.0])]
-    fresh = solve(SdpProblem((2,), [np.eye(2)], expand([MatrixEquality({0: identity}, r) for r in rhs])))
+    fresh = solve(SdpProblem((2,), [np.eye(2)], [MatrixEquality({0: identity}, r) for r in rhs]))
     shared = solve(parent.with_rhs(rhs))
     assert shared.status is fresh.status is SolverStatus.INFEASIBLE
     assert shared.primal_residual == fresh.primal_residual == pytest.approx(1e-3)
@@ -1062,7 +1120,7 @@ def test_a_solve_leaves_the_shared_structure_unchanged():
     rng = np.random.default_rng(37)
     equalities = _mixed_equalities(rng)
     objective = [np.eye(1), random_herm(2, rng), None, random_herm(2, rng), -np.eye(2)]
-    parent = SdpProblem((1, 2, 3, 2, 2), objective, expand(equalities))
+    parent = SdpProblem((1, 2, 3, 2, 2), objective, equalities)
     rhs = _met_by(equalities, parent.block_dims, rng)
     child = parent.with_rhs(rhs)
     want = solve(dataclasses.replace(child))
@@ -1083,7 +1141,7 @@ def test_a_solve_leaves_the_shared_structure_unchanged():
 def test_with_rhs_refuses_right_hand_sides_of_the_wrong_shape():
     rng = np.random.default_rng(38)
     equalities = _mixed_equalities(rng)
-    parent = SdpProblem((1, 2, 3, 2, 2), [None] * 5, expand(equalities))
+    parent = SdpProblem((1, 2, 3, 2, 2), [None] * 5, equalities)
     rhs = [eq.rhs for eq in equalities]
     with pytest.raises(ValueError, match="right-hand side 2 has shape"):
         parent.with_rhs(rhs[:2] + [np.eye(2)] + rhs[3:])
@@ -1096,12 +1154,12 @@ def test_a_right_hand_side_that_is_not_hermitian_is_refused():
     identity = term_stack(2)
     upper = np.array([[0.5, 1.0], [0.0, 0.5]])  # no Hermitian X has identity(X) = upper
     with pytest.raises(ValueError, match="right-hand side of equality 0 is not Hermitian"):
-        solve(SdpProblem((2,), [np.eye(2)], expand([MatrixEquality({0: identity}, upper)])))
+        solve(SdpProblem((2,), [np.eye(2)], [MatrixEquality({0: identity}, upper)]))
     # a complex scalar right-hand side is a 1 x 1 matrix that is not Hermitian either
     rows = [LinearConstraint({0: np.eye(2)}, 1.0), LinearConstraint({0: np.diag([1.0, 0.0])}, 0.5 + 2j)]
     with pytest.raises(ValueError, match="right-hand side of equality 1 is not Hermitian"):
         solve(SdpProblem((2,), [np.eye(2)], rows))
-    parent = SdpProblem((2,), [np.eye(2)], expand([MatrixEquality({0: identity}, np.eye(2) / 2)]))
+    parent = SdpProblem((2,), [np.eye(2)], [MatrixEquality({0: identity}, np.eye(2) / 2)])
     with pytest.raises(ValueError, match="right-hand side of equality 0 is not Hermitian"):
         solve(parent.with_rhs([upper]))
     # within 1e-9, the tolerance of Assemblage and realify, a right-hand side is accepted
@@ -1114,13 +1172,13 @@ def test_a_nested_list_right_hand_side_solves_as_an_array():
     upper = [[0.5, 1], [0, 0.5]]
     for rhs in (upper, np.array(upper)):
         with pytest.raises(ValueError, match=r"^the right-hand side of equality 0 is not Hermitian \(defect 1\.00e\+00\)$"):
-            solve(SdpProblem((2,), [np.eye(2)], expand([MatrixEquality({0: identity}, rhs)])))
+            solve(SdpProblem((2,), [np.eye(2)], [MatrixEquality({0: identity}, rhs)]))
     hermitian = [[0.5, 0.25 - 0.1j], [0.25 + 0.1j, 0.5]]
-    from_list, from_array = (solve(SdpProblem((2,), [np.eye(2)], expand([MatrixEquality({0: identity}, rhs)])))
+    from_list, from_array = (solve(SdpProblem((2,), [np.eye(2)], [MatrixEquality({0: identity}, rhs)]))
                              for rhs in (hermitian, np.array(hermitian)))
     assert from_list.status is SolverStatus.OPTIMAL
     _solutions_identical(from_list, from_array)
-    parent = SdpProblem((2,), [np.eye(2)], expand([MatrixEquality({0: identity}, np.eye(2) / 2)]))
+    parent = SdpProblem((2,), [np.eye(2)], [MatrixEquality({0: identity}, np.eye(2) / 2)])
     _solutions_identical(solve(parent.with_rhs([hermitian])), solve(parent.with_rhs([np.array(hermitian)])))
     with pytest.raises(ValueError, match="right-hand side 0 has shape"):
         parent.with_rhs([[0.5, 0.5]])
@@ -1158,7 +1216,7 @@ def test_a_start_replaces_only_the_primal_identity():
     # the right-hand sides a positive definite point meets: that point is a strictly feasible start
     points = [0.5 * (h + dagger(h)) + np.eye(d) for d in dims for g in [random_herm(d, rng)] for h in [g @ dagger(g)]]
     met = _met(equalities, points)
-    problem = SdpProblem(dims, objective, expand([MatrixEquality(eq.terms, r) for eq, r in zip(equalities, met)]))
+    problem = SdpProblem(dims, objective, [MatrixEquality(eq.terms, r) for eq, r in zip(equalities, met)])
     plain, started = solve(problem), solve(problem, start=points)
     _solutions_identical(solve(problem, start=None), plain)
     assert plain.status is started.status is SolverStatus.OPTIMAL
