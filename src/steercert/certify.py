@@ -24,8 +24,10 @@ explicit zero matrices in the reported strategy. The dual witness is read
 off the primal solve's consistency multipliers either way; on reduced
 instances it certifies the bound on the observed faces (where the reduced
 pair attains strong duality). No SDP is solved where the data decide the
-optimum: where every face kept has rank 1 (pure states measured projectively),
-`_closed_form` gives it with a dual whose feasibility margin is checked; where
+optimum: where every face kept has rank 1 (pure states measured projectively,
+or prepare-and-measure with projective measurements and an injective
+consistency map), `_closed_form` gives it with a dual whose feasibility margin
+is checked, on the steering faces or on the POVM elements' faces; where
 `loss_attack` or `lhs_attack` lets Eve guess Alice's outcome with certainty,
 `_zero_bits` gives p = 1 with the trivial inequality. Such a result ignores
 `stop_above`. Where a full-space witness is wanted, the
@@ -124,8 +126,11 @@ class SteeringFunctional:
     smoothed by uniform noise of weight delta, whose value exceeds the
     optimum by an amount that shrinks as sqrt(delta).
 
-    In the prepare-and-measure scenario the dual carries an extra constant
-    from the completeness multipliers, stored in `offset`, and no G grid.
+    In the prepare-and-measure scenario Eve's operators act on the trusted
+    `state`'s first factor: F[a, x] enters through the adjoint of the
+    consistency map, steering_adjoint(state, F[a, x]), and the completeness
+    multipliers Y[x] join it in every operator at input x and add
+    `offset` = sum_x Tr Y[x] to the value.
     """
 
     F: np.ndarray
@@ -133,8 +138,13 @@ class SteeringFunctional:
     G: np.ndarray | None = None
     guess_outcome: np.ndarray | None = None
     guess_target: np.ndarray | None = None
-    offset: float = 0.0
     supports: tuple[tuple[np.ndarray, ...], ...] | None = None
+    Y: np.ndarray | None = None
+    state: np.ndarray | None = None
+
+    @property
+    def offset(self) -> float:
+        return 0.0 if self.Y is None else float(sum(np.trace(y).real for y in self.Y))
 
     def value_on(self, asm) -> float:
         sigma = asm.sigma if isinstance(asm, Assemblage) else np.asarray(asm)
@@ -147,7 +157,8 @@ class SteeringFunctional:
         (compressed onto the certificate's faces when facially reduced)."""
         if self.G is None or self.guess_outcome is None or self.guess_target is None:
             raise ValueError("no dual multipliers stored for this functional")
-        h = self.F[None] - self.G[:, None]  # the (n_guess, n_a, m, d, d) grid of operators
+        F = self.F if self.state is None else steering_adjoint(self.state, self.F) + self.Y
+        h = F[None] - self.G[:, None]  # the (n_guess, n_a, m, d, d) grid of operators
         h[:, :, self.x_star] += self.G.sum(axis=1)[:, None]
         h[np.arange(len(h)), self.guess_outcome, self.x_star] -= self.guess_target
         # compressed onto the faces of each rank at once, leaving out faces of rank 0
@@ -377,48 +388,58 @@ def _result(sol: sdp.SdpSolution, functional: SteeringFunctional, **unpacked) ->
     return CertificationResult(sol.primal_value, sol.dual_value, sol.status, functional, **unpacked)
 
 
-def _steering_functional(F, G, x_star: int, guess_outcome, guess_target, supports) -> SteeringFunctional:
-    """The functional of a steering certification on the faces ``supports``, kept only when some face is reduced."""
-    reduced = any(v.shape[1] < F.shape[-1] for row in supports for v in row)
+def _steering_functional(F, G, x_star: int, guess_outcome, guess_target, supports, **pm) -> SteeringFunctional:
+    """The functional of a certification on the faces ``supports``, kept only when some face is reduced;
+    ``pm`` holds a prepare-and-measure functional's Y and state."""
+    reduced = any(v.shape[1] < v.shape[0] for row in supports for v in row)
     return SteeringFunctional(F, x_star, G, np.asarray(guess_outcome, dtype=int), freeze(np.asarray(guess_target)),
-                              supports=tuple(map(tuple, supports)) if reduced else None)
+                              supports=tuple(map(tuple, supports)) if reduced else None, **pm)
 
 
-def _closed_form(asm: Assemblage, supports, x_star: int, guess_outcome, guess_target) -> CertificationResult | None:
-    """The certification of data whose kept faces all have rank 1 (pure states measured projectively),
-    in closed form, or None. With w_e = Tr[T_e sigma_{o_e|x*}] for Eve's guess e of outcome o_e and
-    target T_e, the guess e* maximising w_e holding all the data, X[e*] = sigma, is consistent,
-    no-signalling and PSD, and guesses with p* = max_e w_e. The dual is F = (p*/m) 1 with the
-    multipliers G from one least-squares solve that gives the operator of guess e, compressed onto
-    each face, the slack (p* - w_e)/m. It is kept only with a feasibility margin of at least -1e-12,
-    which by weak duality certifies p*: where no-signalling does not decouple Eve (a product state),
-    the least-squares residual shows in the margin, and the caller solves the SDP."""
+def _closed_form(asm: Assemblage, supports, x_star: int, guess_outcome, guess_target, state=None,
+                 elements=None) -> CertificationResult | None:
+    """The certification of the assemblage ``asm`` in closed form where the grid data[a, x] that Eve splits
+    has kept faces all of rank 1, or None: data = asm.sigma (pure states measured projectively), or, given
+    the trusted ``state``, the POVM ``elements`` M_{a|x} (projective measurements, an injective map).
+    With w_e = Tr[T_e data_{o_e|x*}] for Eve's guess e of outcome o_e and target T_e, the guess e* maximising
+    w_e holding all the data, X[e*] = data, is consistent, no-signalling, complete and PSD, and guesses with
+    p* = max_e w_e. With total = sum_a Tr data_{a|x} (1, or d_A), the dual is F = p* / (m total) 1 (for
+    prepare-and-measure F = 0 and the completeness multipliers Y_x hold it), and the multipliers G from one
+    least-squares solve give the operator of guess e, compressed onto each face, the slack
+    (p* - w_e) / (m total). It is kept only with a feasibility margin of at least -1e-12, which by weak
+    duality certifies p*: where no-signalling does not decouple Eve (a product state, or bases that are not
+    unbiased), the least-squares residual shows in the margin, and the caller solves the SDP."""
     if any(v.shape[1] > 1 for row in supports for v in row):
         return None
-    n_a, m, d = asm.sigma.shape[:3]
+    data = asm.sigma if state is None else elements
+    n_a, m, d = data.shape[:3]
+    total = 1 if state is None else d
     faces = np.array([(a, x) for a, row in enumerate(supports) for x, v in enumerate(row) if v.shape[1]])
     vs = np.array([supports[a][x][:, 0] for a, x in faces])
     target, outcome = np.asarray(guess_target, dtype=complex), np.asarray(guess_outcome, dtype=int)
-    w = np.einsum("eij,eji->e", target, asm.sigma[outcome, x_star]).real
+    w = np.einsum("eij,eji->e", target, data[outcome, x_star]).real
     p_star, n_guess, basis = float(w.max()), len(w), sdp.term_stack(d)
     # row (a, x) reads <P_ax, G_ex> for x != x*, and -sum_x' <P_ax*, G_ex'> at x*, off the coefficients of G_ex'
     others = [x for x in range(m) if x != x_star]
     sign = (faces[:, 1:] == others) * 1.0 - (faces[:, 1:] == x_star)
     lhs = (sign[:, :, None] * np.einsum("ni,kij,nj->nk", vs.conj(), basis, vs).real[:, None]).reshape(len(vs), -1)
-    # p*/m - delta_{a, o_e} delta_{x, x*} v^dag T_e v - (p* - w_e)/m, one column per guess e; p*/m cancels
+    # v^dag F v - delta_{a, o_e} delta_{x, x*} v^dag T_e v - (p* - w_e) / (m total), one column per guess e;
+    # v^dag F v = p* / (m total) cancels
     at_guess = (faces[:, :1] == outcome) & (faces[:, 1:] == x_star)
-    rhs = w / m - at_guess * np.einsum("ni,eij,nj->ne", vs.conj(), target, vs).real
+    rhs = w / (m * total) - at_guess * np.einsum("ni,eij,nj->ne", vs.conj(), target, vs).real
     g = np.linalg.lstsq(lhs, rhs)[0].T.reshape(n_guess, m - 1, d * d)
     G = np.zeros((n_guess, m, d, d), dtype=complex)
     G[:, others] = (g @ basis.reshape(d * d, -1)).reshape(n_guess, m - 1, d, d)
-    F = freeze(np.broadcast_to(p_star / m * np.eye(d), (n_a, m, d, d)))
-    functional = _steering_functional(F, freeze(G), x_star, outcome, target, supports)
+    uniform = freeze(np.broadcast_to(p_star / (m * total) * np.eye(d), (n_a, m, d, d)))
+    F = uniform if state is None else freeze(np.zeros_like(asm.sigma))
+    pm = {} if state is None else {"Y": uniform[0], "state": state}
+    functional = _steering_functional(F, freeze(G), x_star, outcome, target, supports, **pm)
     if not functional.feasibility_margin() >= -1e-12:
         return None
-    joint = np.zeros((n_guess,) + asm.sigma.shape, dtype=complex)
-    joint[np.argmax(w)] = asm.sigma
-    return CertificationResult(p_star, functional.value_on(asm), sdp.SolverStatus.OPTIMAL, functional,
-                               JointAssemblage(joint))
+    strategy = np.zeros((n_guess,) + data.shape, dtype=complex)
+    strategy[np.argmax(w)] = data
+    eve = {"pm_measurements": freeze(strategy)} if pm else {"joint": JointAssemblage(strategy)}
+    return CertificationResult(p_star, functional.value_on(asm), sdp.SolverStatus.OPTIMAL, functional, **eve)
 
 
 def _certain(joint: np.ndarray, asm: Assemblage, x_star: int) -> JointAssemblage | None:
@@ -550,8 +571,16 @@ def certify_pm(rho: np.ndarray, povms: list[Povm], x_star: int = 0) -> Certifica
     joint operators M^e_{a|x} (outcome e kept by Eve, a forwarded) that must
     reproduce the observed assemblage on the trusted state, be no-signalling
     in e, complete, and PSD.
+
+    Where the consistency map is injective, sum_e M^e_{a|x} = M_{a|x} is
+    pinned; where each M_{a|x} also has rank 1 (projective measurements),
+    ``_closed_form`` tries the strategy in which one guess holds every
+    M_{a|x}, and keeps it when its dual passes the margin check. Otherwise
+    the SDP decides. Either way ``p_guess`` is the value of a strategy Eve
+    attains, and the functional stores G, the completeness multipliers Y and
+    the state, so that ``feasibility_margin`` checks its dual.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = freeze(rho)
     if abs(np.trace(rho) - 1.0) > 1e-9:
         raise ValueError("trusted state must have unit trace")
     obs = assemblage_from(rho, povms)
@@ -566,10 +595,13 @@ def certify_pm(rho: np.ndarray, povms: list[Povm], x_star: int = 0) -> Certifica
     svals = np.linalg.svd(coef.reshape(len(coef), -1), compute_uv=False)
     injective = svals.size >= d_a * d_a and svals[d_a * d_a - 1] > 1e-10 * max(svals[0], 1.0)
 
-    if injective:
-        supports = _supports(np.stack([p.elements for p in povms], axis=1))
-    else:
-        supports = [[eye_a for _ in range(m)] for _ in range(n_a)]
+    elements = np.stack([p.elements for p in povms], axis=1)
+    supports = _supports(elements) if injective else [[eye_a for _ in range(m)] for _ in range(n_a)]
+    _check_left_out(supports, obs.sigma)
+    rho_a = partial_trace(rho, (d_a, d_b), keep="A")
+    targets = np.broadcast_to(rho_a, (n_a, d_a, d_a))
+    if exact := _closed_form(obs, supports, x_star, range(n_a), targets, rho, elements):
+        return exact
 
     grid = _EveGrid(n_a, supports)
     stacks = {}
@@ -582,16 +614,14 @@ def certify_pm(rho: np.ndarray, povms: list[Povm], x_star: int = 0) -> Certifica
         )
         for x in range(m)
     }
-    _check_left_out(supports, obs.sigma)
-    rho_a = partial_trace(rho, (d_a, d_b), keep="A")
     problem, kept = grid.problem(
         {(e, e, x_star): rho_a for e in range(n_a)},
         [grid.consistency(stacks, obs.sigma), grid.no_signalling(x_star), completeness],
     )
-    sol, (f, _, complete) = _solve(problem, kept)
-    # the completeness multipliers Y_x enter the dual value as sum_x <Y_x, 1>
-    offset = float(sum(np.trace(y).real for y in complete.values()))
-    functional = SteeringFunctional(F=_gridded(f, (n_a, m), d_b), x_star=x_star, offset=offset)
+    sol, (f, g, y) = _solve(problem, kept)
+    functional = _steering_functional(_gridded(f, (n_a, m), d_b), _gridded({key: -h for key, h in g.items()},
+                                      (n_a, m), d_a), x_star, range(n_a), targets, supports,
+                                      Y=_gridded(y, (m,), d_a), state=rho)
     return _result(sol, functional, pm_measurements=freeze(grid.unpack(sol.primal)))
 
 

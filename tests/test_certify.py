@@ -371,6 +371,69 @@ def test_pm_loss_curve_matches_unit_visibility_steering():
             assert pm == pytest.approx(reference, abs=1e-7)
 
 
+def _pm_certification(rho, povms, forced=False):
+    """certify_pm's result and the number of SDP solves it took; ``forced`` refuses every closed form."""
+    import steercert.certify as certify_module
+    import steercert.sdp as sdp_module
+
+    calls, solve = [], sdp_module.solve
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp_module, "solve", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        if forced:
+            mp.setattr(certify_module, "_closed_form", lambda *a, **kw: None)
+        return certify_pm(rho, povms, 0), len(calls)
+
+
+def test_lossy_pm_certificates_pass_the_dual_check():
+    # the data of test_pm_loss_curve_matches_unit_visibility_steering: the no-click faces have full rank,
+    # so these reach the SDP, whose functional stores G, Y and the state, and its value is the dual value
+    for eta in (0.7, 0.9):
+        lossy = [apply_loss(p, eta) for p in pauli_xz()]
+        for v in (0.3, 0.6, 1.0):
+            res, solves = _pm_certification(werner_state(v), lossy)
+            f = res.functional
+            assert solves == 1 and res.status is SolverStatus.OPTIMAL
+            assert f.G is not None and f.Y is not None and f.feasibility_margin() >= -1e-8
+            assert f.value_on(assemblage_from(werner_state(v), lossy)) == pytest.approx(res.dual_value, abs=1e-12)
+
+
+def _bases_not_unbiased():
+    """The computational basis and {|0>, (|1> + |2>)/sqrt 2, (|1> - |2>)/sqrt 2}: projective qutrit
+    measurements that share the split {|0>} + span{|1>, |2>}, so an operator diagonal in both bases need
+    not be a multiple of 1."""
+    s = 1 / np.sqrt(2)
+    return [basis_povm(np.eye(3, dtype=complex)), basis_povm(np.array([[1, 0, 0], [0, s, s], [0, s, -s]]))]
+
+
+def test_pm_is_in_closed_form_where_the_measurements_are_pinned():
+    # isotropic qutrits under two MUBs (fig_pm): Eve's no-signalling aggregate is diagonal in both bases,
+    # so a multiple of 1, and she can do no better than hold all the data for one guess
+    for v in np.linspace(0.1, 1.0, 10):
+        rho, povms = isotropic_state(3, v), mub_povms(3, 2)
+        res, solves = _pm_certification(rho, povms)
+        assert solves == 0 and res.status is SolverStatus.OPTIMAL
+        assert abs(res.p_guess - 1 / 3) <= 1e-15 and res.gap <= 1e-12
+        assert res.functional.feasibility_margin() >= -1e-12
+        # the attained strategy: one guess holds every POVM element, the others hold 0
+        elements = np.stack([p.elements for p in povms], axis=1)
+        assert np.array_equal(res.pm_measurements.sum(axis=0), elements)
+        assert sum(np.abs(m).max() > 0 for m in res.pm_measurements) == 1
+        sdp_res, solves = _pm_certification(rho, povms, forced=True)
+        assert solves == 1 and res.p_guess == pytest.approx(sdp_res.p_guess, abs=1e-9)
+
+
+def test_pm_on_bases_that_are_not_unbiased_refuses_the_closed_form():
+    # Eve holds |0><0| at both inputs for one guess and span{|1>, |2>} for another, and guesses with 2/3,
+    # not with max_a Tr[M_{a|x*} rho_A] = 1/3: only the margin of the closed form's dual shows it
+    rho, povms = isotropic_state(3, 0.8), _bases_not_unbiased()
+    res, solves = _pm_certification(rho, povms)
+    assert solves == 1 and res.status is SolverStatus.OPTIMAL
+    sdp_res, _ = _pm_certification(rho, povms, forced=True)
+    assert res.p_guess == pytest.approx(sdp_res.p_guess, abs=1e-9)
+    assert res.p_guess == pytest.approx(2 / 3, abs=1e-8)
+    assert res.functional.feasibility_margin() >= -1e-8
+
+
 def test_global_uncorrelated_target_gives_two_bits():
     # at unit visibility with Alice targeting Z and Bob measuring X the two
     # outcomes are independent uniform bits; guessing the pair succeeds
@@ -508,7 +571,8 @@ def _fig4_sdp_points():
 
 def test_every_sdp_point_of_the_preset_sweeps_has_a_relative_gap_within_gap_tol(monkeypatch):
     # an optimal solve bounds |p - d| / (1 + |p|) by gap_tol = 1e-9, so the printed gap |p_guess - dual_value|
-    # may exceed 1e-9 where p_guess is near 1: fig2 at v = 0.73 prints 1.92e-9, fig4_qutrit_loss at eta = 0.6 1.29e-9
+    # may exceed 1e-9 where p_guess is near 1: fig2 at v = 0.73 prints 1.92e-9, fig4_qutrit_loss at eta = 0.6 1.29e-9;
+    # fig_pm's projective measurements are pinned, so its points solve no SDP
     import steercert.sdp as sdp_module
     from steercert.cli import _certify_point, presets
 
@@ -521,7 +585,7 @@ def test_every_sdp_point_of_the_preset_sweeps_has_a_relative_gap_within_gap_tol(
             if len(solves) > before:
                 assert result.status is SolverStatus.OPTIMAL
                 relative[name, value] = result.gap / (1.0 + result.p_guess)
-    assert {name for name, _ in relative} == {"fig2", "fig3_qubit", "fig4_qutrit_loss", "fig_global", "fig_pm"}
+    assert {name for name, _ in relative} == {"fig2", "fig3_qubit", "fig4_qutrit_loss", "fig_global"}
     assert max(relative.values()) <= 1e-9
 
 
@@ -703,8 +767,7 @@ def test_functional_refusals():
     functional = certify_pm(werner_state(0.8), pauli_xz(), 0).functional
     with pytest.raises(ValueError, match=r"^assemblage grid \(2, 3, 2, 2\) does not match F \(2, 2, 2, 2\)$"):
         functional.value_on(np.zeros((2, 3, 2, 2)))
-    with pytest.raises(ValueError, match="^no dual multipliers stored for this functional$"):
-        functional.feasibility_margin()  # a prepare-and-measure functional has no G
+    assert functional.feasibility_margin() >= -1e-12  # a prepare-and-measure functional is checked as any other
 
 
 def test_an_infeasible_certification_solve_is_refused(monkeypatch):
@@ -830,6 +893,14 @@ def test_the_loss_attack_gives_eve_certainty_up_to_half_the_clicks(d, eta, x_sta
     c, other = d, 1 - x_star
     assert np.array_equal(joint.sigma_e[:c, c, other], asm.sigma[:c, x_star])
     assert lhs_attack(asm, x_star) is None  # three outcomes or more
+
+
+@pytest.mark.parametrize("d", [5, 7])
+def test_just_past_half_the_clicks_the_sdp_certifies_randomness(d):
+    # at eta = 0.51 the loss attack fails, and the certification leaves Eve 1 - (2 eta - 1)(1 - 1/d)
+    res = certify_local(_lossy_qudits(d, 0.51), 0)
+    assert res.status is SolverStatus.OPTIMAL and res.h_min > 0
+    assert res.p_guess == pytest.approx(1 - 0.02 * (1 - 1 / d), abs=1e-8)
 
 
 def test_the_loss_attack_is_certain_on_one_input_whatever_the_data():

@@ -756,16 +756,32 @@ def _lapack_calls(monkeypatch):
     return shapes
 
 
-@pytest.mark.parametrize("preset, value, lapack_dims", [("fig_pm", 0.7, set()), ("fig4_qutrit_loss", 0.8, {6})])
+def _pm_on_bases_not_unbiased(v=0.7):
+    """certify_pm on isotropic qutrits under the computational basis and {|0>, (|1> +- |2>)/sqrt 2}: projective
+    measurements, so each of Eve's blocks is 1 x 1, that are not unbiased, so an SDP decides."""
+    from steercert.certify import certify_pm
+    from steercert.qlin import basis_povm
+    from steercert.scenario import isotropic_state
+
+    s = 1 / np.sqrt(2)
+    bases = [np.eye(3, dtype=complex), np.array([[1, 0, 0], [0, s, s], [0, s, -s]])]
+    return certify_pm(isotropic_state(3, v), [basis_povm(b) for b in bases])
+
+
+@pytest.mark.parametrize("preset, value, lapack_dims",
+                         [("pm_not_unbiased", 0.7, set()), ("fig4_qutrit_loss", 0.8, {6})])
 def test_scalar_blocks_call_no_lapack(monkeypatch, preset, value, lapack_dims):
-    # fig_pm's blocks are all 1 x 1; fig4_qutrit_loss has 48 of them next to 16 qutrit blocks
+    # projective prepare-and-measure blocks are all 1 x 1; fig4_qutrit_loss has 48 of them next to 16 qutrit blocks
     import steercert.sdp as sdp_module
     from steercert.cli import _certify_point, presets
 
     solves, solve = [], sdp_module.solve
     monkeypatch.setattr(sdp_module, "solve", lambda p, **kw: solves.append((p.block_dims, s := solve(p, **kw))) or s)
     shapes = _lapack_calls(monkeypatch)
-    result = _certify_point(presets()[preset].at_parameter(value))
+    if preset == "pm_not_unbiased":
+        result = _pm_on_bases_not_unbiased(value)
+    else:
+        result = _certify_point(presets()[preset].at_parameter(value))
     assert result.status is SolverStatus.OPTIMAL
     (dims, sol), = solves
     assert 1 in dims and sol.iterations > 0
@@ -972,7 +988,8 @@ def test_every_builder_gives_one_dual_entry_per_row(monkeypatch):
     rng = np.random.default_rng(43)
     runs = [lambda name=name, value=value: _certify_point(presets()[name].at_parameter(value))
             for name, value in (("fig2", 0.9), ("fig_global", 0.9), ("fig3_qubit", 0.8),
-                                ("fig4_qutrit_loss", 0.8), ("fig_pm", 0.7))]
+                                ("fig4_qutrit_loss", 0.8))]
+    runs.append(_pm_on_bases_not_unbiased)  # fig_pm's points are in closed form
     runs.append(lambda: lhs_test(assemblage_from(isotropic_state(3, 0.5), mub_povms(3, 4))))
     runs.append(lambda: optimize_measurements(isotropic_state(3, 0.9), np.stack(
         [[random_herm(3, rng) for _ in range(2)] for _ in range(3)])))  # three outcomes: an SDP
